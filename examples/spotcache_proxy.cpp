@@ -8,9 +8,12 @@
 // The client side is the full src/net serving surface (epoll loop, zero-copy
 // parser, writev assembly, metrics scrape, flight recorder); the execution
 // step is a ProxyCore that homes each key on the fleet's consistent-hash
-// ring, pipelines multigets per upstream under a bounded window, and rides
-// the breaker-gated degradation ladder (primary -> backup -> miss) so
-// upstream churn never surfaces to the client as a connection error.
+// ring and rides the breaker-gated degradation ladder (primary -> backup ->
+// miss) so upstream churn never surfaces to the client as a connection
+// error. Upstream sockets live in the same epoll loop: requests are
+// pipelined per upstream under a bounded window and answered in each
+// client's request order, and a stalled upstream delays only the requests
+// whose keys it owns.
 //
 // Readiness: the first stdout line is `listening <port>` (flushed once the
 // socket is bound); with --metrics-port the second line is
@@ -20,13 +23,16 @@
 // Flags:
 //   --fleet=FILE       fleet membership file (see src/proxy/membership.h);
 //                      loaded at startup, re-read on SIGHUP
-//   --node=S:H:P       add ring slot S at host H port P (repeatable;
-//                      alternative to --fleet for static fleets)
-//   --backup=H:P       the off-ring backup node (read/write fallback)
+//   --node=S:H:P       add ring slot S at host H port P (repeatable; a
+//                      static alternative to --fleet, checked like it)
+//   --backup=H:P       the off-ring backup node (read/write fallback; with
+//                      --node only)
 //   --port=N           listen port (0 picks an ephemeral port, printed)
 //   --host=H           bind address
-//   --window=N         per-upstream pipelined in-flight window (default 32)
-//   --timeout-ms=N     per-operation upstream socket deadline (default 250)
+//   --window=N         cap on commands in flight per upstream, every verb
+//                      (default 32)
+//   --timeout-ms=N     per-leg deadline: an upstream command unanswered
+//                      this long fails its upstream (default 250)
 //   --trace=FILE       on shutdown, write the JSONL event stream
 //   --metrics=FILE     on shutdown, write a Prometheus-style snapshot
 //   --metrics-port=N   serve live Prometheus text over HTTP on port N
@@ -49,6 +55,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "src/net/server.h"
 #include "src/obs/exporters.h"
@@ -98,8 +105,13 @@ int Usage(int exit_code) {
       "                       [--pidfile=FILE] [--help]\n"
       "\n"
       "Speaks memcached text to clients and fans out to the fleet named by\n"
-      "--fleet / --node over the breaker-gated consistent-hash ring. SIGHUP\n"
-      "re-reads --fleet without dropping client connections.\n"
+      "--fleet, or by --node/--backup, over the breaker-gated consistent-hash\n"
+      "ring. SIGHUP re-reads --fleet without dropping client connections.\n"
+      "\n"
+      "  --window=N      cap on commands in flight per upstream, every verb\n"
+      "                  (default 32)\n"
+      "  --timeout-ms=N  per-leg deadline: an upstream command unanswered\n"
+      "                  this long fails its upstream (default 250)\n"
       "\n"
       "Readiness contract: first stdout line is exactly `listening <port>`\n"
       "(after listen(2) succeeded); with --metrics-port the next line is\n"
@@ -109,41 +121,6 @@ int Usage(int exit_code) {
   return exit_code;
 }
 
-/// Parses "SLOT:HOST:PORT" (slot decimal, host may not contain ':').
-bool ParseNodeFlag(const std::string& value, uint64_t* slot, std::string* host,
-                   uint16_t* port) {
-  const size_t first = value.find(':');
-  const size_t last = value.rfind(':');
-  if (first == std::string::npos || first == last) {
-    return false;
-  }
-  char* end = nullptr;
-  *slot = std::strtoull(value.substr(0, first).c_str(), &end, 10);
-  const long p = std::strtol(value.substr(last + 1).c_str(), nullptr, 10);
-  *host = value.substr(first + 1, last - first - 1);
-  if (host->empty() || p <= 0 || p > 65535) {
-    return false;
-  }
-  *port = static_cast<uint16_t>(p);
-  return true;
-}
-
-/// Parses "HOST:PORT".
-bool ParseHostPortFlag(const std::string& value, std::string* host,
-                       uint16_t* port) {
-  const size_t colon = value.rfind(':');
-  if (colon == std::string::npos || colon == 0) {
-    return false;
-  }
-  const long p = std::strtol(value.substr(colon + 1).c_str(), nullptr, 10);
-  if (p <= 0 || p > 65535) {
-    return false;
-  }
-  *host = value.substr(0, colon);
-  *port = static_cast<uint16_t>(p);
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -151,8 +128,8 @@ int main(int argc, char** argv) {
   config.port = 11311;
   proxy::ProxyCoreConfig proxy_config;
   std::string fleet_path;
-  std::vector<proxy::MemberNode> static_nodes;
-  std::optional<proxy::MemberNode> static_backup;
+  std::vector<std::string> node_specs;
+  std::string backup_spec;
   std::string trace_path;
   std::string metrics_path;
   std::string pidfile_path;
@@ -166,19 +143,9 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--fleet=", 0) == 0) {
       fleet_path = arg.substr(8);
     } else if (arg.rfind("--node=", 0) == 0) {
-      proxy::MemberNode node;
-      if (!ParseNodeFlag(arg.substr(7), &node.slot, &node.host, &node.port)) {
-        std::printf("bad --node '%s' (want SLOT:HOST:PORT)\n\n", arg.c_str());
-        return Usage(kExitUsage);
-      }
-      static_nodes.push_back(node);
+      node_specs.push_back(arg.substr(7));
     } else if (arg.rfind("--backup=", 0) == 0) {
-      proxy::MemberNode backup;
-      if (!ParseHostPortFlag(arg.substr(9), &backup.host, &backup.port)) {
-        std::printf("bad --backup '%s' (want HOST:PORT)\n\n", arg.c_str());
-        return Usage(kExitUsage);
-      }
-      static_backup = backup;
+      backup_spec = arg.substr(9);
     } else if (arg.rfind("--window=", 0) == 0) {
       proxy_config.upstreams.window = std::atoi(arg.c_str() + 9);
     } else if (arg.rfind("--timeout-ms=", 0) == 0) {
@@ -213,45 +180,32 @@ int main(int argc, char** argv) {
       return Usage(kExitUsage);
     }
   }
-  if (fleet_path.empty() && static_nodes.empty()) {
-    std::printf("need --fleet=FILE or at least one --node=SLOT:HOST:PORT\n\n");
+  const bool static_fleet = !node_specs.empty() || !backup_spec.empty();
+  if (fleet_path.empty() == node_specs.empty() ||
+      (!fleet_path.empty() && static_fleet)) {
+    std::printf("need either --fleet=FILE or at least one "
+                "--node=SLOT:HOST:PORT (with an optional --backup)\n\n");
     return Usage(kExitUsage);
   }
   config.metrics_dump_path = metrics_path;
-  // The proxy's upstream waits (timeout x rungs) are legitimate loop work;
-  // scale the stall threshold so every degraded fetch is not a "stall".
-  if (config.stall_threshold_us > 0) {
-    const int64_t worst_leg_us =
-        static_cast<int64_t>(proxy_config.upstreams.op_timeout_ms) * 2 * 1000;
-    if (config.stall_threshold_us < worst_leg_us) {
-      config.stall_threshold_us = worst_leg_us;
-    }
+
+  // Both sources go through the membership document's own checks.
+  std::string error;
+  const auto membership =
+      static_fleet ? proxy::MembershipFromSpecs(node_specs, backup_spec, &error)
+                   : proxy::LoadMembership(fleet_path, &error);
+  if (!membership.has_value()) {
+    std::printf("bad %s: %s\n\n",
+                static_fleet ? "--node/--backup" : fleet_path.c_str(),
+                error.c_str());
+    return Usage(kExitUsage);
   }
 
   Obs obs;
   obs.tracer.set_enabled(!trace_path.empty());
 
   proxy::ProxyCore proxy_core(proxy_config, &obs, &obs.tracer);
-  if (!fleet_path.empty()) {
-    std::string error;
-    const auto m = proxy::LoadMembership(fleet_path, &error);
-    if (!m.has_value()) {
-      std::printf("bad --fleet file %s: %s\n\n", fleet_path.c_str(),
-                  error.c_str());
-      return Usage(kExitUsage);
-    }
-    proxy_core.pool().ApplyMembership(*m);
-  }
-  for (const proxy::MemberNode& node : static_nodes) {
-    if (node.dead()) {
-      proxy_core.pool().MarkDead(node.slot);
-    } else {
-      proxy_core.pool().SetNode(node.slot, node.host, node.port);
-    }
-  }
-  if (static_backup.has_value()) {
-    proxy_core.pool().SetBackup(static_backup->host, static_backup->port);
-  }
+  proxy_core.pool().ApplyMembership(*membership);
 
   net::NetServer server(config, /*system=*/nullptr, &obs);
   server.SetHandler(&proxy_core);

@@ -12,6 +12,7 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <ctime>
 #include <fstream>
@@ -32,6 +33,10 @@ bool SetNonBlocking(int fd) {
 /// Concurrent scrape connections tolerated beyond max_connections: scrapes
 /// must succeed while the cache listener is saturated, but stay bounded.
 constexpr size_t kMaxMetricsConns = 32;
+
+/// Unanswered requests a deferred-reply connection may queue before the
+/// server stops reading it (a pipelined client batch of 256 fits 4 times).
+constexpr size_t kMaxPendingReplies = 1024;
 
 }  // namespace
 
@@ -191,12 +196,36 @@ bool NetServer::Run() {
   // A hub-attached shard wakes periodically to epoch-publish its registry;
   // the plain server keeps the pure block-forever wait.
   const int wait_ms = hub_ != nullptr ? 50 : -1;
+  if (deferred_) {
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.fd = handler_fd_;
+    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, handler_fd_, &ev) != 0) {
+      SPOTCACHE_LOG(kError) << "cannot poll the request handler: "
+                            << strerror(errno);
+      return false;
+    }
+  }
   bool ok = true;
   constexpr int kMaxEvents = 64;
   epoll_event events[kMaxEvents];
   while (!stop_requested_.load(std::memory_order_relaxed)) {
+    int timeout_ms = wait_ms;
+    if (deferred_) {
+      // Sleep no longer than the handler's next deadline (rounded up, so
+      // the deadline has passed when the loop wakes for it).
+      const int64_t deadline = handler_->next_deadline_us();
+      if (deadline >= 0) {
+        const int64_t until_ms = std::max<int64_t>(
+            0, (deadline - RequestTelemetry::NowMicros() + 999) / 1000);
+        if (timeout_ms < 0 || until_ms < timeout_ms) {
+          timeout_ms = static_cast<int>(until_ms);
+        }
+      }
+    }
+    bool handler_io = false;
     const int64_t t_wait0 = instrument ? RequestTelemetry::NowMicros() : 0;
-    const int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, wait_ms);
+    const int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, timeout_ms);
     const int64_t t_work0 = instrument ? RequestTelemetry::NowMicros() : 0;
     if (n < 0) {
       if (errno == EINTR) {
@@ -222,6 +251,10 @@ bool NetServer::Run() {
         (void)!::read(wake_fd_, &tick, sizeof(tick));
         continue;
       }
+      if (fd == handler_fd_) {
+        handler_io = true;
+        continue;
+      }
       auto it = conns_.find(fd);
       if (it == conns_.end()) {
         continue;  // closed earlier in this batch
@@ -241,6 +274,9 @@ bool NetServer::Run() {
       if ((events[i].events & EPOLLOUT) != 0) {
         ConnWritable(conn);
       }
+    }
+    if (deferred_) {
+      ServiceHandler(handler_io);
     }
     if (core_.sharded()) {
       core_.ServiceInbox();  // peers' ops, queued while we were waiting
@@ -308,6 +344,8 @@ void NetServer::RequestTelemetryDump() {
 void NetServer::SetHandler(RequestHandler* handler) {
   handler_ = handler != nullptr ? handler : &core_;
   handler_->set_telemetry(telemetry_.get());
+  handler_fd_ = handler_->poll_fd();
+  deferred_ = handler_fd_ >= 0;
 }
 
 void NetServer::SetReloadHandler(std::function<void()> on_reload) {
@@ -437,6 +475,9 @@ void NetServer::RegisterConn(int fd, bool metrics) {
     Trace("conn_open", {{"conn", EventTracer::JsonNumber(
                                      static_cast<int64_t>(conn->id))}});
   }
+  if (deferred_ && !metrics) {
+    conns_by_id_.emplace(conn->id, conn.get());
+  }
   conns_.emplace(fd, std::move(conn));
   if (conns_.size() > conns_high_water_) {
     conns_high_water_ = conns_.size();
@@ -510,6 +551,11 @@ void NetServer::ConnReadable(Connection* conn) {
       continue;
     }
     if (n == 0) {
+      if (deferred_ && !conn->slots.empty()) {
+        // Replies are still owed: stop reading, answer, then close.
+        conn->peer_eof = true;
+        break;
+      }
       CloseConn(conn, "eof");
       return;
     }
@@ -586,6 +632,10 @@ void NetServer::MetricsReadable(Connection* conn) {
 void NetServer::Drain(Connection* conn) {
   if (core_.sharded()) {
     DrainSharded(conn);
+    return;
+  }
+  if (deferred_) {
+    DrainDeferred(conn);
     return;
   }
   const int64_t now = NowUnix();
@@ -684,6 +734,133 @@ void NetServer::DrainSharded(Connection* conn) {
     t->OnAbandoned();
   }
   FlushTimed(conn, t);
+}
+
+bool NetServer::WantsInput(const Connection* conn) {
+  return !conn->quit_seen && !conn->peer_eof &&
+         conn->slots.size() < kMaxPendingReplies;
+}
+
+void NetServer::DrainDeferred(Connection* conn) {
+  RequestTelemetry* t = telemetry_.get();
+  if (t != nullptr) {
+    t->BeginBatch(conn->id);
+  }
+  StartDeferred(conn, t, NowUnix());
+  FlushTimed(conn, t);
+}
+
+void NetServer::StartDeferred(Connection* conn, RequestTelemetry* t,
+                              int64_t now) {
+  while (!conn->quit_seen && conn->slots.size() < kMaxPendingReplies) {
+    if (t != nullptr) {
+      t->BeginRequest();
+    }
+    const ParseStatus st = conn->parser.Next();
+    if (st == ParseStatus::kNeedMore) {
+      if (t != nullptr) {
+        t->OnAbandoned();
+      }
+      break;
+    }
+    Connection::Slot slot;
+    if (st == ParseStatus::kError) {
+      if (t != nullptr) {
+        t->OnParsed(TelemetryOp::kOther, 0);
+      }
+      Trace("protocol_error",
+            {{"conn",
+              EventTracer::JsonNumber(static_cast<int64_t>(conn->id))},
+             {"kind",
+              EventTracer::JsonString(ToString(conn->parser.error()))}});
+      if (conn->slots.empty()) {
+        handler_->HandleParseError(conn->parser.error(), &conn->assembler);
+        if (t != nullptr) {
+          t->OnExecuted(RequestOutcome::kError, 0);
+        }
+        continue;
+      }
+      slot.ready = true;
+      slot.parse_error = true;
+      slot.error = conn->parser.error();
+    } else {
+      const TextRequest& req = conn->parser.request();
+      conn->quit_seen = req.verb == Verb::kQuit;
+      const ReplySlot name{conn->id, conn->slots_base + conn->slots.size()};
+      slot.ready = handler_->Start(req, now, name, &slot.handle);
+      if (slot.ready && conn->slots.empty()) {
+        // Nothing queued ahead: the reply goes straight out.
+        if (!handler_->Finish(slot.handle, &conn->assembler)) {
+          conn->close_after_flush = true;
+        }
+        continue;
+      }
+    }
+    slot.parked = t != nullptr ? t->Suspend() : 0;
+    conn->slots.push_back(slot);
+  }
+  if (conn->peer_eof && conn->slots.empty()) {
+    conn->close_after_flush = true;
+  }
+}
+
+void NetServer::ReleaseReady(Connection* conn, RequestTelemetry* t) {
+  while (!conn->slots.empty() && conn->slots.front().ready) {
+    const Connection::Slot slot = conn->slots.front();
+    conn->slots.pop_front();
+    ++conn->slots_base;
+    if (t != nullptr) {
+      t->Resume(slot.parked);
+    }
+    if (slot.parse_error) {
+      handler_->HandleParseError(slot.error, &conn->assembler);
+      if (t != nullptr) {
+        t->OnExecuted(RequestOutcome::kError, 0);
+      }
+    } else if (!handler_->Finish(slot.handle, &conn->assembler)) {
+      conn->close_after_flush = true;  // quit: nothing was parsed after it
+    }
+  }
+}
+
+void NetServer::ServiceHandler(bool io_ready) {
+  ready_slots_.clear();
+  handler_->Service(io_ready, &ready_slots_);
+  for (const ReplySlot& ready : ready_slots_) {
+    auto it = conns_by_id_.find(ready.conn_id);
+    if (it == conns_by_id_.end()) {
+      continue;  // closed meanwhile; its requests were dropped
+    }
+    Connection* conn = it->second;
+    conn->slots[ready.seq - conn->slots_base].ready = true;
+    if (!conn->release_listed) {
+      conn->release_listed = true;
+      releasing_.push_back(conn->id);
+    }
+  }
+  RequestTelemetry* t = telemetry_.get();
+  for (const uint64_t id : releasing_) {
+    auto it = conns_by_id_.find(id);
+    if (it == conns_by_id_.end()) {
+      continue;
+    }
+    Connection* conn = it->second;
+    conn->release_listed = false;
+    if (!conn->slots.front().ready) {
+      continue;  // its head is still pending
+    }
+    if (t != nullptr) {
+      t->BeginBatch(conn->id);
+    }
+    const bool was_full = conn->slots.size() >= kMaxPendingReplies;
+    ReleaseReady(conn, t);
+    if (was_full || conn->peer_eof) {
+      // Room again (or the last replies are out): start what was buffered.
+      StartDeferred(conn, t, NowUnix());
+    }
+    FlushTimed(conn, t);
+  }
+  releasing_.clear();
 }
 
 void NetServer::FlushTimed(Connection* conn, RequestTelemetry* t) {
@@ -803,8 +980,10 @@ void NetServer::Flush(Connection* conn) {
     return;
   }
   const bool want_write = !conn->pending_out.empty();
-  if (want_write != conn->want_write) {
+  const bool reading = WantsInput(conn);
+  if (want_write != conn->want_write || reading != conn->reading) {
     conn->want_write = want_write;
+    conn->reading = reading;
     UpdateEpoll(conn);
   }
 }
@@ -813,7 +992,8 @@ void NetServer::ConnWritable(Connection* conn) { Flush(conn); }
 
 void NetServer::UpdateEpoll(Connection* conn) {
   epoll_event ev{};
-  ev.events = EPOLLIN | (conn->want_write ? EPOLLOUT : 0u);
+  ev.events = (conn->reading ? EPOLLIN : 0u) |
+              (conn->want_write ? EPOLLOUT : 0u);
   ev.data.fd = conn->fd;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev);
 }
@@ -828,6 +1008,19 @@ void NetServer::CloseConn(Connection* conn, const char* reason) {
     if (conns_closed_ != nullptr) {
       conns_closed_->Increment();
     }
+  }
+  if (deferred_ && !conn->is_metrics) {
+    // Late completions must never reach this connection: release every
+    // request it still owed a reply, and forget its id.
+    for (const Connection::Slot& slot : conn->slots) {
+      if (!slot.parse_error) {
+        handler_->Drop(slot.handle);
+      }
+      if (telemetry_ != nullptr) {
+        telemetry_->Discard(slot.parked);
+      }
+    }
+    conns_by_id_.erase(conn->id);
   }
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
   ::close(conn->fd);

@@ -37,6 +37,19 @@
 // telemetry's `slow_request_us` triggers the same dump automatically
 // (debounced to at most one per second).
 //
+// Deferred replies (the proxy seam, see request_handler.h): a handler with a
+// poll_fd() may leave requests pending. Each client connection then keeps an
+// ordered queue of reply slots; replies leave strictly in request order (a
+// slot completing early waits for its predecessors, and local answers,
+// parse errors, quit and flush_all queue behind earlier slots). The
+// handler's fd sits in this loop's epoll set, the loop sleeps no longer than
+// the handler's next deadline, and after every iteration the handler's
+// Service() reports completed slots, whose connections are then flushed.
+// Late completions find their connection by id, so a client that closed
+// with requests in flight is never touched. A connection holding
+// kMaxPendingReplies unanswered requests stops being read until replies
+// drain. The synchronous ServerCore path never touches any of this.
+//
 // Run() owns the calling thread until Stop() (thread-safe, eventfd wakeup)
 // or a fatal listener error. Expiry time is injectable (`SetClock`) so tests
 // drive memcached expiry semantics deterministically over real sockets.
@@ -45,6 +58,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -125,9 +139,10 @@ class NetServer {
   void RequestTelemetryDump();
 
   /// Substitutes `handler` for the built-in ServerCore on the single-threaded
-  /// drain path (the proxy seam; see request_handler.h). Must be called
-  /// before Run(); the handler must outlive the server. Incompatible with
-  /// sharded serving (DrainSharded executes through ServerCore batches).
+  /// drain path (the proxy seam; see request_handler.h). A handler with a
+  /// poll_fd() gets deferred replies. Must be called before Run(); the
+  /// handler must outlive the server. Incompatible with sharded serving
+  /// (DrainSharded executes through ServerCore batches).
   void SetHandler(RequestHandler* handler);
 
   /// Installs the loop-context reload callback RequestReload() triggers.
@@ -187,6 +202,21 @@ class NetServer {
     bool is_metrics = false;
     std::string http_in;  // request bytes until the blank line (metrics only)
     bool http_responded = false;
+
+    // Deferred replies (handlers with a poll_fd() only).
+    struct Slot {
+      uint64_t handle = 0;  // the handler's name for the request
+      uint32_t parked = 0;  // its parked telemetry record (0 = unsampled)
+      bool ready = false;
+      bool parse_error = false;  // answered locally, in order
+      ParseErrorKind error = ParseErrorKind::kUnknownCommand;
+    };
+    std::deque<Slot> slots;   // requests owed a reply, in request order
+    uint64_t slots_base = 0;  // seq of slots.front()
+    bool quit_seen = false;   // quit parsed: stop parsing, close once drained
+    bool peer_eof = false;    // client finished sending: answer, then close
+    bool reading = true;      // EPOLLIN registered
+    bool release_listed = false;  // queued in releasing_
   };
 
   void AcceptReady(int listen_fd, bool metrics);
@@ -199,6 +229,18 @@ class NetServer {
   /// first (scatter-ahead needs requests that outlive the parser buffer),
   /// then executes via ServerCore::ExecuteBatch.
   void DrainSharded(Connection* conn);
+  /// Deferred-reply drain: parse and Start() requests, then flush.
+  void DrainDeferred(Connection* conn);
+  /// Starts buffered requests until the parser runs dry, quit, or the slot
+  /// queue is full; replies that are ready with nothing queued ahead of them
+  /// are rendered straight into the assembler.
+  void StartDeferred(Connection* conn, RequestTelemetry* t, int64_t now);
+  /// Renders the ready slots at the head of the queue.
+  void ReleaseReady(Connection* conn, RequestTelemetry* t);
+  /// Runs the handler's I/O round and flushes the connections it completed.
+  void ServiceHandler(bool io_ready);
+  /// Whether the connection should be read (not paused, quit or at EOF).
+  static bool WantsInput(const Connection* conn);
   /// End-of-batch flush with the span write-stamp bookkeeping.
   void FlushTimed(Connection* conn, RequestTelemetry* t);
   /// Registers an accepted/adopted fd as a live connection (nodelay, epoll,
@@ -229,6 +271,12 @@ class NetServer {
   /// The active request executor: &core_ unless SetHandler() swapped in a
   /// different implementation (e.g. the proxy's fan-out core).
   RequestHandler* handler_ = nullptr;
+  /// handler_ defers replies (poll_fd() >= 0): the slot machinery is live.
+  bool deferred_ = false;
+  int handler_fd_ = -1;  // handler_->poll_fd(), registered in Run()
+  std::unordered_map<uint64_t, Connection*> conns_by_id_;  // deferred only
+  std::vector<ReplySlot> ready_slots_;  // ServiceHandler scratch
+  std::vector<uint64_t> releasing_;     // conn ids with ready slots
   Obs* obs_;
   std::unique_ptr<RequestTelemetry> telemetry_;
   std::function<int64_t()> clock_;

@@ -108,6 +108,7 @@ void RequestTelemetry::BeginSampledRequest(uint64_t hash) {
   }
   current_ = SpanRecord{};
   current_.conn_id = conn_id_;
+  t_batch0_us_ = batch_t0_us_;
   t_begin_us_ = NowMicros();
   current_.t_start_us = batch_t0_us_ - origin_us_;
   current_.queue_us = t_begin_us_ - batch_t0_us_;
@@ -131,7 +132,7 @@ void RequestTelemetry::OnExecutedSampled(RequestOutcome outcome,
   const int64_t t_end = NowMicros();
   current_.outcome = outcome;
   current_.value_bytes = value_bytes;
-  current_.total_us = t_end - batch_t0_us_;
+  current_.total_us = t_end - t_batch0_us_;
   if (mode_ == Mode::kSpan) {
     current_.full_span = true;
     current_.store_us =
@@ -162,6 +163,41 @@ void RequestTelemetry::OnExecutedSampled(RequestOutcome outcome,
     batch_spans_.push_back(current_);
   }
   mode_ = Mode::kNone;
+}
+
+uint32_t RequestTelemetry::SuspendSampled() {
+  uint32_t ticket;
+  if (!free_parked_.empty()) {
+    ticket = free_parked_.back();
+    free_parked_.pop_back();
+  } else {
+    parked_.emplace_back();
+    ticket = static_cast<uint32_t>(parked_.size());
+  }
+  parked_[ticket - 1] =
+      Parked{mode_, current_, t_batch0_us_, t_begin_us_, t_parsed_us_};
+  mode_ = Mode::kNone;
+  return ticket;
+}
+
+void RequestTelemetry::Resume(uint32_t ticket) {
+  if (ticket == 0) {
+    mode_ = Mode::kNone;
+    return;
+  }
+  const Parked& p = parked_[ticket - 1];
+  mode_ = p.mode;
+  current_ = p.record;
+  t_batch0_us_ = p.t_batch0_us;
+  t_begin_us_ = p.t_begin_us;
+  t_parsed_us_ = p.t_parsed_us;
+  free_parked_.push_back(ticket);
+}
+
+void RequestTelemetry::Discard(uint32_t ticket) {
+  if (ticket != 0) {
+    free_parked_.push_back(ticket);
+  }
 }
 
 void RequestTelemetry::EndBatch(int64_t write_us) {

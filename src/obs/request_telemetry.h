@@ -169,6 +169,20 @@ class RequestTelemetry {
   /// instead run OnParsed + OnExecuted(kError)).
   void OnAbandoned() { mode_ = Mode::kNone; }
 
+  // --- Deferred requests (reply rendered after the batch that parsed it). -
+
+  /// Parks the open request record so a later batch can finish it, and
+  /// returns its ticket (0 when the request is unsampled: nothing to park).
+  uint32_t Suspend() {
+    return mode_ == Mode::kNone ? 0 : SuspendSampled();
+  }
+  /// Re-opens parked record `ticket` as the current request; call inside the
+  /// batch that finishes it, then OnExecuted(). Its latency still counts
+  /// from the arrival of the batch that parsed it.
+  void Resume(uint32_t ticket);
+  /// Forgets parked record `ticket` (its connection closed first).
+  void Discard(uint32_t ticket);
+
   // --- Flight recorder. -------------------------------------------------
 
   /// True when a slow request asked for a dump since the last Clear.
@@ -207,6 +221,7 @@ class RequestTelemetry {
 
   // Out-of-line slow paths for the sampled minority.
   void BeginSampledRequest(uint64_t hash);
+  uint32_t SuspendSampled();
   void OnParsedSampled(TelemetryOp op, uint32_t key_count);
   void OnExecutedSampled(RequestOutcome outcome, uint32_t value_bytes);
 
@@ -232,8 +247,20 @@ class RequestTelemetry {
   // Open request state.
   Mode mode_ = Mode::kNone;
   SpanRecord current_;
+  int64_t t_batch0_us_ = 0;  // arrival of the batch that parsed it
   int64_t t_begin_us_ = 0;   // steady-clock stamp at BeginRequest
   int64_t t_parsed_us_ = 0;  // steady-clock stamp at OnParsed
+
+  /// A sampled request parked by Suspend() until its reply is rendered.
+  struct Parked {
+    Mode mode = Mode::kNone;
+    SpanRecord record;
+    int64_t t_batch0_us = 0;
+    int64_t t_begin_us = 0;
+    int64_t t_parsed_us = 0;
+  };
+  std::vector<Parked> parked_;  // ticket t lives at parked_[t - 1]
+  std::vector<uint32_t> free_parked_;
 
   // Flight recorder ring.
   std::vector<SpanRecord> ring_;

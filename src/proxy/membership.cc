@@ -57,6 +57,35 @@ std::optional<FleetMembership> Fail(std::string* error, const std::string& why) 
   return std::nullopt;
 }
 
+/// Sorts `m`'s nodes by slot; a slot named twice makes the whole document
+/// invalid (nullopt with the reason).
+std::optional<FleetMembership> SortedBySlot(FleetMembership m,
+                                            std::string* error) {
+  std::sort(m.nodes.begin(), m.nodes.end(),
+            [](const MemberNode& a, const MemberNode& b) {
+              return a.slot < b.slot;
+            });
+  for (size_t i = 1; i < m.nodes.size(); ++i) {
+    if (m.nodes[i].slot == m.nodes[i - 1].slot) {
+      return Fail(error,
+                  "duplicate slot " + std::to_string(m.nodes[i].slot));
+    }
+  }
+  return m;
+}
+
+/// Parses "HOST:PORT" (the host may not contain ':').
+bool ParseEndpoint(const std::string& spec, std::string* host,
+                   uint16_t* port) {
+  const size_t colon = spec.find(':');
+  if (colon == std::string::npos || colon == 0 ||
+      spec.find(':', colon + 1) != std::string::npos) {
+    return false;
+  }
+  *host = spec.substr(0, colon);
+  return ParsePort(spec.substr(colon + 1), port);
+}
+
 }  // namespace
 
 std::string SerializeMembership(const FleetMembership& m) {
@@ -139,17 +168,32 @@ std::optional<FleetMembership> ParseMembership(const std::string& text,
   if (!saw_header) {
     return Fail(error, "missing header line '" + std::string(kHeader) + "'");
   }
-  std::sort(m.nodes.begin(), m.nodes.end(),
-            [](const MemberNode& a, const MemberNode& b) {
-              return a.slot < b.slot;
-            });
-  for (size_t i = 1; i < m.nodes.size(); ++i) {
-    if (m.nodes[i].slot == m.nodes[i - 1].slot) {
-      return Fail(error,
-                  "duplicate slot " + std::to_string(m.nodes[i].slot));
+  return SortedBySlot(std::move(m), error);
+}
+
+std::optional<FleetMembership> MembershipFromSpecs(
+    const std::vector<std::string>& nodes, const std::string& backup,
+    std::string* error) {
+  FleetMembership m;
+  if (!backup.empty()) {
+    MemberNode b;
+    if (!ParseEndpoint(backup, &b.host, &b.port)) {
+      return Fail(error, "bad backup '" + backup + "' (want HOST:PORT)");
     }
+    m.backup = b;
   }
-  return m;
+  for (const std::string& spec : nodes) {
+    MemberNode node;
+    const size_t colon = spec.find(':');
+    if (colon == std::string::npos ||
+        !ParseU64(spec.substr(0, colon), &node.slot) ||
+        !ParseEndpoint(spec.substr(colon + 1), &node.host, &node.port)) {
+      return Fail(error,
+                  "bad node '" + spec + "' (want SLOT:HOST:PORT)");
+    }
+    m.nodes.push_back(node);
+  }
+  return SortedBySlot(std::move(m), error);
 }
 
 std::optional<FleetMembership> LoadMembership(const std::string& path,

@@ -56,6 +56,15 @@ std::string SerializeMembership(const FleetMembership& m);
 std::optional<FleetMembership> ParseMembership(const std::string& text,
                                                std::string* error = nullptr);
 
+/// Builds a membership (generation 0) from command-line endpoint specs:
+/// "SLOT:HOST:PORT" per node and "HOST:PORT" for the backup (empty = no
+/// backup), with the document parser's own checks — a decimal slot, a port
+/// in 1..65535, nothing trailing, no slot named twice. nullopt (with the
+/// reason in *error, if given) on any malformed spec.
+std::optional<FleetMembership> MembershipFromSpecs(
+    const std::vector<std::string>& nodes, const std::string& backup,
+    std::string* error = nullptr);
+
 /// Reads + parses `path`. nullopt when unreadable or malformed.
 std::optional<FleetMembership> LoadMembership(const std::string& path,
                                               std::string* error = nullptr);

@@ -78,22 +78,20 @@ bool ProxyCore::ReloadMembership(const std::string& path) {
   return true;
 }
 
-void ProxyCore::HandleRetrieve(const net::TextRequest& req,
-                               net::ResponseAssembler* out,
+void ProxyCore::RenderRetrieve(const Request& r, net::ResponseAssembler* out,
                                RequestOutcome* outcome,
                                uint32_t* value_bytes) {
+  const OpResult& result = pool_.result(r.op);
   ++stats_.gets;
-  stats_.get_keys += req.keys.size();
-  const bool with_cas = req.verb == net::Verb::kGets;
-  keys_.assign(req.keys.begin(), req.keys.end());
-  pool_.MultiGet(keys_, with_cas, &fetches_);
+  stats_.get_keys += result.keys.size();
+  const bool with_cas = r.verb == net::Verb::kGets;
 
   *outcome = RequestOutcome::kHit;
-  for (size_t i = 0; i < fetches_.size(); ++i) {
-    const KeyFetch& fetch = fetches_[i];
+  for (size_t i = 0; i < result.fetches.size(); ++i) {
+    const KeyFetch& fetch = result.fetches[i];
     if (fetch.found) {
       // Byte-identical to ServerCore's VALUE block formatting.
-      const std::string_view key = keys_[i];
+      const std::string_view key = result.keys[i];
       if (with_cas) {
         out->Appendf("VALUE %.*s %u %zu %" PRIu64 "\r\n",
                      static_cast<int>(key.size()), key.data(), fetch.flags,
@@ -166,28 +164,28 @@ std::string ProxyCore::RebuildWire(const net::TextRequest& req) const {
   return wire;
 }
 
-void ProxyCore::HandleForwarded(const net::TextRequest& req,
+void ProxyCore::RenderForwarded(const Request& r,
                                 net::ResponseAssembler* out,
                                 RequestOutcome* outcome) {
-  const bool storage = req.verb == net::Verb::kSet ||
-                       req.verb == net::Verb::kAdd ||
-                       req.verb == net::Verb::kReplace;
+  const bool storage = r.verb == net::Verb::kSet ||
+                       r.verb == net::Verb::kAdd ||
+                       r.verb == net::Verb::kReplace;
   if (storage) {
     ++stats_.sets;
     if (obs_sets_ != nullptr) {
       obs_sets_->Increment();
     }
-  } else if (req.verb == net::Verb::kDelete) {
+  } else if (r.verb == net::Verb::kDelete) {
     ++stats_.deletes;
   } else {
     ++stats_.touches;
   }
 
-  // Forward WITHOUT noreply and await the status line even when the client
-  // asked for silence: the upstream round trip keeps cas numbering and
-  // command ordering in lockstep with direct serving.
-  const ForwardResult result = pool_.ForwardLineCommand(req.keys[0],
-                                                        RebuildWire(req));
+  // The command went upstream WITHOUT noreply and its status line was
+  // awaited even when the client asked for silence: the upstream round trip
+  // keeps cas numbering and command ordering in lockstep with direct
+  // serving.
+  const ForwardResult& result = pool_.result(r.op).line;
   if (result.line.has_value()) {
     if (storage) {
       if (result.rung == ServedRung::kBackup) {
@@ -205,7 +203,7 @@ void ProxyCore::HandleForwarded(const net::TextRequest& req,
                      ? RequestOutcome::kHit
                      : RequestOutcome::kMiss;
     }
-    if (!req.noreply) {
+    if (!r.noreply) {
       out->Append(*result.line);
       out->Append("\r\n");
     }
@@ -221,7 +219,7 @@ void ProxyCore::HandleForwarded(const net::TextRequest& req,
   if (obs_sheds_ != nullptr) {
     obs_sheds_->Increment();
   }
-  if (!req.noreply) {
+  if (!r.noreply) {
     out->Append("SERVER_ERROR proxy upstream unavailable\r\n");
   }
 }
@@ -260,27 +258,114 @@ void ProxyCore::AppendStats(net::ResponseAssembler* out) {
   out->Append("END\r\n");
 }
 
-bool ProxyCore::Handle(const net::TextRequest& req, int64_t now,
-                       net::ResponseAssembler* out) {
-  (void)now;  // expiry is the upstreams' business; the proxy holds no items
-  ++stats_.requests;
-  if (obs_requests_ != nullptr) {
-    obs_requests_->Increment();
-  }
+uint64_t ProxyCore::Begin(const net::TextRequest& req, bool deferred) {
   if (telemetry_ != nullptr) {
     telemetry_->OnParsed(OpFor(req.verb),
                          static_cast<uint32_t>(req.keys.size()));
   }
-  const uint64_t absorbed_before = pool_.stats().absorbed_failures;
-  const uint64_t reconnects_before = pool_.stats().reconnects;
-
-  RequestOutcome outcome = RequestOutcome::kOther;
-  uint32_t value_bytes = 0;
-  bool keep_open = true;
+  uint64_t handle;
+  if (!free_requests_.empty()) {
+    handle = free_requests_.back();
+    free_requests_.pop_back();
+  } else {
+    handle = requests_.size();
+    requests_.emplace_back();
+  }
+  Request& r = requests_[handle];
+  r.verb = req.verb;
+  r.noreply = req.noreply;
+  const uint64_t tag = deferred ? handle : UpstreamPool::kWaitTag;
   switch (req.verb) {
     case net::Verb::kGet:
     case net::Verb::kGets:
-      HandleRetrieve(req, out, &outcome, &value_bytes);
+      r.op = pool_.SubmitGet(req.keys, req.verb == net::Verb::kGets, tag);
+      r.has_op = true;
+      break;
+    case net::Verb::kSet:
+    case net::Verb::kAdd:
+    case net::Verb::kReplace:
+    case net::Verb::kDelete:
+    case net::Verb::kTouch:
+      r.op = pool_.SubmitLine(req.keys[0], RebuildWire(req), tag);
+      r.has_op = true;
+      break;
+    case net::Verb::kFlushAll:
+      r.op = pool_.SubmitFlush(req.delay_s, tag);
+      r.has_op = true;
+      break;
+    case net::Verb::kStats:
+    case net::Verb::kVersion:
+    case net::Verb::kQuit:
+      break;  // answered locally
+  }
+  r.done = !r.has_op;
+  return handle;
+}
+
+void ProxyCore::FreeRequest(uint64_t handle) {
+  Request& r = requests_[handle];
+  if (r.has_op) {
+    pool_.Release(r.op);
+  }
+  r = Request{};
+  free_requests_.push_back(handle);
+}
+
+bool ProxyCore::Start(const net::TextRequest& req, int64_t now,
+                      net::ReplySlot slot, uint64_t* handle) {
+  (void)now;  // expiry is the upstreams' business; the proxy holds no items
+  *handle = Begin(req, /*deferred=*/true);
+  requests_[*handle].slot = slot;
+  return requests_[*handle].done;
+}
+
+void ProxyCore::Service(bool io_ready, std::vector<net::ReplySlot>* ready) {
+  pool_.Service(io_ready);
+  pool_.TakeFinished(&finished_);
+  for (const uint64_t handle : finished_) {
+    Request& r = requests_[handle];
+    if (r.dropped) {
+      FreeRequest(handle);
+      continue;
+    }
+    r.done = true;
+    ready->push_back(r.slot);
+  }
+  MirrorPoolCounters();
+}
+
+void ProxyCore::Drop(uint64_t handle) {
+  Request& r = requests_[handle];
+  if (r.done) {
+    FreeRequest(handle);
+  } else {
+    r.dropped = true;  // freed when its op finishes
+  }
+}
+
+bool ProxyCore::Handle(const net::TextRequest& req, int64_t now,
+                       net::ResponseAssembler* out) {
+  (void)now;
+  const uint64_t handle = Begin(req, /*deferred=*/false);
+  if (!requests_[handle].done) {
+    pool_.Wait(requests_[handle].op);
+  }
+  return Finish(handle, out);
+}
+
+bool ProxyCore::Finish(uint64_t handle, net::ResponseAssembler* out) {
+  const Request& r = requests_[handle];
+  ++stats_.requests;
+  if (obs_requests_ != nullptr) {
+    obs_requests_->Increment();
+  }
+  RequestOutcome outcome = RequestOutcome::kOther;
+  uint32_t value_bytes = 0;
+  bool keep_open = true;
+  switch (r.verb) {
+    case net::Verb::kGet:
+    case net::Verb::kGets:
+      RenderRetrieve(r, out, &outcome, &value_bytes);
       break;
 
     case net::Verb::kSet:
@@ -288,7 +373,7 @@ bool ProxyCore::Handle(const net::TextRequest& req, int64_t now,
     case net::Verb::kReplace:
     case net::Verb::kDelete:
     case net::Verb::kTouch:
-      HandleForwarded(req, out, &outcome);
+      RenderForwarded(r, out, &outcome);
       break;
 
     case net::Verb::kStats:
@@ -301,8 +386,7 @@ bool ProxyCore::Handle(const net::TextRequest& req, int64_t now,
 
     case net::Verb::kFlushAll:
       ++stats_.flushes;
-      pool_.BroadcastFlush(req.delay_s);
-      if (!req.noreply) {
+      if (!r.noreply) {
         out->Append("OK\r\n");
       }
       break;
@@ -311,19 +395,26 @@ bool ProxyCore::Handle(const net::TextRequest& req, int64_t now,
       keep_open = false;
       break;
   }
-
-  if (obs_absorbed_ != nullptr) {
-    obs_absorbed_->Increment(static_cast<int64_t>(
-        pool_.stats().absorbed_failures - absorbed_before));
-  }
-  if (obs_reconnects_ != nullptr) {
-    obs_reconnects_->Increment(
-        static_cast<int64_t>(pool_.stats().reconnects - reconnects_before));
-  }
+  FreeRequest(handle);
+  MirrorPoolCounters();
   if (telemetry_ != nullptr) {
     telemetry_->OnExecuted(outcome, value_bytes);
   }
   return keep_open;
+}
+
+void ProxyCore::MirrorPoolCounters() {
+  const UpstreamPoolStats& ps = pool_.stats();
+  if (obs_absorbed_ != nullptr) {
+    obs_absorbed_->Increment(
+        static_cast<int64_t>(ps.absorbed_failures - mirrored_absorbed_));
+  }
+  if (obs_reconnects_ != nullptr) {
+    obs_reconnects_->Increment(
+        static_cast<int64_t>(ps.reconnects - mirrored_reconnects_));
+  }
+  mirrored_absorbed_ = ps.absorbed_failures;
+  mirrored_reconnects_ = ps.reconnects;
 }
 
 void ProxyCore::HandleParseError(net::ParseErrorKind kind,

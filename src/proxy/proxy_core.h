@@ -23,14 +23,24 @@
 //   * parse errors never touch an upstream: the reply comes from the same
 //     ErrorReply table the server uses.
 //
-// Handle() runs on the server's loop thread; upstream waits are bounded by
-// the pool's op timeout so one dead upstream cannot stall the loop longer
-// than (timeout × rungs). Counters land in the obs registry under proxy/*.
+// ProxyCore never waits for an upstream on the server's loop: it is a
+// deferred-reply handler. Start() submits the request to the pool's
+// non-blocking engine, NetServer polls the pool's fd in its own epoll loop
+// and calls Service(), and Finish() renders the reply once NetServer
+// releases it in connection order. One stalled upstream therefore delays
+// only the requests whose keys it owns (until their leg deadline sends them
+// down the ladder); every other client keeps its own pace. Counters —
+// proxy_* stats and the proxy/* obs registry — are applied in Finish(), so
+// they follow each connection's request order exactly.
+//
+// Handle() stays as the synchronous form (benches and tests drive a core
+// with no server): Start, pump the pool until the request is done, Finish.
 
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "src/net/request_handler.h"
 #include "src/obs/obs.h"
@@ -79,6 +89,17 @@ class ProxyCore final : public net::RequestHandler {
     telemetry_ = telemetry;
   }
 
+  // Deferred replies (see request_handler.h).
+  int poll_fd() const override { return pool_.fd(); }
+  bool Start(const net::TextRequest& req, int64_t now, net::ReplySlot slot,
+             uint64_t* handle) override;
+  bool Finish(uint64_t handle, net::ResponseAssembler* out) override;
+  void Drop(uint64_t handle) override;
+  void Service(bool io_ready, std::vector<net::ReplySlot>* ready) override;
+  int64_t next_deadline_us() const override {
+    return pool_.next_deadline_us();
+  }
+
   /// Re-reads `path` and applies it to the pool (loop context only — wire
   /// this behind NetServer::SetReloadHandler). Returns false (keeping the
   /// previous fleet view) when the file is unreadable or malformed.
@@ -89,12 +110,28 @@ class ProxyCore final : public net::RequestHandler {
   const ProxyStats& stats() const { return stats_; }
 
  private:
-  void HandleRetrieve(const net::TextRequest& req,
-                      net::ResponseAssembler* out, RequestOutcome* outcome,
-                      uint32_t* value_bytes);
-  void HandleForwarded(const net::TextRequest& req,
-                       net::ResponseAssembler* out, RequestOutcome* outcome);
+  /// One request between Start() and Finish().
+  struct Request {
+    net::Verb verb = net::Verb::kGet;
+    bool noreply = false;
+    bool has_op = false;   // an upstream op carries it
+    bool done = false;     // ready to Finish()
+    bool dropped = false;  // its connection closed first
+    UpstreamPool::OpId op = 0;
+    net::ReplySlot slot;
+  };
+
+  /// Records `req` and submits its upstream op, if any. A `deferred` op is
+  /// reported to Service() when it finishes; otherwise the caller Wait()s.
+  uint64_t Begin(const net::TextRequest& req, bool deferred);
+  void FreeRequest(uint64_t handle);
+  void RenderRetrieve(const Request& r, net::ResponseAssembler* out,
+                      RequestOutcome* outcome, uint32_t* value_bytes);
+  void RenderForwarded(const Request& r, net::ResponseAssembler* out,
+                       RequestOutcome* outcome);
   void AppendStats(net::ResponseAssembler* out);
+  /// Advances the proxy/* obs mirrors of the pool's failure counters.
+  void MirrorPoolCounters();
   /// Rebuilds the forwarded wire bytes for one request (storage payload and
   /// flags included, noreply stripped).
   std::string RebuildWire(const net::TextRequest& req) const;
@@ -104,9 +141,11 @@ class ProxyCore final : public net::RequestHandler {
   RequestTelemetry* telemetry_ = nullptr;
   ProxyStats stats_;
 
-  // Scratch reused across requests (loop-thread-only).
-  std::vector<std::string_view> keys_;
-  std::vector<KeyFetch> fetches_;
+  std::vector<Request> requests_;  // handle = index
+  std::vector<uint64_t> free_requests_;
+  std::vector<uint64_t> finished_;  // Service() scratch: request handles
+  uint64_t mirrored_absorbed_ = 0;
+  uint64_t mirrored_reconnects_ = 0;
 
   // proxy/* obs counters (null when obs is detached).
   Counter* obs_requests_ = nullptr;

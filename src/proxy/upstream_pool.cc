@@ -1,15 +1,24 @@
 #include "src/proxy/upstream_pool.h"
 
+#include <arpa/inet.h>
+#include <errno.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/epoll.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 
-#include "src/net/protocol.h"
 #include "src/routing/hash.h"
 
 namespace spotcache::proxy {
 
 namespace {
+
+constexpr uint64_t kBackupSlot = ~0ULL;
+constexpr size_t kRecvChunk = 64 * 1024;
 
 int64_t WallUs() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
@@ -17,71 +26,49 @@ int64_t WallUs() {
       .count();
 }
 
-/// The complete reply vocabulary for status-line commands (storage /
-/// delete / touch / flush_all). Error lines carry a free-form tail.
-bool ValidStatusLine(std::string_view line) {
-  return line == "STORED" || line == "NOT_STORED" || line == "EXISTS" ||
-         line == "NOT_FOUND" || line == "DELETED" || line == "TOUCHED" ||
-         line == "OK" || line == "ERROR" ||
-         line.rfind("CLIENT_ERROR", 0) == 0 ||
-         line.rfind("SERVER_ERROR", 0) == 0;
-}
-
-/// Splits `line` into space-separated tokens (no empty tokens).
-void SplitTokens(std::string_view line, std::vector<std::string_view>* out) {
-  out->clear();
-  size_t at = 0;
-  while (at < line.size()) {
-    const size_t space = line.find(' ', at);
-    const size_t end = space == std::string_view::npos ? line.size() : space;
-    if (end > at) {
-      out->push_back(line.substr(at, end - at));
-    }
-    at = end + 1;
-  }
-}
-
-bool ParseU64Token(std::string_view token, uint64_t* out) {
-  if (token.empty() || token.size() > 20) {
-    return false;
-  }
-  uint64_t value = 0;
-  for (const char c : token) {
-    if (c < '0' || c > '9') {
-      return false;
-    }
-    const uint64_t digit = static_cast<uint64_t>(c - '0');
-    if (value > (~0ULL - digit) / 10) {
-      return false;
-    }
-    value = value * 10 + digit;
-  }
-  *out = value;
-  return true;
-}
-
 }  // namespace
 
 UpstreamPool::UpstreamPool(const UpstreamPoolConfig& config,
                            EventTracer* tracer)
-    : config_(config), tracer_(tracer), epoch_us_(WallUs()) {}
+    : config_(config),
+      tracer_(tracer),
+      epoch_us_(WallUs()),
+      epoll_fd_(::epoll_create1(EPOLL_CLOEXEC)),
+      rbuf_(new char[kRecvChunk]) {}
+
+UpstreamPool::~UpstreamPool() {
+  for (auto& [slot, node] : nodes_) {
+    if (node.fd >= 0) {
+      ::close(node.fd);
+    }
+  }
+  if (backup_ != nullptr && backup_->fd >= 0) {
+    ::close(backup_->fd);
+  }
+  if (epoll_fd_ >= 0) {
+    ::close(epoll_fd_);
+  }
+}
 
 SimTime UpstreamPool::Now() const {
   return SimTime::FromMicros(WallUs() - epoch_us_);
 }
 
+// --- Membership. ------------------------------------------------------------
+
 void UpstreamPool::SetNode(uint64_t slot, const std::string& host,
                            uint16_t port) {
-  Node& node = nodes_[slot];
+  Upstream& node = nodes_[slot];
   if (node.breaker != nullptr && !node.dead && node.host == host &&
       node.port == port) {
     return;  // unchanged endpoint: keep the connection and breaker history
   }
+  Disconnect(node, /*failure=*/false);
+  node.slot = slot;
   node.host = host;
   node.port = port;
-  node.client.Close();
-  node.connected = false;
   node.dead = false;
+  node.failed_before = false;
   // A replacement is a fresh process: it earns a fresh breaker.
   node.breaker =
       std::make_unique<CircuitBreaker>(config_.breaker, config_.seed, slot);
@@ -89,10 +76,14 @@ void UpstreamPool::SetNode(uint64_t slot, const std::string& host,
 }
 
 void UpstreamPool::SetBackup(const std::string& host, uint16_t port) {
-  if (backup_.has_value() && backup_->host == host && backup_->port == port) {
+  if (backup_ != nullptr && backup_->host == host && backup_->port == port) {
     return;
   }
-  backup_.emplace();
+  if (backup_ != nullptr) {
+    Retire(*backup_);
+  }
+  backup_ = std::make_unique<Upstream>();
+  backup_->slot = kBackupSlot;
   backup_->host = host;
   backup_->port = port;
   // Slot id ~0 keeps the backup's breaker jitter decorrelated from primaries.
@@ -105,16 +96,16 @@ void UpstreamPool::MarkDead(uint64_t slot) {
   if (it == nodes_.end()) {
     // An unknown-but-dead slot still owns ring range; keys homed there must
     // degrade to the backup instead of rehashing onto live primaries.
-    Node& node = nodes_[slot];
+    Upstream& node = nodes_[slot];
+    node.slot = slot;
     node.breaker =
         std::make_unique<CircuitBreaker>(config_.breaker, config_.seed, slot);
     node.dead = true;
     ring_.SetNode(slot, 1.0);
     return;
   }
-  Node& node = it->second;
-  node.client.Close();
-  node.connected = false;
+  Upstream& node = it->second;
+  Disconnect(node, /*failure=*/false);
   node.dead = true;
   const SimTime now = Now();
   const BreakerState before = node.breaker->state(now);
@@ -129,6 +120,7 @@ void UpstreamPool::RemoveNode(uint64_t slot) {
   if (it == nodes_.end()) {
     return;
   }
+  Retire(it->second);
   nodes_.erase(it);
   ring_.RemoveNode(slot);
 }
@@ -136,7 +128,8 @@ void UpstreamPool::RemoveNode(uint64_t slot) {
 void UpstreamPool::ApplyMembership(const FleetMembership& m) {
   if (m.backup.has_value()) {
     SetBackup(m.backup->host, m.backup->port);
-  } else {
+  } else if (backup_ != nullptr) {
+    Retire(*backup_);
     backup_.reset();
   }
   // Drop slots the document no longer names.
@@ -170,29 +163,6 @@ std::optional<uint64_t> UpstreamPool::OwnerOf(std::string_view key) const {
   return ring_.NodeFor(HashString(key));
 }
 
-bool UpstreamPool::EnsureConnected(Node& node) {
-  if (node.connected && node.client.connected()) {
-    return true;
-  }
-  node.connected =
-      node.client.Connect(node.host, node.port, config_.op_timeout_ms);
-  return node.connected;
-}
-
-bool UpstreamPool::HandleTransportFailure(Node& node, uint64_t slot) {
-  const SimTime now = Now();
-  const BreakerState before = node.breaker->state(now);
-  node.breaker->RecordFailure(now);
-  ++stats_.absorbed_failures;
-  node.connected = false;
-  if (node.client.Reconnect(config_.reconnect)) {
-    ++stats_.reconnects;
-    node.connected = true;
-  }
-  TraceBreaker(slot, before, node.breaker->state(Now()));
-  return node.connected;
-}
-
 void UpstreamPool::TraceBreaker(uint64_t slot, BreakerState before,
                                 BreakerState after) {
   if (tracer_ != nullptr && before != after) {
@@ -200,247 +170,582 @@ void UpstreamPool::TraceBreaker(uint64_t slot, BreakerState before,
   }
 }
 
-bool UpstreamPool::ReadOneGetReply(Node& node, KeyFetch* fetch) {
-  std::vector<std::string_view> tokens;
-  for (;;) {
-    const auto line = node.client.ReadLine();
-    if (!line.has_value()) {
-      return false;
-    }
-    if (*line == "END") {
-      return true;
-    }
-    if (line->rfind("VALUE ", 0) != 0) {
-      return false;  // upstream protocol violation: treated as a dead socket
-    }
-    SplitTokens(*line, &tokens);
-    uint64_t flags = 0;
-    uint64_t bytes = 0;
-    uint64_t cas = 0;
-    if (tokens.size() < 4 || tokens.size() > 5 ||
-        !ParseU64Token(tokens[2], &flags) ||
-        !ParseU64Token(tokens[3], &bytes) || bytes > net::kMaxValueBytes ||
-        (tokens.size() == 5 && !ParseU64Token(tokens[4], &cas))) {
-      return false;
-    }
-    auto data = node.client.ReadBytes(bytes + 2);
-    if (!data.has_value() ||
-        data->compare(bytes, 2, "\r\n") != 0) {
-      return false;
-    }
-    data->resize(bytes);
-    fetch->found = true;
-    fetch->flags = static_cast<uint32_t>(flags);
-    fetch->cas = cas;
-    fetch->data = std::move(*data);
-  }
-}
-
-bool UpstreamPool::FetchFromNode(Node& node, uint64_t slot,
-                                 const std::vector<PendingKey>& keys,
-                                 bool with_cas, ServedRung rung,
-                                 size_t* resolved,
-                                 std::vector<KeyFetch>* out) {
-  *resolved = 0;
-  if (!EnsureConnected(node)) {
-    return false;
-  }
-  const size_t window =
-      config_.window > 0 ? static_cast<size_t>(config_.window) : 1;
-  const char* verb = with_cas ? "gets " : "get ";
-  size_t sent = 0;
-  size_t read = 0;
-  std::string burst;
-  while (read < keys.size()) {
-    if (sent < keys.size() && sent - read < window) {
-      // Top the window up in one send: the upstream sees a pipelined burst,
-      // so a cross-node multiget costs one round trip per window, not per
-      // key.
-      burst.clear();
-      while (sent < keys.size() && sent - read < window) {
-        burst += verb;
-        burst.append(keys[sent].key);
-        burst += "\r\n";
-        ++sent;
-      }
-      if (!node.client.SendRaw(burst)) {
-        *resolved = read;
-        return false;
-      }
-    }
-    KeyFetch fetch;
-    if (!ReadOneGetReply(node, &fetch)) {
-      *resolved = read;
-      return false;
-    }
-    fetch.rung = rung;
-    (*out)[keys[read].index] = std::move(fetch);
-    ++read;
-  }
-  *resolved = read;
+void UpstreamPool::RecordSuccess(Upstream& up) {
   const SimTime now = Now();
-  const BreakerState before = node.breaker->state(now);
-  node.breaker->RecordSuccess(now);
-  TraceBreaker(slot, before, node.breaker->state(now));
-  return true;
+  const BreakerState before = up.breaker->state(now);
+  up.breaker->RecordSuccess(now);
+  if (!is_backup(up)) {
+    TraceBreaker(up.slot, before, up.breaker->state(now));
+  }
 }
 
-void UpstreamPool::MultiGet(const std::vector<std::string_view>& keys,
-                            bool with_cas, std::vector<KeyFetch>* out) {
-  out->clear();
-  out->resize(keys.size());
+// --- Operations and legs. ---------------------------------------------------
 
-  // Group keys by owning slot, preserving request order within each group.
-  std::map<uint64_t, std::vector<PendingKey>> by_slot;
-  std::vector<PendingKey> backup_keys;
+UpstreamPool::OpId UpstreamPool::NewOp(OpKind kind, uint64_t tag) {
+  OpId id;
+  if (!free_ops_.empty()) {
+    id = free_ops_.back();
+    free_ops_.pop_back();
+  } else {
+    id = static_cast<OpId>(ops_.size());
+    ops_.emplace_back();
+  }
+  Op& op = ops_[id];
+  op.kind = kind;
+  op.tag = tag;
+  return id;
+}
+
+void UpstreamPool::Release(OpId op) {
+  ops_[op] = Op{};
+  free_ops_.push_back(op);
+}
+
+void UpstreamPool::TakeFinished(std::vector<uint64_t>* out) {
+  out->clear();
+  out->swap(finished_);
+}
+
+void UpstreamPool::ResolveLeg(OpId op) {
+  if (--ops_[op].legs_left == 0) {
+    FinishOp(op);
+  }
+}
+
+void UpstreamPool::FinishOp(OpId id) {
+  Op& op = ops_[id];
+  size_t lost = 0;
+  if (op.kind == OpKind::kGet) {
+    stats_.backup_served += op.backup_resolved;
+    lost = op.fallen - op.backup_resolved;
+  } else if (op.kind == OpKind::kLine) {
+    if (!op.result.line.line.has_value()) {
+      lost = 1;
+    } else if (op.result.line.rung == ServedRung::kBackup) {
+      ++stats_.backup_served;
+    }
+  }
+  // Unresolved keys / writes stay at their zero-initialized state: a miss
+  // (or a nullopt line) on the kNone rung — absorbed, never an error.
+  stats_.unreachable += lost;
+  if (tracer_ != nullptr && lost > 0) {
+    tracer_->Shed(Now(), "proxy_pool", static_cast<double>(lost));
+  }
+  op.done = true;
+  if (op.tag != kWaitTag) {
+    finished_.push_back(op.tag);
+  }
+}
+
+void UpstreamPool::MarkDirty(Upstream& up) {
+  if (!up.dirty) {
+    up.dirty = true;
+    dirty_.push_back(&up);
+  }
+}
+
+void UpstreamPool::Enqueue(Upstream& up, Leg leg) {
+  up.queued.push_back(leg);
+  MarkDirty(up);
+}
+
+void UpstreamPool::GetToBackup(Leg leg) {
+  ++ops_[leg.op].fallen;
+  if (backup_ != nullptr && backup_->breaker->Allow(Now())) {
+    Enqueue(*backup_, leg);
+  } else {
+    ResolveLeg(leg.op);
+  }
+}
+
+void UpstreamPool::LineToBackup(Leg leg) {
+  if (backup_ != nullptr && backup_->breaker->Allow(Now())) {
+    Enqueue(*backup_, leg);
+  } else {
+    ResolveLeg(leg.op);
+  }
+}
+
+UpstreamPool::OpId UpstreamPool::SubmitGet(
+    std::span<const std::string_view> keys, bool with_cas, uint64_t tag) {
+  const OpId id = NewOp(OpKind::kGet, tag);
+  Op& op = ops_[id];
+  op.with_cas = with_cas;
+  op.result.keys.assign(keys.begin(), keys.end());
+  op.result.fetches.resize(keys.size());
+  op.legs_left = keys.size();
+  if (keys.empty()) {
+    FinishOp(id);
+    return id;
+  }
+  // One breaker decision per owning slot (a skip counts once per slot, as
+  // one upstream leg of the request); keys of skipped or ownerless slots
+  // fall to the backup afterwards, in request-key order.
+  std::vector<std::pair<uint64_t, Upstream*>> route;
+  std::vector<uint32_t> fallen;
   for (size_t i = 0; i < keys.size(); ++i) {
     const auto owner = ring_.NodeFor(HashString(keys[i]));
-    if (owner.has_value()) {
-      by_slot[*owner].push_back({i, keys[i]});
-    } else {
-      backup_keys.push_back({i, keys[i]});
-    }
-  }
-
-  // Primary legs, breaker-gated; unresolved keys fall to the backup list.
-  for (auto& [slot, pending] : by_slot) {
-    auto it = nodes_.find(slot);
-    Node* node = it != nodes_.end() ? &it->second : nullptr;
-    if (node == nullptr || node->dead || !node->breaker->Allow(Now())) {
-      if (node != nullptr) {
-        ++stats_.breaker_skips;
-      }
-      backup_keys.insert(backup_keys.end(), pending.begin(), pending.end());
+    if (!owner.has_value()) {
+      fallen.push_back(static_cast<uint32_t>(i));
       continue;
     }
-    size_t resolved = 0;
-    if (!FetchFromNode(*node, slot, pending, with_cas, ServedRung::kPrimary,
-                       &resolved, out)) {
-      HandleTransportFailure(*node, slot);
-      backup_keys.insert(backup_keys.end(), pending.begin() + resolved,
-                         pending.end());
-    }
-  }
-
-  // Backup leg: hot copies only; a clean backup miss is final.
-  if (!backup_keys.empty()) {
-    std::sort(backup_keys.begin(), backup_keys.end(),
-              [](const PendingKey& a, const PendingKey& b) {
-                return a.index < b.index;
-              });
-    size_t resolved = 0;
-    bool served = false;
-    if (backup_.has_value() && backup_->breaker->Allow(Now())) {
-      served = FetchFromNode(*backup_, ~0ULL, backup_keys, with_cas,
-                             ServedRung::kBackup, &resolved, out);
-      if (!served) {
-        HandleTransportFailure(*backup_, ~0ULL);
+    auto decided = std::find_if(route.begin(), route.end(),
+                                [&](const auto& r) { return r.first == *owner; });
+    if (decided == route.end()) {
+      auto it = nodes_.find(*owner);
+      Upstream* node = it != nodes_.end() ? &it->second : nullptr;
+      const bool usable =
+          node != nullptr && !node->dead && node->breaker->Allow(Now());
+      if (node != nullptr && !usable) {
+        ++stats_.breaker_skips;
       }
+      decided = route.emplace(route.end(), *owner, usable ? node : nullptr);
     }
-    stats_.backup_served += resolved;
-    stats_.unreachable += backup_keys.size() - resolved;
-    // Unresolved keys stay at their zero-initialized state: a miss on the
-    // kNone rung — absorbed, never an error.
-    if (tracer_ != nullptr && resolved < backup_keys.size()) {
-      tracer_->Shed(Now(), "proxy_pool",
-                    static_cast<double>(backup_keys.size() - resolved));
+    if (decided->second != nullptr) {
+      Enqueue(*decided->second, Leg{id, static_cast<uint32_t>(i)});
+    } else {
+      fallen.push_back(static_cast<uint32_t>(i));
     }
   }
+  for (const uint32_t key : fallen) {
+    GetToBackup(Leg{id, key});
+  }
+  return id;
 }
 
-std::optional<std::string> UpstreamPool::RoundTripLine(
-    Node& node, const std::string& wire) {
-  if (!EnsureConnected(node)) {
-    return std::nullopt;
-  }
-  if (!node.client.SendRaw(wire)) {
-    return std::nullopt;
-  }
-  auto line = node.client.ReadLine();
-  if (line.has_value() && !ValidStatusLine(*line)) {
-    // An upstream answering a status-line command with anything else (a
-    // torn VALUE block, half a reply before a kill) has lost protocol sync;
-    // treat the socket as dead rather than relaying garbage to the client.
-    return std::nullopt;
-  }
-  return line;
-}
-
-ForwardResult UpstreamPool::ForwardLineCommand(std::string_view key,
-                                               const std::string& wire) {
-  ForwardResult result;
+UpstreamPool::OpId UpstreamPool::SubmitLine(std::string_view key,
+                                            std::string wire, uint64_t tag) {
+  const OpId id = NewOp(OpKind::kLine, tag);
+  ops_[id].wire = std::move(wire);
+  ops_[id].legs_left = 1;
   const auto owner = ring_.NodeFor(HashString(key));
   if (owner.has_value()) {
     auto it = nodes_.find(*owner);
     if (it != nodes_.end()) {
-      Node& node = it->second;
+      Upstream& node = it->second;
       if (!node.dead && node.breaker->Allow(Now())) {
-        auto line = RoundTripLine(node, wire);
-        if (line.has_value()) {
-          const SimTime now = Now();
-          const BreakerState before = node.breaker->state(now);
-          node.breaker->RecordSuccess(now);
-          TraceBreaker(*owner, before, node.breaker->state(now));
-          result.line = std::move(line);
-          result.rung = ServedRung::kPrimary;
-          return result;
-        }
-        HandleTransportFailure(node, *owner);
+        Enqueue(node, Leg{id, 0});
+        return id;
+      }
+      ++stats_.breaker_skips;
+    }
+  }
+  // Degraded leg: land the command on the backup so warm-up (and backup
+  // fall-through reads) see fresh data.
+  LineToBackup(Leg{id, 0});
+  return id;
+}
+
+UpstreamPool::OpId UpstreamPool::SubmitFlush(int64_t delay_s, uint64_t tag) {
+  const OpId id = NewOp(OpKind::kFlush, tag);
+  Op& op = ops_[id];
+  op.wire = "flush_all";
+  if (delay_s > 0) {
+    op.wire += " " + std::to_string(delay_s);
+  }
+  op.wire += "\r\n";
+  const auto send_to = [&](Upstream& up) {
+    if (!up.dead && up.breaker->Allow(Now())) {
+      ++op.legs_left;
+      Enqueue(up, Leg{id, 0});
+    }
+  };
+  for (auto& [slot, node] : nodes_) {
+    send_to(node);
+  }
+  if (backup_ != nullptr) {
+    send_to(*backup_);
+  }
+  if (op.legs_left == 0) {
+    FinishOp(id);
+  }
+  return id;
+}
+
+// --- Upstream connections. --------------------------------------------------
+
+void UpstreamPool::Pump(Upstream& up) {
+  if (up.fd < 0) {
+    if (!up.queued.empty()) {
+      StartConnect(up);  // connects, then comes back here to send
+    }
+    return;
+  }
+  if (up.connecting) {
+    return;
+  }
+  const size_t window =
+      config_.window > 0 ? static_cast<size_t>(config_.window) : 1;
+  if (!up.queued.empty() && up.inflight.size() < window) {
+    const int64_t deadline =
+        WallUs() + static_cast<int64_t>(config_.op_timeout_ms) * 1000;
+    while (!up.queued.empty() && up.inflight.size() < window) {
+      const Leg leg = up.queued.front();
+      up.queued.pop_front();
+      const Op& op = ops_[leg.op];
+      if (op.kind == OpKind::kGet) {
+        up.out += op.with_cas ? "gets " : "get ";
+        up.out += op.result.keys[leg.key];
+        up.out += "\r\n";
+        up.reader.Push(net::ReplyReader::Expect::kRetrieval);
       } else {
-        ++stats_.breaker_skips;
+        up.out += op.wire;
+        up.reader.Push(net::ReplyReader::Expect::kLine);
+      }
+      up.inflight.push_back({leg, deadline});
+    }
+  }
+  FlushOut(up);
+}
+
+void UpstreamPool::StartConnect(Upstream& up) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(up.port);
+  const int fd =
+      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (fd < 0) {
+    Disconnect(up, /*failure=*/true);
+    return;
+  }
+  up.fd = fd;
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  if (::inet_pton(AF_INET, up.host.c_str(), &addr.sin_addr) != 1) {
+    Disconnect(up, /*failure=*/true);
+    return;
+  }
+  const int rc =
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
+  if (rc != 0 && errno != EINPROGRESS) {
+    Disconnect(up, /*failure=*/true);  // refused outright
+    return;
+  }
+  up.connecting = rc != 0;
+  up.connect_deadline_us =
+      WallUs() + static_cast<int64_t>(config_.op_timeout_ms) * 1000;
+  epoll_event ev{};
+  ev.events = EPOLLIN | (up.connecting ? EPOLLOUT : 0u);
+  ev.data.ptr = &up;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
+    Disconnect(up, /*failure=*/true);
+    return;
+  }
+  up.want_write = up.connecting;
+  if (!up.connecting) {
+    OnConnected(up);
+  }
+}
+
+void UpstreamPool::FinishConnect(Upstream& up) {
+  int err = 0;
+  socklen_t len = sizeof(err);
+  if (::getsockopt(up.fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0 ||
+      err != 0) {
+    Disconnect(up, /*failure=*/true);
+    return;
+  }
+  up.connecting = false;
+  OnConnected(up);
+}
+
+void UpstreamPool::OnConnected(Upstream& up) {
+  if (up.failed_before) {
+    ++stats_.reconnects;
+    up.failed_before = false;
+  }
+  Pump(up);  // sends the queued legs (and drops EPOLLOUT when all is out)
+}
+
+void UpstreamPool::FlushOut(Upstream& up) {
+  while (up.out_sent < up.out.size()) {
+    const ssize_t n = ::send(up.fd, up.out.data() + up.out_sent,
+                             up.out.size() - up.out_sent, MSG_NOSIGNAL);
+    if (n > 0) {
+      up.out_sent += static_cast<size_t>(n);
+      continue;
+    }
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      break;
+    }
+    Disconnect(up, /*failure=*/true);
+    return;
+  }
+  if (up.out_sent == up.out.size()) {
+    up.out.clear();
+    up.out_sent = 0;
+  }
+  const bool want_write = !up.out.empty();
+  if (want_write != up.want_write) {
+    up.want_write = want_write;
+    UpdateEpoll(up);
+  }
+}
+
+void UpstreamPool::UpdateEpoll(Upstream& up) {
+  epoll_event ev{};
+  ev.events = EPOLLIN | (up.want_write ? EPOLLOUT : 0u);
+  ev.data.ptr = &up;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, up.fd, &ev);
+}
+
+void UpstreamPool::ReadReady(Upstream& up) {
+  reading_ = &up;
+  resolved_in_read_ = 0;
+  bool failed = false;
+  for (;;) {
+    const ssize_t n = ::recv(up.fd, rbuf_.get(), kRecvChunk, 0);
+    if (n > 0) {
+      if (!up.reader.Feed(std::string_view(rbuf_.get(),
+                                           static_cast<size_t>(n)),
+                          this)) {
+        failed = true;  // torn or garbage reply: protocol sync is lost
+        break;
+      }
+      if (static_cast<size_t>(n) < kRecvChunk) {
+        break;  // drained the socket
+      }
+      continue;
+    }
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      break;
+    }
+    failed = true;  // EOF or reset: replies read so far still count
+    break;
+  }
+  reading_ = nullptr;
+  if (failed) {
+    Disconnect(up, /*failure=*/true);
+    return;
+  }
+  if (resolved_in_read_ > 0) {
+    RecordSuccess(up);
+  }
+  if (!up.queued.empty()) {
+    MarkDirty(up);  // replies opened the window
+  }
+}
+
+void UpstreamPool::OnValue(const net::ReplyReader::Value& value) {
+  KeyFetch& fetch = reading_->value;
+  fetch.found = true;
+  fetch.flags = value.flags;
+  fetch.cas = value.cas;
+  fetch.data.assign(value.data);
+}
+
+void UpstreamPool::OnReply(net::ReplyReader::Status /*status*/,
+                           std::string_view line) {
+  Upstream& up = *reading_;
+  const Leg leg = up.inflight.front().leg;
+  up.inflight.pop_front();
+  ++resolved_in_read_;
+  Op& op = ops_[leg.op];
+  const ServedRung rung =
+      is_backup(up) ? ServedRung::kBackup : ServedRung::kPrimary;
+  switch (op.kind) {
+    case OpKind::kGet:
+      up.value.rung = rung;
+      op.result.fetches[leg.key] = std::move(up.value);
+      up.value = KeyFetch{};
+      if (rung == ServedRung::kBackup) {
+        ++op.backup_resolved;
+      }
+      break;
+    case OpKind::kLine:
+      op.result.line.line.emplace(line);
+      op.result.line.rung = rung;
+      break;
+    case OpKind::kFlush:
+      if (line == "OK") {
+        ++op.result.acked;
+      }
+      break;
+  }
+  ResolveLeg(leg.op);
+}
+
+void UpstreamPool::Disconnect(Upstream& up, bool failure) {
+  const bool at_stake = !up.queued.empty() || !up.inflight.empty();
+  if (up.fd >= 0) {
+    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, up.fd, nullptr);
+    ::close(up.fd);
+    up.fd = -1;
+  }
+  up.connecting = false;
+  up.want_write = false;
+  up.out.clear();
+  up.out_sent = 0;
+  up.reader.Reset();
+  up.value = KeyFetch{};
+  if (failure && at_stake) {
+    const SimTime now = Now();
+    const BreakerState before = up.breaker->state(now);
+    up.breaker->RecordFailure(now);
+    ++stats_.absorbed_failures;
+    up.failed_before = true;
+    TraceBreaker(up.slot, before, up.breaker->state(Now()));
+  }
+  // Resolved prefix: answered legs already stuck. Everything unresolved —
+  // on the wire first, then queued — goes down the ladder in FIFO order.
+  std::vector<Leg> legs;
+  legs.reserve(up.inflight.size() + up.queued.size());
+  for (const InFlight& fl : up.inflight) {
+    legs.push_back(fl.leg);
+  }
+  legs.insert(legs.end(), up.queued.begin(), up.queued.end());
+  up.inflight.clear();
+  up.queued.clear();
+  const bool backup = is_backup(up);
+  for (const Leg leg : legs) {
+    const OpKind kind = ops_[leg.op].kind;
+    if (backup || kind == OpKind::kFlush) {
+      ResolveLeg(leg.op);  // the last rung: unreachable / not acked
+    } else if (kind == OpKind::kGet) {
+      GetToBackup(leg);
+    } else {
+      LineToBackup(leg);
+    }
+  }
+}
+
+void UpstreamPool::Retire(Upstream& up) {
+  Disconnect(up, /*failure=*/false);
+  dirty_.erase(std::remove(dirty_.begin(), dirty_.end(), &up), dirty_.end());
+  up.dirty = false;
+}
+
+// --- The engine loop. -------------------------------------------------------
+
+void UpstreamPool::RunRound(bool probe, int timeout_ms) {
+  if (probe) {
+    constexpr int kMaxEvents = 64;
+    epoll_event events[kMaxEvents];
+    const int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, timeout_ms);
+    for (int i = 0; i < n; ++i) {
+      Upstream& up = *static_cast<Upstream*>(events[i].data.ptr);
+      if (up.fd < 0) {
+        continue;
+      }
+      if (up.connecting) {
+        FinishConnect(up);
+        continue;
+      }
+      if ((events[i].events & (EPOLLIN | EPOLLHUP | EPOLLERR)) != 0) {
+        ReadReady(up);
+        if (up.fd < 0) {
+          continue;
+        }
+      }
+      if ((events[i].events & EPOLLOUT) != 0) {
+        FlushOut(up);
       }
     }
   }
+  ExpireDeadlines();
+  PumpDirty();
+}
 
-  // Degraded leg: land the command on the backup so warm-up (and backup
-  // fall-through reads) see fresh data.
-  if (backup_.has_value() && backup_->breaker->Allow(Now())) {
-    auto line = RoundTripLine(*backup_, wire);
-    if (line.has_value()) {
-      backup_->breaker->RecordSuccess(Now());
-      ++stats_.backup_served;
-      result.line = std::move(line);
-      result.rung = ServedRung::kBackup;
-      return result;
+void UpstreamPool::ExpireDeadlines() {
+  const int64_t now = WallUs();
+  const auto expire = [&](Upstream& up) {
+    if ((up.connecting && now >= up.connect_deadline_us) ||
+        (!up.inflight.empty() && now >= up.inflight.front().deadline_us)) {
+      Disconnect(up, /*failure=*/true);
     }
-    HandleTransportFailure(*backup_, ~0ULL);
+  };
+  for (auto& [slot, node] : nodes_) {
+    expire(node);
   }
+  if (backup_ != nullptr) {
+    expire(*backup_);
+  }
+}
 
-  ++stats_.unreachable;
-  if (tracer_ != nullptr) {
-    tracer_->Shed(Now(), "proxy_pool", 1.0);
+void UpstreamPool::PumpDirty() {
+  // Pump() may re-route legs onto upstreams not yet visited (or already
+  // visited): those are appended and pumped in this same pass.
+  for (size_t i = 0; i < dirty_.size(); ++i) {
+    Upstream& up = *dirty_[i];
+    up.dirty = false;
+    Pump(up);
   }
+  dirty_.clear();
+}
+
+void UpstreamPool::Service(bool io_ready) { RunRound(io_ready, 0); }
+
+int64_t UpstreamPool::NextIoDeadlineUs() const {
+  if (!dirty_.empty()) {
+    return WallUs();
+  }
+  int64_t next = -1;
+  const auto consider = [&next](const Upstream& up) {
+    int64_t at = -1;
+    if (up.connecting) {
+      at = up.connect_deadline_us;
+    } else if (!up.inflight.empty()) {
+      at = up.inflight.front().deadline_us;
+    }
+    if (at >= 0 && (next < 0 || at < next)) {
+      next = at;
+    }
+  };
+  for (const auto& [slot, node] : nodes_) {
+    consider(node);
+  }
+  if (backup_ != nullptr) {
+    consider(*backup_);
+  }
+  return next;
+}
+
+int64_t UpstreamPool::next_deadline_us() const {
+  return finished_.empty() ? NextIoDeadlineUs() : WallUs();
+}
+
+// --- Synchronous facades. ---------------------------------------------------
+
+void UpstreamPool::Wait(OpId op) {
+  while (!ops_[op].done) {
+    const int64_t deadline = NextIoDeadlineUs();
+    int timeout_ms = 1000;  // nothing outstanding can only mean done; guard
+    if (deadline >= 0) {
+      timeout_ms = static_cast<int>(
+          std::max<int64_t>(0, (deadline - WallUs() + 999) / 1000));
+    }
+    RunRound(/*probe=*/true, timeout_ms);
+  }
+}
+
+void UpstreamPool::MultiGet(const std::vector<std::string_view>& keys,
+                            bool with_cas, std::vector<KeyFetch>* out) {
+  const OpId op = SubmitGet(keys, with_cas, kWaitTag);
+  Wait(op);
+  *out = std::move(ops_[op].result.fetches);
+  Release(op);
+}
+
+ForwardResult UpstreamPool::ForwardLineCommand(std::string_view key,
+                                               const std::string& wire) {
+  const OpId op = SubmitLine(key, wire, kWaitTag);
+  Wait(op);
+  ForwardResult result = std::move(ops_[op].result.line);
+  Release(op);
   return result;
 }
 
 size_t UpstreamPool::BroadcastFlush(int64_t delay_s) {
-  std::string wire = "flush_all";
-  if (delay_s > 0) {
-    wire += " " + std::to_string(delay_s);
-  }
-  wire += "\r\n";
-  size_t acked = 0;
-  for (auto& [slot, node] : nodes_) {
-    if (node.dead || !node.breaker->Allow(Now())) {
-      continue;
-    }
-    const auto line = RoundTripLine(node, wire);
-    if (line.has_value() && *line == "OK") {
-      node.breaker->RecordSuccess(Now());
-      ++acked;
-    } else if (!line.has_value()) {
-      HandleTransportFailure(node, slot);
-    }
-  }
-  if (backup_.has_value() && backup_->breaker->Allow(Now())) {
-    const auto line = RoundTripLine(*backup_, wire);
-    if (line.has_value() && *line == "OK") {
-      backup_->breaker->RecordSuccess(Now());
-      ++acked;
-    } else if (!line.has_value()) {
-      HandleTransportFailure(*backup_, ~0ULL);
-    }
-  }
+  const OpId op = SubmitFlush(delay_s, kWaitTag);
+  Wait(op);
+  const size_t acked = ops_[op].result.acked;
+  Release(op);
   return acked;
 }
 

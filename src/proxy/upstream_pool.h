@@ -6,32 +6,59 @@
 // absorption contract carries over unchanged: no transport failure ever
 // surfaces to the proxy's client — gets degrade primary → backup → miss,
 // writes degrade primary → backup → unavailable, and a failed upstream
-// records a breaker failure plus one capped-backoff reconnect attempt.
+// records a breaker failure. The next leg homed on a failed upstream dials
+// it again (`reconnects` counts the re-dials that connect).
 //
-// What is new over FleetRouter is pipelined upstream multiplexing: MultiGet
-// scatters a request's keys across their owning upstreams and streams each
-// upstream's fetches through a bounded in-flight window (`window` commands
-// on the wire before the first reply is awaited), reassembling results in
-// request-key order. Cross-node multigets therefore cost max-over-nodes
-// round trips, not sum-over-keys.
+// The pool is a non-blocking engine. Every upstream connection is a
+// non-blocking socket registered in the pool's own epoll set (fd()), and
+// connects use EINPROGRESS, so nothing in the pool ever sleeps or blocks in
+// recv. An operation (a multiget, one forwarded status-line command, or a
+// flush broadcast) becomes one *leg* per key and upstream:
+//
+//   * each upstream keeps a FIFO of legs — queued, then in flight — and at
+//     most `window` commands of any verb are on the wire unanswered;
+//   * legs queued during one Service() round leave in one send per
+//     upstream, so a pipelined client batch costs one round trip per
+//     window, not one per request;
+//   * replies are parsed incrementally by the strict net::ReplyReader, so a
+//     torn or out-of-vocabulary reply is a transport failure, never data;
+//   * every leg on the wire (and every connect in progress) carries a
+//     deadline of `op_timeout_ms`; a missed deadline is a transport failure.
+//
+// A transport failure keeps the resolved prefix: legs already answered
+// stick, and the upstream's unresolved legs re-route to the backup in FIFO
+// order (writes included); legs the backup cannot take resolve as
+// unreachable. Multigets reassemble in request-key order, so cross-node
+// multigets cost max-over-nodes round trips, not sum-over-keys.
+//
+// Two ways to drive it:
+//
+//   * asynchronously, from an event loop: Submit*() returns an OpId,
+//     Service() does the I/O, TakeFinished() reports finished ops whose
+//     result() stays valid until Release(). ProxyCore registers fd() in
+//     NetServer's loop and runs Service() when it is readable or
+//     next_deadline_us() passes;
+//   * synchronously: MultiGet / ForwardLineCommand / BroadcastFlush submit
+//     one op and pump fd() until it is done.
 //
 // Membership is applied as whole documents (see membership.h): endpoints
 // that did not change keep their connection and breaker history; changed or
-// dead slots reset. The pool is loop-thread-only — no internal locking, by
-// design (it lives inside ProxyCore, which NetServer drives from its single
-// event loop).
+// dead slots reset. The pool is single-threaded by design: it lives inside
+// ProxyCore, which NetServer drives from its one event loop.
 
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "src/net/client.h"
+#include "src/net/reply_reader.h"
 #include "src/obs/trace.h"
 #include "src/proxy/membership.h"
 #include "src/resilience/circuit_breaker.h"
@@ -49,13 +76,11 @@ struct UpstreamPoolConfig {
       .half_open_successes = 1,
       .probe_jitter = 0.25,
   };
-  net::ReconnectPolicy reconnect{.max_attempts = 1,
-                                 .initial_backoff_ms = 5,
-                                 .max_backoff_ms = 50,
-                                 .backoff_factor = 2.0};
-  /// Per-operation socket timeout (connect + send + recv deadlines).
+  /// Per-leg deadline: a command on the wire (or a connect in progress)
+  /// unanswered after this long fails its upstream.
   int op_timeout_ms = 250;
-  /// Per-upstream in-flight command window for pipelined multigets.
+  /// Per-upstream cap on commands in flight (sent, not yet answered), for
+  /// every verb.
   int window = 32;
   uint64_t seed = 0;
 };
@@ -92,10 +117,26 @@ struct UpstreamPoolStats {
   uint64_t unreachable = 0;    // keys/writes no rung could serve
 };
 
-class UpstreamPool {
+/// What a finished operation produced (see UpstreamPool::result()).
+struct OpResult {
+  std::vector<std::string> keys;   // get: the requested keys, in order
+  std::vector<KeyFetch> fetches;   // get: one per key
+  ForwardResult line;              // forwarded status-line command
+  size_t acked = 0;                // flush: upstreams that answered OK
+};
+
+class UpstreamPool : private net::ReplyReader::Handler {
  public:
+  using OpId = uint32_t;
+  /// Tag for ops that are only ever Wait()-ed on: TakeFinished() skips them.
+  static constexpr uint64_t kWaitTag = ~0ULL;
+
   explicit UpstreamPool(const UpstreamPoolConfig& config,
                         EventTracer* tracer = nullptr);
+  ~UpstreamPool() override;
+
+  UpstreamPool(const UpstreamPool&) = delete;
+  UpstreamPool& operator=(const UpstreamPool&) = delete;
 
   /// Adds slot `slot` to the ring or re-points it. A changed endpoint resets
   /// the slot's connection and breaker; an identical endpoint is a no-op.
@@ -113,74 +154,170 @@ class UpstreamPool {
   /// `dead` slots are marked. Records the document's generation.
   void ApplyMembership(const FleetMembership& m);
 
-  /// Fetches `keys` (with cas values when `with_cas`), filling `out` in
-  /// request-key order. Never fails: every key resolves to found / miss /
-  /// unreachable-miss via the degradation ladder.
+  // --- Asynchronous engine. ----------------------------------------------
+
+  /// Starts fetching `keys` (with cas values when `with_cas`). The result
+  /// holds one KeyFetch per key in request-key order; every key resolves to
+  /// found / miss / unreachable-miss via the degradation ladder.
+  OpId SubmitGet(std::span<const std::string_view> keys, bool with_cas,
+                 uint64_t tag);
+  /// Starts forwarding one command whose reply is a single status line (set
+  /// / add / replace / delete / touch). `wire` is the full request bytes
+  /// including payload and CRLFs; `key` homes it on the ring.
+  OpId SubmitLine(std::string_view key, std::string wire, uint64_t tag);
+  /// Starts broadcasting flush_all (with optional delay) to every node plus
+  /// the backup; the result counts the upstreams that acknowledged OK.
+  OpId SubmitFlush(int64_t delay_s, uint64_t tag);
+
+  /// One non-blocking round: reads whatever replies are ready (only probes
+  /// the sockets when `io_ready`, i.e. fd() polled readable), fails legs
+  /// past their deadline, and sends every queued command.
+  void Service(bool io_ready);
+  /// Moves the tags of the ops that finished since the last call into `out`
+  /// (cleared first), in completion order.
+  void TakeFinished(std::vector<uint64_t>* out);
+  /// A finished op's result; valid until Release().
+  OpResult& result(OpId op) { return ops_[op].result; }
+  void Release(OpId op);
+
+  /// The pool's epoll fd: readable whenever an upstream socket has work.
+  int fd() const { return epoll_fd_; }
+  /// Steady-clock microseconds by which Service() must run again: now when
+  /// commands wait to be sent or finished ops wait to be taken, the nearest
+  /// leg or connect deadline otherwise, -1 when nothing is outstanding.
+  int64_t next_deadline_us() const;
+
+  // --- Synchronous facades (submit, then pump fd() until done). ----------
+
+  /// Fetches `keys`, filling `out` in request-key order. Never fails.
   void MultiGet(const std::vector<std::string_view>& keys, bool with_cas,
                 std::vector<KeyFetch>* out);
-
-  /// Forwards one command whose reply is a single status line (set / add /
-  /// replace / delete / touch). `wire` is the full request bytes including
-  /// payload and CRLFs; `key` homes it on the ring.
+  /// Forwards one status-line command (see SubmitLine).
   ForwardResult ForwardLineCommand(std::string_view key,
                                    const std::string& wire);
-
-  /// Broadcasts flush_all (with optional delay) to every node + the backup.
-  /// Returns how many upstreams acknowledged with OK.
+  /// Broadcasts flush_all; returns how many upstreams acknowledged with OK.
   size_t BroadcastFlush(int64_t delay_s);
+  /// Pumps fd() until `op` has finished (its result is then valid). The op
+  /// will not be reported by TakeFinished().
+  void Wait(OpId op);
 
   const UpstreamPoolStats& stats() const { return stats_; }
   uint64_t generation() const { return generation_; }
   size_t node_count() const { return nodes_.size(); }
-  bool has_backup() const { return backup_.has_value(); }
+  bool has_backup() const { return backup_ != nullptr; }
   /// The slot owning `key` (for tests).
   std::optional<uint64_t> OwnerOf(std::string_view key) const;
 
  private:
-  struct Node {
+  enum class OpKind : uint8_t { kGet, kLine, kFlush };
+
+  struct Op {
+    OpKind kind = OpKind::kGet;
+    bool with_cas = false;
+    bool done = false;
+    uint64_t tag = 0;
+    size_t legs_left = 0;
+    size_t fallen = 0;           // get keys sent down to the backup rung
+    size_t backup_resolved = 0;  // ...of which the backup answered
+    std::string wire;            // line / flush command bytes
+    OpResult result;
+  };
+
+  /// One command of one op on one upstream.
+  struct Leg {
+    OpId op;
+    uint32_t key;  // get legs: index into the op's keys
+  };
+  struct InFlight {
+    Leg leg;
+    int64_t deadline_us;
+  };
+
+  struct Upstream {
+    uint64_t slot = 0;  // ~0 for the backup
     std::string host;
     uint16_t port = 0;
-    net::NetClient client;
     std::unique_ptr<CircuitBreaker> breaker;
-    bool connected = false;
     bool dead = false;  // membership said so; breaker held open via MarkDead
+    int fd = -1;
+    bool connecting = false;
+    int64_t connect_deadline_us = 0;
+    bool want_write = false;     // EPOLLOUT registered
+    bool failed_before = false;  // the next connect counts as a reconnect
+    bool dirty = false;          // listed in dirty_
+    std::deque<Leg> queued;      // waiting for a window slot / connection
+    std::deque<InFlight> inflight;
+    std::string out;  // bytes written to the socket only partially
+    size_t out_sent = 0;
+    net::ReplyReader reader{net::ReplyReader::Mode::kStrict};
+    KeyFetch value;  // VALUE block of the get reply being read
   };
 
-  /// One key of a multiget while it is in flight against a specific node.
-  struct PendingKey {
-    size_t index = 0;  // position in the request key list
-    std::string_view key;
-  };
-
+  bool is_backup(const Upstream& up) const { return &up == backup_.get(); }
   SimTime Now() const;
-  bool EnsureConnected(Node& node);
-  /// Breaker failure + absorbed count + one reconnect attempt.
-  bool HandleTransportFailure(Node& node, uint64_t slot);
   void TraceBreaker(uint64_t slot, BreakerState before, BreakerState after);
-  /// Pipelined fetch of `keys` from one node with the bounded window.
-  /// Returns false on transport failure; *resolved is how many keys got a
-  /// definitive answer (their KeyFetch entries in `out` are final).
-  bool FetchFromNode(Node& node, uint64_t slot,
-                     const std::vector<PendingKey>& keys, bool with_cas,
-                     ServedRung rung, size_t* resolved,
-                     std::vector<KeyFetch>* out);
-  /// Reads one single-key get reply (VALUE block + END, or bare END).
-  /// Returns false on transport failure or protocol violation.
-  bool ReadOneGetReply(Node& node, KeyFetch* fetch);
-  /// Sends `wire` and reads the status line from one node. nullopt on
-  /// transport failure.
-  std::optional<std::string> RoundTripLine(Node& node, const std::string& wire);
+  void RecordSuccess(Upstream& up);
+
+  OpId NewOp(OpKind kind, uint64_t tag);
+  /// Counts one leg of `op` resolved; finishes the op after its last leg.
+  void ResolveLeg(OpId op);
+  void FinishOp(OpId op);
+
+  void MarkDirty(Upstream& up);
+  void Enqueue(Upstream& up, Leg leg);
+  /// The backup rung for a get key / a status-line command whose primary
+  /// was skipped or failed; resolves it as unreachable when no backup can
+  /// take it.
+  void GetToBackup(Leg leg);
+  void LineToBackup(Leg leg);
+
+  /// Connects if needed, moves queued legs onto the wire up to the window,
+  /// and sends.
+  void Pump(Upstream& up);
+  void StartConnect(Upstream& up);
+  void FinishConnect(Upstream& up);
+  void OnConnected(Upstream& up);
+  void FlushOut(Upstream& up);
+  void ReadReady(Upstream& up);
+  void UpdateEpoll(Upstream& up);
+  /// Closes the connection and re-routes every unresolved leg down the
+  /// ladder. `failure` adds the breaker failure and absorbed count (a
+  /// transport failure with legs at stake); otherwise it is a quiet reset.
+  void Disconnect(Upstream& up, bool failure);
+  /// Disconnects `up` and forgets it (slot removal, backup replacement).
+  void Retire(Upstream& up);
+  /// One engine round: an epoll pass over the upstream sockets waiting up
+  /// to `timeout_ms` (skipped unless `probe`), then deadlines, then sends.
+  void RunRound(bool probe, int timeout_ms);
+  void ExpireDeadlines();
+  void PumpDirty();
+  /// next_deadline_us() without the finished-ops term (what Wait() sleeps
+  /// on: ops already finished do not need another round).
+  int64_t NextIoDeadlineUs() const;
+
+  // net::ReplyReader::Handler (the upstream being read is reading_).
+  void OnValue(const net::ReplyReader::Value& value) override;
+  void OnReply(net::ReplyReader::Status status, std::string_view line) override;
 
   UpstreamPoolConfig config_;
   EventTracer* tracer_;
 
   ConsistentHashRing ring_;
-  std::map<uint64_t, Node> nodes_;
-  std::optional<Node> backup_;
+  std::map<uint64_t, Upstream> nodes_;
+  std::unique_ptr<Upstream> backup_;
   UpstreamPoolStats stats_;
   uint64_t generation_ = 0;
   /// Wall anchor for the breakers' SimTime clock (proxy-relative micros).
   int64_t epoch_us_ = 0;
+
+  int epoll_fd_ = -1;
+  std::deque<Op> ops_;  // stable addresses; slots reused via free_ops_
+  std::vector<OpId> free_ops_;
+  std::vector<uint64_t> finished_;  // tags of finished ops
+  std::vector<Upstream*> dirty_;  // upstreams with legs or bytes to send
+  Upstream* reading_ = nullptr;   // upstream whose replies are being fed
+  size_t resolved_in_read_ = 0;   // legs answered by the current read pass
+  std::unique_ptr<char[]> rbuf_;  // recv scratch shared by all upstreams
 };
 
 }  // namespace spotcache::proxy

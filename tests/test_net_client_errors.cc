@@ -449,5 +449,82 @@ TEST(ReplyReader, UnparseableValueHeaderIsCorruption) {
   EXPECT_FALSE(ok);
 }
 
+// Strict mode (the proxy's upstream legs): payloads delivered whole at any
+// chunking, and anything outside the upstream vocabulary is corruption.
+
+struct Collected final : ReplyReader::Handler {
+  void OnValue(const ReplyReader::Value& v) override {
+    values.push_back(std::string(v.key) + "/" + std::to_string(v.flags) +
+                     "/" + std::to_string(v.cas) + "/" + std::string(v.data));
+  }
+  void OnReply(Status, std::string_view line) override {
+    lines.emplace_back(line);
+  }
+  std::vector<std::string> values;
+  std::vector<std::string> lines;
+};
+
+bool FeedStrict(std::string_view bytes, size_t chunk, Collected* got,
+                std::initializer_list<Expect> expects) {
+  ReplyReader reader(ReplyReader::Mode::kStrict);
+  for (const Expect e : expects) {
+    reader.Push(e);
+  }
+  for (size_t i = 0; i < bytes.size(); i += chunk) {
+    if (!reader.Feed(bytes.substr(i, chunk), got)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(ReplyReader, StrictModeDeliversValuesAtAnyChunking) {
+  const std::string stream =
+      "VALUE a 7 5 42\r\nEND\r\n\r\nEND\r\n"  // payload spells END
+      "END\r\n"
+      "SERVER_ERROR out of memory\r\n"
+      "NOT_STORED\r\n";
+  for (size_t chunk = 1; chunk <= stream.size(); ++chunk) {
+    Collected got;
+    ASSERT_TRUE(FeedStrict(stream, chunk, &got,
+                           {Expect::kRetrieval, Expect::kRetrieval,
+                            Expect::kLine, Expect::kLine}))
+        << "chunk " << chunk;
+    ASSERT_EQ(got.values, std::vector<std::string>{"a/7/42/END\r\n"})
+        << "chunk " << chunk;
+    ASSERT_EQ(got.lines,
+              (std::vector<std::string>{"END", "END",
+                                        "SERVER_ERROR out of memory",
+                                        "NOT_STORED"}))
+        << "chunk " << chunk;
+  }
+}
+
+TEST(ReplyReader, StrictModeRejectsWhatAnUpstreamMustNotSend) {
+  const struct {
+    const char* bytes;
+    Expect expect;
+  } bad[] = {
+      {"VALUE a 0 5\r\nabcdeXY", Expect::kRetrieval},   // torn terminator
+      {"VALUE a 0 2 1 9\r\nab\r\nEND\r\n", Expect::kRetrieval},  // extra
+      {"VALUE a 0\r\n", Expect::kRetrieval},            // no byte count
+      {"VALUE a 0 2000000\r\n", Expect::kRetrieval},    // over 1 MB
+      {"SERVER_ERROR busy\r\n", Expect::kRetrieval},    // error mid-get
+      {"VALUE x 0 5\r\n", Expect::kLine},                // torn reply
+      {"HELLO\r\n", Expect::kLine},                      // not a status
+  };
+  for (const auto& c : bad) {
+    Collected got;
+    EXPECT_FALSE(FeedStrict(c.bytes, 64, &got, {c.expect})) << c.bytes;
+  }
+  // The lenient classifier takes the same error line as a kError reply.
+  ReplyReader lenient;
+  lenient.Push(Expect::kRetrieval);
+  bool ok = false;
+  EXPECT_EQ(FeedAll(lenient, "SERVER_ERROR busy\r\n", 64, &ok),
+            std::vector<Status>{Status::kError});
+  EXPECT_TRUE(ok);
+}
+
 }  // namespace
 }  // namespace spotcache::net

@@ -22,6 +22,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -439,7 +440,11 @@ TEST(ProtocolFuzz, ShardedServerMatchesSingleThreadedByteForByte) {
 // pinned property: the client-visible response bytes and the proxy's request
 // accounting are functions of the byte stream alone, never of how TCP cut it
 // on either hop. `stats` rows are fair game — the proxy's block is pure
-// counters (no clocks), so it must be byte-stable too.
+// counters (no clocks), so it must be byte-stable too. Each property runs
+// with one upstream and with three: with several upstreams in flight at
+// once, replies complete out of request order inside the proxy, so any
+// cross-upstream reordering on the client wire shows up as a byte
+// difference.
 
 struct ProxyRunResult {
   std::string response;
@@ -449,16 +454,20 @@ struct ProxyRunResult {
 };
 
 ProxyRunResult RunThroughProxyStack(std::string_view stream,
-                                    const std::vector<size_t>& cuts) {
-  NetServerConfig up_cfg;
-  NetServer upstream(up_cfg);
-  upstream.SetClock([] { return kNow; });
-  EXPECT_TRUE(upstream.Start());
-  std::thread up_loop([&upstream] { upstream.Run(); });
-
+                                    const std::vector<size_t>& cuts,
+                                    size_t upstream_count) {
+  std::vector<std::unique_ptr<NetServer>> upstreams;
+  std::vector<std::thread> up_loops;
   proxy::ProxyCoreConfig pc;
   proxy::ProxyCore core(pc);
-  core.pool().SetNode(0, "127.0.0.1", upstream.port());
+  for (size_t i = 0; i < upstream_count; ++i) {
+    upstreams.push_back(std::make_unique<NetServer>(NetServerConfig{}));
+    NetServer* upstream = upstreams.back().get();
+    upstream->SetClock([] { return kNow; });
+    EXPECT_TRUE(upstream->Start());
+    up_loops.emplace_back([upstream] { upstream->Run(); });
+    core.pool().SetNode(i, "127.0.0.1", upstream->port());
+  }
   NetServerConfig px_cfg;
   NetServer proxy_server(px_cfg);
   proxy_server.SetHandler(&core);
@@ -488,8 +497,10 @@ ProxyRunResult RunThroughProxyStack(std::string_view stream,
   ::close(fd);
   proxy_server.Stop();
   px_loop.join();
-  upstream.Stop();
-  up_loop.join();
+  for (size_t i = 0; i < upstream_count; ++i) {
+    upstreams[i]->Stop();
+    up_loops[i].join();
+  }
 
   result.requests = core.stats().requests;
   result.protocol_errors = core.stats().protocol_errors;
@@ -498,26 +509,29 @@ ProxyRunResult RunThroughProxyStack(std::string_view stream,
 }
 
 TEST(ProtocolFuzz, ProxyTierChunkingInvariance) {
-  for (uint64_t seed = 1; seed <= 10; ++seed) {
-    Rng rng(seed);
-    const std::string stream = RandomStream(rng);
-    if (stream.empty()) {
-      continue;
-    }
-    const ProxyRunResult whole = RunThroughProxyStack(stream, {});
-    // A healthy upstream must never trip the degradation machinery, no
-    // matter how hostile the client bytes are.
-    ASSERT_EQ(whole.absorbed, 0u) << "seed " << seed;
-    for (int split = 0; split < 2; ++split) {
-      const std::vector<size_t> cuts = RandomCuts(rng, stream.size());
-      const ProxyRunResult chunked = RunThroughProxyStack(stream, cuts);
-      ASSERT_EQ(chunked.response, whole.response)
-          << "seed " << seed << " split " << split;
-      ASSERT_EQ(chunked.requests, whole.requests)
-          << "seed " << seed << " split " << split;
-      ASSERT_EQ(chunked.protocol_errors, whole.protocol_errors)
-          << "seed " << seed << " split " << split;
-      ASSERT_EQ(chunked.absorbed, 0u) << "seed " << seed << " split " << split;
+  for (const size_t upstreams : {1, 3}) {
+    for (uint64_t seed = 1; seed <= 10; ++seed) {
+      Rng rng(seed);
+      const std::string stream = RandomStream(rng);
+      if (stream.empty()) {
+        continue;
+      }
+      const ProxyRunResult whole = RunThroughProxyStack(stream, {}, upstreams);
+      // A healthy upstream must never trip the degradation machinery, no
+      // matter how hostile the client bytes are.
+      ASSERT_EQ(whole.absorbed, 0u) << "seed " << seed;
+      for (int split = 0; split < 2; ++split) {
+        const std::vector<size_t> cuts = RandomCuts(rng, stream.size());
+        const ProxyRunResult chunked =
+            RunThroughProxyStack(stream, cuts, upstreams);
+        const std::string where = "upstreams " + std::to_string(upstreams) +
+                                  " seed " + std::to_string(seed) +
+                                  " split " + std::to_string(split);
+        ASSERT_EQ(chunked.response, whole.response) << where;
+        ASSERT_EQ(chunked.requests, whole.requests) << where;
+        ASSERT_EQ(chunked.protocol_errors, whole.protocol_errors) << where;
+        ASSERT_EQ(chunked.absorbed, 0u) << where;
+      }
     }
   }
 }
@@ -539,15 +553,18 @@ TEST(ProtocolFuzz, ProxyTierSplitPositionsOfPipelinedStream) {
       "flush_all 1\r\n"
       "stats\r\n"
       "version\r\n";
-  const ProxyRunResult whole = RunThroughProxyStack(stream, {});
-  ASSERT_FALSE(whole.response.empty());
-  EXPECT_GT(whole.protocol_errors, 0u);  // bogus + bad data chunk fired
-  EXPECT_EQ(whole.absorbed, 0u);
-  for (size_t at = 3; at < stream.size(); at += 11) {
-    const ProxyRunResult split = RunThroughProxyStack(stream, {at});
-    ASSERT_EQ(split.response, whole.response) << "split at byte " << at;
-    ASSERT_EQ(split.protocol_errors, whole.protocol_errors)
-        << "split at byte " << at;
+  for (const size_t upstreams : {1, 3}) {
+    const ProxyRunResult whole = RunThroughProxyStack(stream, {}, upstreams);
+    ASSERT_FALSE(whole.response.empty());
+    EXPECT_GT(whole.protocol_errors, 0u);  // bogus + bad data chunk fired
+    EXPECT_EQ(whole.absorbed, 0u);
+    for (size_t at = 3; at < stream.size(); at += 11) {
+      const ProxyRunResult split = RunThroughProxyStack(stream, {at}, upstreams);
+      ASSERT_EQ(split.response, whole.response)
+          << "upstreams " << upstreams << " split at byte " << at;
+      ASSERT_EQ(split.protocol_errors, whole.protocol_errors)
+          << "upstreams " << upstreams << " split at byte " << at;
+    }
   }
 }
 

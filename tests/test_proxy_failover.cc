@@ -276,6 +276,47 @@ TEST(Membership, RejectsMalformedDocuments) {
   }
 }
 
+TEST(Membership, FlagSpecsGoThroughTheDocumentChecks) {
+  std::string error;
+  const auto m = MembershipFromSpecs({"1:127.0.0.1:11212", "0:10.0.0.1:11211"},
+                                     "127.0.0.1:11210", &error);
+  ASSERT_TRUE(m.has_value()) << error;
+  ASSERT_EQ(m->nodes.size(), 2u);
+  EXPECT_EQ(m->nodes[0].slot, 0u);  // sorted by slot, like a parsed file
+  EXPECT_EQ(m->nodes[0].host, "10.0.0.1");
+  EXPECT_EQ(m->nodes[1].port, 11212);
+  ASSERT_TRUE(m->backup.has_value());
+  EXPECT_EQ(m->backup->port, 11210);
+  EXPECT_FALSE(MembershipFromSpecs({"0:127.0.0.1:1"}, "", &error)
+                   ->backup.has_value());
+
+  const std::vector<std::vector<std::string>> bad_nodes = {
+      {"x:127.0.0.1:11211"},                         // slot is not a number
+      {"0:127.0.0.1:11211x"},                        // port has a tail
+      {"0:127.0.0.1:11211", "0:127.0.0.1:11212"},    // duplicate slot
+      {"0:127.0.0.1"},                               // no port
+      {":127.0.0.1:11211"},                          // empty slot
+      {"0::11211"},                                  // empty host
+      {"0:127.0.0.1:70000"},                         // port out of range
+      {"0:127.0.0.1:0"},                             // port zero
+      {"-1:127.0.0.1:11211"},                        // signed slot
+  };
+  for (const auto& nodes : bad_nodes) {
+    error.clear();
+    EXPECT_FALSE(MembershipFromSpecs(nodes, "", &error).has_value())
+        << "accepted: " << nodes.back();
+    EXPECT_FALSE(error.empty()) << "no reason for: " << nodes.back();
+  }
+  for (const char* backup : {"127.0.0.1", "127.0.0.1:x", ":11210",
+                             "127.0.0.1:11210:1"}) {
+    error.clear();
+    EXPECT_FALSE(
+        MembershipFromSpecs({"0:127.0.0.1:1"}, backup, &error).has_value())
+        << "accepted backup: " << backup;
+    EXPECT_FALSE(error.empty()) << "no reason for backup: " << backup;
+  }
+}
+
 TEST(Membership, SaveLoadAtomicRoundTrip) {
   const std::string path =
       ::testing::TempDir() + "/members_roundtrip_" +
@@ -504,6 +545,90 @@ TEST(ProxyFailover, MembershipMarksDeadAndRevives) {
 
 // ---------------------------------------------------------------------------
 // The full client surface: a live proxy NetServer over a dying fleet.
+
+TEST(ProxyFailover, StalledUpstreamDelaysOnlyItsOwnKeys) {
+  // Slot 0 swallows requests and never answers; slot 1 is a real server.
+  // A request homed on slot 0 must wait out its own leg deadline without
+  // holding up a client whose keys all live on slot 1.
+  ScriptedPeer stalled(PeerScript::kStall);
+  BackupServer healthy;
+  BackupServer backup;
+
+  ProxyCoreConfig pc;
+  pc.upstreams = FastPoolConfig();
+  const int timeout_ms = pc.upstreams.op_timeout_ms;
+  ProxyCore core(pc);
+  core.pool().SetNode(0, "127.0.0.1", stalled.port());
+  core.pool().SetNode(1, "127.0.0.1", healthy.server.port());
+  core.pool().SetBackup("127.0.0.1", backup.server.port());
+
+  std::string stalled_key;
+  std::vector<std::string> healthy_keys;
+  for (int i = 0; stalled_key.empty() || healthy_keys.size() < 200; ++i) {
+    const std::string key = "iso" + std::to_string(i);
+    if (core.pool().OwnerOf(key) == 0u) {
+      if (stalled_key.empty()) {
+        stalled_key = key;
+      }
+    } else if (healthy_keys.size() < 200) {
+      healthy_keys.push_back(key);
+    }
+  }
+  backup.Prefill({stalled_key});
+  healthy.Prefill(healthy_keys);
+
+  NetServer proxy((NetServerConfig()));
+  proxy.SetHandler(&core);
+  ASSERT_TRUE(proxy.Start());
+  std::thread loop([&proxy] { proxy.Run(); });
+
+  NetClient a;
+  NetClient b;
+  ASSERT_TRUE(a.Connect("127.0.0.1", proxy.port()));
+  ASSERT_TRUE(b.Connect("127.0.0.1", proxy.port()));
+  const auto a_sent = std::chrono::steady_clock::now();
+  ASSERT_TRUE(a.SendRaw("get " + stalled_key + "\r\n"));
+
+  int64_t worst_us = 0;
+  for (const std::string& key : healthy_keys) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto got = b.Get(key);
+    const int64_t us = std::chrono::duration_cast<std::chrono::microseconds>(
+                           std::chrono::steady_clock::now() - t0)
+                           .count();
+    worst_us = std::max(worst_us, us);
+    ASSERT_TRUE(got.found) << key;
+    EXPECT_EQ(got.value, "b_" + key);
+  }
+  EXPECT_LT(worst_us, timeout_ms * 1000 / 3)
+      << "a healthy-slot round trip waited behind the stalled upstream";
+
+  // A's get degrades to the backup once its leg deadline passes.
+  const auto header = a.ReadLine();
+  ASSERT_TRUE(header.has_value());
+  std::string reply = *header + "\r\n";
+  if (header->rfind("VALUE ", 0) == 0) {
+    const auto data = a.ReadLine();
+    const auto end = a.ReadLine();
+    ASSERT_TRUE(data.has_value() && end.has_value());
+    reply += *data + "\r\n" + *end + "\r\n";
+  }
+  const int64_t a_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                           std::chrono::steady_clock::now() - a_sent)
+                           .count();
+  EXPECT_EQ(reply, "VALUE " + stalled_key + " 0 " +
+                       std::to_string(2 + stalled_key.size()) + "\r\nb_" +
+                       stalled_key + "\r\nEND\r\n");
+  EXPECT_LT(a_ms, 2 * timeout_ms);
+
+  a.Close();
+  b.Close();
+  proxy.Stop();
+  loop.join();
+  EXPECT_EQ(core.pool().stats().absorbed_failures, 1u);
+  EXPECT_EQ(core.stats().backup_hits, 1u);
+  EXPECT_EQ(core.stats().get_hits, healthy_keys.size());
+}
 
 TEST(ProxyFailover, ClientSeesZeroErrorsThroughLiveProxy) {
   BackupServer backup;
