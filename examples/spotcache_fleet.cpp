@@ -1,29 +1,23 @@
 // spotcache_fleet: the end-to-end chaos drill against real server processes.
 //
-//   spotcache_fleet --server=./spotcache_server [--seed=42] [--kills=2]
-//                   [--primaries=3] [--report=FILE] [--trace=FILE]
 //   spotcache_fleet --server=./spotcache_server --proxy=./spotcache_proxy
+//                   [--seed=42] [--kills=2] [--primaries=3]
+//                   [--report=FILE] [--trace=FILE]
 //
 // Spawns a fleet (N primaries + 1 burstable-style backup) of real
-// spotcache_server processes, drives paced Zipf traffic through the
-// client-side FleetRouter, and executes a (seed, scenario)-deterministic
-// kill schedule: revocation warning, SIGKILL at the deadline, replacement
-// launch, and wire-level warm-up from the backup — the paper's Figure 4
-// recovery cases (1a/1b/2) acted out with live sockets. The JSON report is
-// the recovery timeline: per-kill warning/kill/warm-up timestamps, hit-rate
-// windows, and router degradation counters.
-//
-// With --proxy the drill instead launches a standalone spotcache_proxy as
-// another supervised process, narrates every chaos action to it through the
-// fleet membership file + SIGHUP, and drives open-loop loadgen traffic
-// through the proxy — the paper's application-facing routing tier, end to
-// end on one box.
+// spotcache_server processes and a standalone spotcache_proxy in front of
+// them, drives open-loop Zipf traffic through the proxy, and executes a
+// (seed, scenario)-deterministic kill schedule: revocation warning, SIGKILL
+// at the deadline, replacement launch, and wire-level warm-up from the
+// backup — the paper's Figure 4 recovery cases (1a/1b/2) acted out with
+// live sockets. The proxy follows every chaos action through the fleet
+// membership file + SIGHUP. The JSON report is the recovery timeline:
+// per-kill warning/kill/warm-up timestamps, client-observed hit-rate
+// windows, client latency and connection errors, and the proxy's counters.
 //
 // Flags:
 //   --server=PATH          spotcache_server binary (required)
-//   --proxy=PATH           spotcache_proxy binary: route traffic through a
-//                          standalone proxy tier instead of the in-process
-//                          router
+//   --proxy=PATH           spotcache_proxy binary (required)
 //   --connections=N        open-loop connections against the proxy (def. 4)
 //   --window=N             proxy per-upstream pipelined window (default 32)
 //   --seed=N               drives the kill schedule AND the traffic stream
@@ -40,20 +34,26 @@
 //   --warning-lead-ms=N    drill-scale two-minute notice (default 400)
 //   --boot-delay-ms=N      modeled replacement boot time (default 150)
 //   --warmup-mbps=F        warm-up token-bucket rate (default 4 MiB/s)
-//   --no-breakers          surface connection errors instead of degrading
 //   --grid                 sweep the (seed x storms x warning fate) drill
 //                          grid instead of one drill; markdown to stdout
 //   --grid-out=FILE        write the grid markdown table to FILE
 //   --report=FILE          write the JSON drill report (default stdout only)
-//   --trace=FILE           write the merged JSONL event trace
+//   --trace=FILE           write the control-plane JSONL event trace
 //   --help
 //
+// Numeric flags are parsed strictly: a value that is not a number, or is
+// out of range (fractions outside [0, 1]; primaries, connections, window,
+// capacity, keys and rate below 1; negative seeds, storms or times), is a
+// bad flag.
+//
 // Exit codes: 0 = drill ran and the fleet recovered; 1 = drill failed to
-// run; 4 = drill ran but the hit rate never re-reached the recovery
-// threshold; 5 = proxy drill recovered but surfaced connection failures to
-// clients (failed conns or abandoned in-flight ops — the proxy's absorption
-// contract broke). CI gates on 4 and 5 specifically.
+// run; 2 = bad flags; 4 = drill ran but the hit rate never re-reached the
+// recovery threshold; 5 = drill recovered but surfaced connection failures
+// to clients (failed conns or abandoned in-flight ops — the proxy's
+// absorption contract broke). CI gates on 4 and 5 specifically.
 
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -67,12 +67,38 @@ using namespace spotcache::fleet;
 
 namespace {
 
+constexpr int kExitUsage = 2;
 constexpr int kExitNoRecovery = 4;
 constexpr int kExitConnErrors = 5;
 
+// Whole-text integer in [lo, hi] (atoi would read "abc" as 0).
+bool ParseInt(const std::string& text, int64_t lo, int64_t hi,
+              int64_t* out) {
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(text.c_str(), &end, 10);
+  if (text.empty() || *end != '\0' || errno != 0 || v < lo || v > hi) {
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
+// Whole-text real number in [lo, hi] (NaN fails the range test).
+bool ParseReal(const std::string& text, double lo, double hi, double* out) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text.c_str(), &end);
+  if (text.empty() || *end != '\0' || errno != 0 || !(v >= lo && v <= hi)) {
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
 int Usage(int exit_code) {
   std::printf(
-      "usage: spotcache_fleet --server=PATH [--proxy=PATH]\n"
+      "usage: spotcache_fleet --server=PATH --proxy=PATH\n"
       "                       [--connections=N] [--window=N]\n"
       "                       [--seed=N] [--kills=N]\n"
       "                       [--primaries=N] [--missed-warning=F]\n"
@@ -81,16 +107,17 @@ int Usage(int exit_code) {
       "                       [--lead-in-ms=N] [--chaos-ms=N]\n"
       "                       [--recovery-ms=N] [--warning-lead-ms=N]\n"
       "                       [--boot-delay-ms=N] [--warmup-mbps=F]\n"
-      "                       [--no-breakers] [--grid] [--grid-out=FILE]\n"
+      "                       [--grid] [--grid-out=FILE]\n"
       "                       [--report=FILE] [--trace=FILE] [--help]\n"
       "\n"
       "Runs the fleet chaos drill: real spotcache_server processes, real\n"
       "SIGKILL revocations on a (seed, scenario)-deterministic schedule,\n"
-      "and wire-level warm-up of replacements from the backup. With\n"
-      "--proxy, traffic flows through a supervised spotcache_proxy that\n"
-      "follows the chaos via membership-file reloads.\n"
-      "Exit: 0 recovered, 1 drill error, 4 ran but did not recover,\n"
-      "5 recovered but surfaced connection failures to clients.\n");
+      "and wire-level warm-up of replacements from the backup. Traffic\n"
+      "flows through a supervised spotcache_proxy that follows the chaos\n"
+      "via membership-file reloads. Numeric flags must be numbers in\n"
+      "range (fractions in [0, 1], sizes and rates at least 1).\n"
+      "Exit: 0 recovered, 1 drill error, 2 bad flags, 4 ran but did not\n"
+      "recover, 5 recovered but surfaced connection failures to clients.\n");
   return exit_code;
 }
 
@@ -107,49 +134,63 @@ int main(int argc, char** argv) {
   std::string report_path;
   std::string trace_path;
 
+  constexpr int64_t kMaxInt = 1 << 30;
+  constexpr int64_t kMaxMs = 86'400'000;  // one day
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    int64_t n = 0;
+    bool ok = true;
     if (arg.rfind("--server=", 0) == 0) {
       config.server_binary = arg.substr(9);
     } else if (arg.rfind("--proxy=", 0) == 0) {
       config.proxy_binary = arg.substr(8);
     } else if (arg.rfind("--connections=", 0) == 0) {
-      config.proxy_connections = std::atoi(arg.c_str() + 14);
+      ok = ParseInt(arg.substr(14), 1, kMaxInt, &n);
+      config.proxy_connections = static_cast<int>(n);
     } else if (arg.rfind("--window=", 0) == 0) {
-      config.proxy_window = std::atoi(arg.c_str() + 9);
+      ok = ParseInt(arg.substr(9), 1, kMaxInt, &n);
+      config.proxy_window = static_cast<int>(n);
     } else if (arg.rfind("--seed=", 0) == 0) {
-      config.seed = static_cast<uint64_t>(std::atoll(arg.c_str() + 7));
+      ok = ParseInt(arg.substr(7), 0, INT64_MAX, &n);
+      config.seed = static_cast<uint64_t>(n);
     } else if (arg.rfind("--kills=", 0) == 0) {
-      kills = std::atoi(arg.c_str() + 8);
+      ok = ParseInt(arg.substr(8), 0, kMaxInt, &n);
+      kills = static_cast<int>(n);
     } else if (arg.rfind("--primaries=", 0) == 0) {
-      config.primaries = std::atoi(arg.c_str() + 12);
+      ok = ParseInt(arg.substr(12), 1, kMaxInt, &n);
+      config.primaries = static_cast<int>(n);
     } else if (arg.rfind("--missed-warning=", 0) == 0) {
-      missed_warning = std::atof(arg.c_str() + 17);
+      ok = ParseReal(arg.substr(17), 0.0, 1.0, &missed_warning);
     } else if (arg.rfind("--late-warning=", 0) == 0) {
-      late_warning = std::atof(arg.c_str() + 15);
+      ok = ParseReal(arg.substr(15), 0.0, 1.0, &late_warning);
     } else if (arg.rfind("--capacity-mb=", 0) == 0) {
-      config.capacity_mb = std::atoi(arg.c_str() + 14);
+      ok = ParseInt(arg.substr(14), 1, kMaxInt, &n);
+      config.capacity_mb = static_cast<int>(n);
     } else if (arg.rfind("--keys=", 0) == 0) {
-      config.num_keys = static_cast<uint64_t>(std::atoll(arg.c_str() + 7));
+      ok = ParseInt(arg.substr(7), 1, INT64_MAX, &n);
+      config.num_keys = static_cast<uint64_t>(n);
     } else if (arg.rfind("--hot=", 0) == 0) {
-      config.hot_keys = static_cast<uint64_t>(std::atoll(arg.c_str() + 6));
+      ok = ParseInt(arg.substr(6), 0, INT64_MAX, &n);
+      config.hot_keys = static_cast<uint64_t>(n);
     } else if (arg.rfind("--rate=", 0) == 0) {
-      config.rate = std::atof(arg.c_str() + 7);
+      ok = ParseReal(arg.substr(7), 1.0, 1e9, &config.rate);
     } else if (arg.rfind("--lead-in-ms=", 0) == 0) {
-      config.lead_in = Duration::Millis(std::atoll(arg.c_str() + 13));
+      ok = ParseInt(arg.substr(13), 0, kMaxMs, &n);
+      config.lead_in = Duration::Millis(n);
     } else if (arg.rfind("--chaos-ms=", 0) == 0) {
-      config.chaos_window = Duration::Millis(std::atoll(arg.c_str() + 11));
+      ok = ParseInt(arg.substr(11), 0, kMaxMs, &n);
+      config.chaos_window = Duration::Millis(n);
     } else if (arg.rfind("--recovery-ms=", 0) == 0) {
-      config.recovery_window = Duration::Millis(std::atoll(arg.c_str() + 14));
+      ok = ParseInt(arg.substr(14), 0, kMaxMs, &n);
+      config.recovery_window = Duration::Millis(n);
     } else if (arg.rfind("--warning-lead-ms=", 0) == 0) {
-      config.warning_lead = Duration::Millis(std::atoll(arg.c_str() + 18));
+      ok = ParseInt(arg.substr(18), 0, kMaxMs, &n);
+      config.warning_lead = Duration::Millis(n);
     } else if (arg.rfind("--boot-delay-ms=", 0) == 0) {
-      config.replacement_boot_delay =
-          Duration::Millis(std::atoll(arg.c_str() + 16));
+      ok = ParseInt(arg.substr(16), 0, kMaxMs, &n);
+      config.replacement_boot_delay = Duration::Millis(n);
     } else if (arg.rfind("--warmup-mbps=", 0) == 0) {
-      warmup_mbps = std::atof(arg.c_str() + 14);
-    } else if (arg == "--no-breakers") {
-      config.router.breakers_enabled = false;
+      ok = ParseReal(arg.substr(14), 1e-3, 1e6, &warmup_mbps);
     } else if (arg == "--grid") {
       grid = true;
     } else if (arg.rfind("--grid-out=", 0) == 0) {
@@ -163,13 +204,17 @@ int main(int argc, char** argv) {
       return Usage(0);
     } else {
       std::printf("unknown flag '%s'\n\n", arg.c_str());
-      return Usage(2);
+      return Usage(kExitUsage);
+    }
+    if (!ok) {
+      std::printf("bad value in '%s'\n\n", arg.c_str());
+      return Usage(kExitUsage);
     }
   }
 
-  if (config.server_binary.empty()) {
-    std::printf("--server=PATH is required\n\n");
-    return Usage(2);
+  if (config.server_binary.empty() || config.proxy_binary.empty()) {
+    std::printf("--server=PATH and --proxy=PATH are required\n\n");
+    return Usage(kExitUsage);
   }
 
   config.scenario.name = "fleet_drill";
@@ -183,11 +228,10 @@ int main(int argc, char** argv) {
   config.warmup.bytes_per_sec = warmup_mbps * 1024.0 * 1024.0;
 
   std::printf(
-      "fleet drill: %d primaries + backup, %d storm(s), seed %llu, "
-      "%.0f ops/s%s\n",
+      "fleet drill: %d primaries + backup behind a proxy, %d storm(s), "
+      "seed %llu, %.0f ops/s\n",
       config.primaries, kills,
-      static_cast<unsigned long long>(config.seed), config.rate,
-      config.proxy_binary.empty() ? "" : ", via proxy");
+      static_cast<unsigned long long>(config.seed), config.rate);
   std::fflush(stdout);
 
   if (grid) {
@@ -237,22 +281,20 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(report.total_ops), report.duration_s,
       report.pre_kill_hit_rate, report.final_hit_rate,
       report.recovered ? "yes" : "no");
-  if (report.via_proxy) {
-    const uint64_t conn_errors =
-        report.loadgen.failed_conns + report.loadgen.abandoned;
-    std::printf(
-        "proxy: offered %.0f rps, achieved %.0f rps, p99 %.2f ms, "
-        "client conn errors %llu (generation %llu)\n",
-        report.loadgen.offered_rps, report.loadgen.achieved_rps,
-        report.loadgen.latency.p99_us / 1000.0,
-        static_cast<unsigned long long>(conn_errors),
-        static_cast<unsigned long long>(report.membership_generation));
-    if (report.recovered && conn_errors > 0) {
-      std::fprintf(stderr,
-                   "proxy surfaced %llu connection failure(s) to clients\n",
-                   static_cast<unsigned long long>(conn_errors));
-      return kExitConnErrors;
-    }
+  const uint64_t conn_errors =
+      report.loadgen.failed_conns + report.loadgen.abandoned;
+  std::printf(
+      "proxy: offered %.0f rps, achieved %.0f rps, p99 %.2f ms, "
+      "client conn errors %llu (generation %llu)\n",
+      report.loadgen.offered_rps, report.loadgen.achieved_rps,
+      report.loadgen.latency.p99_us / 1000.0,
+      static_cast<unsigned long long>(conn_errors),
+      static_cast<unsigned long long>(report.membership_generation));
+  if (report.recovered && conn_errors > 0) {
+    std::fprintf(stderr,
+                 "proxy surfaced %llu connection failure(s) to clients\n",
+                 static_cast<unsigned long long>(conn_errors));
+    return kExitConnErrors;
   }
   return report.recovered ? 0 : kExitNoRecovery;
 }

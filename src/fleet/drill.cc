@@ -1,7 +1,6 @@
 #include "src/fleet/drill.h"
 
 #include <signal.h>
-#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -10,10 +9,8 @@
 #include <thread>
 
 #include "src/fleet/membership_publisher.h"
-#include "src/loadgen/key_sampler.h"
 #include "src/net/client.h"
 #include "src/obs/exporters.h"
-#include "src/util/rng.h"
 
 namespace spotcache::fleet {
 
@@ -25,27 +22,7 @@ int64_t WallUs() {
       .count();
 }
 
-void SleepUs(int64_t us) {
-  if (us <= 0) {
-    return;
-  }
-  timespec ts{};
-  ts.tv_sec = us / 1'000'000;
-  ts.tv_nsec = (us % 1'000'000) * 1000;
-  ::nanosleep(&ts, nullptr);
-}
-
 std::string KeyName(uint64_t id) { return "fk:" + std::to_string(id); }
-
-/// Deterministic per-key payload, so a re-fill after a kill stores the same
-/// bytes the prefill did.
-std::string ValueFor(uint64_t id, size_t bytes) {
-  std::string v(bytes, 'x');
-  for (size_t i = 0; i < bytes; ++i) {
-    v[i] = static_cast<char>('a' + (id + i) % 26);
-  }
-  return v;
-}
 
 /// Aggregated hit rate over a window range (inclusive indices).
 double AggregateHitRate(const std::vector<DrillWindow>& windows, size_t begin,
@@ -54,14 +31,14 @@ double AggregateHitRate(const std::vector<DrillWindow>& windows, size_t begin,
   uint64_t hits = 0;
   for (size_t i = begin; i < end && i < windows.size(); ++i) {
     gets += windows[i].gets;
-    hits += windows[i].hits + windows[i].backup_hits;
+    hits += windows[i].hits;
   }
   return gets == 0 ? 0.0
                    : static_cast<double>(hits) / static_cast<double>(gets);
 }
 
 /// Pre-kill / final hit rates and the recovery verdict, derived from
-/// report->windows + report->recoveries (shared by both drill modes).
+/// report->windows + report->recoveries.
 void FinalizeSummary(const FleetDrillConfig& config, int64_t window_us,
                      FleetDrillReport* report) {
   int64_t first_kill_us = -1;
@@ -172,20 +149,36 @@ std::map<std::string, uint64_t> ScrapeProxyStats(uint16_t port) {
   return stats;
 }
 
-/// The drill with a standalone proxy tier in front of the fleet: chaos is
-/// narrated through the membership file + SIGHUP, traffic goes through the
-/// proxy via the open-loop loadgen engine.
-FleetDrillReport RunProxyDrill(const FleetDrillConfig& config,
-                               FleetDrillReport report) {
-  report.via_proxy = true;
+/// Removes the membership file on every exit from the drill (the publisher
+/// writes it as soon as the fleet's backup is registered).
+struct UnlinkOnExit {
+  explicit UnlinkOnExit(const std::string& p) : path(p) {}
+  UnlinkOnExit(const UnlinkOnExit&) = delete;
+  ~UnlinkOnExit() { ::unlink(path.c_str()); }
+  const std::string& path;
+};
+
+}  // namespace
+
+FleetDrillReport RunFleetDrill(const FleetDrillConfig& config) {
+  FleetDrillReport report;
+
+  // --- The pure half: the kill schedule. ---
+  KillScheduleParams sched_params;
+  sched_params.seed = config.seed;
+  sched_params.scenario = config.scenario;
+  sched_params.node_count = config.primaries;
+  sched_params.window_start = config.lead_in;
+  sched_params.window_length = config.chaos_window;
+  sched_params.warning_lead = config.warning_lead;
+  report.schedule = BuildKillSchedule(sched_params);
 
   EventTracer control_tracer;
   control_tracer.set_enabled(true);
 
   const std::string members_path =
-      config.membership_path.empty()
-          ? "/tmp/spotcache_members_" + std::to_string(::getpid()) + ".txt"
-          : config.membership_path;
+      "/tmp/spotcache_members_" + std::to_string(::getpid()) + ".txt";
+  const UnlinkOnExit unlink_members(members_path);
 
   // The proxy learns every chaos action via membership generations; until it
   // is spawned the publisher just writes the file.
@@ -224,8 +217,7 @@ FleetDrillReport RunProxyDrill(const FleetDrillConfig& config,
   proxy_sup_config.seed = config.seed ^ 0x9e3779b97f4a7c15ULL;
   proxy_sup_config.base_args = {
       "--fleet=" + members_path,
-      "--window=" + std::to_string(config.proxy_window),
-      "--timeout-ms=" + std::to_string(config.router.op_timeout_ms)};
+      "--window=" + std::to_string(config.proxy_window)};
   ProcessSupervisor proxy_sup(proxy_sup_config);
   SpawnResult proxy = proxy_sup.Spawn("proxy", {"--port=0"});
   if (!proxy.ok) {
@@ -303,15 +295,13 @@ FleetDrillReport RunProxyDrill(const FleetDrillConfig& config,
   report.membership_generation = publisher.generation();
   proxy_sup.Terminate(proxy.process);
   controller.StopFleet();
-  ::unlink(members_path.c_str());
 
   if (!lg_result.ok) {
     report.error = "loadgen through proxy failed: " + lg_result.error;
     return report;
   }
 
-  // --- Client-observed windows (the proxy hides which rung served a hit;
-  // its own stats carry the primary/backup split). ---
+  // --- Client-observed windows. ---
   report.windows.reserve(lg_result.windows.size());
   for (const loadgen::LoadGenWindow& w : lg_result.windows) {
     DrillWindow dw;
@@ -319,7 +309,7 @@ FleetDrillReport RunProxyDrill(const FleetDrillConfig& config,
     dw.gets = w.gets;
     dw.hits = w.get_hits;
     dw.misses = w.get_misses;
-    dw.sheds = w.errors;  // SERVER_ERROR replies (writes with no rung)
+    dw.sheds = w.errors;
     dw.sets = w.sets;
     report.windows.push_back(dw);
   }
@@ -329,189 +319,6 @@ FleetDrillReport RunProxyDrill(const FleetDrillConfig& config,
 
   FinalizeSummary(config, window_us, &report);
   report.trace_jsonl = ToJsonl(control_tracer);
-  report.ok = report.error.empty();
-  return report;
-}
-
-}  // namespace
-
-FleetDrillReport RunFleetDrill(const FleetDrillConfig& config) {
-  FleetDrillReport report;
-
-  // --- The pure half: the kill schedule. ---
-  KillScheduleParams sched_params;
-  sched_params.seed = config.seed;
-  sched_params.scenario = config.scenario;
-  sched_params.node_count = config.primaries;
-  sched_params.window_start = config.lead_in;
-  sched_params.window_length = config.chaos_window;
-  sched_params.warning_lead = config.warning_lead;
-  report.schedule = BuildKillSchedule(sched_params);
-
-  // Proxy tier requested: same schedule, different serving path.
-  if (!config.proxy_binary.empty()) {
-    return RunProxyDrill(config, std::move(report));
-  }
-
-  // --- Components. ---
-  EventTracer router_tracer;   // traffic thread only
-  EventTracer control_tracer;  // drill thread only
-  router_tracer.set_enabled(true);
-  control_tracer.set_enabled(true);
-
-  FleetRouterConfig router_config = config.router;
-  router_config.seed = config.seed;
-  FleetRouter router(router_config, &router_tracer);
-
-  FleetControllerConfig ctl;
-  ctl.supervisor = config.supervisor;
-  ctl.supervisor.server_binary = config.server_binary;
-  ctl.supervisor.seed = config.seed;
-  ctl.warmup = config.warmup;
-  ctl.primaries = config.primaries;
-  ctl.capacity_mb = config.capacity_mb;
-  ctl.replacement_boot_delay = config.replacement_boot_delay;
-  FleetController controller(ctl, &router, &control_tracer);
-
-  std::string error;
-  if (!controller.StartFleet(&error)) {
-    report.error = error;
-    return report;
-  }
-
-  // --- Prefill: every key to its owner; the hot set also to the backup
-  // (the paper's backup holds copies of hot items at all times). ---
-  for (uint64_t id = 0; id < config.num_keys; ++id) {
-    if (!router.Set(KeyName(id), ValueFor(id, config.value_bytes))) {
-      report.error = "prefill set failed for key " + std::to_string(id);
-      return report;
-    }
-  }
-  {
-    net::NetClient backup;
-    if (!backup.Connect("127.0.0.1", controller.backup_port(), 2000)) {
-      report.error = "prefill backup connect failed";
-      return report;
-    }
-    for (uint64_t id = 0; id < config.hot_keys && id < config.num_keys;
-         ++id) {
-      if (!backup.Set(KeyName(id), ValueFor(id, config.value_bytes))) {
-        report.error = "prefill backup set failed for key " +
-                       std::to_string(id);
-        return report;
-      }
-    }
-  }
-
-  // Hot keys a slot's replacement must be re-fed: the hot ids the ring homes
-  // on that slot. Ring ownership is stable across kills (SetNode re-points
-  // the same slot id), so this can be computed from the live router.
-  const auto hot_keys_for_slot = [&](int slot) {
-    std::vector<std::string> keys;
-    for (uint64_t id = 0; id < config.hot_keys && id < config.num_keys;
-         ++id) {
-      std::string key = KeyName(id);
-      const auto owner = router.OwnerOf(key);
-      if (owner.has_value() && *owner == static_cast<uint64_t>(slot)) {
-        keys.push_back(std::move(key));
-      }
-    }
-    return keys;
-  };
-
-  // --- Traffic thread: paced ops through the router, windowed tallies. ---
-  const Duration total_duration =
-      config.lead_in + config.chaos_window + config.recovery_window;
-  const int64_t window_us = std::max<int64_t>(config.hit_window.micros(), 1);
-  const size_t window_count =
-      static_cast<size_t>(total_duration.micros() / window_us) + 2;
-  std::vector<DrillWindow> windows(window_count);
-  for (size_t i = 0; i < windows.size(); ++i) {
-    windows[i].start_us = static_cast<int64_t>(i) * window_us;
-  }
-
-  const int64_t epoch_us = WallUs();
-  std::atomic<bool> stop{false};
-  uint64_t total_ops = 0;
-
-  std::thread traffic([&] {
-    Rng rng(config.seed ^ 0xf1ee7d41ULL);
-    loadgen::KeySampler sampler(
-        {.num_keys = config.num_keys, .theta = config.zipf_theta,
-         .scramble = false});
-    const double interval_us = 1e6 / std::max(config.rate, 1.0);
-    uint64_t op_index = 0;
-    while (!stop.load(std::memory_order_relaxed)) {
-      const int64_t scheduled =
-          epoch_us + static_cast<int64_t>(interval_us *
-                                          static_cast<double>(op_index));
-      SleepUs(scheduled - WallUs());
-      if (stop.load(std::memory_order_relaxed)) {
-        break;
-      }
-
-      const uint64_t id = sampler.KeyFor(sampler.SampleRank(rng), 0);
-      const bool is_set =
-          static_cast<double>(rng()) <
-          config.set_fraction * 18446744073709551616.0;  // 2^64
-      const std::string key = KeyName(id);
-
-      const int64_t now = WallUs() - epoch_us;
-      const size_t w = std::min(static_cast<size_t>(now / window_us),
-                                windows.size() - 1);
-      if (is_set) {
-        ++windows[w].sets;
-        router.Set(key, ValueFor(id, config.value_bytes));
-      } else {
-        ++windows[w].gets;
-        const RoutedGet got = router.Get(key);
-        switch (got.outcome) {
-          case RouteOutcome::kHit:
-            ++windows[w].hits;
-            break;
-          case RouteOutcome::kBackupHit:
-            ++windows[w].backup_hits;
-            break;
-          case RouteOutcome::kMiss:
-            ++windows[w].misses;
-            if (config.read_through) {
-              router.Set(key, ValueFor(id, config.value_bytes));
-            }
-            break;
-          case RouteOutcome::kShed:
-            ++windows[w].sheds;
-            break;
-          case RouteOutcome::kConnError:
-            ++windows[w].conn_errors;
-            break;
-        }
-      }
-      ++op_index;
-    }
-    total_ops = op_index;
-  });
-
-  // --- The chaos: execute the schedule while traffic runs. ---
-  report.recoveries =
-      controller.ExecuteSchedule(report.schedule, hot_keys_for_slot, epoch_us);
-
-  // Let the fleet serve through the recovery window, then stop.
-  const int64_t end_us = epoch_us + total_duration.micros();
-  SleepUs(end_us - WallUs());
-  stop.store(true, std::memory_order_relaxed);
-  traffic.join();
-
-  controller.StopFleet();
-
-  // --- Derived summary. ---
-  report.windows = std::move(windows);
-  report.router_stats = router.stats();
-  report.total_ops = total_ops;
-  report.duration_s = static_cast<double>(WallUs() - epoch_us) / 1e6;
-
-  FinalizeSummary(config, window_us, &report);
-
-  report.trace_jsonl = ToJsonl(control_tracer) + ToJsonl(router_tracer);
   report.ok = report.error.empty();
   return report;
 }
@@ -584,55 +391,39 @@ std::string RenderDrillJson(const FleetDrillReport& report) {
     first = false;
     out += "{\"start_ms\": " + inum(w.start_us / 1000) +
            ", \"gets\": " + inum(w.gets) + ", \"hits\": " + inum(w.hits) +
-           ", \"backup_hits\": " + inum(w.backup_hits) +
            ", \"misses\": " + inum(w.misses) +
            ", \"sheds\": " + inum(w.sheds) +
-           ", \"conn_errors\": " + inum(w.conn_errors) +
            ", \"sets\": " + inum(w.sets) +
            ", \"hit_rate\": " + num(w.HitRate()) + "}";
   }
   out += "],\n";
 
-  const FleetRouterStats& s = report.router_stats;
-  out += "\"router\": {\"gets\": " + inum(s.gets) +
-         ", \"hits\": " + inum(s.hits) +
-         ", \"backup_hits\": " + inum(s.backup_hits) +
-         ", \"misses\": " + inum(s.misses) + ", \"sets\": " + inum(s.sets) +
-         ", \"set_ok\": " + inum(s.set_ok) + ", \"sheds\": " + inum(s.sheds) +
-         ", \"conn_errors_surfaced\": " + inum(s.conn_errors_surfaced) +
-         ", \"conn_failures_absorbed\": " +
-         inum(s.conn_failures_absorbed) +
-         ", \"reconnects\": " + inum(s.reconnects) + "},\n";
-
-  if (report.via_proxy) {
-    const loadgen::LoadGenResult& lg = report.loadgen;
-    out += "\"proxy\": {\"membership_generation\": " +
-           inum(static_cast<int64_t>(report.membership_generation)) +
-           ", \"offered_rps\": " + num(lg.offered_rps) +
-           ", \"achieved_rps\": " + num(lg.achieved_rps) +
-           ", \"scheduled\": " + inum(lg.scheduled) +
-           ", \"completed\": " + inum(lg.completed) +
-           ", \"errors\": " + inum(lg.errors) +
-           ", \"failed_conns\": " + inum(lg.failed_conns) +
-           ", \"abandoned\": " + inum(lg.abandoned) +
-           ", \"p50_us\": " + num(lg.latency.p50_us) +
-           ", \"p99_us\": " + num(lg.latency.p99_us) +
-           ", \"stats\": {";
-    bool first_stat = true;
-    for (const auto& [name, value] : report.proxy_stats) {
-      if (!first_stat) {
-        out += ", ";
-      }
-      first_stat = false;
-      out += EventTracer::JsonString(name) + ": " +
-             inum(static_cast<int64_t>(value));
+  const loadgen::LoadGenResult& lg = report.loadgen;
+  out += "\"proxy\": {\"membership_generation\": " +
+         inum(static_cast<int64_t>(report.membership_generation)) +
+         ", \"offered_rps\": " + num(lg.offered_rps) +
+         ", \"achieved_rps\": " + num(lg.achieved_rps) +
+         ", \"scheduled\": " + inum(lg.scheduled) +
+         ", \"completed\": " + inum(lg.completed) +
+         ", \"errors\": " + inum(lg.errors) +
+         ", \"failed_conns\": " + inum(lg.failed_conns) +
+         ", \"abandoned\": " + inum(lg.abandoned) +
+         ", \"p50_us\": " + num(lg.latency.p50_us) +
+         ", \"p99_us\": " + num(lg.latency.p99_us) +
+         ", \"stats\": {";
+  bool first_stat = true;
+  for (const auto& [name, value] : report.proxy_stats) {
+    if (!first_stat) {
+      out += ", ";
     }
-    out += "}},\n";
+    first_stat = false;
+    out += EventTracer::JsonString(name) + ": " +
+           inum(static_cast<int64_t>(value));
   }
+  out += "}},\n";
 
-  out += "\"summary\": {\"via_proxy\": " +
-         std::string(report.via_proxy ? "true" : "false") +
-         ", \"pre_kill_hit_rate\": " + num(report.pre_kill_hit_rate) +
+  out += "\"summary\": {\"pre_kill_hit_rate\": " +
+         num(report.pre_kill_hit_rate) +
          ", \"final_hit_rate\": " + num(report.final_hit_rate) +
          ", \"recovered\": " + (report.recovered ? "true" : "false") +
          ", \"recovered_us\": " + inum(report.recovered_us) +

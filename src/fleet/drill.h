@@ -1,14 +1,15 @@
 // The end-to-end fleet drill: real processes, real traffic, real kills.
 //
 // RunFleetDrill wires everything together: a ProcessSupervisor-spawned fleet
-// (N primaries + 1 backup), a FleetRouter carrying open-loop-style traffic
-// from a paced client thread (PR-6 loadgen key sampling: Zipf ranks, the
-// same FastZipf machinery the latency harness uses), and a FleetController
-// executing the (seed, scenario)-deterministic KillSchedule while the
-// traffic runs. The report is the paper's recovery story as measured data:
-// per-kill timelines (warning -> SIGKILL -> replacement ready -> warm-up
-// start/end), hit-rate windows across the whole drill, and the merged JSONL
-// event trace (control plane + router breaker transitions).
+// (N primaries + 1 backup), a supervised spotcache_proxy in front of it, the
+// open-loop loadgen engine driving Zipf traffic at the proxy, and a
+// FleetController executing the (seed, scenario)-deterministic KillSchedule
+// while the traffic runs. Every chaos action reaches the proxy as a new
+// membership-file generation plus a SIGHUP. The report is the paper's
+// recovery story as measured data: per-kill timelines (warning -> SIGKILL ->
+// replacement ready -> warm-up start/end), client-observed hit-rate windows
+// across the whole drill, the proxy's own counters, and the control-plane
+// JSONL event trace.
 //
 // Determinism boundary: the kill/launch *schedule* and the op stream are
 // pure functions of (seed, scenario, config); wall-clock timings, byte
@@ -23,7 +24,6 @@
 
 #include "src/fault/fault_plan.h"
 #include "src/fleet/fleet_controller.h"
-#include "src/fleet/fleet_router.h"
 #include "src/fleet/kill_schedule.h"
 #include "src/fleet/warmup_streamer.h"
 #include "src/loadgen/engine.h"
@@ -51,7 +51,7 @@ struct FleetDrillConfig {
   /// hot/num_keys >~ 0.55 at these sizes.
   uint64_t hot_keys = 1200;
   size_t value_bytes = 96;
-  double rate = 2000.0;  // offered ops/sec from the traffic thread
+  double rate = 2000.0;  // offered ops/sec at the proxy
   double set_fraction = 0.1;
   /// Cache-aside client behavior: a get miss is followed by a set, so the
   /// fleet re-fills cold keys lost to a kill (how real traffic recovers).
@@ -70,39 +70,32 @@ struct FleetDrillConfig {
   double recovery_threshold = 0.9;
 
   WarmupConfig warmup;
-  FleetRouterConfig router;
   /// Launch handshake/retry knobs (server_binary is filled in from above).
   SupervisorConfig supervisor;
 
-  // --- Proxy tier (optional). ---
-  /// When set, the drill launches this spotcache_proxy binary in front of
-  /// the fleet, narrates every chaos action to it through the membership
-  /// file + SIGHUP, and drives traffic through the proxy with the open-loop
-  /// loadgen engine instead of the in-process FleetRouter.
+  // --- Proxy tier. ---
+  /// The spotcache_proxy binary launched in front of the fleet; it follows
+  /// the chaos through the per-pid membership file + SIGHUP.
   std::string proxy_binary;
-  /// Open-loop connections against the proxy (proxy mode only).
+  /// Open-loop connections against the proxy.
   int proxy_connections = 4;
   /// Per-upstream pipelined in-flight window forwarded to the proxy.
   int proxy_window = 32;
-  /// Membership file path; empty derives a per-pid file under /tmp.
-  std::string membership_path;
 };
 
-/// One hit-rate bucket of the traffic timeline.
+/// One client-observed hit-rate bucket of the traffic timeline (the proxy
+/// hides which rung served a hit; its own stats carry that split).
 struct DrillWindow {
   int64_t start_us = 0;
   uint64_t gets = 0;
-  uint64_t hits = 0;         // primary hits
-  uint64_t backup_hits = 0;  // degraded hits via the backup
+  uint64_t hits = 0;
   uint64_t misses = 0;
-  uint64_t sheds = 0;
-  uint64_t conn_errors = 0;
+  uint64_t sheds = 0;  // SERVER_ERROR replies (writes with no rung)
   uint64_t sets = 0;
 
   double HitRate() const {
     return gets == 0 ? 0.0
-                     : static_cast<double>(hits + backup_hits) /
-                           static_cast<double>(gets);
+                     : static_cast<double>(hits) / static_cast<double>(gets);
   }
 };
 
@@ -113,7 +106,6 @@ struct FleetDrillReport {
   KillSchedule schedule;  // the pure, replayable plan
   std::vector<RecoveryRecord> recoveries;
   std::vector<DrillWindow> windows;
-  FleetRouterStats router_stats;
 
   double pre_kill_hit_rate = 0.0;
   double final_hit_rate = 0.0;
@@ -125,12 +117,9 @@ struct FleetDrillReport {
   uint64_t total_ops = 0;
   double duration_s = 0.0;
 
-  /// Merged JSONL: controller events then router events (each stream is
-  /// internally time-ordered; consumers sort on t_us).
+  /// The controller's JSONL event trace (time-ordered).
   std::string trace_jsonl;
 
-  // --- Proxy mode only. ---
-  bool via_proxy = false;
   /// The client-side view through the proxy: open-loop latency, achieved
   /// vs offered, failed_conns/abandoned (the zero-surfaced-errors gate).
   loadgen::LoadGenResult loadgen;
@@ -142,7 +131,8 @@ struct FleetDrillReport {
 
 FleetDrillReport RunFleetDrill(const FleetDrillConfig& config);
 
-/// The drill report as a JSON document (schema documented in DESIGN.md).
+/// The drill report as a JSON document: schedule, recoveries, windows, the
+/// client-side `proxy` block (with the proxy's scraped stats) and summary.
 std::string RenderDrillJson(const FleetDrillReport& report);
 
 }  // namespace spotcache::fleet

@@ -2,8 +2,6 @@
 
 #include <cstdio>
 
-#include "src/exec/thread_pool.h"
-
 namespace spotcache::fleet {
 
 namespace {
@@ -46,56 +44,40 @@ std::vector<DrillGridCell> DefaultDrillGrid(const FleetDrillConfig& base) {
 
 std::vector<DrillGridRow> RunDrillGrid(const FleetDrillConfig& base,
                                        const std::vector<DrillGridCell>& cells,
-                                       const DrillCostModel& cost,
-                                       int threads) {
-  std::vector<DrillGridRow> rows(cells.size());
-
-  auto run_cell = [&](size_t i) {
+                                       const DrillCostModel& cost) {
+  std::vector<DrillGridRow> rows;
+  rows.reserve(cells.size());
+  for (const DrillGridCell& cell : cells) {
     FleetDrillConfig config = base;
-    config.seed = cells[i].seed;
-    config.scenario.storm_count = cells[i].storms;
-    config.scenario.missed_warning_fraction =
-        cells[i].missed_warning_fraction;
+    config.seed = cell.seed;
+    config.scenario.storm_count = cell.storms;
+    config.scenario.missed_warning_fraction = cell.missed_warning_fraction;
 
-    DrillGridRow& row = rows[i];
-    row.cell = cells[i];
-    row.cell.label = CellLabel(cells[i]);
+    DrillGridRow& row = rows.emplace_back();
+    row.cell = cell;
+    row.cell.label = CellLabel(cell);
     row.report = RunFleetDrill(config);
 
-    const double primaries = static_cast<double>(config.primaries);
-    row.fleet_cost_hr = primaries * cost.spot_hr + cost.burstable_hr +
-                        (row.report.via_proxy ? cost.proxy_hr : 0.0);
     // The on-demand baseline needs no backup tier (on-demand nodes are not
     // revoked), but a proxy tier fronts either fleet.
-    row.on_demand_cost_hr = (primaries + 1.0) * cost.on_demand_hr +
-                            (row.report.via_proxy ? cost.proxy_hr : 0.0);
+    const double primaries = static_cast<double>(config.primaries);
+    row.fleet_cost_hr =
+        primaries * cost.spot_hr + cost.burstable_hr + cost.proxy_hr;
+    row.on_demand_cost_hr =
+        (primaries + 1.0) * cost.on_demand_hr + cost.proxy_hr;
     row.savings_fraction =
         row.on_demand_cost_hr <= 0.0
             ? 0.0
             : 1.0 - row.fleet_cost_hr / row.on_demand_cost_hr;
-  };
-
-  if (threads <= 1) {
-    for (size_t i = 0; i < cells.size(); ++i) {
-      run_cell(i);
-    }
-  } else {
-    ThreadPool pool(threads);
-    ParallelFor(pool, cells.size(), run_cell);
   }
   return rows;
 }
 
 std::string RenderDrillGridMarkdown(const std::vector<DrillGridRow>& rows) {
-  const bool via_proxy = !rows.empty() && rows[0].report.via_proxy;
-  std::string out;
-  out += via_proxy
-             ? "| cell | $/h (spot+backup+proxy) | $/h (on-demand) | saved | "
-               "pre-kill hit | final hit | recovered | p99 (ms) | "
-               "conn errors |\n|---|---|---|---|---|---|---|---|---|\n"
-             : "| cell | $/h (spot+backup) | $/h (on-demand) | saved | "
-               "pre-kill hit | final hit | recovered | conn errors |\n"
-               "|---|---|---|---|---|---|---|---|\n";
+  std::string out =
+      "| cell | $/h (spot+backup+proxy) | $/h (on-demand) | saved | "
+      "pre-kill hit | final hit | recovered | p99 (ms) | "
+      "conn errors |\n|---|---|---|---|---|---|---|---|---|\n";
   for (const DrillGridRow& row : rows) {
     const FleetDrillReport& r = row.report;
     out += "| " + row.cell.label + " | " + Fmt("%.3f", row.fleet_cost_hr) +
@@ -112,15 +94,9 @@ std::string RenderDrillGridMarkdown(const std::vector<DrillGridRow>& rows) {
     } else {
       out += "no";
     }
-    if (via_proxy) {
-      const uint64_t conn_errors =
-          r.loadgen.failed_conns + r.loadgen.abandoned;
-      out += " | " + Fmt("%.2f", r.loadgen.latency.p99_us / 1000.0) + " | " +
-             std::to_string(conn_errors);
-    } else {
-      out += " | " + std::to_string(r.router_stats.conn_errors_surfaced);
-    }
-    out += " |\n";
+    const uint64_t conn_errors = r.loadgen.failed_conns + r.loadgen.abandoned;
+    out += " | " + Fmt("%.2f", r.loadgen.latency.p99_us / 1000.0) + " | " +
+           std::to_string(conn_errors) + " |\n";
   }
   return out;
 }

@@ -1,18 +1,18 @@
 // The drill experiment grid: (seed x storm scenario x warning fate) cells of
-// the wire-real chaos drill, swept with the PR-3 thread-pool grid driver and
-// rendered as the cost / hit-rate / p99 table EXPERIMENTS.md carries.
+// the wire-real chaos drill, rendered as the cost / hit-rate / p99 table
+// EXPERIMENTS.md carries.
 //
 // Each cell is one full RunFleetDrill — real processes, real SIGKILLs, and
-// (in proxy mode) real open-loop traffic through a standalone spotcache_proxy
-// — so unlike the simulator grids the cells are NOT pure functions of their
-// config: wall-clock timing feeds the measured hit-rate trajectory. The grid
-// therefore defaults to one worker (cells time-share the box; concurrent
-// drills would perturb each other's tail latencies) and reports measured
-// ranges, not replayable digests.
+// real open-loop traffic through a standalone spotcache_proxy — so unlike
+// the simulator grids the cells are NOT pure functions of their config:
+// wall-clock timing feeds the measured hit-rate trajectory. Cells therefore
+// run one at a time (concurrent drills would perturb each other's tail
+// latencies and share the per-pid membership file), and the grid reports
+// measured ranges, not replayable digests.
 //
 // The cost column is the paper's fleet arithmetic, not a measurement: a
-// spot fleet of N primaries plus one burstable backup (plus the proxy node
-// in proxy mode) versus the same headcount bought on demand.
+// spot fleet of N primaries plus one burstable backup plus the proxy node
+// versus the same headcount bought on demand behind the same proxy.
 
 #pragma once
 
@@ -39,13 +39,13 @@ struct DrillCostModel {
   double on_demand_hr = 0.120;  // regular on-demand cache node
   double spot_hr = 0.027;       // same capacity on the spot market
   double burstable_hr = 0.052;  // always-on burstable backup (t2.medium-ish)
-  double proxy_hr = 0.052;      // thin always-up proxy node (proxy mode)
+  double proxy_hr = 0.052;      // thin always-up proxy node
 };
 
 struct DrillGridRow {
   DrillGridCell cell;
   FleetDrillReport report;
-  double fleet_cost_hr = 0.0;      // spot primaries + backup (+ proxy)
+  double fleet_cost_hr = 0.0;      // spot primaries + backup + proxy
   double on_demand_cost_hr = 0.0;  // same headcount, all on demand
   double savings_fraction = 0.0;   // 1 - fleet/on_demand
 };
@@ -54,15 +54,13 @@ struct DrillGridRow {
 /// {warned, unwarned}.
 std::vector<DrillGridCell> DefaultDrillGrid(const FleetDrillConfig& base);
 
-/// Runs every cell (threads <= 1 runs serially, in cell order) and returns
-/// rows in cell order regardless of completion order.
+/// Runs every cell serially and returns rows in cell order.
 std::vector<DrillGridRow> RunDrillGrid(const FleetDrillConfig& base,
                                        const std::vector<DrillGridCell>& cells,
-                                       const DrillCostModel& cost = {},
-                                       int threads = 1);
+                                       const DrillCostModel& cost = {});
 
 /// The markdown table EXPERIMENTS.md embeds: one row per cell with cost,
-/// recovery, hit rates, and (proxy mode) client p99 / surfaced errors.
+/// recovery, hit rates, client p99 and surfaced connection errors.
 std::string RenderDrillGridMarkdown(const std::vector<DrillGridRow>& rows);
 
 }  // namespace spotcache::fleet

@@ -30,8 +30,9 @@ constexpr std::string_view kMarket = "fleet";
 }  // namespace
 
 FleetController::FleetController(const FleetControllerConfig& config,
-                                 FleetView* view, EventTracer* tracer)
-    : config_(config), view_(view), tracer_(tracer),
+                                 MembershipPublisher* members,
+                                 EventTracer* tracer)
+    : config_(config), members_(members), tracer_(tracer),
       supervisor_(config.supervisor) {}
 
 FleetController::~FleetController() { StopFleet(); }
@@ -62,7 +63,7 @@ bool FleetController::StartFleet(std::string* error) {
   }
   backup_ = backup.process;
   backup_started_ = true;
-  view_->SetBackup("127.0.0.1", backup_.port);
+  members_->SetBackup("127.0.0.1", backup_.port);
 
   primaries_.clear();
   for (int slot = 0; slot < config_.primaries; ++slot) {
@@ -74,7 +75,7 @@ bool FleetController::StartFleet(std::string* error) {
       return false;
     }
     primaries_.push_back(r.process);
-    view_->SetNode(static_cast<uint64_t>(slot), "127.0.0.1", r.process.port);
+    members_->SetNode(static_cast<uint64_t>(slot), "127.0.0.1", r.process.port);
     if (tracer_ != nullptr) {
       tracer_->Launched(SimTime(), static_cast<uint64_t>(slot), kMarket,
                         "process", r.process.label);
@@ -169,17 +170,17 @@ void FleetController::ExecuteAction(const KillAction& action,
 
   if (ready_before_kill) {
     // Warm replacement takes over immediately: swap the slot's endpoint.
-    view_->SetNode(static_cast<uint64_t>(slot), "127.0.0.1",
-                     replacement.port);
+    members_->SetNode(static_cast<uint64_t>(slot), "127.0.0.1",
+                      replacement.port);
     primaries_[slot] = replacement;
     record->new_port = replacement.port;
     record->replacement_ok = true;
     return;
   }
 
-  // Dead slot until the replacement is warm: force the breaker open so
-  // traffic degrades to the backup instead of discovering the corpse.
-  view_->MarkDead(static_cast<uint64_t>(slot));
+  // Dead slot until the replacement is warm: publish it dead so traffic
+  // degrades to the backup instead of discovering the corpse.
+  members_->MarkDead(static_cast<uint64_t>(slot));
 
   // --- Case 2: no warning — the spawn starts only now. ---
   if (!action.warned) {
@@ -199,7 +200,7 @@ void FleetController::ExecuteAction(const KillAction& action,
   }
 
   if (!replacement_spawned) {
-    // Launch exhausted: the slot stays degraded (breaker open, backup
+    // Launch exhausted: the slot stays degraded (published dead, backup
     // serving hot keys) — graceful degradation, not a crash.
     if (tracer_ != nullptr) {
       tracer_->ReplacementFailed(TraceNow(epoch_us),
@@ -233,7 +234,7 @@ void FleetController::ExecuteAction(const KillAction& action,
   }
 
   // Only now does the replacement join the ring (backup-serves-until-warm).
-  view_->SetNode(static_cast<uint64_t>(slot), "127.0.0.1", replacement.port);
+  members_->SetNode(static_cast<uint64_t>(slot), "127.0.0.1", replacement.port);
   primaries_[slot] = replacement;
   record->new_port = replacement.port;
   record->replacement_ok = true;

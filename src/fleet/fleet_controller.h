@@ -15,9 +15,9 @@
 //   1b — warned but the replacement was still booting at the kill;
 //   2  — no warning: spawn, boot, and warm-up all happen post-mortem.
 //
-// During [dead]/[warming] the slot's router breaker is forced open, so
-// traffic degrades to the backup; the replacement is swapped into the ring
-// only once its warm-up completes (the paper's backup-serves-until-warm
+// During [dead]/[warming] the slot is published dead, so the proxy degrades
+// its traffic to the backup; the replacement is swapped into the ring only
+// once its warm-up completes (the paper's backup-serves-until-warm
 // discipline). Replacement boot time is modeled by an explicit
 // `replacement_boot_delay` (a real EC2 boot, compressed), which is what
 // makes case 1b reachable at drill scale.
@@ -29,8 +29,8 @@
 #include <string>
 #include <vector>
 
-#include "src/fleet/fleet_router.h"
 #include "src/fleet/kill_schedule.h"
+#include "src/fleet/membership_publisher.h"
 #include "src/fleet/process_supervisor.h"
 #include "src/fleet/warmup_streamer.h"
 #include "src/obs/trace.h"
@@ -68,16 +68,16 @@ struct RecoveryRecord {
 
 class FleetController {
  public:
-  /// `view` is the routing tier the chaos is narrated to: the in-process
-  /// FleetRouter, or a MembershipPublisher feeding a standalone proxy.
-  /// `tracer` (nullable) receives the control-plane event stream; it must
-  /// only be touched from the thread calling ExecuteSchedule.
-  FleetController(const FleetControllerConfig& config, FleetView* view,
-                  EventTracer* tracer);
+  /// `members` is the membership file the chaos is narrated to (the proxy
+  /// re-reads it on every generation). `tracer` (nullable) receives the
+  /// control-plane event stream; it must only be touched from the thread
+  /// calling ExecuteSchedule.
+  FleetController(const FleetControllerConfig& config,
+                  MembershipPublisher* members, EventTracer* tracer);
   ~FleetController();
 
   /// Spawns the backup plus `primaries` server processes and registers them
-  /// with the router. Returns false (with `error`) on launch exhaustion.
+  /// in the membership. Returns false (with `error`) on launch exhaustion.
   bool StartFleet(std::string* error);
 
   /// SIGTERMs every live process (drill teardown).
@@ -107,7 +107,7 @@ class FleetController {
                      int64_t epoch_us, RecoveryRecord* record);
 
   FleetControllerConfig config_;
-  FleetView* view_;
+  MembershipPublisher* members_;
   EventTracer* tracer_;
   ProcessSupervisor supervisor_;
   std::vector<ServerProcess> primaries_;

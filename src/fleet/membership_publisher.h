@@ -1,7 +1,8 @@
-// MembershipPublisher: a FleetView that feeds an out-of-process proxy.
+// MembershipPublisher: the fleet controller's view of the proxy tier.
 //
-// The controller's SetNode / SetBackup / MarkDead verbs mutate a
-// FleetMembership document (src/proxy/membership.h); every mutation bumps
+// FleetController mutates fleet membership through exactly three verbs —
+// point a slot at an endpoint, point the backup, declare a slot dead. Each
+// verb mutates a FleetMembership document (src/proxy/membership.h), bumps
 // the generation, rewrites the membership file atomically (tmp + rename),
 // and fires the notify callback — in the drill, a SIGHUP to the
 // spotcache_proxy process, whose loop then re-reads the file. The proxy
@@ -24,22 +25,26 @@
 #include <optional>
 #include <string>
 
-#include "src/fleet/fleet_view.h"
 #include "src/proxy/membership.h"
 #include "src/routing/consistent_hash.h"
 
 namespace spotcache::fleet {
 
-class MembershipPublisher : public FleetView {
+class MembershipPublisher {
  public:
   /// Writes membership documents to `path`; `notify` (nullable) runs after
   /// every successful publish (e.g. kill(proxy_pid, SIGHUP)).
   MembershipPublisher(std::string path, std::function<void()> notify);
 
-  void SetNode(uint64_t slot, const std::string& host,
-               uint16_t port) override;
-  void SetBackup(const std::string& host, uint16_t port) override;
-  void MarkDead(uint64_t slot) override;
+  /// Adds ring slot `slot` or re-points it at a replacement endpoint.
+  /// Re-pointing revives a dead slot; ring ownership (and therefore key
+  /// placement) does not move.
+  void SetNode(uint64_t slot, const std::string& host, uint16_t port);
+  /// The off-ring backup node (holds hot copies; read/write fallback).
+  void SetBackup(const std::string& host, uint16_t port);
+  /// Declares the slot dead right now (a kill just happened; the proxy
+  /// need not discover the corpse the hard way).
+  void MarkDead(uint64_t slot);
 
   /// The slot owning `key` on the mirror ring (dead slots still own their
   /// keys — the proxy degrades them to the backup rather than rehashing).

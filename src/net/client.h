@@ -5,11 +5,11 @@
 //
 // Transport failures are surfaced as typed NetClientError values (refused /
 // reset / pipe / timeout / peer-closed), which is what lets callers like the
-// FleetRouter distinguish "the process was SIGKILLed under me" (reset or
-// closed: trip the breaker, reconnect to the replacement) from "the server is
-// slow" (timeout: back off). Reconnect() re-dials the last Connect() target
-// with capped exponential backoff, so a client can ride through a supervisor
-// respawning the process behind its endpoint.
+// fleet warm-up streamer distinguish "the process was SIGKILLed under me"
+// (reset or closed: reconnect) from "the server is slow" (timeout: stop and
+// report). Reconnect() re-dials the last Connect() target with capped
+// exponential backoff, so a client can ride through a supervisor respawning
+// the process behind its endpoint.
 //
 // For conformance testing there is also a raw path: SendRaw() +
 // RoundTripRaw(), which appends a `version` sentinel so arbitrary (even

@@ -1,9 +1,9 @@
 // UpstreamPool: the proxy's server-side fan-out to the cache fleet.
 //
-// Keys are homed on consistent-hash slots exactly like the in-process
-// FleetRouter (same ring construction, same HashString, weight 1.0 per
-// slot), and each slot is fronted by a src/resilience CircuitBreaker. The
-// absorption contract carries over unchanged: no transport failure ever
+// Keys are homed on consistent-hash slots (HashString on the key, weight 1.0
+// per slot, dead slots kept on the ring — the fleet's MembershipPublisher
+// mirrors the same ring), and each slot is fronted by a src/resilience
+// CircuitBreaker. The absorption contract: no transport failure ever
 // surfaces to the proxy's client — gets degrade primary → backup → miss,
 // writes degrade primary → backup → unavailable, and a failed upstream
 // records a breaker failure. The next leg homed on a failed upstream dials

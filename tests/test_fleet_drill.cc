@@ -1,31 +1,30 @@
 // The seed-pinned fleet drill (fleet-mode acceptance): real spotcache_server
-// processes, a deterministic kill schedule, wire-level warm-up, and the
-// absorption contract. Asserts the ISSUE's five properties:
+// processes behind a real spotcache_proxy, a deterministic kill schedule,
+// wire-level warm-up, and the absorption contract measured at the client.
+// The drill asserts five properties:
 //
 //   1. the trace shows warning -> kill -> warm-up with Fig 4 case labels;
 //   2. warm-up wire bytes respect the token-bucket bound;
 //   3. the hit rate recovers to >= 90% of its pre-kill level in-window;
-//   4. with breakers enabled no request ever observes a connection error;
+//   4. no client request ever observes a connection error, while the proxy
+//      really did absorb upstream failures;
 //   5. the kill/launch schedule replays identically from (seed, scenario).
 //
 // The server binary path arrives as argv[1] (wired by CMake via
 // $<TARGET_FILE:spotcache_server>), the proxy binary as argv[2]
 // ($<TARGET_FILE:spotcache_proxy>); tests skip without them.
 
-#include <arpa/inet.h>
 #include <gtest/gtest.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <string>
 #include <vector>
 
 #include "src/fleet/drill.h"
+#include "src/fleet/drill_grid.h"
 #include "src/fleet/membership_publisher.h"
-#include "src/fleet/process_supervisor.h"
-#include "src/net/client.h"
 #include "src/proxy/membership.h"
+#include "src/proxy/upstream_pool.h"
 
 namespace spotcache::fleet {
 namespace {
@@ -34,39 +33,26 @@ std::string g_server_bin;  // set from argv[1] in main() below
 std::string g_proxy_bin;   // set from argv[2] in main() below
 
 FleetDrillConfig PinnedConfig() {
-  FleetDrillConfig config;
+  FleetDrillConfig config;  // defaults: the validated drill geometry
   config.server_binary = g_server_bin;
-  config.seed = 42;
+  config.proxy_binary = g_proxy_bin;
+  // Seed 44's schedule walks all three Fig 4 cases (1a, 1b and 2).
+  config.seed = 44;
   config.scenario.name = "drill_pinned";
   config.scenario.storm_count = 2;
   config.scenario.storm_market_fraction = 0.34;
   config.scenario.missed_warning_fraction = 0.3;
   config.scenario.late_warning_fraction = 0.2;
   config.scenario.window_end = SimTime() + Duration::Minutes(10);
-
-  config.primaries = 3;
-  config.capacity_mb = 8;
-  config.num_keys = 1200;
-  config.hot_keys = 240;
-  config.value_bytes = 64;
-  config.rate = 1500.0;
-  config.lead_in = Duration::Millis(500);
-  config.chaos_window = Duration::Millis(1500);
-  config.recovery_window = Duration::Millis(1500);
-  config.warning_lead = Duration::Millis(300);
-  config.replacement_boot_delay = Duration::Millis(100);
-
-  // Generous warm-up budget so pacing, not starvation, is what the drill
-  // exercises end to end (the tight-budget property is pinned in
-  // test_fleet_supervisor).
-  config.warmup.bytes_per_sec = 8.0 * 1024 * 1024;
-  config.warmup.burst_bytes = 64.0 * 1024;
   return config;
 }
 
-TEST(FleetDrill, EndToEndChaosDrillPinned) {
-  if (g_server_bin.empty()) {
-    GTEST_SKIP() << "server binary path not provided";
+// Traffic flows client -> spotcache_proxy (a real supervised process) ->
+// fleet, with the open-loop loadgen as the client and the membership file +
+// SIGHUP as the control plane. Pins the gate the CI drill job enforces.
+TEST(FleetDrill, ProxyRoutedChaosDrillPinned) {
+  if (g_server_bin.empty() || g_proxy_bin.empty()) {
+    GTEST_SKIP() << "server/proxy binary paths not provided";
   }
   const FleetDrillConfig config = PinnedConfig();
   const FleetDrillReport report = RunFleetDrill(config);
@@ -113,7 +99,7 @@ TEST(FleetDrill, EndToEndChaosDrillPinned) {
       EXPECT_FALSE(r.warned);
     }
 
-    // The trace carries the same story (both streams are in trace_jsonl).
+    // The control-plane trace carries the same story.
     EXPECT_NE(report.trace_jsonl.find("\"revocation\""), std::string::npos);
     EXPECT_NE(
         report.trace_jsonl.find("\"warmup_start\""), std::string::npos);
@@ -139,170 +125,19 @@ TEST(FleetDrill, EndToEndChaosDrillPinned) {
       << "prefill + lead-in should produce a warm baseline";
   EXPECT_TRUE(report.recovered)
       << "hit rate never re-reached " << config.recovery_threshold
-      << " of pre-kill " << report.pre_kill_hit_rate
-      << " (final " << report.final_hit_rate << ")";
+      << " of pre-kill " << report.pre_kill_hit_rate << " (final "
+      << report.final_hit_rate << ")";
 
-  // --- Property 4: the absorption contract. ---
-  EXPECT_EQ(report.router_stats.conn_errors_surfaced, 0u);
-  for (const DrillWindow& w : report.windows) {
-    EXPECT_EQ(w.conn_errors, 0u)
-        << "window at " << w.start_us << "us surfaced a connection error";
-  }
-  // The kills were real, so the router must actually have absorbed failures
-  // (otherwise the contract was vacuous).
-  EXPECT_GT(report.router_stats.conn_failures_absorbed, 0u);
-
-  EXPECT_GT(report.total_ops, 0u);
-
-  // The JSON rendering is well-formed enough to carry the acceptance fields.
-  const std::string json = RenderDrillJson(report);
-  EXPECT_NE(json.find("\"schedule\""), std::string::npos);
-  EXPECT_NE(json.find("\"recoveries\""), std::string::npos);
-  EXPECT_NE(json.find("\"summary\""), std::string::npos);
-}
-
-// Focused absorption check, cheaper than a second full drill: kill the only
-// primary under a live router and watch every outcome stay typed (no
-// kConnError) while traffic degrades to the backup — then flip breakers off
-// and verify the error *is* surfaced (the contract is the breakers' doing,
-// not an accident of timing).
-TEST(FleetRouter, BreakersAbsorbKilledPrimaryBreakersOffSurfacesIt) {
-  if (g_server_bin.empty()) {
-    GTEST_SKIP() << "server binary path not provided";
-  }
-  SupervisorConfig sup_config;
-  sup_config.server_binary = g_server_bin;
-  sup_config.retry.initial_delay = Duration::Millis(5);
-  sup_config.retry.max_delay = Duration::Millis(20);
-  ProcessSupervisor supervisor(sup_config);
-  SpawnResult primary = supervisor.Spawn("primary-0", {"--port=0"});
-  SpawnResult backup = supervisor.Spawn("backup", {"--port=0"});
-  ASSERT_TRUE(primary.ok) << primary.error;
-  ASSERT_TRUE(backup.ok) << backup.error;
-
-  {
-    net::NetClient fill;
-    ASSERT_TRUE(fill.Connect("127.0.0.1", backup.process.port, 2000));
-    ASSERT_TRUE(fill.Set("hot", "copy"));
-  }
-
-  FleetRouterConfig router_config;
-  router_config.breakers_enabled = true;
-  FleetRouter router(router_config);
-  router.SetNode(0, "127.0.0.1", primary.process.port);
-  router.SetBackup("127.0.0.1", backup.process.port);
-  ASSERT_TRUE(router.Set("hot", "primary-copy"));
-  ASSERT_EQ(router.Get("hot").outcome, RouteOutcome::kHit);
-
-  supervisor.Kill(primary.process);
-
-  bool saw_backup_hit = false;
-  for (int i = 0; i < 50; ++i) {
-    const RoutedGet got = router.Get("hot");
-    ASSERT_NE(got.outcome, RouteOutcome::kConnError)
-        << "absorption contract violated on request " << i;
-    if (got.outcome == RouteOutcome::kBackupHit) {
-      saw_backup_hit = true;
-      EXPECT_EQ(got.value, "copy");
-    }
-  }
-  EXPECT_TRUE(saw_backup_hit) << "degraded reads never reached the backup";
-  EXPECT_EQ(router.stats().conn_errors_surfaced, 0u);
-  EXPECT_GT(router.stats().conn_failures_absorbed, 0u);
-
-  // Negative control: breakers off, same kill, the error must surface.
-  SpawnResult primary2 = supervisor.Spawn("primary-0b", {"--port=0"});
-  ASSERT_TRUE(primary2.ok) << primary2.error;
-  FleetRouterConfig raw_config;
-  raw_config.breakers_enabled = false;
-  FleetRouter raw(raw_config);
-  raw.SetNode(0, "127.0.0.1", primary2.process.port);
-  ASSERT_TRUE(raw.Set("hot", "v"));
-  supervisor.Kill(primary2.process);
-  bool surfaced = false;
-  for (int i = 0; i < 20 && !surfaced; ++i) {
-    surfaced = raw.Get("hot").outcome == RouteOutcome::kConnError;
-  }
-  EXPECT_TRUE(surfaced)
-      << "without breakers the transport failure should be caller-visible";
-
-  supervisor.Terminate(backup.process);
-}
-
-// With every endpoint refusing connections (no primary, no backup), the
-// router's contract is to shed — absorbed, typed, never a kConnError — on
-// both the read and the write path.
-TEST(FleetRouter, NothingReachableShedsInsteadOfErroring) {
-  // A port that refuses: bind, learn the number, close the listener.
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  socklen_t len = sizeof(addr);
-  ASSERT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
-  const uint16_t refused = ntohs(addr.sin_port);
-  ::close(fd);
-
-  FleetRouterConfig config;
-  config.breakers_enabled = true;
-  FleetRouter router(config);
-  router.SetNode(0, "127.0.0.1", refused);
-  router.SetBackup("127.0.0.1", refused);
-
-  for (int i = 0; i < 4; ++i) {
-    const RoutedGet got = router.Get("orphan");
-    EXPECT_NE(got.outcome, RouteOutcome::kConnError) << "request " << i;
-  }
-  EXPECT_FALSE(router.Set("orphan", "v"));
-  EXPECT_GT(router.stats().sheds, 0u);
-  EXPECT_EQ(router.stats().conn_errors_surfaced, 0u);
-  EXPECT_GT(router.stats().conn_failures_absorbed, 0u);
-}
-
-// The proxy-tier drill (ISSUE 10 tentpole acceptance): the same chaos
-// machinery, but traffic flows client -> spotcache_proxy (a real supervised
-// process) -> fleet, with the open-loop loadgen as the client and the
-// membership file + SIGHUP as the control plane. Pins the gate the CI
-// proxy-smoke job enforces: recovery through the proxy with ZERO
-// client-surfaced connection errors while primaries are SIGKILLed.
-TEST(FleetDrill, ProxyRoutedChaosDrillPinned) {
-  if (g_server_bin.empty() || g_proxy_bin.empty()) {
-    GTEST_SKIP() << "server/proxy binary paths not provided";
-  }
-  FleetDrillConfig config;  // defaults: the validated proxy-drill geometry
-  config.server_binary = g_server_bin;
-  config.proxy_binary = g_proxy_bin;
-  config.seed = 42;
-  config.scenario.name = "proxy_drill_pinned";
-  config.scenario.storm_count = 2;
-  config.scenario.storm_market_fraction = 0.34;
-  config.scenario.missed_warning_fraction = 0.3;
-  config.scenario.late_warning_fraction = 0.2;
-  config.scenario.window_end = SimTime() + Duration::Minutes(10);
-
-  const FleetDrillReport report = RunFleetDrill(config);
-  ASSERT_TRUE(report.ok) << report.error;
-  ASSERT_TRUE(report.via_proxy);
-  ASSERT_FALSE(report.schedule.actions.empty());
-
-  // Recovery through the proxy: same bar as the in-process router drill.
-  EXPECT_GT(report.pre_kill_hit_rate, 0.5);
-  EXPECT_TRUE(report.recovered)
-      << "proxy-routed hit rate never re-reached "
-      << config.recovery_threshold << " of pre-kill "
-      << report.pre_kill_hit_rate << " (final " << report.final_hit_rate
-      << ")";
-
-  // The zero-surfaced-errors gate, measured at the real client socket: the
-  // loadgen never failed to connect and never abandoned a connection
-  // mid-stream, even though the fleet behind the proxy was being SIGKILLed.
+  // --- Property 4: the absorption contract, measured at the real client
+  // socket: the loadgen never failed to connect and never abandoned a
+  // connection mid-stream, even though the fleet behind the proxy was being
+  // SIGKILLed. ---
   EXPECT_EQ(report.loadgen.failed_conns, 0u);
   EXPECT_EQ(report.loadgen.abandoned, 0u);
   EXPECT_GT(report.loadgen.completed, 0u);
+  EXPECT_GT(report.total_ops, 0u);
 
-  // The kills were real and the proxy absorbed them (else the gate was
+  // The kills were real and the proxy absorbed them (else the contract was
   // vacuous), and the membership control plane actually stepped.
   const auto absorbed = report.proxy_stats.find("proxy_absorbed_failures");
   ASSERT_NE(absorbed, report.proxy_stats.end())
@@ -314,21 +149,107 @@ TEST(FleetDrill, ProxyRoutedChaosDrillPinned) {
   EXPECT_EQ(generation->second, report.membership_generation)
       << "proxy never applied the controller's final membership edition";
 
-  // The proxy-mode report rendering carries the client-side acceptance
-  // numbers alongside the usual drill story.
+  // The JSON rendering carries the drill story and the client-side
+  // acceptance numbers.
   const std::string json = RenderDrillJson(report);
-  EXPECT_NE(json.find("\"via_proxy\": true"), std::string::npos);
+  EXPECT_NE(json.find("\"schedule\""), std::string::npos);
+  EXPECT_NE(json.find("\"recoveries\""), std::string::npos);
+  EXPECT_NE(json.find("\"summary\""), std::string::npos);
   EXPECT_NE(json.find("\"proxy\": {\"membership_generation\""),
             std::string::npos);
   EXPECT_NE(json.find("\"failed_conns\": 0"), std::string::npos);
   EXPECT_NE(json.find("\"proxy_absorbed_failures\""), std::string::npos);
 }
 
+// The publisher writes the membership file as soon as the fleet is up, so
+// every exit from the drill must remove it — including the early ones (here
+// the proxy binary cannot be launched).
+TEST(FleetDrill, FailedProxyLaunchRemovesTheMembershipFile) {
+  if (g_server_bin.empty()) {
+    GTEST_SKIP() << "server binary path not provided";
+  }
+  FleetDrillConfig config = PinnedConfig();
+  config.proxy_binary = "/nonexistent/spotcache_proxy";
+  config.supervisor.retry.initial_delay = Duration::Millis(5);
+  config.supervisor.retry.max_delay = Duration::Millis(20);
+
+  const FleetDrillReport report = RunFleetDrill(config);
+  EXPECT_FALSE(report.ok);
+  EXPECT_NE(report.error.find("proxy launch failed"), std::string::npos)
+      << report.error;
+  const std::string members_path =
+      "/tmp/spotcache_members_" + std::to_string(::getpid()) + ".txt";
+  EXPECT_NE(::access(members_path.c_str(), F_OK), 0)
+      << members_path << " outlived the drill";
+}
+
+// The grid's axes, cost arithmetic and table, without a real drill per
+// cell: the cells' drills fail at the first launch (no server binary), and
+// the recovered / unrecovered rows are rendered from edited reports.
+TEST(DrillGrid, CellsCostsAndTable) {
+  FleetDrillConfig base = PinnedConfig();
+  const std::vector<DrillGridCell> cells = DefaultDrillGrid(base);
+  ASSERT_EQ(cells.size(), 8u);
+  EXPECT_EQ(cells.front().seed, base.seed);
+  EXPECT_EQ(cells.back().seed, base.seed + 1);
+  EXPECT_EQ(cells[0].storms, 1);
+  EXPECT_EQ(cells[2].storms, base.primaries);
+  EXPECT_EQ(cells[0].missed_warning_fraction, 0.0);
+  EXPECT_EQ(cells[1].missed_warning_fraction, 1.0);
+
+  base.server_binary = "/nonexistent/spotcache_server";
+  base.supervisor.retry.initial_delay = Duration::Millis(5);
+  base.supervisor.retry.max_delay = Duration::Millis(20);
+  std::vector<DrillGridRow> rows = RunDrillGrid(base, {cells[0], cells[3]});
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].cell.label, "seed44/1 storm/warned");
+  EXPECT_EQ(rows[1].cell.label, "seed44/3 storms/unwarned");
+  for (const DrillGridRow& row : rows) {
+    EXPECT_FALSE(row.report.ok);
+    EXPECT_NE(row.report.error.find("backup launch failed"),
+              std::string::npos)
+        << row.report.error;
+    // 3 spot primaries + burstable backup + proxy vs 4 on-demand + proxy.
+    EXPECT_DOUBLE_EQ(row.fleet_cost_hr, 3 * 0.027 + 0.052 + 0.052);
+    EXPECT_DOUBLE_EQ(row.on_demand_cost_hr, 4 * 0.120 + 0.052);
+    EXPECT_DOUBLE_EQ(row.savings_fraction,
+                     1.0 - row.fleet_cost_hr / row.on_demand_cost_hr);
+  }
+
+  FleetDrillReport& recovered = rows[1].report;
+  recovered.ok = true;
+  recovered.recovered = true;
+  recovered.recovered_us = 900'000;
+  recovered.pre_kill_hit_rate = 1.0;
+  recovered.final_hit_rate = 0.962;
+  recovered.loadgen.latency.p99_us = 3720.0;
+  rows.push_back(rows[1]);
+  rows.back().report.recovered = false;
+  rows.back().report.loadgen.failed_conns = 1;
+  rows.back().report.loadgen.abandoned = 2;
+  rows.push_back(rows[1]);
+  rows.back().report.recovered_us = -1;  // nothing was killed
+  EXPECT_EQ(RenderDrillGridMarkdown(rows),
+            "| cell | $/h (spot+backup+proxy) | $/h (on-demand) | saved | "
+            "pre-kill hit | final hit | recovered | p99 (ms) | conn errors |\n"
+            "|---|---|---|---|---|---|---|---|---|\n"
+            "| seed44/1 storm/warned | 0.185 | 0.532 | 65% | 0.000 | 0.000 | "
+            "error | 0.00 | 0 |\n"
+            "| seed44/3 storms/unwarned | 0.185 | 0.532 | 65% | 1.000 | "
+            "0.962 | yes @900ms | 3.72 | 0 |\n"
+            "| seed44/3 storms/unwarned | 0.185 | 0.532 | 65% | 1.000 | "
+            "0.962 | no | 3.72 | 3 |\n"
+            "| seed44/3 storms/unwarned | 0.185 | 0.532 | 65% | 1.000 | "
+            "0.962 | yes | 3.72 | 0 |\n");
+}
+
 // MembershipPublisher is the controller half of the proxy control plane:
 // every fleet mutation must land on disk as a complete, parseable document
 // with a bumped generation, fire the notify hook, and keep the mirror ring's
 // OwnerOf stable across a kill (dead slots keep their keys — the proxy
-// degrades them, it does not rehash).
+// degrades them, it does not rehash). The drill picks the hot keys it
+// re-feeds to a replacement from that mirror ring, so it must home every key
+// exactly where the proxy's UpstreamPool does, generation after generation.
 TEST(MembershipPublisher, PublishesAtomicGenerationsAndMirrorsTheRing) {
   const std::string path = ::testing::TempDir() + "membership_pub_" +
                            std::to_string(::getpid()) + ".txt";
@@ -354,6 +275,16 @@ TEST(MembershipPublisher, PublishesAtomicGenerationsAndMirrorsTheRing) {
   EXPECT_EQ(snap.generation, loaded->generation);
   EXPECT_EQ(snap.nodes.size(), loaded->nodes.size());
 
+  proxy::UpstreamPool pool(proxy::UpstreamPoolConfig{}, nullptr);
+  const auto expect_pool_mirrors_ring = [&pub, &pool](const char* when) {
+    pool.ApplyMembership(pub.Snapshot());
+    for (int i = 0; i < 1000; ++i) {
+      const std::string key = "fk:" + std::to_string(i);
+      ASSERT_EQ(pool.OwnerOf(key), pub.OwnerOf(key)) << key << " " << when;
+    }
+  };
+  expect_pool_mirrors_ring("before the kill");
+
   // Ownership before the kill...
   const auto owner_a = pub.OwnerOf("alpha");
   const auto owner_b = pub.OwnerOf("beta");
@@ -374,6 +305,7 @@ TEST(MembershipPublisher, PublishesAtomicGenerationsAndMirrorsTheRing) {
     }
   }
   EXPECT_TRUE(saw_dead) << "killed slot must publish as dead, not vanish";
+  expect_pool_mirrors_ring("after MarkDead");
 
   // A replacement on the same slot revives it in the next edition.
   pub.SetNode(*owner_a, "127.0.0.1", 18005);
@@ -387,6 +319,7 @@ TEST(MembershipPublisher, PublishesAtomicGenerationsAndMirrorsTheRing) {
     }
   }
   EXPECT_EQ(notifies, 5);
+  expect_pool_mirrors_ring("after the revive");
   ::unlink(path.c_str());
 }
 

@@ -240,8 +240,8 @@ TEST(NetClientErrors, SendToStalledPeerFailsInsteadOfSpinning) {
 
 // ---------------------------------------------------------------------------
 // Typed transport errors + Reconnect() (fleet-mode satellite): the failure
-// taxonomy the FleetRouter branches on when a server process is SIGKILLed
-// behind a live connection.
+// taxonomy the fleet warm-up streamer branches on when a server process is
+// SIGKILLed behind a live connection.
 
 TEST(NetClientTypedErrors, ConnectRefusedIsTyped) {
   // Grab an ephemeral port and close it so nothing is listening there.

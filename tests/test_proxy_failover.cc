@@ -494,6 +494,19 @@ TEST(ProxyFailover, WritesDegradeToBackupThenReportUnreachable) {
   EXPECT_FALSE(lost.line.has_value());
   EXPECT_EQ(lost.rung, ServedRung::kNone);
   EXPECT_GT(dead_pool.stats().unreachable, 0u);
+
+  // A refused backup too: a get with no reachable rung is a miss, never an
+  // error, and the failures behind it are absorbed.
+  dead_pool.SetBackup("127.0.0.1", RefusedPort());
+  const UpstreamPoolStats before = dead_pool.stats();
+  std::vector<std::string_view> keys = {"wk"};
+  std::vector<KeyFetch> got;
+  dead_pool.MultiGet(keys, false, &got);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_FALSE(got[0].found);
+  EXPECT_EQ(got[0].rung, ServedRung::kNone);
+  EXPECT_GT(dead_pool.stats().unreachable, before.unreachable);
+  EXPECT_GT(dead_pool.stats().absorbed_failures, before.absorbed_failures);
 }
 
 TEST(ProxyFailover, MembershipMarksDeadAndRevives) {
