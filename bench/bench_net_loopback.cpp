@@ -159,7 +159,7 @@ net::NetServerConfig MakeConfig(bool instrumented) {
 double PipelinedGetRun(bool instrumented, double budget_s) {
   Obs obs;
   obs.tracer.set_enabled(false);
-  net::NetServer server(MakeConfig(instrumented), nullptr,
+  net::NetServer server(MakeConfig(instrumented),
                         instrumented ? &obs : nullptr);
   if (!server.Start()) {
     return 0.0;
@@ -418,7 +418,7 @@ int main(int argc, char** argv) {
 
   Obs obs;
   obs.tracer.set_enabled(false);
-  net::NetServer server(MakeConfig(instrumented), nullptr,
+  net::NetServer server(MakeConfig(instrumented),
                         instrumented ? &obs : nullptr);
   if (!server.Start()) {
     std::fprintf(stderr, "failed to start loopback server\n");

@@ -11,8 +11,8 @@
 //   * --server: the server's span stream — `request_span` JSONL lines from
 //     either the flight-recorder dump (spotcache_server --spans=F, SIGUSR1)
 //     or a full event trace (--trace=F). Span-sampled records carry phase
-//     stamps: queue (batch recv -> parse), parse, route (ladder/router),
-//     store (item ops + response assembly), write (batch flush).
+//     stamps: queue (batch recv -> parse), parse, store (item ops +
+//     response assembly), write (batch flush).
 //
 // The tool aligns the two timelines by anchoring the *end* of the span
 // stream to the end of the client run (preload traffic precedes the timed
@@ -95,7 +95,7 @@ bool HasType(const std::string& line, const char* type) {
 
 struct Span {
   double t_us = 0;
-  double queue_us = 0, parse_us = 0, route_us = 0, store_us = 0, write_us = 0;
+  double queue_us = 0, parse_us = 0, store_us = 0, write_us = 0;
   double total_us = 0;
   bool full = false;
 };
@@ -110,7 +110,7 @@ struct Segment {
 };
 
 struct Phases {
-  double queue = 0, parse = 0, route = 0, store = 0, write = 0;
+  double queue = 0, parse = 0, store = 0, write = 0;
 };
 
 double Quantile(std::vector<double>& v, double q) {
@@ -201,7 +201,6 @@ int main(int argc, char** argv) {
       s.t_us = GetNum(line, "t_us").value_or(0);
       s.queue_us = GetNum(line, "queue_us").value_or(0);
       s.parse_us = GetNum(line, "parse_us").value_or(0);
-      s.route_us = GetNum(line, "route_us").value_or(0);
       s.store_us = GetNum(line, "store_us").value_or(0);
       s.write_us = GetNum(line, "write_us").value_or(0);
       s.total_us = GetNum(line, "total_us").value_or(0);
@@ -273,13 +272,11 @@ int main(int argc, char** argv) {
       for (size_t j = 0; j < tail_n; ++j) {
         tail.queue += full_spans[j]->queue_us;
         tail.parse += full_spans[j]->parse_us;
-        tail.route += full_spans[j]->route_us;
         tail.store += full_spans[j]->store_us;
         tail.write += full_spans[j]->write_us;
       }
       tail.queue /= static_cast<double>(tail_n);
       tail.parse /= static_cast<double>(tail_n);
-      tail.route /= static_cast<double>(tail_n);
       tail.store /= static_cast<double>(tail_n);
       tail.write /= static_cast<double>(tail_n);
     }
@@ -292,11 +289,10 @@ int main(int argc, char** argv) {
           "\"client_p99_us\": %.1f, \"spans\": %zu, \"server_p50_us\": %.1f, "
           "\"server_p99_us\": %.1f, \"unattributed_p99_us\": %.1f, "
           "\"tail_phases_us\": {\"queue\": %.1f, \"parse\": %.1f, "
-          "\"route\": %.1f, \"store\": %.1f, \"write\": %.1f}}",
+          "\"store\": %.1f, \"write\": %.1f}}",
           i > 0 ? ", " : "", seg.label.c_str(), seg.client_p50_us,
           seg.client_p99_us, totals.size(), server_p50, server_p99,
-          unattributed, tail.queue, tail.parse, tail.route, tail.store,
-          tail.write);
+          unattributed, tail.queue, tail.parse, tail.store, tail.write);
       out_json += buf;
     } else {
       std::printf("%-14s %9.0fus %9.0fus | %8zu %9.0fus %9.0fus | %9.0fus\n",
@@ -305,9 +301,8 @@ int main(int argc, char** argv) {
       if (tail_n > 0) {
         std::printf(
             "%-14s   in-server tail (slowest %zu spans): queue %.0fus, "
-            "parse %.0fus, route %.0fus, store %.0fus, write %.0fus\n", "",
-            tail_n, tail.queue, tail.parse, tail.route, tail.store,
-            tail.write);
+            "parse %.0fus, store %.0fus, write %.0fus\n", "", tail_n,
+            tail.queue, tail.parse, tail.store, tail.write);
       }
     }
   }

@@ -52,7 +52,6 @@
 // to clients (failed conns or abandoned in-flight ops — the proxy's
 // absorption contract broke). CI gates on 4 and 5 specifically.
 
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -61,6 +60,7 @@
 #include "src/fleet/drill.h"
 #include "src/fleet/drill_grid.h"
 #include "src/obs/exporters.h"
+#include "src/util/flags.h"
 
 using namespace spotcache;
 using namespace spotcache::fleet;
@@ -70,31 +70,6 @@ namespace {
 constexpr int kExitUsage = 2;
 constexpr int kExitNoRecovery = 4;
 constexpr int kExitConnErrors = 5;
-
-// Whole-text integer in [lo, hi] (atoi would read "abc" as 0).
-bool ParseInt(const std::string& text, int64_t lo, int64_t hi,
-              int64_t* out) {
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(text.c_str(), &end, 10);
-  if (text.empty() || *end != '\0' || errno != 0 || v < lo || v > hi) {
-    return false;
-  }
-  *out = v;
-  return true;
-}
-
-// Whole-text real number in [lo, hi] (NaN fails the range test).
-bool ParseReal(const std::string& text, double lo, double hi, double* out) {
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(text.c_str(), &end);
-  if (text.empty() || *end != '\0' || errno != 0 || !(v >= lo && v <= hi)) {
-    return false;
-  }
-  *out = v;
-  return true;
-}
 
 int Usage(int exit_code) {
   std::printf(

@@ -44,6 +44,10 @@
 //   --span-ring=N      flight-recorder capacity in spans
 //   --pidfile=FILE     write pid after a successful bind
 //
+// Numeric flags are parsed strictly: a value that is not a whole number, or
+// is out of range (ports above 65535, a window or timeout below 1), is a bad
+// flag (exit 2).
+//
 // Signals: SIGINT/SIGTERM stop cleanly. SIGHUP re-reads --fleet from loop
 // context (generation + node count printed; a malformed file keeps the
 // previous view). SIGUSR1 dumps the flight-recorder ring. All handlers are
@@ -53,7 +57,7 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -62,6 +66,7 @@
 #include "src/obs/obs.h"
 #include "src/proxy/membership.h"
 #include "src/proxy/proxy_core.h"
+#include "src/util/flags.h"
 
 using namespace spotcache;
 
@@ -117,6 +122,8 @@ int Usage(int exit_code) {
       "(after listen(2) succeeded); with --metrics-port the next line is\n"
       "`metrics listening <port>`.\n"
       "\n"
+      "Numeric flags must be whole numbers in range.\n"
+      "\n"
       "Exit codes: 0 clean, 1 loop failure, 2 bad flags, 3 bind failure.\n");
   return exit_code;
 }
@@ -134,10 +141,15 @@ int main(int argc, char** argv) {
   std::string metrics_path;
   std::string pidfile_path;
 
+  constexpr int64_t kMaxInt = 1 << 30;
+  constexpr int64_t kMaxMs = 86'400'000;  // one day
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    int64_t n = 0;
+    bool ok = true;
     if (arg.rfind("--port=", 0) == 0) {
-      config.port = static_cast<uint16_t>(std::atoi(arg.c_str() + 7));
+      ok = ParseInt(arg.substr(7), 0, 65535, &n);
+      config.port = static_cast<uint16_t>(n);
     } else if (arg.rfind("--host=", 0) == 0) {
       config.bind_host = arg.substr(7);
     } else if (arg.rfind("--fleet=", 0) == 0) {
@@ -147,36 +159,45 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--backup=", 0) == 0) {
       backup_spec = arg.substr(9);
     } else if (arg.rfind("--window=", 0) == 0) {
-      proxy_config.upstreams.window = std::atoi(arg.c_str() + 9);
+      ok = ParseInt(arg.substr(9), 1, kMaxInt, &n);
+      proxy_config.upstreams.window = static_cast<int>(n);
     } else if (arg.rfind("--timeout-ms=", 0) == 0) {
-      proxy_config.upstreams.op_timeout_ms = std::atoi(arg.c_str() + 13);
+      ok = ParseInt(arg.substr(13), 1, kMaxMs, &n);
+      proxy_config.upstreams.op_timeout_ms = static_cast<int>(n);
     } else if (arg.rfind("--trace=", 0) == 0) {
       trace_path = arg.substr(8);
     } else if (arg.rfind("--metrics=", 0) == 0) {
       metrics_path = arg.substr(10);
     } else if (arg.rfind("--metrics-port=", 0) == 0) {
-      config.metrics_port = std::atoi(arg.c_str() + 15);
+      ok = ParseInt(arg.substr(15), 0, 65535, &n);
+      config.metrics_port = static_cast<int>(n);
     } else if (arg.rfind("--spans=", 0) == 0) {
       config.span_dump_path = arg.substr(8);
     } else if (arg.rfind("--span-sample=", 0) == 0) {
-      config.telemetry.span_sample_every =
-          static_cast<uint32_t>(std::atoll(arg.c_str() + 14));
+      ok = ParseInt(arg.substr(14), 0, kMaxInt, &n);
+      config.telemetry.span_sample_every = static_cast<uint32_t>(n);
     } else if (arg.rfind("--latency-sample=", 0) == 0) {
-      config.telemetry.latency_sample_every =
-          static_cast<uint32_t>(std::atoll(arg.c_str() + 17));
+      ok = ParseInt(arg.substr(17), 0, kMaxInt, &n);
+      config.telemetry.latency_sample_every = static_cast<uint32_t>(n);
     } else if (arg.rfind("--slow-us=", 0) == 0) {
-      config.telemetry.slow_request_us = std::atoll(arg.c_str() + 10);
+      ok = ParseInt(arg.substr(10), INT64_MIN, INT64_MAX,
+                    &config.telemetry.slow_request_us);
     } else if (arg.rfind("--stall-us=", 0) == 0) {
-      config.stall_threshold_us = std::atoll(arg.c_str() + 11);
+      ok = ParseInt(arg.substr(11), INT64_MIN, INT64_MAX,
+                    &config.stall_threshold_us);
     } else if (arg.rfind("--span-ring=", 0) == 0) {
-      config.telemetry.flight_ring_capacity =
-          static_cast<uint32_t>(std::atoll(arg.c_str() + 12));
+      ok = ParseInt(arg.substr(12), 1, kMaxInt, &n);
+      config.telemetry.flight_ring_capacity = static_cast<uint32_t>(n);
     } else if (arg.rfind("--pidfile=", 0) == 0) {
       pidfile_path = arg.substr(10);
     } else if (arg == "--help" || arg == "-h") {
       return Usage(0);
     } else {
       std::printf("unknown flag '%s'\n\n", arg.c_str());
+      return Usage(kExitUsage);
+    }
+    if (!ok) {
+      std::printf("bad value in '%s'\n\n", arg.c_str());
       return Usage(kExitUsage);
     }
   }
@@ -207,7 +228,7 @@ int main(int argc, char** argv) {
   proxy::ProxyCore proxy_core(proxy_config, &obs, &obs.tracer);
   proxy_core.pool().ApplyMembership(*membership);
 
-  net::NetServer server(config, /*system=*/nullptr, &obs);
+  net::NetServer server(config, &obs);
   server.SetHandler(&proxy_core);
   if (!fleet_path.empty()) {
     server.SetReloadHandler([&proxy_core, &fleet_path] {

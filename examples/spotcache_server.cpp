@@ -1,15 +1,18 @@
 // spotcache_server: a real memcached-text-protocol server over src/net.
 //
 //   spotcache_server [--port=11211] [--host=127.0.0.1] [--capacity-mb=64]
-//                    [--threads=N] [--pin] [--force-dispatch]
-//                    [--system] [--resilience] [--trace=F] [--metrics=F]
-//                    [--metrics-port=N] [--spans=F] [--span-sample=N]
-//                    [--latency-sample=N] [--slow-us=N] [--stall-us=N]
-//                    [--span-ring=N]
+//                    [--threads=N] [--pin] [--force-dispatch] [--trace=F]
+//                    [--metrics=F] [--metrics-port=N] [--spans=F]
+//                    [--span-sample=N] [--latency-sample=N] [--slow-us=N]
+//                    [--stall-us=N] [--span-ring=N]
 //
 //   $ ./spotcache_server --port=11211 &
 //   $ printf 'set k 0 0 5\r\nhello\r\nget k\r\nquit\r\n' | nc 127.0.0.1 11211
 //   $ memtier_benchmark -p 11211 -P memcache_text
+//
+// This is one cache node: it stores and serves bytes. Failover, backup
+// fallback and degradation live in the proxy tier (spotcache_proxy) in front
+// of a fleet of these servers.
 //
 // Readiness: the first stdout line is `listening <port>` (flushed once the
 // socket is bound), so harnesses can use --port=0 and scrape the bound port
@@ -20,16 +23,12 @@
 //   --port=N           listen port (0 picks an ephemeral port, printed)
 //   --host=H           bind address
 //   --capacity-mb=N    item-store LRU capacity (total; split across shards)
-//   --threads=N        reactor shards (default 1 = the classic
+//   --threads=N        reactor shards, 1..64 (default 1 = the classic
 //                      single-threaded server, byte-identical wire behavior;
 //                      N > 1 shards the key space across N epoll loops)
 //   --pin              pin shard i to cpu (i % cores)
 //   --force-dispatch   use the accept-and-handoff fallback instead of
 //                      SO_REUSEPORT (testing / kernels without REUSEPORT)
-//   --system           route requests through the SpotCacheSystem data plane
-//                      (router + cache-node placement model)
-//   --resilience       with --system: enable the degradation ladder, so
-//                      breaker or admission sheds surface as SERVER_ERROR
 //   --trace=FILE       on shutdown, write the JSONL event stream (conn and
 //                      request_span events; enables live tracing)
 //   --metrics=FILE     on shutdown, write a Prometheus-style net/* snapshot
@@ -44,6 +43,10 @@
 //   --stall-us=N       event-loop stall threshold in microseconds
 //   --span-ring=N      flight-recorder capacity in spans (default 4096)
 //
+// Numeric flags are parsed strictly: a value that is not a whole number, or
+// is out of range (ports above 65535, --threads outside 1..64, a capacity
+// below 1 MB), is a bad flag (exit 2).
+//
 // Signals: SIGINT/SIGTERM stop the loop cleanly (obs artifacts written, a
 // final stats line printed). SIGUSR1/SIGHUP dump the flight-recorder ring to
 // --spans and a live metrics snapshot to --metrics without stopping — both
@@ -53,16 +56,14 @@
 #include <unistd.h>
 
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <memory>
 #include <string>
 
-#include "src/core/system.h"
-#include "src/net/server.h"
 #include "src/net/sharded_server.h"
 #include "src/obs/exporters.h"
 #include "src/obs/obs.h"
+#include "src/util/flags.h"
 
 using namespace spotcache;
 
@@ -74,15 +75,11 @@ constexpr int kExitRunFailure = 1;
 constexpr int kExitUsage = 2;
 constexpr int kExitBindFailure = 3;
 
-net::NetServer* g_server = nullptr;
-net::ShardedServer* g_sharded = nullptr;
+net::ShardedServer* g_server = nullptr;
 
 void HandleSignal(int /*sig*/) {
   if (g_server != nullptr) {
-    g_server->Stop();  // eventfd write: async-signal-safe
-  }
-  if (g_sharded != nullptr) {
-    g_sharded->Stop();
+    g_server->Stop();  // eventfd write per shard: async-signal-safe
   }
 }
 
@@ -90,20 +87,17 @@ void HandleDumpSignal(int /*sig*/) {
   if (g_server != nullptr) {
     g_server->RequestTelemetryDump();  // atomic flag + eventfd write
   }
-  if (g_sharded != nullptr) {
-    g_sharded->RequestTelemetryDump();
-  }
 }
 
 int Usage(int exit_code) {
   std::printf(
       "usage: spotcache_server [--port=11211] [--host=127.0.0.1]\n"
       "                        [--capacity-mb=64] [--threads=N] [--pin]\n"
-      "                        [--force-dispatch] [--system] [--resilience]\n"
-      "                        [--trace=FILE] [--metrics=FILE]\n"
-      "                        [--metrics-port=N] [--spans=FILE]\n"
-      "                        [--span-sample=N] [--latency-sample=N]\n"
-      "                        [--slow-us=N] [--stall-us=N] [--span-ring=N]\n"
+      "                        [--force-dispatch] [--trace=FILE]\n"
+      "                        [--metrics=FILE] [--metrics-port=N]\n"
+      "                        [--spans=FILE] [--span-sample=N]\n"
+      "                        [--latency-sample=N] [--slow-us=N]\n"
+      "                        [--stall-us=N] [--span-ring=N]\n"
       "                        [--pidfile=FILE] [--help]\n"
       "\n"
       "Readiness contract (for supervisors and harnesses):\n"
@@ -116,6 +110,10 @@ int Usage(int exit_code) {
       "  --pidfile=FILE writes the server pid after a successful bind (at\n"
       "  the same instant the readiness line is printed) and removes the\n"
       "  file on clean shutdown.\n"
+      "\n"
+      "  This is one cache node; failover and degradation live in the proxy\n"
+      "  tier (spotcache_proxy). Numeric flags must be whole numbers in\n"
+      "  range (--threads 1..64).\n"
       "\n"
       "Exit codes:\n"
       "  0  clean shutdown (SIGINT/SIGTERM/quit)\n"
@@ -146,61 +144,58 @@ void RemovePidFile(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  net::NetServerConfig config;
+  net::ShardedServerConfig scfg;
+  net::NetServerConfig& config = scfg.base;
   config.port = 11211;
-  bool use_system = false;
-  bool use_resilience = false;
-  uint32_t threads = 1;
-  bool pin_threads = false;
-  bool force_dispatch = false;
   std::string trace_path;
   std::string metrics_path;
   std::string pidfile_path;
 
+  constexpr int64_t kMaxInt = 1 << 30;
+  constexpr int64_t kMaxCapacityMb = 1 << 24;  // 16 TiB
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    int64_t n = 0;
+    bool ok = true;
     if (arg.rfind("--port=", 0) == 0) {
-      config.port = static_cast<uint16_t>(std::atoi(arg.c_str() + 7));
+      ok = ParseInt(arg.substr(7), 0, 65535, &n);
+      config.port = static_cast<uint16_t>(n);
     } else if (arg.rfind("--host=", 0) == 0) {
       config.bind_host = arg.substr(7);
     } else if (arg.rfind("--capacity-mb=", 0) == 0) {
-      config.core.capacity_bytes =
-          static_cast<size_t>(std::atoll(arg.c_str() + 14)) * 1024 * 1024;
+      ok = ParseInt(arg.substr(14), 1, kMaxCapacityMb, &n);
+      config.core.capacity_bytes = static_cast<size_t>(n) * 1024 * 1024;
     } else if (arg.rfind("--threads=", 0) == 0) {
-      threads = static_cast<uint32_t>(std::atoi(arg.c_str() + 10));
-      if (threads == 0) {
-        threads = 1;
-      }
+      ok = ParseInt(arg.substr(10), 1, net::kMaxShards, &n);
+      scfg.threads = static_cast<uint32_t>(n);
     } else if (arg == "--pin") {
-      pin_threads = true;
+      scfg.pin_threads = true;
     } else if (arg == "--force-dispatch") {
-      force_dispatch = true;
-    } else if (arg == "--system") {
-      use_system = true;
-    } else if (arg == "--resilience") {
-      use_system = true;
-      use_resilience = true;
+      scfg.force_dispatch = true;
     } else if (arg.rfind("--trace=", 0) == 0) {
       trace_path = arg.substr(8);
     } else if (arg.rfind("--metrics=", 0) == 0) {
       metrics_path = arg.substr(10);
     } else if (arg.rfind("--metrics-port=", 0) == 0) {
-      config.metrics_port = std::atoi(arg.c_str() + 15);
+      ok = ParseInt(arg.substr(15), 0, 65535, &n);
+      config.metrics_port = static_cast<int>(n);
     } else if (arg.rfind("--spans=", 0) == 0) {
       config.span_dump_path = arg.substr(8);
     } else if (arg.rfind("--span-sample=", 0) == 0) {
-      config.telemetry.span_sample_every =
-          static_cast<uint32_t>(std::atoll(arg.c_str() + 14));
+      ok = ParseInt(arg.substr(14), 0, kMaxInt, &n);
+      config.telemetry.span_sample_every = static_cast<uint32_t>(n);
     } else if (arg.rfind("--latency-sample=", 0) == 0) {
-      config.telemetry.latency_sample_every =
-          static_cast<uint32_t>(std::atoll(arg.c_str() + 17));
+      ok = ParseInt(arg.substr(17), 0, kMaxInt, &n);
+      config.telemetry.latency_sample_every = static_cast<uint32_t>(n);
     } else if (arg.rfind("--slow-us=", 0) == 0) {
-      config.telemetry.slow_request_us = std::atoll(arg.c_str() + 10);
+      ok = ParseInt(arg.substr(10), INT64_MIN, INT64_MAX,
+                    &config.telemetry.slow_request_us);
     } else if (arg.rfind("--stall-us=", 0) == 0) {
-      config.stall_threshold_us = std::atoll(arg.c_str() + 11);
+      ok = ParseInt(arg.substr(11), INT64_MIN, INT64_MAX,
+                    &config.stall_threshold_us);
     } else if (arg.rfind("--span-ring=", 0) == 0) {
-      config.telemetry.flight_ring_capacity =
-          static_cast<uint32_t>(std::atoll(arg.c_str() + 12));
+      ok = ParseInt(arg.substr(12), 1, kMaxInt, &n);
+      config.telemetry.flight_ring_capacity = static_cast<uint32_t>(n);
     } else if (arg.rfind("--pidfile=", 0) == 0) {
       pidfile_path = arg.substr(10);
     } else if (arg == "--help" || arg == "-h") {
@@ -209,111 +204,24 @@ int main(int argc, char** argv) {
       std::printf("unknown flag '%s'\n\n", arg.c_str());
       return Usage(kExitUsage);
     }
+    if (!ok) {
+      std::printf("bad value in '%s'\n\n", arg.c_str());
+      return Usage(kExitUsage);
+    }
   }
   // Signal-driven dumps write the live metrics snapshot to the same file the
   // shutdown snapshot uses.
   config.metrics_dump_path = metrics_path;
 
+  // Only lends its tracer enablement to the shards. Live tracing costs
+  // memory per event; only keep the tracer on when the stream will actually
+  // be written somewhere.
   Obs obs;
-  // Live tracing costs memory per event; only keep the tracer on when the
-  // stream will actually be written somewhere.
   obs.tracer.set_enabled(!trace_path.empty());
-  std::unique_ptr<SpotCacheSystem> system;
-  if (use_system) {
-    SpotCacheSystem::Config sys;
-    sys.obs = &obs;
-    sys.resilience.enabled = use_resilience;
-    system = std::make_unique<SpotCacheSystem>(sys);
-    // One control slot provisions the data plane so Route() has nodes.
-    system->AdvanceSlot(/*observed_lambda=*/100e3,
-                        /*observed_working_set_gb=*/10.0);
-  }
 
-  if (threads > 1) {
-    // Multi-core serving: N reactor shards behind one port. The flags and
-    // readiness lines are identical to the single-threaded server; only the
-    // execution engine changes.
-    net::ShardedServerConfig scfg;
-    scfg.base = config;
-    scfg.threads = threads;
-    scfg.pin_threads = pin_threads;
-    scfg.force_dispatch = force_dispatch;
-    net::ShardedServer server(scfg, system.get(), &obs);
-    if (!server.Start()) {
-      std::fprintf(stderr, "spotcache_server: failed to bind %s:%u\n",
-                   config.bind_host.c_str(), config.port);
-      return kExitBindFailure;
-    }
-    g_sharded = &server;
-    WritePidFile(pidfile_path);
-    std::signal(SIGINT, HandleSignal);
-    std::signal(SIGTERM, HandleSignal);
-    std::signal(SIGUSR1, HandleDumpSignal);
-    std::signal(SIGHUP, HandleDumpSignal);
-    std::signal(SIGPIPE, SIG_IGN);
-
-    std::printf("listening %u\n", server.port());
-    if (config.metrics_port >= 0) {
-      std::printf("metrics listening %u\n", server.metrics_port());
-    }
-    std::printf(
-        "spotcache_server listening on %s:%u (capacity %zu MB, %u shards "
-        "via %s%s%s)\n",
-        config.bind_host.c_str(), server.port(),
-        config.core.capacity_bytes / (1024 * 1024), server.shard_count(),
-        server.using_reuseport() ? "SO_REUSEPORT" : "dispatch",
-        use_system ? ", system" : "", use_resilience ? "+resilience" : "");
-    std::fflush(stdout);
-
-    const bool ok = server.Run();
-    g_sharded = nullptr;
-
-    if (!trace_path.empty()) {
-      // Conn/request events land in the per-shard tracers (each ring is
-      // private to its reactor thread); the system tracer holds only
-      // control-plane events. Concatenate them all into one JSONL stream.
-      std::string trace = ToJsonl(obs.tracer);
-      for (uint32_t i = 0; i < server.shard_count(); ++i) {
-        trace += ToJsonl(server.shard_obs(i).tracer);
-      }
-      if (WriteStringToFile(trace_path, trace)) {
-        std::printf("trace written to %s\n", trace_path.c_str());
-      }
-    }
-    if (!metrics_path.empty() &&
-        WriteStringToFile(metrics_path, server.hub().RenderPrometheus())) {
-      std::printf("metrics snapshot written to %s\n", metrics_path.c_str());
-    }
-    if (!config.span_dump_path.empty()) {
-      std::string spans;
-      size_t span_count = 0;
-      for (uint32_t i = 0; i < server.shard_count(); ++i) {
-        if (RequestTelemetry* t = server.shard(i).telemetry()) {
-          spans += t->RenderFlightRecorderJsonl();
-          span_count += t->ring_size();
-        }
-      }
-      if (WriteStringToFile(config.span_dump_path, spans)) {
-        std::printf("flight recorder (%zu spans) written to %s\n", span_count,
-                    config.span_dump_path.c_str());
-      }
-    }
-
-    const net::CoreSnapshot total = server.TotalSnapshot();
-    std::printf(
-        "served: %llu gets (%llu hits, %llu misses), %llu sets, "
-        "%llu sheds, %llu protocol errors\n",
-        static_cast<unsigned long long>(total.cmd_get),
-        static_cast<unsigned long long>(total.get_hits),
-        static_cast<unsigned long long>(total.get_misses),
-        static_cast<unsigned long long>(total.cmd_set),
-        static_cast<unsigned long long>(total.sheds),
-        static_cast<unsigned long long>(total.protocol_errors));
-    RemovePidFile(pidfile_path);
-    return ok ? 0 : kExitRunFailure;
-  }
-
-  net::NetServer server(config, system.get(), &obs);
+  // --threads=1 is a passthrough to one un-sharded NetServer; N > 1 runs N
+  // reactor shards behind one port. Flags and readiness lines are the same.
+  net::ShardedServer server(scfg, &obs);
   if (!server.Start()) {
     std::fprintf(stderr, "spotcache_server: failed to bind %s:%u\n",
                  config.bind_host.c_str(), config.port);
@@ -336,42 +244,67 @@ int main(int argc, char** argv) {
   if (config.metrics_port >= 0) {
     std::printf("metrics listening %u\n", server.metrics_port());
   }
-  std::printf("spotcache_server listening on %s:%u (capacity %zu MB%s%s)\n",
-              config.bind_host.c_str(), server.port(),
-              config.core.capacity_bytes / (1024 * 1024),
-              use_system ? ", system" : "",
-              use_resilience ? "+resilience" : "");
+  const uint32_t shards = server.shard_count();
+  if (shards == 1) {
+    std::printf("spotcache_server listening on %s:%u (capacity %zu MB)\n",
+                config.bind_host.c_str(), server.port(),
+                config.core.capacity_bytes / (1024 * 1024));
+  } else {
+    std::printf(
+        "spotcache_server listening on %s:%u (capacity %zu MB, %u shards "
+        "via %s)\n",
+        config.bind_host.c_str(), server.port(),
+        config.core.capacity_bytes / (1024 * 1024), shards,
+        server.using_reuseport() ? "SO_REUSEPORT" : "dispatch");
+  }
   std::fflush(stdout);
 
   const bool ok = server.Run();
   g_server = nullptr;
 
-  if (!trace_path.empty() &&
-      WriteStringToFile(trace_path, ToJsonl(obs.tracer))) {
-    std::printf("trace written to %s\n", trace_path.c_str());
+  if (!trace_path.empty()) {
+    // Conn/request events land in the per-shard tracers (each ring is
+    // private to its reactor thread): concatenate them into one stream.
+    std::string trace;
+    for (uint32_t i = 0; i < shards; ++i) {
+      trace += ToJsonl(server.shard_obs(i).tracer);
+    }
+    if (WriteStringToFile(trace_path, trace)) {
+      std::printf("trace written to %s\n", trace_path.c_str());
+    }
   }
   if (!metrics_path.empty() &&
-      WriteStringToFile(metrics_path, ToPrometheusText(obs.registry))) {
+      WriteStringToFile(metrics_path,
+                        // One shard has no hub: its registry is the total.
+                        shards == 1
+                            ? ToPrometheusText(server.shard_obs(0).registry)
+                            : server.hub().RenderPrometheus())) {
     std::printf("metrics snapshot written to %s\n", metrics_path.c_str());
   }
-  if (!config.span_dump_path.empty() && server.telemetry() != nullptr &&
-      WriteStringToFile(config.span_dump_path,
-                        server.telemetry()->RenderFlightRecorderJsonl())) {
-    std::printf("flight recorder (%zu spans) written to %s\n",
-                server.telemetry()->ring_size(),
-                config.span_dump_path.c_str());
+  if (!config.span_dump_path.empty()) {
+    std::string spans;
+    size_t span_count = 0;
+    for (uint32_t i = 0; i < shards; ++i) {
+      if (RequestTelemetry* t = server.shard(i).telemetry()) {
+        spans += t->RenderFlightRecorderJsonl();
+        span_count += t->ring_size();
+      }
+    }
+    if (WriteStringToFile(config.span_dump_path, spans)) {
+      std::printf("flight recorder (%zu spans) written to %s\n", span_count,
+                  config.span_dump_path.c_str());
+    }
   }
 
-  const net::ServerCore& core = server.core();
+  const net::CoreSnapshot total = server.TotalSnapshot();
   std::printf(
       "served: %llu gets (%llu hits, %llu misses), %llu sets, "
-      "%llu sheds, %llu protocol errors\n",
-      static_cast<unsigned long long>(core.cmd_get()),
-      static_cast<unsigned long long>(core.get_hits()),
-      static_cast<unsigned long long>(core.get_misses()),
-      static_cast<unsigned long long>(core.cmd_set()),
-      static_cast<unsigned long long>(core.sheds()),
-      static_cast<unsigned long long>(core.protocol_errors()));
+      "%llu protocol errors\n",
+      static_cast<unsigned long long>(total.cmd_get),
+      static_cast<unsigned long long>(total.get_hits),
+      static_cast<unsigned long long>(total.get_misses),
+      static_cast<unsigned long long>(total.cmd_set),
+      static_cast<unsigned long long>(total.protocol_errors));
   RemovePidFile(pidfile_path);
   return ok ? 0 : kExitRunFailure;
 }

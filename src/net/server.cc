@@ -40,10 +40,9 @@ constexpr size_t kMaxPendingReplies = 1024;
 
 }  // namespace
 
-NetServer::NetServer(const NetServerConfig& config, SpotCacheSystem* system,
-                     Obs* obs)
+NetServer::NetServer(const NetServerConfig& config, Obs* obs)
     : config_(config),
-      core_(config.core, system, obs),
+      core_(config.core, obs),
       handler_(&core_),
       obs_(obs),
       clock_([] { return static_cast<int64_t>(::time(nullptr)); }) {
@@ -522,14 +521,6 @@ void NetServer::MaybeFlushHub(bool force) {
   }
   last_hub_flush_us_ = now;
   hub_->Publish(hub_slot_, obs_->registry);
-  // Shard 0 also owns publishing the shared control-plane registry
-  // (resilience counters live there) into the hub's dedicated last slot.
-  if (shard_ctx_.self == 0 && shard_ctx_.system_obs != nullptr &&
-      shard_ctx_.system_mu != nullptr &&
-      hub_->slots() > shard_ctx_.count) {
-    std::lock_guard<std::mutex> lock(*shard_ctx_.system_mu);
-    hub_->Publish(hub_->slots() - 1, shard_ctx_.system_obs->registry);
-  }
 }
 
 void NetServer::ConnReadable(Connection* conn) {

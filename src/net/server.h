@@ -15,7 +15,7 @@
 // `protocol_error` events stamped with microseconds since server start.
 //
 // Serving-path telemetry (this PR): the server owns a RequestTelemetry that
-// samples request spans (parse -> route -> store -> write phases) and feeds
+// samples request spans (parse -> store -> write phases) and feeds
 // always-on per-(op, outcome) latency histograms — see request_telemetry.h
 // for the sampling/overhead story. The event loop itself is instrumented:
 // every iteration records epoll-wait vs. work time into `net/loop/wait_s` /
@@ -113,8 +113,7 @@ struct NetServerConfig {
 
 class NetServer {
  public:
-  NetServer(const NetServerConfig& config, SpotCacheSystem* system = nullptr,
-            Obs* obs = nullptr);
+  explicit NetServer(const NetServerConfig& config, Obs* obs = nullptr);
   ~NetServer();
 
   NetServer(const NetServer&) = delete;
@@ -176,8 +175,7 @@ class NetServer {
   void ExecuteShardOp(CrossShardOp* op);
   /// Publishes this shard's registry into `hub` slot `slot` at epoch
   /// boundaries; scrapes then serve the hub aggregate (never a mid-update
-  /// counter). Shard 0 additionally publishes the shared control-plane
-  /// registry (ShardContext::system_obs) into the hub's last slot.
+  /// counter).
   void AttachMetricsHub(MetricsHub* hub, size_t slot) {
     hub_ = hub;
     hub_slot_ = slot;

@@ -2,8 +2,6 @@
 
 #include <inttypes.h>
 
-#include "src/core/system.h"
-
 namespace spotcache::net {
 
 namespace {
@@ -28,18 +26,13 @@ TelemetryOp OpFor(Verb verb) {
 
 }  // namespace
 
-ServerCore::ServerCore(const ServerCoreConfig& config, SpotCacheSystem* system,
-                       Obs* obs)
-    : config_(config),
-      store_(config.capacity_bytes),
-      system_(system),
-      obs_(obs) {
+ServerCore::ServerCore(const ServerCoreConfig& config, Obs* obs)
+    : config_(config), store_(config.capacity_bytes), obs_(obs) {
   if (obs != nullptr) {
     obs_requests_ = obs->registry.GetCounter("net/requests");
     obs_get_hits_ = obs->registry.GetCounter("net/get_hits");
     obs_get_misses_ = obs->registry.GetCounter("net/get_misses");
     obs_sets_ = obs->registry.GetCounter("net/sets");
-    obs_sheds_ = obs->registry.GetCounter("net/sheds");
     obs_protocol_errors_ = obs->registry.GetCounter("net/protocol_errors");
   }
 }
@@ -51,64 +44,14 @@ void ServerCore::ConfigureShard(const ShardContext& ctx) {
   }
 }
 
-ServedBy ServerCore::GateGet(std::string_view key) {
-  if (system_ == nullptr) {
-    return ServedBy::kCacheNode;
-  }
-  if (shard_.system_mu != nullptr) {
-    std::lock_guard<std::mutex> lock(*shard_.system_mu);
-    return system_->Get(HashString(key)).served_by;
-  }
-  const CacheResponse r = system_->Get(HashString(key));
-  return r.served_by;
-}
-
-void ServerCore::GatePut(std::string_view key, size_t bytes) {
-  if (system_ == nullptr) {
-    return;
-  }
-  if (shard_.system_mu != nullptr) {
-    std::lock_guard<std::mutex> lock(*shard_.system_mu);
-    system_->Put(HashString(key), static_cast<uint32_t>(bytes));
-    return;
-  }
-  system_->Put(HashString(key), static_cast<uint32_t>(bytes));
-}
-
 ServerCore::Outcome ServerCore::HandleRetrieve(const TextRequest& req,
                                                int64_t now,
                                                ResponseAssembler* out) {
   const bool with_cas = req.verb == Verb::kGets;
-  const bool time_route =
-      system_ != nullptr && telemetry_ != nullptr && telemetry_->span_active();
   Outcome result{RequestOutcome::kHit, 0};
   for (size_t ki = 0; ki < req.keys.size(); ++ki) {
     const std::string_view key = req.keys[ki];
     ++cmd_get_;
-    ServedBy served;
-    if (time_route) {
-      const int64_t t0 = RequestTelemetry::NowMicros();
-      served = GateGet(key);
-      telemetry_->AddRouteTime(RequestTelemetry::NowMicros() - t0);
-    } else {
-      served = GateGet(key);
-    }
-    if (served == ServedBy::kDropped) {
-      // The ladder shed this key: fail the whole retrieval loudly rather
-      // than silently reporting a miss — clients must see backpressure.
-      // (Sharded mode: any ops already scattered for the remaining keys are
-      // awaited at batch end; their results are discarded.)
-      ++sheds_;
-      if (obs_sheds_ != nullptr) {
-        obs_sheds_->Increment();
-      }
-      out->Append("SERVER_ERROR temporarily overloaded\r\n");
-      result.outcome = RequestOutcome::kShed;
-      return result;
-    }
-    if (served == ServedBy::kBackup) {
-      result.outcome = RequestOutcome::kBackup;
-    }
     if (CrossShardOp* rop = RemoteOp(ki); rop != nullptr) {
       // Remote-owned key: the fetch was scattered when the batch was parsed;
       // gather here so VALUE blocks come back in request order.
@@ -200,58 +143,11 @@ ServerCore::Outcome ServerCore::HandleStorage(const TextRequest& req,
     }
     stored = result == ItemStore::StoreResult::kStored;
   }
-  if (stored) {
-    if (telemetry_ != nullptr && telemetry_->span_active() &&
-        system_ != nullptr) {
-      const int64_t t0 = RequestTelemetry::NowMicros();
-      GatePut(key, req.data.size());
-      telemetry_->AddRouteTime(RequestTelemetry::NowMicros() - t0);
-    } else {
-      GatePut(key, req.data.size());
-    }
-  }
   if (!req.noreply) {
     out->Append(stored ? "STORED\r\n" : "NOT_STORED\r\n");
   }
   return Outcome{stored ? RequestOutcome::kStored : RequestOutcome::kNotStored,
                  static_cast<uint32_t>(req.data.size())};
-}
-
-void ServerCore::AppendResilienceStats(ResponseAssembler* out) {
-  // Sharded mode: the system (and its obs bundle, where resilience counters
-  // live) is shared across shards — serialize the reads.
-  std::unique_lock<std::mutex> sys_lock;
-  if (shard_.system_mu != nullptr) {
-    sys_lock = std::unique_lock<std::mutex>(*shard_.system_mu);
-  }
-  const ResilienceLayer* layer =
-      system_ != nullptr ? system_->resilience() : nullptr;
-  if (layer != nullptr) {
-    const auto counts = layer->CountBreakerStates(system_->now());
-    out->Appendf("STAT spotcache_breakers_closed %d\r\n", counts.closed);
-    out->Appendf("STAT spotcache_breakers_open %d\r\n", counts.open);
-    out->Appendf("STAT spotcache_breakers_half_open %d\r\n", counts.half_open);
-    out->Appendf("STAT spotcache_breaker_trips %" PRId64 "\r\n",
-                 layer->breaker_trips());
-  }
-  const Obs* robs = shard_.system_obs != nullptr ? shard_.system_obs : obs_;
-  if (robs != nullptr) {
-    const auto rung = [robs](const char* r) {
-      return robs->registry.CounterValue("resilience/served", {{"rung", r}});
-    };
-    out->Appendf("STAT spotcache_served_primary %" PRId64 "\r\n",
-                 rung("primary"));
-    out->Appendf("STAT spotcache_served_backup %" PRId64 "\r\n",
-                 rung("backup"));
-    out->Appendf("STAT spotcache_served_backend %" PRId64 "\r\n",
-                 rung("backend"));
-    out->Appendf("STAT spotcache_served_shed %" PRId64 "\r\n", rung("shed"));
-  }
-  const uint64_t keyed = cmd_get_ + cmd_set_;
-  out->Appendf("STAT spotcache_shed_fraction %.6f\r\n",
-               keyed == 0 ? 0.0
-                          : static_cast<double>(sheds_) /
-                                static_cast<double>(keyed));
 }
 
 void ServerCore::AppendSpotcacheStats(ResponseAssembler* out) {
@@ -263,7 +159,6 @@ void ServerCore::AppendSpotcacheStats(ResponseAssembler* out) {
     out->Appendf("STAT spotcache_shard %u\r\n", shard_.self);
     out->Appendf("STAT spotcache_shard_count %u\r\n", shard_.count);
   }
-  AppendResilienceStats(out);
   if (telemetry_ != nullptr) {
     const RequestTelemetryConfig& tc = telemetry_->config();
     out->Appendf("STAT spotcache_span_sample_every %u\r\n",
@@ -362,11 +257,7 @@ void ServerCore::AppendDefaultStats(int64_t now, ResponseAssembler* out) {
   stat_u("get_misses", t.get_misses);
   stat_u("evictions", t.evictions);
   stat_u("expired_unfetched", t.expired_reaped);
-  stat_u("sheds", t.sheds);
   stat_u("protocol_errors", t.protocol_errors);
-  if (system_ != nullptr) {
-    AppendResilienceStats(out);
-  }
 }
 
 void ServerCore::HandleStats(const TextRequest& req, int64_t now,
@@ -496,7 +387,6 @@ CoreSnapshot ServerCore::Snapshot() const {
   s.cmd_flush = cmd_flush_;
   s.get_hits = get_hits_;
   s.get_misses = get_misses_;
-  s.sheds = sheds_;
   s.protocol_errors = protocol_errors_;
   s.start_time = start_time_;
   return s;
@@ -734,7 +624,6 @@ void ServerCore::GatherPeerSnapshots(CoreSnapshot* total) {
     total->cmd_flush += s.cmd_flush;
     total->get_hits += s.get_hits;
     total->get_misses += s.get_misses;
-    total->sheds += s.sheds;
     total->protocol_errors += s.protocol_errors;
     if (s.start_time >= 0 &&
         (total->start_time < 0 || s.start_time < total->start_time)) {

@@ -1,29 +1,23 @@
 // Transport-independent memcached command execution.
 //
 // ServerCore turns parsed TextRequests into wire responses against an
-// ItemStore, optionally routed through the simulation stack: when a
-// SpotCacheSystem is attached, every get/set also flows through
-// Router::Route and SpotCacheSystem::Get/Put (string keys hashed to KeyIds),
-// so the degradation ladder, circuit breakers, and admission control gate
-// real connections. The ItemStore stays authoritative for payload bytes —
-// the system models placement, health, and shedding; a ladder decision of
-// "shed" turns the reply into SERVER_ERROR instead of serving.
+// ItemStore. Failover and degradation are not its business: the proxy tier
+// (src/proxy) runs breakers, backup fallback and misses in front of a fleet
+// of these servers.
 //
-// Handle() is a pure function of (request, now, store/system state): no wall
+// Handle() is a pure function of (request, now, store state): no wall
 // clock, no I/O, no iteration-order dependence — which is what lets the
 // conformance suite run the same tables both in-process and over a socket,
 // and the fuzzer compare byte-identical outputs across stream chunkings.
 //
 // Telemetry (optional, attached by the server): each handled request reports
 // its (op, outcome) classification, and span-sampled requests get their
-// ladder/router time stamped separately from store time, so the flight
-// recorder can attribute tail latency to route vs. store phases. The
-// wall-clock reads live behind `telemetry->span_active()` (1/256 by
+// store phase stamped, so the flight recorder can attribute tail latency.
+// The wall-clock reads live behind `telemetry->span_active()` (1/256 by
 // default), preserving Handle()'s determinism for every unsampled request.
 //
-// Stats surfaces: plain `stats` emits the memcached-compatible block plus
-// `STAT spotcache_*` resilience lines (breaker states, shed fraction);
-// `stats spotcache` emits the full server-telemetry extension (event-loop
+// Stats surfaces: plain `stats` emits the memcached-compatible block;
+// `stats spotcache` emits the server-telemetry extension (event-loop
 // health, sampled span counts, per-(op, outcome) latency quantiles).
 
 // Sharded serving (multi-core PR): when a ShardContext is attached, the
@@ -41,11 +35,9 @@
 
 #include <cstdint>
 #include <deque>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "src/cache/cache_protocol.h"
 #include "src/net/item_store.h"
 #include "src/net/protocol.h"
 #include "src/net/request_handler.h"
@@ -53,11 +45,6 @@
 #include "src/net/sharding.h"
 #include "src/obs/obs.h"
 #include "src/obs/request_telemetry.h"
-#include "src/routing/hash.h"
-
-namespace spotcache {
-class SpotCacheSystem;
-}  // namespace spotcache
 
 namespace spotcache::net {
 
@@ -72,12 +59,6 @@ struct ShardContext {
   uint32_t self = 0;
   uint32_t count = 1;
   ShardExchange* exchange = nullptr;
-  /// Serializes access to the shared SpotCacheSystem (the control-plane
-  /// model is not thread-safe; its gate calls are heavyweight already).
-  std::mutex* system_mu = nullptr;
-  /// The obs bundle the shared system publishes into (resilience counters
-  /// live there, not in the per-shard registries).
-  Obs* system_obs = nullptr;
 };
 
 /// One parsed-and-owned request (or parse error) from a drain batch. The
@@ -99,12 +80,11 @@ struct PendingEvent {
 
 class ServerCore : public RequestHandler {
  public:
-  explicit ServerCore(const ServerCoreConfig& config,
-                      SpotCacheSystem* system = nullptr, Obs* obs = nullptr);
+  explicit ServerCore(const ServerCoreConfig& config, Obs* obs = nullptr);
 
   /// Attaches the serving-path telemetry (non-owning; may be null). The
   /// server wires its RequestTelemetry in here so Handle() can classify
-  /// outcomes and stamp route/store phases on sampled requests.
+  /// outcomes and stamp the store phase on sampled requests.
   void set_telemetry(RequestTelemetry* telemetry) override {
     telemetry_ = telemetry;
   }
@@ -119,9 +99,8 @@ class ServerCore : public RequestHandler {
   /// protocol errors even on noreply commands).
   void HandleParseError(ParseErrorKind kind, ResponseAssembler* out) override;
 
-  /// Makes this core shard `ctx.self` of `ctx.count`: wires the exchange,
-  /// the shared cas sequence, and the system serialization. Must be called
-  /// before serving starts.
+  /// Makes this core shard `ctx.self` of `ctx.count`: wires the exchange
+  /// and the shared cas sequence. Must be called before serving starts.
   void ConfigureShard(const ShardContext& ctx);
   bool sharded() const {
     return shard_.exchange != nullptr && shard_.count > 1;
@@ -154,7 +133,6 @@ class ServerCore : public RequestHandler {
   uint64_t cmd_set() const { return cmd_set_; }
   uint64_t get_hits() const { return get_hits_; }
   uint64_t get_misses() const { return get_misses_; }
-  uint64_t sheds() const { return sheds_; }
   uint64_t protocol_errors() const { return protocol_errors_; }
 
  private:
@@ -171,16 +149,10 @@ class ServerCore : public RequestHandler {
                         ResponseAssembler* out);
   void HandleStats(const TextRequest& req, int64_t now,
                    ResponseAssembler* out);
-  /// The memcached-compatible stats block (+ spotcache_* resilience lines).
+  /// The memcached-compatible stats block.
   void AppendDefaultStats(int64_t now, ResponseAssembler* out);
-  /// `STAT spotcache_*` resilience lines (breaker states, shed fraction).
-  void AppendResilienceStats(ResponseAssembler* out);
   /// The `stats spotcache` extension: telemetry + event-loop health.
   void AppendSpotcacheStats(ResponseAssembler* out);
-  /// Consults the attached system's ladder for one keyed operation; reports
-  /// who (model-)served it. kDropped means the request should be shed.
-  ServedBy GateGet(std::string_view key);
-  void GatePut(std::string_view key, size_t bytes);
 
   // --- Sharded-batch machinery (no-ops when not sharded). ---------------
   /// Scatters remote ops for events [from, barrier) into the batch deque,
@@ -205,7 +177,6 @@ class ServerCore : public RequestHandler {
 
   ServerCoreConfig config_;
   ItemStore store_;
-  SpotCacheSystem* system_;
   Obs* obs_;
   RequestTelemetry* telemetry_ = nullptr;
   ShardContext shard_;
@@ -225,7 +196,6 @@ class ServerCore : public RequestHandler {
   uint64_t cmd_flush_ = 0;
   uint64_t get_hits_ = 0;
   uint64_t get_misses_ = 0;
-  uint64_t sheds_ = 0;
   uint64_t protocol_errors_ = 0;
 
   // Fleet counters (resolved once; null when obs is detached).
@@ -233,7 +203,6 @@ class ServerCore : public RequestHandler {
   Counter* obs_get_hits_ = nullptr;
   Counter* obs_get_misses_ = nullptr;
   Counter* obs_sets_ = nullptr;
-  Counter* obs_sheds_ = nullptr;
   Counter* obs_protocol_errors_ = nullptr;
 };
 

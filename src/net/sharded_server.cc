@@ -43,14 +43,12 @@ void PinToCore(uint32_t shard) {
 
 }  // namespace
 
-ShardedServer::ShardedServer(const ShardedServerConfig& config,
-                             SpotCacheSystem* system, Obs* system_obs)
+ShardedServer::ShardedServer(const ShardedServerConfig& config, Obs* obs)
     : config_(config),
-      system_(system),
-      system_obs_(system_obs),
+      obs_(obs),
       shard_count_(std::clamp<uint32_t>(config.threads, 1, kMaxShards)),
       exchange_(shard_count_),
-      hub_(static_cast<size_t>(shard_count_) + 1, shard_count_) {}
+      hub_(shard_count_) {}
 
 bool ShardedServer::Start() {
   using_reuseport_ = shard_count_ > 1 && !config_.force_dispatch &&
@@ -74,13 +72,12 @@ bool ShardedServer::Start() {
     }
     c.reuse_port = using_reuseport_;
     shard_obs_.push_back(std::make_unique<Obs>());
-    // Per-shard tracers inherit the system tracer's enablement: each ring is
+    // Per-shard tracers inherit the caller's tracer enablement: each ring is
     // only ever touched by its owning reactor thread, and the shutdown path
     // concatenates the per-shard JSONL streams into the one trace file.
-    shard_obs_.back()->tracer.set_enabled(system_obs_ != nullptr &&
-                                          system_obs_->tracer.enabled());
-    auto shard =
-        std::make_unique<NetServer>(c, system_, shard_obs_.back().get());
+    shard_obs_.back()->tracer.set_enabled(obs_ != nullptr &&
+                                          obs_->tracer.enabled());
+    auto shard = std::make_unique<NetServer>(c, shard_obs_.back().get());
     if (clock_) {
       shard->SetClock(clock_);
     }
@@ -89,10 +86,6 @@ bool ShardedServer::Start() {
       ctx.self = i;
       ctx.count = shard_count_;
       ctx.exchange = &exchange_;
-      if (system_ != nullptr) {
-        ctx.system_mu = &system_mu_;
-        ctx.system_obs = system_obs_;
-      }
       shard->ConfigureShard(ctx);
       shard->AttachMetricsHub(&hub_, i);
       shard->SetDumpMutex(&dump_mu_);
@@ -177,7 +170,6 @@ CoreSnapshot ShardedServer::TotalSnapshot() const {
     total.cmd_flush += s.cmd_flush;
     total.get_hits += s.get_hits;
     total.get_misses += s.get_misses;
-    total.sheds += s.sheds;
     total.protocol_errors += s.protocol_errors;
     if (s.start_time >= 0 &&
         (total.start_time < 0 || s.start_time < total.start_time)) {

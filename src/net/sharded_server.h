@@ -40,10 +40,6 @@
 #include "src/obs/metrics_hub.h"
 #include "src/obs/obs.h"
 
-namespace spotcache {
-class SpotCacheSystem;
-}  // namespace spotcache
-
 namespace spotcache::net {
 
 /// Wake masks and the dispatch round-robin assume shard indices fit a
@@ -65,8 +61,10 @@ struct ShardedServerConfig {
 
 class ShardedServer {
  public:
-  ShardedServer(const ShardedServerConfig& config,
-                SpotCacheSystem* system = nullptr, Obs* system_obs = nullptr);
+  /// `obs` (optional) only lends its tracer enablement to the per-shard
+  /// tracers; every shard records into its own private Obs (shard_obs()).
+  explicit ShardedServer(const ShardedServerConfig& config,
+                         Obs* obs = nullptr);
 
   ShardedServer(const ShardedServer&) = delete;
   ShardedServer& operator=(const ShardedServer&) = delete;
@@ -108,15 +106,13 @@ class ShardedServer {
 
  private:
   ShardedServerConfig config_;
-  SpotCacheSystem* system_;
-  Obs* system_obs_;
+  Obs* obs_;
   std::function<int64_t()> clock_;
   uint32_t shard_count_;
   bool using_reuseport_ = false;
 
   ShardExchange exchange_;
-  MetricsHub hub_;  // one slot per shard + one for the control registry
-  std::mutex system_mu_;
+  MetricsHub hub_;  // one slot per shard
   std::mutex dump_mu_;
   std::vector<std::unique_ptr<Obs>> shard_obs_;
   std::vector<std::unique_ptr<NetServer>> shards_;

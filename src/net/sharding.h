@@ -63,7 +63,6 @@ struct CoreSnapshot {
   uint64_t cmd_flush = 0;
   uint64_t get_hits = 0;
   uint64_t get_misses = 0;
-  uint64_t sheds = 0;
   uint64_t protocol_errors = 0;
   int64_t start_time = -1;
 };

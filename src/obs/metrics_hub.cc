@@ -4,8 +4,7 @@
 
 namespace spotcache {
 
-MetricsHub::MetricsHub(size_t slots, size_t shards)
-    : snapshots_(slots), shards_(shards) {}
+MetricsHub::MetricsHub(size_t shards) : snapshots_(shards) {}
 
 void MetricsHub::Publish(size_t slot, const MetricsRegistry& registry) {
   {
@@ -35,7 +34,7 @@ MetricsRegistry MetricsHub::Aggregate() const {
     }
   }
   agg.GetGauge("obs/flush_epoch")->Set(static_cast<double>(epoch()));
-  agg.GetGauge("obs/shards")->Set(static_cast<double>(shards_));
+  agg.GetGauge("obs/shards")->Set(static_cast<double>(snapshots_.size()));
   return agg;
 }
 

@@ -31,13 +31,9 @@ namespace spotcache {
 
 class MetricsHub {
  public:
-  /// `slots` independent publishers (one per shard, plus any extra slots the
-  /// server dedicates to shared control-plane registries). `shards` is what
-  /// the `obs/shards` meta-gauge reports — the serving-shard count, which is
-  /// smaller than `slots` when control-plane slots exist.
-  explicit MetricsHub(size_t slots, size_t shards);
-
-  size_t slots() const { return snapshots_.size(); }
+  /// One independent publisher slot per shard; `shards` is also what the
+  /// `obs/shards` meta-gauge reports.
+  explicit MetricsHub(size_t shards);
 
   /// Copies `registry` into `slot` under the hub lock and advances the
   /// flush epoch. Called by the owning thread only, off the hot path.
@@ -57,7 +53,6 @@ class MetricsHub {
  private:
   mutable std::mutex mu_;
   std::vector<MetricsRegistry> snapshots_;
-  size_t shards_;
   std::atomic<uint64_t> epoch_{0};
 };
 

@@ -123,10 +123,6 @@ void RequestTelemetry::OnParsedSampled(TelemetryOp op, uint32_t key_count) {
   }
 }
 
-void RequestTelemetry::AddRouteTime(int64_t route_us) {
-  current_.route_us += route_us;
-}
-
 void RequestTelemetry::OnExecutedSampled(RequestOutcome outcome,
                                          uint32_t value_bytes) {
   const int64_t t_end = NowMicros();
@@ -135,11 +131,7 @@ void RequestTelemetry::OnExecutedSampled(RequestOutcome outcome,
   current_.total_us = t_end - t_batch0_us_;
   if (mode_ == Mode::kSpan) {
     current_.full_span = true;
-    current_.store_us =
-        t_end - t_parsed_us_ - current_.route_us;
-    if (current_.store_us < 0) {
-      current_.store_us = 0;
-    }
+    current_.store_us = t_end - t_parsed_us_;
   }
 
   if (Histogram* h = HistogramFor(current_.op, outcome); h != nullptr) {
@@ -233,7 +225,6 @@ void RequestTelemetry::CommitRecord(SpanRecord record) {
          {"slow", record.slow ? "true" : "false"},
          {"queue_us", EventTracer::JsonNumber(record.queue_us)},
          {"parse_us", EventTracer::JsonNumber(record.parse_us)},
-         {"route_us", EventTracer::JsonNumber(record.route_us)},
          {"store_us", EventTracer::JsonNumber(record.store_us)},
          {"write_us", EventTracer::JsonNumber(record.write_us)},
          {"total_us", EventTracer::JsonNumber(record.total_us)},
@@ -271,8 +262,6 @@ std::string RequestTelemetry::RenderSpanJson(const SpanRecord& span) {
   out += EventTracer::JsonNumber(span.queue_us);
   out += ",\"parse_us\":";
   out += EventTracer::JsonNumber(span.parse_us);
-  out += ",\"route_us\":";
-  out += EventTracer::JsonNumber(span.route_us);
   out += ",\"store_us\":";
   out += EventTracer::JsonNumber(span.store_us);
   out += ",\"write_us\":";

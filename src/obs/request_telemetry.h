@@ -17,10 +17,9 @@
 //     LogHistogram geometry (1 us floor, 5% growth) as the load generator,
 //     so server and client p99 are directly comparable.
 //   * A span-sampled request (1/span_sample_every, default 1/256) carries
-//     monotonic timestamps through parse -> route/ladder -> store ->
-//     response-write. Finished spans go to the flight-recorder ring always,
-//     and to the EventTracer as `request_span` JSONL events when tracing is
-//     enabled.
+//     monotonic timestamps through parse -> store -> response-write.
+//     Finished spans go to the flight-recorder ring always, and to the
+//     EventTracer as `request_span` JSONL events when tracing is enabled.
 //
 // The flight recorder is a fixed-size ring of recent span records. A request
 // whose measured latency exceeds `slow_request_us` is force-recorded into
@@ -94,7 +93,6 @@ struct SpanRecord {
   bool slow = false;       // force-captured by the slow-request detector
   int64_t queue_us = 0;    // batch recv -> parse begin
   int64_t parse_us = 0;    // parse begin -> request materialized
-  int64_t route_us = 0;    // ladder / router consults (0 without a system)
   int64_t store_us = 0;    // ItemStore ops + response assembly
   int64_t write_us = 0;    // this batch's flush (shared across its spans)
   int64_t total_us = 0;    // batch recv -> completion (+ write when full)
@@ -155,9 +153,6 @@ class RequestTelemetry {
       OnParsedSampled(op, key_count);
     }
   }
-  /// Adds ladder/router time (span-sampled requests only; accumulated
-  /// across the keys of a multi-get).
-  void AddRouteTime(int64_t route_us);
   /// The request finished executing (response assembled, not yet written).
   void OnExecuted(RequestOutcome outcome, uint32_t value_bytes) {
     if (mode_ != Mode::kNone) {
