@@ -182,6 +182,11 @@ std::vector<WireCase> ConformanceCases() {
             "STORED\r\n");
   add_clock("store_after_flush_visible", 0, "get r5\r\n",
             "VALUE r5 0 1\r\ny\r\nEND\r\n");
+  // A delayed flush_all leaves an applied flush in force: b (stored before
+  // flush_all_now) stays dead, r5 (stored after the last point) stays live.
+  add_clock("flush_delay_after_applied_flush", 0,
+            "flush_all 60\r\nget b r5\r\n",
+            "OK\r\nVALUE r5 0 1\r\ny\r\nEND\r\n");
 
   return cases;
 }
