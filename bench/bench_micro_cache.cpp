@@ -1,13 +1,18 @@
 // Micro-benchmarks of the cache data path (google-benchmark): LRU get/put,
-// eviction pressure, and back-end reads. Not a paper artifact; supports the
-// claim that the simulator's data plane is cheap enough to run key-level
-// experiments.
+// eviction pressure, the serving tier's ItemStore at 100 B and 4 KB values,
+// and back-end reads. Not a paper artifact; supports the claim that the
+// simulator's data plane is cheap enough to run key-level experiments.
 
 #include <benchmark/benchmark.h>
+
+#include <cstdio>
+#include <string>
+#include <vector>
 
 #include "src/cache/backend_store.h"
 #include "src/cache/cache_node.h"
 #include "src/cache/lru_cache.h"
+#include "src/net/item_store.h"
 #include "src/obs/obs.h"
 #include "src/util/rng.h"
 #include "src/workload/zipf.h"
@@ -58,6 +63,65 @@ void BM_LruZipfMixedEvicting(benchmark::State& state) {
       static_cast<double>(cache.hits() + cache.misses());
 }
 BENCHMARK(BM_LruZipfMixedEvicting);
+
+// ItemStore cases: state.range(0) is the value size in bytes. Keys are
+// formatted up front so the loops time the store, not snprintf.
+std::vector<std::string> ItemKeys(size_t n) {
+  std::vector<std::string> keys(n);
+  char buf[32];
+  for (size_t i = 0; i < n; ++i) {
+    std::snprintf(buf, sizeof(buf), "key:%08zu", i);
+    keys[i] = buf;
+  }
+  return keys;
+}
+
+constexpr size_t kItemStoreBytes = 16u << 20;
+constexpr int64_t kItemNow = 2'000'000'000;
+
+/// Bytes the store charges per item: a 12-byte key + value + 64.
+size_t ItemCharge(size_t value_bytes) { return 12 + value_bytes + 64; }
+
+void BM_ItemStoreGetHit(benchmark::State& state) {
+  const std::string value(static_cast<size_t>(state.range(0)), 'v');
+  // Every key fits: about half the capacity's worth of items.
+  const std::vector<std::string> keys =
+      ItemKeys(kItemStoreBytes / 2 / ItemCharge(value.size()));
+  net::ItemStore store(kItemStoreBytes);
+  for (const std::string& key : keys) {
+    store.Set(key, 0, 0, value, kItemNow);
+  }
+  Rng rng(5);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(store.Get(keys[rng.NextBelow(keys.size())],
+                                       kItemNow));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ItemStoreGetHit)->Arg(100)->Arg(4096);
+
+void BM_ItemStoreZipfMixedEvicting(benchmark::State& state) {
+  // 4x over-subscription under Zipf(1.0): get, and set on a miss.
+  const std::string value(static_cast<size_t>(state.range(0)), 'v');
+  const std::vector<std::string> keys =
+      ItemKeys(4 * kItemStoreBytes / ItemCharge(value.size()));
+  net::ItemStore store(kItemStoreBytes);
+  ZipfianGenerator gen(keys.size(), 1.0);
+  Rng rng(6);
+  uint64_t hits = 0;
+  for (auto _ : state) {
+    const std::string& key = keys[gen.Sample(rng)];
+    if (store.Get(key, kItemNow) != nullptr) {
+      ++hits;
+    } else {
+      store.Set(key, 0, 0, value, kItemNow);
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["hit_rate"] =
+      static_cast<double>(hits) / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_ItemStoreZipfMixedEvicting)->Arg(100)->Arg(4096);
 
 void BM_CacheNodeGet(benchmark::State& state) {
   CacheNode node(1, 4.0, "bench");

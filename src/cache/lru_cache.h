@@ -93,6 +93,9 @@ class LruCache {
         const uint32_t s = buckets_[b];
         Slot& slot = slots_[s];
         bytes_used_ -= slot.entry.bytes;
+        // The key is re-pointed too: a view key may live in the very value
+        // this overwrite releases.
+        slot.entry.key = key;
         slot.entry.value = std::move(value);
         slot.entry.bytes = bytes;
         MoveToFront(s);
@@ -116,14 +119,21 @@ class LruCache {
 
   /// Looks the key up and promotes it to most-recently-used.
   std::optional<V> Get(const K& key) {
+    const V* v = Lookup(key);
+    return v == nullptr ? std::nullopt : std::optional<V>(*v);
+  }
+
+  /// Get without the copy. The pointer is valid until the next mutating
+  /// call (the arena may move on growth).
+  V* Lookup(const K& key) {
     const uint32_t s = FindSlot(key);
     if (s == kNil) {
       ++misses_;
-      return std::nullopt;
+      return nullptr;
     }
     ++hits_;
     MoveToFront(s);
-    return slots_[s].entry.value;
+    return &slots_[s].entry.value;
   }
 
   /// Lookup without promotion or stats. The pointer is valid until the next

@@ -64,11 +64,9 @@ void ResponseAssembler::Appendf(const char* fmt, ...) {
   PushIov(dst, static_cast<size_t>(n), /*coalescable=*/true);
 }
 
-void ResponseAssembler::AppendPinned(std::string_view bytes,
-                                     std::shared_ptr<const std::string> pin) {
-  if (pin != nullptr) {
-    pins_.push_back(std::move(pin));
-  }
+void ResponseAssembler::AppendPinned(const ItemRef& item) {
+  pins_.push_back(item);
+  const std::string_view bytes = item->value();
   PushIov(bytes.data(), bytes.size(), /*coalescable=*/false);
   last_coalescable_ = false;
 }

@@ -3,9 +3,10 @@
 // A response is a sequence of iovecs: small generated fragments (VALUE
 // headers, status lines) are formatted into a block-arena scratch space with
 // stable addresses, while item payloads are referenced in place and pinned
-// (shared_ptr) so a batched writev stays valid even if a later request in
-// the batch evicts the item. Adjacent scratch fragments coalesce into one
-// iovec, so a typical "VALUE...\r\n<data>\r\nEND\r\n" reply is 3 vectors.
+// (a counted ItemRef to the item's block) so a batched writev stays valid
+// even if a later request in the batch evicts, overwrites or deletes the
+// item. Adjacent scratch fragments coalesce into one iovec, so a typical
+// "VALUE...\r\n<data>\r\nEND\r\n" reply is 3 vectors.
 //
 // The assembler is reused across batches: Clear() drops the pins and rewinds
 // the arena without freeing it, so steady-state assembly allocates nothing.
@@ -20,6 +21,8 @@
 #include <string_view>
 #include <vector>
 
+#include "src/net/item_store.h"
+
 namespace spotcache::net {
 
 class ResponseAssembler {
@@ -30,9 +33,9 @@ class ResponseAssembler {
   void Append(std::string_view bytes);
   /// printf into the scratch arena (single fragment; must fit one block).
   void Appendf(const char* fmt, ...) __attribute__((format(printf, 2, 3)));
-  /// References `bytes` in place, keeping `pin` alive until Clear().
-  void AppendPinned(std::string_view bytes,
-                    std::shared_ptr<const std::string> pin);
+  /// References the item's value bytes in place, keeping its block alive
+  /// until Clear().
+  void AppendPinned(const ItemRef& item);
 
   const std::vector<iovec>& iovecs() const { return iov_; }
   size_t total_bytes() const { return total_; }
@@ -57,7 +60,7 @@ class ResponseAssembler {
   std::vector<iovec> iov_;
   bool last_coalescable_ = false;
   size_t total_ = 0;
-  std::vector<std::shared_ptr<const std::string>> pins_;
+  std::vector<ItemRef> pins_;
 };
 
 }  // namespace spotcache::net

@@ -24,6 +24,12 @@ TelemetryOp OpFor(Verb verb) {
   }
 }
 
+ItemStore::Mode StoreModeOf(Verb verb) {
+  return verb == Verb::kAdd       ? ItemStore::Mode::kAdd
+         : verb == Verb::kReplace ? ItemStore::Mode::kReplace
+                                  : ItemStore::Mode::kSet;
+}
+
 }  // namespace
 
 ServerCore::ServerCore(const ServerCoreConfig& config, Obs* obs)
@@ -52,39 +58,16 @@ ServerCore::Outcome ServerCore::HandleRetrieve(const TextRequest& req,
   for (size_t ki = 0; ki < req.keys.size(); ++ki) {
     const std::string_view key = req.keys[ki];
     ++cmd_get_;
+    const ItemRef* hit = nullptr;
     if (CrossShardOp* rop = RemoteOp(ki); rop != nullptr) {
       // Remote-owned key: the fetch was scattered when the batch was parsed;
       // gather here so VALUE blocks come back in request order.
       AwaitOp(rop);
-      if (!rop->found) {
-        ++get_misses_;
-        if (obs_get_misses_ != nullptr) {
-          obs_get_misses_->Increment();
-        }
-        if (result.outcome == RequestOutcome::kHit) {
-          result.outcome = RequestOutcome::kMiss;
-        }
-        continue;
-      }
-      ++get_hits_;
-      if (obs_get_hits_ != nullptr) {
-        obs_get_hits_->Increment();
-      }
-      result.value_bytes += static_cast<uint32_t>(rop->rdata->size());
-      if (with_cas) {
-        out->Appendf("VALUE %.*s %u %zu %" PRIu64 "\r\n",
-                     static_cast<int>(key.size()), key.data(), rop->rflags,
-                     rop->rdata->size(), rop->rcas);
-      } else {
-        out->Appendf("VALUE %.*s %u %zu\r\n", static_cast<int>(key.size()),
-                     key.data(), rop->rflags, rop->rdata->size());
-      }
-      out->AppendPinned(*rop->rdata, rop->rdata);
-      out->Append("\r\n");
-      continue;
+      hit = rop->found ? &rop->rdata : nullptr;
+    } else if (const Item* item = store_.Get(key, now); item != nullptr) {
+      hit = &item->data;
     }
-    const Item* item = store_.Get(key, now);
-    if (item == nullptr) {
+    if (hit == nullptr) {
       ++get_misses_;
       if (obs_get_misses_ != nullptr) {
         obs_get_misses_->Increment();
@@ -98,16 +81,17 @@ ServerCore::Outcome ServerCore::HandleRetrieve(const TextRequest& req,
     if (obs_get_hits_ != nullptr) {
       obs_get_hits_->Increment();
     }
-    result.value_bytes += static_cast<uint32_t>(item->data->size());
+    const ItemBlock& item = **hit;
+    result.value_bytes += item.value_len;
     if (with_cas) {
-      out->Appendf("VALUE %.*s %u %zu %" PRIu64 "\r\n",
-                   static_cast<int>(key.size()), key.data(), item->flags,
-                   item->data->size(), item->cas);
+      out->Appendf("VALUE %.*s %u %u %" PRIu64 "\r\n",
+                   static_cast<int>(key.size()), key.data(), item.flags,
+                   item.value_len, item.cas);
     } else {
-      out->Appendf("VALUE %.*s %u %zu\r\n", static_cast<int>(key.size()),
-                   key.data(), item->flags, item->data->size());
+      out->Appendf("VALUE %.*s %u %u\r\n", static_cast<int>(key.size()),
+                   key.data(), item.flags, item.value_len);
     }
-    out->AppendPinned(*item->data, item->data);
+    out->AppendPinned(*hit);
     out->Append("\r\n");
   }
   out->Append("END\r\n");
@@ -127,21 +111,8 @@ ServerCore::Outcome ServerCore::HandleStorage(const TextRequest& req,
     AwaitOp(rop);
     stored = rop->stored;
   } else {
-    ItemStore::StoreResult result = ItemStore::StoreResult::kNotStored;
-    switch (req.verb) {
-      case Verb::kSet:
-        result = store_.Set(key, req.flags, req.exptime, req.data, now);
-        break;
-      case Verb::kAdd:
-        result = store_.Add(key, req.flags, req.exptime, req.data, now);
-        break;
-      case Verb::kReplace:
-        result = store_.Replace(key, req.flags, req.exptime, req.data, now);
-        break;
-      default:
-        break;
-    }
-    stored = result == ItemStore::StoreResult::kStored;
+    stored = store_.Store(StoreModeOf(req.verb), key, req.flags, req.exptime,
+                          req.data, now);
   }
   if (!req.noreply) {
     out->Append(stored ? "STORED\r\n" : "NOT_STORED\r\n");
@@ -397,27 +368,13 @@ void ServerCore::ExecuteCrossOp(CrossShardOp* op) {
   switch (op->kind) {
     case Kind::kGet: {
       const Item* item = store_.Get(op->key, op->now);
-      if (item != nullptr) {
-        op->found = true;
-        op->rflags = item->flags;
-        op->rcas = item->cas;
-        op->rdata = item->data;
-      } else {
-        op->found = false;
-      }
+      op->found = item != nullptr;
+      op->rdata = op->found ? item->data : nullptr;
       break;
     }
-    case Kind::kSet:
-      op->stored = store_.Set(op->key, op->flags, op->exptime, op->data,
-                              op->now) == ItemStore::StoreResult::kStored;
-      break;
-    case Kind::kAdd:
-      op->stored = store_.Add(op->key, op->flags, op->exptime, op->data,
-                              op->now) == ItemStore::StoreResult::kStored;
-      break;
-    case Kind::kReplace:
-      op->stored = store_.Replace(op->key, op->flags, op->exptime, op->data,
-                                  op->now) == ItemStore::StoreResult::kStored;
+    case Kind::kStore:
+      op->stored = store_.Store(op->mode, op->key, op->flags, op->exptime,
+                                op->data, op->now);
       break;
     case Kind::kDelete:
       op->found = store_.Delete(op->key, op->now);
@@ -479,11 +436,8 @@ void ServerCore::ScatterEvent(const PendingEvent& ev, size_t index,
       ops.assign(1, nullptr);
       const uint32_t owner = ShardOfKey(ev.keys[0], shard_.count);
       if (owner != shard_.self) {
-        const CrossShardOp::Kind kind =
-            ev.verb == Verb::kSet     ? CrossShardOp::Kind::kSet
-            : ev.verb == Verb::kAdd   ? CrossShardOp::Kind::kAdd
-                                      : CrossShardOp::Kind::kReplace;
-        CrossShardOp* op = make_op(kind, ev.keys[0]);
+        CrossShardOp* op = make_op(CrossShardOp::Kind::kStore, ev.keys[0]);
+        op->mode = StoreModeOf(ev.verb);
         op->flags = ev.flags;
         op->exptime = ev.exptime;
         op->data = ev.data;

@@ -22,7 +22,7 @@
 
 // Sharded serving (multi-core PR): when a ShardContext is attached, the
 // core becomes one of N partitions. Keys it owns (ShardOfKey == self) run
-// the exact single-threaded path — no locks, no atomics; keys owned by
+// the exact single-threaded path — no locks, no mailbox; keys owned by
 // other shards are scattered ahead through the ShardExchange mailboxes
 // (ExecuteBatch parses a whole drain batch, submits every remote op up to
 // the next ordering barrier, then executes requests in order, awaiting each

@@ -4,7 +4,7 @@
 // partition, private RequestTelemetry, private Obs registry — running on its
 // own thread. Keys are partitioned by ShardOfKey (splitmix64-finalized
 // HashString modulo shard count), so the per-request get/set path on a
-// shard-local key touches no locks and no atomics. Cross-shard keys travel
+// shard-local key takes no locks and uses no mailbox. Cross-shard keys travel
 // through the ShardExchange's bounded SPSC mailboxes (see sharding.h).
 //
 // Accept strategy: by default every shard binds the same port with

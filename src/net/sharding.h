@@ -11,12 +11,13 @@
 // by 4-tuple), so a request handled by shard A may name keys owned by shard
 // B. Those operations travel through a bounded SPSC mailbox per ordered
 // shard pair: A fills a CrossShardOp, pushes a pointer into ring (A -> B),
-// and B executes it against its own store on its own thread. Only the two
-// ring indices and the op's `done` flag are atomic; item payloads cross
-// threads as shared_ptr<const string> (immutable, refcounted), and the
-// release/acquire pair on `done` publishes the reply fields. Shard-local
-// operations — the common case the partition function is chosen for — touch
-// no atomics at all.
+// and B executes it against its own store on its own thread. The ring
+// indices, the op's `done` flag and item pin counts are the only atomics;
+// items cross threads as ItemRefs (a counted reference to the owner's item
+// block, whose header carries the flags and cas), and the release/acquire
+// pair on `done` publishes the reply fields. Shard-local operations — the
+// common case the partition function is chosen for — never touch the
+// exchange.
 //
 // Deadlock freedom: a shard waiting for a reply keeps servicing its own
 // inbox (executing other shards' ops, which are purely store-local and never
@@ -35,6 +36,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/net/item_store.h"
 #include "src/routing/hash.h"
 
 namespace spotcache::net {
@@ -73,10 +75,8 @@ struct CoreSnapshot {
 /// fields are published by `done` (release store / acquire load).
 struct CrossShardOp {
   enum class Kind : uint8_t {
-    kGet,       // key -> found/flags/cas/data
-    kSet,       // key+flags+exptime+data -> stored
-    kAdd,
-    kReplace,
+    kGet,       // key -> found/rdata
+    kStore,     // mode+key+flags+exptime+data -> stored
     kDelete,    // key -> found (deleted-live)
     kTouch,     // key+exptime -> found
     kFlushAll,  // now+delay broadcast
@@ -85,6 +85,7 @@ struct CrossShardOp {
   };
 
   Kind kind = Kind::kGet;
+  ItemStore::Mode mode = ItemStore::Mode::kSet;  // kStore
   std::string key;
   std::string data;
   uint32_t flags = 0;
@@ -96,9 +97,7 @@ struct CrossShardOp {
   // Reply (owner-written, valid after `done` reads true).
   bool found = false;
   bool stored = false;
-  uint32_t rflags = 0;
-  uint64_t rcas = 0;
-  std::shared_ptr<const std::string> rdata;
+  ItemRef rdata;  // kGet hit: the item's block
   CoreSnapshot snapshot;
 
   std::atomic<bool> done{false};

@@ -27,6 +27,8 @@
 #include <gtest/gtest.h>
 
 #include "src/net/client.h"
+#include "src/net/response.h"
+#include "src/net/server_core.h"
 #include "src/net/sharded_server.h"
 #include "src/net/sharding.h"
 
@@ -352,6 +354,60 @@ TEST(ShardedServer, FlushAllAndMultigetSpanShards) {
   const CoreSnapshot total = server.TotalSnapshot();
   EXPECT_EQ(total.curr_items, 1u);
   EXPECT_EQ(total.cmd_flush, 1u);
+}
+
+// A cross-shard get pins the owner's item block. The owner overwrites and
+// deletes the key later in the same batch, on its own thread; the requester
+// must still assemble the original bytes, and its release of the last pin
+// frees the block on the requesting thread (the TSan job runs this).
+TEST(ShardedServer, CrossShardGetPinSurvivesOwnerOverwrite) {
+  ShardExchange exchange(2);
+  ServerCore requester(ServerCoreConfig{});
+  ServerCore owner(ServerCoreConfig{});
+  requester.ConfigureShard({0, 2, &exchange});
+  owner.ConfigureShard({1, 2, &exchange});
+  exchange.SetExecutor(0,
+                       [&](CrossShardOp* op) { requester.ExecuteCrossOp(op); });
+  exchange.SetExecutor(1, [&](CrossShardOp* op) { owner.ExecuteCrossOp(op); });
+  std::atomic<bool> stop{false};
+  std::thread owner_loop([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      if (exchange.ServiceInbox(1) == 0) {
+        std::this_thread::yield();
+      }
+    }
+  });
+
+  std::string key = "k0";
+  for (int i = 1; ShardOfKey(key, 2) != 1; ++i) {
+    key = "k" + std::to_string(i);
+  }
+  const auto event = [&key](Verb verb, std::string data) {
+    PendingEvent ev;
+    ev.verb = verb;
+    ev.keys = {key};
+    ev.data = std::move(data);
+    return ev;
+  };
+  ResponseAssembler out;
+  EXPECT_TRUE(requester.ExecuteBatch({event(Verb::kSet, "old")}, kT0, &out));
+  out.Clear();
+  const std::string want = "VALUE " + key +
+                           " 0 3\r\nold\r\nEND\r\nSTORED\r\nDELETED\r\n"
+                           "STORED\r\n";
+  // EXPECT, not ASSERT: the owner thread must be joined on failure too.
+  for (int round = 0; round < 200 && !HasFailure(); ++round) {
+    EXPECT_TRUE(requester.ExecuteBatch(
+        {event(Verb::kGet, ""), event(Verb::kSet, "new" + std::to_string(round)),
+         event(Verb::kDelete, ""), event(Verb::kSet, "old")},
+        kT0, &out));
+    EXPECT_EQ(out.Flatten(), want) << "round " << round;
+    out.Clear();
+  }
+  stop.store(true, std::memory_order_release);
+  owner_loop.join();
+  EXPECT_EQ(owner.store().item_count(), 1u);
+  EXPECT_EQ(requester.store().item_count(), 0u);
 }
 
 }  // namespace
