@@ -1,7 +1,8 @@
 // Micro-benchmarks of the cache data path (google-benchmark): LRU get/put,
-// eviction pressure, the serving tier's ItemStore at 100 B and 4 KB values,
-// and back-end reads. Not a paper artifact; supports the claim that the
-// simulator's data plane is cheap enough to run key-level experiments.
+// eviction pressure, the arena shrinking under small-to-large churn, the
+// serving tier's ItemStore at 100 B and 4 KB values, and back-end reads.
+// Not a paper artifact; supports the claim that the simulator's data plane
+// is cheap enough to run key-level experiments.
 
 #include <benchmark/benchmark.h>
 
@@ -25,7 +26,8 @@ void BM_LruPut(benchmark::State& state) {
   LruCache<uint64_t, uint64_t> cache(64ull << 20);
   uint64_t key = 0;
   for (auto _ : state) {
-    cache.Put(key++, key, 4096);
+    cache.Put(key, key, 4096);
+    ++key;
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -63,6 +65,27 @@ void BM_LruZipfMixedEvicting(benchmark::State& state) {
       static_cast<double>(cache.hits() + cache.misses());
 }
 BENCHMARK(BM_LruZipfMixedEvicting);
+
+void BM_LruShrinkChurn(benchmark::State& state) {
+  // The evicting server's shape: fill with 100k items of 256 B, then churn
+  // new items of 256-4096 B. The live count falls ~8x, so the arena shrinks
+  // and the buckets rehash down while the puts are being timed.
+  constexpr uint64_t kFill = 100'000;
+  LruCache<uint64_t, uint64_t> cache(kFill * 256);
+  for (uint64_t i = 0; i < kFill; ++i) {
+    cache.Put(i, i, 256);
+  }
+  Rng rng(7);
+  uint64_t key = kFill;
+  for (auto _ : state) {
+    cache.Put(key, key, 256 + rng.NextBelow(3841));
+    ++key;
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["live"] = static_cast<double>(cache.size());
+  state.counters["index_bytes"] = static_cast<double>(cache.index_bytes());
+}
+BENCHMARK(BM_LruShrinkChurn);
 
 // ItemStore cases: state.range(0) is the value size in bytes. Keys are
 // formatted up front so the loops time the store, not snprintf.

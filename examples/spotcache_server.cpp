@@ -53,6 +53,7 @@
 // handlers are async-signal-safe (atomic flag + eventfd; the dump itself
 // runs on the loop thread).
 
+#include <malloc.h>
 #include <unistd.h>
 
 #include <csignal>
@@ -144,6 +145,13 @@ void RemovePidFile(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Pin glibc's mmap threshold at its documented default (128 KiB). Setting
+  // it turns off the dynamic threshold, which otherwise rises (and doubles
+  // the trim threshold) each time a large mmapped block such as an outgrown
+  // store arena is freed. With it fixed, big arrays always come from mmap
+  // and are unmapped when freed, and free memory at the top of the heap is
+  // trimmed, so RSS follows the store down after a shrink.
+  mallopt(M_MMAP_THRESHOLD, 128 * 1024);
   net::ShardedServerConfig scfg;
   net::NetServerConfig& config = scfg.base;
   config.port = 11211;

@@ -7,7 +7,20 @@
 // to the classic std::list + std::unordered_map shape (preserved verbatim in
 // lru_cache_ref.h) this removes the per-entry heap node, the duplicate key
 // copy in the index, and every pointer chase but one — the same arena +
-// intrusive-list shape CacheLib and memcached's slab LRU use.
+// intrusive-list shape CacheLib and memcached's slab LRU use. Each slot keeps
+// its key's 32-bit hash: probes compare it before the key, and deletion,
+// rehashing and moving a slot find buckets without touching other keys (the
+// server's store keeps each key in its item's heap block, so reading one is
+// usually a cache miss).
+//
+// The arena is dense: slots [0, size()) are exactly the live entries, with no
+// free list. Erase and eviction move the last slot into the hole (re-pointing
+// its bucket and list neighbours) and pop it. When removals leave fewer than
+// a quarter of the arena's capacity live, the arena is reallocated at twice
+// the live count and the buckets are rehashed down to match, never below the
+// largest Reserve(). So a store that fills with many small items and then
+// churns a few large ones gives the index memory back instead of keeping its
+// high-water mark.
 //
 // Behavior is bit-identical to the reference implementation: same hit / miss
 // / eviction sequences, same byte accounting, same MRU→LRU iteration order
@@ -24,10 +37,12 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <optional>
 #include <type_traits>
 #include <utility>
@@ -59,20 +74,23 @@ class LruCache {
   struct Slot {
     Entry entry;
     uint32_t prev = kNil;  // toward MRU
-    uint32_t next = kNil;  // toward LRU; doubles as the free-list link
+    uint32_t next = kNil;  // toward LRU
+    uint32_t hash = 0;     // HashOf(entry.key)
   };
 
  public:
+  /// Arena bytes per slot, for sizing index_bytes().
+  static constexpr size_t kSlotBytes = sizeof(Slot);
+
   explicit LruCache(size_t capacity_bytes) : capacity_bytes_(capacity_bytes) {}
 
   /// Pre-sizes the arena and hash table for `expected_items` so a run over a
-  /// known working set never rehashes or reallocates mid-stream.
+  /// known working set never rehashes or reallocates mid-stream. The arena
+  /// never shrinks below the largest reservation.
   void Reserve(size_t expected_items) {
+    reserved_ = std::max(reserved_, expected_items);
     slots_.reserve(expected_items);
-    size_t want = kMinBuckets;
-    while (want * 3 < expected_items * 4) {  // keep load factor under 3/4
-      want <<= 1;
-    }
+    const size_t want = BucketsFor(expected_items);
     if (want > buckets_.size()) {
       Rehash(want);
     }
@@ -84,8 +102,9 @@ class LruCache {
     if (bytes > capacity_bytes_) {
       return false;
     }
+    const uint32_t hash = HashOf(key);
     if (!buckets_.empty()) {
-      const size_t b = FindBucket(key);
+      const size_t b = FindBucket(key, hash);
       if (buckets_[b] != kNil) {
         // Overwrite in place: adjust byte accounting, splice to MRU, then
         // evict as needed. Same victims as the reference's erase+reinsert —
@@ -105,15 +124,16 @@ class LruCache {
       }
     }
     EvictUntilFits(bytes);
-    const uint32_t s = AllocSlot();
-    Slot& slot = slots_[s];
+    assert(slots_.size() < kNil);
+    const auto s = static_cast<uint32_t>(slots_.size());
+    Slot& slot = slots_.emplace_back();
     slot.entry.key = key;
     slot.entry.value = std::move(value);
     slot.entry.bytes = bytes;
+    slot.hash = hash;
     LinkFront(s);
-    InsertIndex(key, s);
+    InsertIndex(s);
     bytes_used_ += bytes;
-    ++size_;
     return true;
   }
 
@@ -124,7 +144,8 @@ class LruCache {
   }
 
   /// Get without the copy. The pointer is valid until the next mutating
-  /// call (the arena may move on growth).
+  /// call: growth and shrinking move the arena, and any erase or eviction
+  /// moves the last slot into the hole.
   V* Lookup(const K& key) {
     const uint32_t s = FindSlot(key);
     if (s == kNil) {
@@ -137,7 +158,7 @@ class LruCache {
   }
 
   /// Lookup without promotion or stats. The pointer is valid until the next
-  /// mutating call (the arena may move on growth).
+  /// mutating call, as for Lookup.
   const V* Peek(const K& key) const {
     const uint32_t s = FindSlot(key);
     return s == kNil ? nullptr : &slots_[s].entry.value;
@@ -149,25 +170,20 @@ class LruCache {
     if (buckets_.empty()) {
       return false;
     }
-    const size_t b = FindBucket(key);
+    const size_t b = FindBucket(key, HashOf(key));
     if (buckets_[b] == kNil) {
       return false;
     }
-    const uint32_t s = buckets_[b];
-    bytes_used_ -= slots_[s].entry.bytes;
-    EraseBucket(b);
-    Unlink(s);
-    FreeSlot(s);
-    --size_;
+    RemoveSlot(buckets_[b], b);
+    MaybeShrink();
     return true;
   }
 
   void Clear() {
     slots_.clear();
     buckets_.clear();
-    head_ = tail_ = free_head_ = kNil;
+    head_ = tail_ = kNil;
     bytes_used_ = 0;
-    size_ = 0;
   }
 
   /// Shrinks the capacity (evicting as needed) or grows it.
@@ -190,12 +206,17 @@ class LruCache {
     hook_ = std::move(hook);
   }
 
-  size_t size() const { return size_; }
+  size_t size() const { return slots_.size(); }
   size_t bytes_used() const { return bytes_used_; }
   size_t capacity_bytes() const { return capacity_bytes_; }
   uint64_t hits() const { return hits_; }
   uint64_t misses() const { return misses_; }
   uint64_t evictions() const { return evictions_; }
+  /// Heap held by the arena and the hash table (allocated, not just live).
+  size_t index_bytes() const {
+    return slots_.capacity() * sizeof(Slot) +
+           buckets_.capacity() * sizeof(uint32_t);
+  }
 
   /// Visits entries from most- to least-recently used.
   template <typename Fn>
@@ -207,6 +228,17 @@ class LruCache {
 
  private:
   static constexpr size_t kMinBuckets = 16;
+  /// The arena is never shrunk below this many slots.
+  static constexpr size_t kMinSlots = 16;
+
+  /// Power-of-two bucket count that keeps `items` under a 3/4 load factor.
+  static size_t BucketsFor(size_t items) {
+    size_t want = kMinBuckets;
+    while (want * 3 < items * 4) {
+      want <<= 1;
+    }
+    return want;
+  }
 
   // ---- Intrusive recency list ------------------------------------------
 
@@ -246,38 +278,80 @@ class LruCache {
 
   // ---- Slot arena -------------------------------------------------------
 
-  uint32_t AllocSlot() {
-    if (free_head_ != kNil) {
-      const uint32_t s = free_head_;
-      free_head_ = slots_[s].next;
-      return s;
+  /// Drops slot `s`, whose index entry sits in bucket `b`, and keeps the
+  /// arena dense: the last slot moves into the hole and the bucket and list
+  /// links that named it are re-pointed.
+  void RemoveSlot(uint32_t s, size_t b) {
+    bytes_used_ -= slots_[s].entry.bytes;
+    EraseBucket(b);
+    Unlink(s);
+    const auto last = static_cast<uint32_t>(slots_.size() - 1);
+    if (s != last) {
+      buckets_[BucketHolding(last)] = s;
+      Slot& slot = slots_[s];
+      slot = std::move(slots_[last]);  // releases the removed value
+      if (slot.prev != kNil) {
+        slots_[slot.prev].next = s;
+      } else {
+        head_ = s;
+      }
+      if (slot.next != kNil) {
+        slots_[slot.next].prev = s;
+      } else {
+        tail_ = s;
+      }
     }
-    assert(slots_.size() < kNil);
-    slots_.emplace_back();
-    return static_cast<uint32_t>(slots_.size() - 1);
+    slots_.pop_back();
   }
 
-  void FreeSlot(uint32_t s) {
-    slots_[s].entry = Entry{};  // drop the value (it may own memory)
-    slots_[s].next = free_head_;
-    slots_[s].prev = kNil;
-    free_head_ = s;
+  /// Gives memory back once fewer than a quarter of the arena's slots are
+  /// live: reallocates it at twice the live count and rehashes the buckets
+  /// down to match, never below the largest Reserve().
+  void MaybeShrink() {
+    const size_t floor = std::max(reserved_, kMinSlots);
+    if (slots_.capacity() <= floor || slots_.size() * 4 >= slots_.capacity()) {
+      return;
+    }
+    const size_t keep = std::max(slots_.size() * 2, floor);
+    std::vector<Slot> arena;
+    arena.reserve(keep);
+    std::move(slots_.begin(), slots_.end(), std::back_inserter(arena));
+    slots_ = std::move(arena);
+    const size_t want = BucketsFor(keep);
+    if (want < buckets_.size()) {
+      Rehash(want);
+    }
   }
 
   // ---- Open-addressing index -------------------------------------------
 
-  size_t BucketOf(const K& key) const {
+  static uint32_t HashOf(const K& key) {
     // Spread the hash so power-of-two masking is safe even for identity
     // std::hash implementations (Fibonacci multiplicative mixing).
     const uint64_t h = static_cast<uint64_t>(Hash{}(key)) * 0x9e3779b97f4a7c15ULL;
-    return static_cast<size_t>(h >> 32) & (buckets_.size() - 1);
+    return static_cast<uint32_t>(h >> 32);
   }
 
-  /// Bucket holding `key`, or the empty bucket where it would be inserted.
-  size_t FindBucket(const K& key) const {
+  /// The bucket that indexes slot `s`.
+  size_t BucketHolding(uint32_t s) const {
     const size_t mask = buckets_.size() - 1;
-    size_t b = BucketOf(key);
-    while (buckets_[b] != kNil && !(slots_[buckets_[b]].entry.key == key)) {
+    size_t b = slots_[s].hash & mask;
+    while (buckets_[b] != s) {
+      b = (b + 1) & mask;
+    }
+    return b;
+  }
+
+  /// Bucket holding `key` (whose HashOf is `hash`), or the empty bucket
+  /// where it would be inserted.
+  size_t FindBucket(const K& key, uint32_t hash) const {
+    const size_t mask = buckets_.size() - 1;
+    size_t b = hash & mask;
+    while (buckets_[b] != kNil) {
+      const Slot& slot = slots_[buckets_[b]];
+      if (slot.hash == hash && slot.entry.key == key) {
+        break;
+      }
       b = (b + 1) & mask;
     }
     return b;
@@ -287,15 +361,26 @@ class LruCache {
     if (buckets_.empty()) {
       return kNil;
     }
-    const size_t b = FindBucket(key);
-    return buckets_[b];
+    return buckets_[FindBucket(key, HashOf(key))];
   }
 
-  void InsertIndex(const K& key, uint32_t s) {
-    if (buckets_.empty() || (size_ + 1) * 4 > buckets_.size() * 3) {
+  /// Indexes slot `s`, whose key is not in the table yet.
+  void InsertIndex(uint32_t s) {
+    // The slot is already in the arena, so slots_.size() counts it.
+    if (buckets_.empty() || slots_.size() * 4 > buckets_.size() * 3) {
       Rehash(buckets_.empty() ? kMinBuckets : buckets_.size() * 2);
+      return;  // Rehash indexed every linked slot, `s` included
     }
-    buckets_[FindBucket(key)] = s;
+    PlaceInEmptyBucket(s);
+  }
+
+  void PlaceInEmptyBucket(uint32_t s) {
+    const size_t mask = buckets_.size() - 1;
+    size_t b = slots_[s].hash & mask;
+    while (buckets_[b] != kNil) {
+      b = (b + 1) & mask;
+    }
+    buckets_[b] = s;
   }
 
   /// Knuth's backward-shift deletion: closes the probe-chain hole left at
@@ -310,7 +395,7 @@ class LruCache {
         buckets_[i] = kNil;
         return;
       }
-      const size_t home = BucketOf(slots_[buckets_[j]].entry.key);
+      const size_t home = slots_[buckets_[j]].hash & mask;
       // Move j's entry into the hole only if its probe path crosses i.
       if (((j - home) & mask) >= ((j - i) & mask)) {
         buckets_[i] = buckets_[j];
@@ -320,9 +405,10 @@ class LruCache {
   }
 
   void Rehash(size_t new_buckets) {
-    buckets_.assign(new_buckets, kNil);
+    // A fresh vector, not assign(): a smaller table must free the old one.
+    buckets_ = std::vector<uint32_t>(new_buckets, kNil);
     for (uint32_t s = head_; s != kNil; s = slots_[s].next) {
-      buckets_[FindBucket(slots_[s].entry.key)] = s;
+      PlaceInEmptyBucket(s);
     }
   }
 
@@ -342,18 +428,15 @@ class LruCache {
     while (tail_ != kNil && bytes_used_ + incoming_bytes > capacity_bytes_) {
       const uint32_t s = tail_;
       NotifyEvict(slots_[s].entry);
-      bytes_used_ -= slots_[s].entry.bytes;
-      EraseBucket(FindBucket(slots_[s].entry.key));
-      Unlink(s);
-      FreeSlot(s);
-      --size_;
+      RemoveSlot(s, BucketHolding(s));
       ++evictions_;
     }
+    MaybeShrink();
   }
 
   size_t capacity_bytes_;
   size_t bytes_used_ = 0;
-  size_t size_ = 0;
+  size_t reserved_ = 0;  // largest Reserve(): the arena's shrink floor
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   uint64_t evictions_ = 0;
@@ -361,7 +444,6 @@ class LruCache {
   std::vector<uint32_t> buckets_;  // slot index per bucket; kNil = empty
   uint32_t head_ = kNil;           // MRU
   uint32_t tail_ = kNil;           // LRU
-  uint32_t free_head_ = kNil;
   HookStorage hook_{};
 };
 

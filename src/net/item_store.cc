@@ -72,7 +72,7 @@ bool ItemStore::Store(Mode mode, std::string_view key, uint32_t flags,
   block.cas = NextCas();
   op_now_ = now;
   // An overwrite keeps the slot and re-points its key at the new block.
-  lru_.Put(block.key(), std::move(item), cost);
+  lru_.Put(SlotKey(&block), std::move(item), cost);
   return true;
 }
 

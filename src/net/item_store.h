@@ -3,12 +3,12 @@
 //
 // Each item is one heap block: an ItemBlock header (refcount, flags, cas,
 // deadlines, lengths), then the key bytes, then the value bytes. The flat
-// LruCache arena indexes the blocks: a slot holds a view of its block's key
-// and a counted ItemRef to the block. The response assembler and cross-shard
-// replies hold ItemRefs to the same block, so a value stays valid across a
-// batched writev even if a later request in the batch evicts, overwrites or
-// deletes the item. The count is atomic because a cross-shard pin is
-// released on the requesting shard's thread.
+// LruCache arena indexes the blocks: a slot holds a SlotKey naming its
+// block's key bytes and a counted ItemRef to the block. The response
+// assembler and cross-shard replies hold ItemRefs to the same block, so a
+// value stays valid across a batched writev even if a later request in the
+// batch evicts, overwrites or deletes the item. The count is atomic because
+// a cross-shard pin is released on the requesting shard's thread.
 //
 // Every item is charged key + value + 64 bytes against the capacity, and
 // eviction is strict LRU.
@@ -96,9 +96,46 @@ class ItemRef {
   ItemBlock* block_ = nullptr;
 };
 
-/// What a store slot holds besides the key view: the item's block.
+/// What a store slot holds besides its key: the item's block.
 struct Item {
   ItemRef data;
+};
+
+/// A slot's key in 8 bytes, where a string_view takes 16 (the arena keeps
+/// one per item). A stored key points at its own block and reads the key
+/// bytes there. A lookup converts the caller's string_view into a SlotKey
+/// that points at that string_view, tagged in bit 0 (both pointers are
+/// 8-aligned); it lives only for the store call, and only block keys are
+/// stored.
+class SlotKey {
+ public:
+  SlotKey() = default;
+  explicit SlotKey(const ItemBlock* block)
+      : bits_(reinterpret_cast<uintptr_t>(block)) {}
+  // Implicit, so lookups pass their string_view keys unchanged.
+  SlotKey(const std::string_view& key)
+      : bits_(reinterpret_cast<uintptr_t>(&key) | 1) {}
+
+  std::string_view view() const {
+    return (bits_ & 1) != 0
+               ? *reinterpret_cast<const std::string_view*>(bits_ - 1)
+               : reinterpret_cast<const ItemBlock*>(bits_)->key();
+  }
+  bool operator==(const SlotKey& other) const {
+    return view() == other.view();
+  }
+
+ private:
+  uintptr_t bits_ = 0;
+};
+
+static_assert(alignof(ItemBlock) > 1 && alignof(std::string_view) > 1,
+              "SlotKey tags bit 0 of these pointers");
+
+struct SlotKeyHash {
+  size_t operator()(const SlotKey& key) const {
+    return std::hash<std::string_view>{}(key.view());
+  }
 };
 
 class ItemStore {
@@ -120,8 +157,10 @@ class ItemStore {
     return Store(Mode::kSet, key, flags, exptime, data, now);
   }
 
-  /// Live item or nullptr; promotes the item to MRU on hit. The pointer is
-  /// valid until the next mutating call; copy `data` to keep the block.
+  /// Live item or nullptr; promotes the item to MRU on hit. The pointer
+  /// points into the arena, so it is valid only until the next mutating call
+  /// (including another Get, which may reap an expired item and move the
+  /// arena's last slot into its hole); copy `data` to keep the block.
   const Item* Get(std::string_view key, int64_t now);
   bool Delete(std::string_view key, int64_t now);
   bool Touch(std::string_view key, int64_t exptime, int64_t now);
@@ -140,6 +179,9 @@ class ItemStore {
   size_t capacity_bytes() const { return lru_.capacity_bytes(); }
   uint64_t evictions() const { return evictions_; }
   uint64_t expired_reaped() const { return expired_reaped_; }
+  /// Heap held by the arena's slots and hash table; the item blocks are
+  /// separate (bytes_used() charges them).
+  size_t index_bytes() const { return lru_.index_bytes(); }
 
  private:
   /// Counts each LRU victim as an eviction (live) or a reap (dead).
@@ -168,9 +210,7 @@ class ItemStore {
   int64_t op_now_ = 0;             // clock of the store in progress
   uint64_t evictions_ = 0;
   uint64_t expired_reaped_ = 0;
-  // Slot keys view into their own blocks.
-  LruCache<std::string_view, Item, std::hash<std::string_view>, VictimCounter>
-      lru_;
+  LruCache<SlotKey, Item, SlotKeyHash, VictimCounter> lru_;
 };
 
 }  // namespace spotcache::net

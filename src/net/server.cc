@@ -19,6 +19,7 @@
 #include <thread>
 
 #include "src/obs/exporters.h"
+#include "src/util/heap_stats.h"
 #include "src/util/logging.h"
 
 namespace spotcache::net {
@@ -66,6 +67,7 @@ NetServer::NetServer(const NetServerConfig& config, Obs* obs)
     pending_hw_gauge_ =
         obs_->registry.GetGauge("net/pending_out_high_water_bytes");
     conns_hw_gauge_ = obs_->registry.GetGauge("net/conns_high_water");
+    store_index_gauge_ = obs_->registry.GetGauge("net/store_index_bytes");
   }
 }
 
@@ -397,6 +399,7 @@ void NetServer::DumpTelemetry(const char* reason) {
     }
   }
   if (!config_.metrics_dump_path.empty()) {
+    UpdateMemoryGauges();
     if (hub_ != nullptr) {
       MaybeFlushHub(/*force=*/true);
       WriteStringToFile(config_.metrics_dump_path, hub_->RenderPrometheus());
@@ -520,7 +523,24 @@ void NetServer::MaybeFlushHub(bool force) {
     return;
   }
   last_hub_flush_us_ = now;
+  store_index_gauge_->Set(static_cast<double>(core_.store().index_bytes()));
   hub_->Publish(hub_slot_, obs_->registry);
+}
+
+void NetServer::UpdateMemoryGauges() {
+  if (obs_ == nullptr) {
+    return;
+  }
+  store_index_gauge_->Set(static_cast<double>(core_.store().index_bytes()));
+  // Process-wide figures: only the shard that renders the scrape sets them,
+  // so the hub's cross-shard gauge sum reports each exactly once.
+  const HeapStats heap = ReadHeapStats();
+  MetricsRegistry& reg = obs_->registry;
+  reg.GetGauge("net/heap_in_use_bytes")->Set(static_cast<double>(heap.in_use));
+  reg.GetGauge("net/heap_free_held_bytes")
+      ->Set(static_cast<double>(heap.free_held));
+  reg.GetGauge("net/heap_mmapped_bytes")
+      ->Set(static_cast<double>(heap.mmapped));
 }
 
 void NetServer::ConnReadable(Connection* conn) {
@@ -598,6 +618,7 @@ void NetServer::MetricsReadable(Connection* conn) {
     metrics_scrapes_->Increment();
   }
   std::string body;
+  UpdateMemoryGauges();
   if (hub_ != nullptr) {
     // Publish our own registry first so the scrape includes this shard's
     // freshest epoch, then render the cross-shard aggregate.

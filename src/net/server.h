@@ -245,8 +245,11 @@ class NetServer {
   /// counters, traces).
   void RegisterConn(int fd, bool metrics);
   /// Epoch-publishes this shard's registry into the hub (rate-limited unless
-  /// forced).
+  /// forced), with a fresh net/store_index_bytes.
   void MaybeFlushHub(bool force);
+  /// Sets the memory gauges (store index, process heap) right before a
+  /// scrape or metrics dump renders them.
+  void UpdateMemoryGauges();
   /// writev the assembler + pending buffer; buffers any remainder.
   void Flush(Connection* conn);
   void CloseConn(Connection* conn, const char* reason);
@@ -327,6 +330,7 @@ class NetServer {
   Histogram* loop_work_hist_ = nullptr;
   Gauge* pending_hw_gauge_ = nullptr;
   Gauge* conns_hw_gauge_ = nullptr;
+  Gauge* store_index_gauge_ = nullptr;
 };
 
 }  // namespace spotcache::net

@@ -2,6 +2,8 @@
 
 #include <inttypes.h>
 
+#include "src/util/heap_stats.h"
+
 namespace spotcache::net {
 
 namespace {
@@ -65,6 +67,9 @@ ServerCore::Outcome ServerCore::HandleRetrieve(const TextRequest& req,
       AwaitOp(rop);
       hit = rop->found ? &rop->rdata : nullptr;
     } else if (const Item* item = store_.Get(key, now); item != nullptr) {
+      // `item` points into the arena, which the next store call may move
+      // (even the next key's Get, if it reaps an expired item), so `hit` is
+      // used only within this iteration; AppendPinned takes its own ref.
       hit = &item->data;
     }
     if (hit == nullptr) {
@@ -147,6 +152,15 @@ void ServerCore::AppendSpotcacheStats(ResponseAssembler* out) {
     out->Appendf("STAT spotcache_flight_ring_size %zu\r\n",
                  telemetry_->ring_size());
   }
+  // Memory that RSS holds beyond the items' charge: this shard's arena and
+  // hash table, then the process-wide heap (read here, never per request).
+  const HeapStats heap = ReadHeapStats();
+  out->Appendf("STAT spotcache_store_index_bytes %zu\r\n",
+               store_.index_bytes());
+  out->Appendf("STAT spotcache_heap_in_use_bytes %zu\r\n", heap.in_use);
+  out->Appendf("STAT spotcache_heap_free_held_bytes %zu\r\n",
+               heap.free_held);
+  out->Appendf("STAT spotcache_heap_mmapped_bytes %zu\r\n", heap.mmapped);
   if (obs_ == nullptr) {
     return;
   }
@@ -367,6 +381,7 @@ void ServerCore::ExecuteCrossOp(CrossShardOp* op) {
   using Kind = CrossShardOp::Kind;
   switch (op->kind) {
     case Kind::kGet: {
+      // Copy the ref out at once: `item` points into the arena.
       const Item* item = store_.Get(op->key, op->now);
       op->found = item != nullptr;
       op->rdata = op->found ? item->data : nullptr;

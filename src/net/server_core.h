@@ -18,7 +18,8 @@
 //
 // Stats surfaces: plain `stats` emits the memcached-compatible block;
 // `stats spotcache` emits the server-telemetry extension (event-loop
-// health, sampled span counts, per-(op, outcome) latency quantiles).
+// health, sampled span counts, per-(op, outcome) latency quantiles, and the
+// memory gauges: this shard's store index and the process heap).
 
 // Sharded serving (multi-core PR): when a ShardContext is attached, the
 // core becomes one of N partitions. Keys it owns (ShardOfKey == self) run

@@ -7,9 +7,11 @@
 // advances, a capacity small enough to evict constantly); after every op
 // the results, the hit's flags/cas/bytes and every counter must agree.
 //
-// The pin test drives ServerCore: a `get` reply that is still being
+// The pin tests drive ServerCore: a `get` reply that is still being
 // assembled must keep its value bytes even when later requests in the same
-// batch evict, overwrite and delete the item.
+// batch evict, overwrite and delete the item, or when a later key of the
+// same multi-key get reaps an expired item and so moves the arena's last
+// slot (or shrinks the arena) under the earlier keys' pins.
 //
 // The memory test measures what an item really costs on the heap
 // (mallinfo2 delta / items) against what the store charges for it.
@@ -309,6 +311,56 @@ TEST(ItemStorePins, GetReplySurvivesEvictOverwriteAndDelete) {
             "VALUE k 5 3\r\nold\r\nEND\r\nSTORED\r\n"
             "VALUE k 0 3\r\nnew\r\nEND\r\nSTORED\r\nNOT_FOUND\r\n");
   EXPECT_EQ(core.store().evictions(), 1u);
+}
+
+TEST(ItemStorePins, MultiGetReapsAnExpiredKeyWhileTheLastSlotMoves) {
+  ServerCoreConfig config;
+  config.capacity_bytes = 1 << 20;
+  ServerCore core(config);
+  ResponseAssembler out;
+  // Arena slots 0, 1, 2 hold a, b, c: c sits in the last slot. Only b
+  // expires.
+  HandleAll(&core,
+            "set a 1 0 2\r\naa\r\nset b 2 10 2\r\nbb\r\n"
+            "set c 3 0 2\r\ncc\r\n",
+            kT0, &out);
+  out.Clear();
+  // Reaping b moves c into b's slot between a's pin and c's lookup.
+  HandleAll(&core, "get a b c\r\n", kT0 + 20, &out);
+  EXPECT_EQ(out.Flatten(),
+            "VALUE a 1 2\r\naa\r\nVALUE c 3 2\r\ncc\r\nEND\r\n");
+  EXPECT_EQ(core.store().expired_reaped(), 1u);
+  EXPECT_EQ(core.store().item_count(), 2u);
+  out.Clear();
+  HandleAll(&core, "get c b a\r\n", kT0 + 20, &out);
+  EXPECT_EQ(out.Flatten(),
+            "VALUE c 3 2\r\ncc\r\nVALUE a 1 2\r\naa\r\nEND\r\n");
+
+  // 64 items, 56 of them expired: one get of all 64 reaps enough to shrink
+  // the arena twice while the earlier live keys' values are pinned.
+  ServerCore many(config);
+  std::string sets;
+  std::string get = "get";
+  std::string want;
+  for (int i = 0; i < 64; ++i) {
+    const std::string key = "k" + std::to_string(i);
+    const bool live = i % 8 == 7;
+    const std::string value = "v" + std::to_string(i);
+    sets += "set " + key + " 0 " + (live ? "0" : "10") + " " +
+            std::to_string(value.size()) + "\r\n" + value + "\r\n";
+    get += " " + key;
+    if (live) {
+      want += "VALUE " + key + " 0 " + std::to_string(value.size()) + "\r\n" +
+              value + "\r\n";
+    }
+  }
+  HandleAll(&many, sets, kT0, &out);
+  out.Clear();
+  const size_t index_before = many.store().index_bytes();
+  HandleAll(&many, get + "\r\n", kT0 + 20, &out);
+  EXPECT_EQ(out.Flatten(), want + "END\r\n");
+  EXPECT_EQ(many.store().item_count(), 8u);
+  EXPECT_LT(many.store().index_bytes(), index_before);
 }
 
 // Heap bytes per stored item against the bytes the store charges for it.

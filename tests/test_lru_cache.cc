@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 namespace spotcache {
 namespace {
@@ -155,6 +156,126 @@ TEST(LruCache, ZeroByteItemsAllowed) {
   EXPECT_TRUE(c.Put(1, "meta", 0));
   EXPECT_TRUE(c.Contains(1));
   EXPECT_EQ(c.bytes_used(), 0u);
+}
+
+/// Bucket count the cache sizes its table to for `items` (load <= 3/4).
+size_t BucketsFor(size_t items) {
+  size_t b = 16;
+  while (b * 3 < items * 4) {
+    b <<= 1;
+  }
+  return b;
+}
+
+/// Index bytes of an arena of `slots` slots and its matching table.
+size_t IndexBytes(size_t slots) {
+  return slots * Cache::kSlotBytes + BucketsFor(slots) * sizeof(uint32_t);
+}
+
+TEST(LruCache, IndexBytesFallAfterSmallToLargeChurn) {
+  // Fill with many small items, then churn large ones: the live count falls
+  // 32x, and the arena and the buckets must follow it down.
+  constexpr uint64_t kSmall = 16'384;
+  Cache c(kSmall * 10);
+  for (uint64_t k = 0; k < kSmall; ++k) {
+    c.Put(k, "", 10);
+  }
+  const size_t full = c.index_bytes();
+  EXPECT_GE(full, IndexBytes(kSmall));
+  size_t shrinks = 0;
+  for (uint64_t k = kSmall; k < kSmall + 5000; ++k) {
+    const size_t before = c.index_bytes();
+    c.Put(k, "", 320);
+    if (c.index_bytes() < before) {
+      ++shrinks;
+      // Right after a shrink the arena holds at most twice the live count.
+      EXPECT_LE(c.index_bytes(), IndexBytes(2 * c.size())) << "put " << k;
+    }
+  }
+  EXPECT_EQ(c.size(), 512u);
+  EXPECT_GE(shrinks, 3u);
+  // Between shrinks the arena stays under 4x live.
+  EXPECT_LE(c.index_bytes(), IndexBytes(4 * c.size()));
+  EXPECT_LT(c.index_bytes(), full / 4);
+  EXPECT_EQ(*c.Get(kSmall + 4999), "");
+}
+
+TEST(LruCache, ReserveIsTheShrinkFloor) {
+  Cache c(1 << 20);
+  c.Reserve(1000);
+  for (uint64_t k = 0; k < 4000; ++k) {
+    c.Put(k, "", 10);
+  }
+  const size_t full = c.index_bytes();
+  for (uint64_t k = 0; k < 4000; ++k) {
+    ASSERT_TRUE(c.Erase(k));
+  }
+  EXPECT_EQ(c.size(), 0u);
+  EXPECT_LT(c.index_bytes(), full);  // it did shrink...
+  EXPECT_GE(c.index_bytes(), IndexBytes(1000));  // ...but not below Reserve
+  // A smaller later reservation does not lower the floor.
+  c.Reserve(10);
+  for (uint64_t k = 0; k < 2000; ++k) {
+    c.Put(k, "", 10);
+  }
+  for (uint64_t k = 0; k < 2000; ++k) {
+    ASSERT_TRUE(c.Erase(k));
+  }
+  EXPECT_GE(c.index_bytes(), IndexBytes(1000));
+}
+
+std::vector<uint64_t> MruToLru(const Cache& c) {
+  std::vector<uint64_t> order;
+  c.ForEachMruToLru([&](const Cache::Entry& e) { order.push_back(e.key); });
+  return order;
+}
+
+/// The list matches `want`, and every key still maps to its own value.
+void ExpectConsistent(const Cache& c, const std::vector<uint64_t>& want) {
+  EXPECT_EQ(MruToLru(c), want);
+  EXPECT_EQ(c.size(), want.size());
+  for (const uint64_t k : want) {
+    const std::string* v = c.Peek(k);
+    ASSERT_NE(v, nullptr) << k;
+    EXPECT_EQ(*v, std::to_string(k));
+  }
+}
+
+TEST(LruCache, ErasingLastSlotHeadAndTailKeepsListConsistent) {
+  Cache c(1000);
+  for (uint64_t k = 1; k <= 6; ++k) {
+    c.Put(k, std::to_string(k), 10);  // arena slots 0..5 hold keys 1..6
+  }
+  c.Get(3);
+  ExpectConsistent(c, {3, 6, 5, 4, 2, 1});
+  EXPECT_TRUE(c.Erase(6));  // the last slot itself
+  ExpectConsistent(c, {3, 5, 4, 2, 1});
+  EXPECT_TRUE(c.Erase(1));  // tail, in slot 0: the last slot (5) moves in
+  ExpectConsistent(c, {3, 5, 4, 2});
+  EXPECT_TRUE(c.Erase(3));  // head: the last slot (4) moves in
+  ExpectConsistent(c, {5, 4, 2});
+  c.Put(7, "7", 10);  // the last slot and the head at once
+  EXPECT_TRUE(c.Erase(7));
+  ExpectConsistent(c, {5, 4, 2});
+  EXPECT_TRUE(c.Erase(5));  // head: the slot that moves in becomes head
+  ExpectConsistent(c, {4, 2});
+  c.Put(8, "8", 995);  // evicts the tail, then the rest
+  ExpectConsistent(c, {8});
+  EXPECT_EQ(c.evictions(), 2u);
+  EXPECT_TRUE(c.Erase(8));
+  ExpectConsistent(c, {});
+  c.Put(9, "9", 10);
+  ExpectConsistent(c, {9});
+  // The last slot is the tail: it moves into the hole and stays the tail.
+  c.Put(10, "10", 10);
+  c.Put(11, "11", 10);  // slots 0, 1, 2 hold 9, 10, 11
+  c.Get(9);
+  c.Get(10);
+  ExpectConsistent(c, {10, 9, 11});
+  EXPECT_TRUE(c.Erase(9));
+  ExpectConsistent(c, {10, 11});
+  c.Put(12, "12", 985);  // evicts the tail, 11
+  ExpectConsistent(c, {12, 10});
 }
 
 }  // namespace

@@ -6,8 +6,11 @@
 // values must agree, and the eviction callbacks must fire for the same keys
 // in the same order. Counters and byte accounting are compared throughout, so
 // any divergence in LRU order, eviction choice, or overwrite handling fails
-// with the op index in hand.
+// with the op index in hand. One phase fills with many small items and then
+// churns large ones, so the arena shrinks and the buckets rehash down while
+// the comparison runs.
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -159,6 +162,70 @@ TEST(LruEquivalence, OverwriteShrinkAndGrowKeepsAccounting) {
     ASSERT_EQ(ref.evictions(), flat.evictions());
   }
   EXPECT_EQ(ref_evicted, flat_evicted);
+}
+
+TEST(LruEquivalence, ArenaShrinkMidStreamMatchesReference) {
+  // Fill with 20k items of 8-64 B, then churn 1-4 KB puts among gets and
+  // erases over both key ranges: the live count falls ~40x, so the arena
+  // shrinks and the buckets rehash down several times mid-stream.
+  constexpr size_t kCapacity = 1 << 20;
+  constexpr uint64_t kSmallKeys = 20'000;
+  ReferenceLruCache<uint64_t, V> ref(kCapacity);
+  LruCache<uint64_t, V> flat(kCapacity);
+  std::vector<Evicted> ref_evicted, flat_evicted;
+  ref.SetEvictionCallback(
+      [&](const auto& e) { ref_evicted.push_back({e.key, e.bytes}); });
+  flat.SetEvictionCallback(
+      [&](const auto& e) { flat_evicted.push_back({e.key, e.bytes}); });
+  const auto expect_same_order = [&] {
+    std::vector<uint64_t> ref_order, flat_order;
+    ref.ForEachMruToLru([&](const auto& e) { ref_order.push_back(e.key); });
+    flat.ForEachMruToLru([&](const auto& e) { flat_order.push_back(e.key); });
+    ASSERT_EQ(ref_order, flat_order);
+  };
+  Rng rng(0x5b1f);
+  for (uint64_t k = 0; k < kSmallKeys; ++k) {
+    const size_t bytes = 8 + rng.NextBelow(57);
+    ASSERT_EQ(ref.Put(k, static_cast<V>(k), bytes),
+              flat.Put(k, static_cast<V>(k), bytes));
+  }
+  expect_same_order();
+  const size_t full = flat.index_bytes();
+  size_t smallest = full;
+  for (size_t i = 0; i < 60'000; ++i) {
+    SCOPED_TRACE("churn op " + std::to_string(i));
+    const double roll = rng.NextDouble();
+    if (roll < 0.5) {
+      const uint64_t key = kSmallKeys + rng.NextBelow(2000);
+      const size_t bytes = 1024 + rng.NextBelow(3073);
+      ASSERT_EQ(ref.Put(key, static_cast<V>(key), bytes),
+                flat.Put(key, static_cast<V>(key), bytes));
+    } else {
+      const uint64_t key = rng.NextBelow(kSmallKeys + 2000);
+      if (roll < 0.9) {
+        const auto a = ref.Get(key);
+        const auto b = flat.Get(key);
+        ASSERT_EQ(a.has_value(), b.has_value());
+        if (a.has_value()) {
+          ASSERT_EQ(*a, *b);
+        }
+      } else {
+        ASSERT_EQ(ref.Erase(key), flat.Erase(key));
+      }
+    }
+    ASSERT_EQ(ref.size(), flat.size());
+    ASSERT_EQ(ref.bytes_used(), flat.bytes_used());
+    ASSERT_EQ(ref_evicted.size(), flat_evicted.size());
+    smallest = std::min(smallest, flat.index_bytes());
+    if (i % 5000 == 0) {
+      expect_same_order();
+    }
+  }
+  ASSERT_EQ(ref_evicted, flat_evicted);
+  ASSERT_EQ(ref.hits(), flat.hits());
+  ASSERT_EQ(ref.misses(), flat.misses());
+  expect_same_order();
+  EXPECT_LT(smallest * 8, full) << "the arena never shrank; weak test";
 }
 
 TEST(LruEquivalence, ReserveDoesNotChangeBehavior) {

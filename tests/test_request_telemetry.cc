@@ -278,6 +278,12 @@ TEST_F(TelemetryServerTest, StatsSpotcacheAndScrapeSeeTraffic) {
   EXPECT_TRUE(has_stat("spotcache_latency_get_hit_p99_us"));
   EXPECT_TRUE(has_stat("spotcache_latency_get_miss_count"));
   EXPECT_TRUE(has_stat("spotcache_loop_iterations"));
+  // Memory gauges: the store index is never empty once an item is stored.
+  EXPECT_TRUE(has_stat("spotcache_store_index_bytes"));
+  EXPECT_FALSE(has_stat("spotcache_store_index_bytes 0"));
+  EXPECT_TRUE(has_stat("spotcache_heap_in_use_bytes"));
+  EXPECT_TRUE(has_stat("spotcache_heap_free_held_bytes"));
+  EXPECT_TRUE(has_stat("spotcache_heap_mmapped_bytes"));
 
   const std::string scrape = Scrape(server_->metrics_port());
   EXPECT_NE(scrape.find("HTTP/1.0 200 OK"), std::string::npos);
@@ -287,6 +293,12 @@ TEST_F(TelemetryServerTest, StatsSpotcacheAndScrapeSeeTraffic) {
       scrape.find("net_request_latency_s_bucket{op=\"get\",outcome=\"hit\""),
       std::string::npos)
       << scrape;
+  for (const char* gauge :
+       {"net_store_index_bytes ", "net_heap_in_use_bytes ",
+        "net_heap_free_held_bytes ", "net_heap_mmapped_bytes "}) {
+    EXPECT_NE(scrape.find(gauge), std::string::npos) << gauge;
+  }
+  EXPECT_EQ(scrape.find("net_store_index_bytes 0\n"), std::string::npos);
   client.Close();
 }
 
