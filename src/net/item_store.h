@@ -5,10 +5,11 @@
 // deadlines, lengths), then the key bytes, then the value bytes. The flat
 // LruCache arena indexes the blocks: a slot holds a SlotKey naming its
 // block's key bytes and a counted ItemRef to the block. The response
-// assembler and cross-shard replies hold ItemRefs to the same block, so a
-// value stays valid across a batched writev even if a later request in the
-// batch evicts, overwrites or deletes the item. The count is atomic because
-// a cross-shard pin is released on the requesting shard's thread.
+// assembler holds ItemRefs to the same block, so a value stays valid across a
+// batched writev even if a later request in the batch evicts, overwrites or
+// deletes the item. The count is atomic because the reactors of a server
+// share one store (striped_store.h): one reactor may drop the store's ref
+// while another still holds a pin it took under the stripe lock.
 //
 // Every item is charged key + value + 64 bytes against the capacity, and
 // eviction is strict LRU.
@@ -167,11 +168,10 @@ class ItemStore {
   /// Marks all currently stored items dead once `now + delay_s` passes.
   void FlushAll(int64_t now, int64_t delay_s);
 
-  /// Sharded serving: draws cas values from a process-wide atomic sequence
-  /// instead of the private counter, so cas stays unique across shard
-  /// partitions (and, for a sequential client, identical to the
-  /// single-threaded server's numbering). Null (the default) keeps the
-  /// private counter.
+  /// Draws cas values from a shared atomic sequence instead of the private
+  /// counter, so cas stays unique across the stripes of a StripedStore
+  /// (and, for a sequential client, identical to the one-stripe numbering).
+  /// Null (the default) keeps the private counter.
   void set_shared_cas(std::atomic<uint64_t>* seq) { shared_cas_ = seq; }
 
   size_t item_count() const { return lru_.size(); }

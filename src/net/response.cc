@@ -64,9 +64,9 @@ void ResponseAssembler::Appendf(const char* fmt, ...) {
   PushIov(dst, static_cast<size_t>(n), /*coalescable=*/true);
 }
 
-void ResponseAssembler::AppendPinned(const ItemRef& item) {
-  pins_.push_back(item);
+void ResponseAssembler::AppendPinned(ItemRef item) {
   const std::string_view bytes = item->value();
+  pins_.push_back(std::move(item));
   PushIov(bytes.data(), bytes.size(), /*coalescable=*/false);
   last_coalescable_ = false;
 }

@@ -35,7 +35,7 @@ class ResponseAssembler {
   void Appendf(const char* fmt, ...) __attribute__((format(printf, 2, 3)));
   /// References the item's value bytes in place, keeping its block alive
   /// until Clear().
-  void AppendPinned(const ItemRef& item);
+  void AppendPinned(ItemRef item);
 
   const std::vector<iovec>& iovecs() const { return iov_; }
   size_t total_bytes() const { return total_; }

@@ -68,6 +68,8 @@ NetServer::NetServer(const NetServerConfig& config, Obs* obs)
         obs_->registry.GetGauge("net/pending_out_high_water_bytes");
     conns_hw_gauge_ = obs_->registry.GetGauge("net/conns_high_water");
     store_index_gauge_ = obs_->registry.GetGauge("net/store_index_bytes");
+    store_items_gauge_ = obs_->registry.GetGauge("net/store_items");
+    store_bytes_gauge_ = obs_->registry.GetGauge("net/store_bytes");
   }
 }
 
@@ -279,8 +281,9 @@ bool NetServer::Run() {
     if (deferred_) {
       ServiceHandler(handler_io);
     }
-    if (core_.sharded()) {
-      core_.ServiceInbox();  // peers' ops, queued while we were waiting
+    if (shard_ctx_.exchange != nullptr) {
+      // Connections handed over while we were waiting.
+      shard_ctx_.exchange->ServiceInbox(shard_ctx_.self);
     }
     if (reload_requested_.load(std::memory_order_relaxed)) {
       reload_requested_.store(false, std::memory_order_relaxed);
@@ -304,18 +307,17 @@ bool NetServer::Run() {
       }
     }
   }
-  if (core_.sharded()) {
-    // Shutdown drain: peers may still be blocked awaiting ops we owe them.
-    // Announce our exit, then keep servicing our inbox until every shard has
-    // left its loop — after which no op can be outstanding (each op is
-    // awaited within the batch that created it).
-    ShardExchange* ex = shard_ctx_.exchange;
+  if (ShardExchange* ex = shard_ctx_.exchange; ex != nullptr) {
+    // Shutdown drain: the dispatcher may still be blocked awaiting a handoff
+    // we owe it. Announce our exit, then keep servicing our inbox until
+    // every reactor has left its loop — after which no op can be
+    // outstanding (each op is awaited by its sender).
     ex->NotifyStopped();
     while (!ex->AllStopped()) {
-      core_.ServiceInbox();
+      ex->ServiceInbox(shard_ctx_.self);
       std::this_thread::yield();
     }
-    core_.ServiceInbox();
+    ex->ServiceInbox(shard_ctx_.self);
   }
   MaybeFlushHub(/*force=*/true);
   return ok;
@@ -425,8 +427,8 @@ void NetServer::AcceptReady(int listen_fd, bool metrics) {
     // Hash-dispatch accept fallback: the dispatcher shard accepts for
     // everyone and round-robins fds to the other shards (kAdoptConn,
     // awaited so the fd has exactly one owner at any instant).
-    if (!metrics && dispatcher_ && core_.sharded()) {
-      const uint32_t target = dispatch_rr_++ % core_.shard_count();
+    if (!metrics && dispatcher_) {
+      const uint32_t target = dispatch_rr_++ % shard_ctx_.count;
       if (target != shard_ctx_.self) {
         CrossShardOp op;
         op.kind = CrossShardOp::Kind::kAdoptConn;
@@ -503,10 +505,8 @@ void NetServer::AdoptFd(int fd) {
 void NetServer::ExecuteShardOp(CrossShardOp* op) {
   if (op->kind == CrossShardOp::Kind::kAdoptConn) {
     AdoptFd(op->fd);
-    op->done.store(true, std::memory_order_release);
-    return;
   }
-  core_.ExecuteCrossOp(op);
+  op->done.store(true, std::memory_order_release);
 }
 
 void NetServer::ConfigureShard(const ShardContext& ctx) {
@@ -523,17 +523,27 @@ void NetServer::MaybeFlushHub(bool force) {
     return;
   }
   last_hub_flush_us_ = now;
-  store_index_gauge_->Set(static_cast<double>(core_.store().index_bytes()));
+  UpdateStoreGauges();
   hub_->Publish(hub_slot_, obs_->registry);
+}
+
+void NetServer::UpdateStoreGauges() {
+  if (obs_ == nullptr || shard_ctx_.self != 0) {
+    return;
+  }
+  const StripedStore::Totals store = core_.store().totals();
+  store_index_gauge_->Set(static_cast<double>(store.index_bytes));
+  store_items_gauge_->Set(static_cast<double>(store.items));
+  store_bytes_gauge_->Set(static_cast<double>(store.bytes_used));
 }
 
 void NetServer::UpdateMemoryGauges() {
   if (obs_ == nullptr) {
     return;
   }
-  store_index_gauge_->Set(static_cast<double>(core_.store().index_bytes()));
-  // Process-wide figures: only the shard that renders the scrape sets them,
-  // so the hub's cross-shard gauge sum reports each exactly once.
+  UpdateStoreGauges();
+  // Process-wide figures: only the reactor that renders the scrape sets
+  // them, so the hub's cross-reactor gauge sum reports each exactly once.
   const HeapStats heap = ReadHeapStats();
   MetricsRegistry& reg = obs_->registry;
   reg.GetGauge("net/heap_in_use_bytes")->Set(static_cast<double>(heap.in_use));
@@ -620,8 +630,8 @@ void NetServer::MetricsReadable(Connection* conn) {
   std::string body;
   UpdateMemoryGauges();
   if (hub_ != nullptr) {
-    // Publish our own registry first so the scrape includes this shard's
-    // freshest epoch, then render the cross-shard aggregate.
+    // Publish our own registry first so the scrape includes this reactor's
+    // freshest epoch, then render the cross-reactor aggregate.
     MaybeFlushHub(/*force=*/true);
     body = hub_->RenderPrometheus();
   } else if (obs_ != nullptr) {
@@ -642,10 +652,6 @@ void NetServer::MetricsReadable(Connection* conn) {
 }
 
 void NetServer::Drain(Connection* conn) {
-  if (core_.sharded()) {
-    DrainSharded(conn);
-    return;
-  }
   if (deferred_) {
     DrainDeferred(conn);
     return;
@@ -685,65 +691,6 @@ void NetServer::Drain(Connection* conn) {
       conn->close_after_flush = true;
       break;
     }
-  }
-  FlushTimed(conn, t);
-}
-
-void NetServer::DrainSharded(Connection* conn) {
-  const int64_t now = NowUnix();
-  RequestTelemetry* t = telemetry_.get();
-  if (t != nullptr) {
-    t->BeginBatch(conn->id);
-  }
-  // Phase 1: parse everything buffered into owned events (the parser's
-  // string_views die on the next Next(), and scatter-ahead needs the whole
-  // batch before execution starts).
-  events_.clear();
-  bool ended_need_more = false;
-  for (;;) {
-    const ParseStatus st = conn->parser.Next();
-    if (st == ParseStatus::kNeedMore) {
-      ended_need_more = true;
-      break;
-    }
-    if (st == ParseStatus::kError) {
-      PendingEvent& ev = events_.emplace_back();
-      ev.is_error = true;
-      ev.error = conn->parser.error();
-      Trace("protocol_error",
-            {{"conn",
-              EventTracer::JsonNumber(static_cast<int64_t>(conn->id))},
-             {"kind",
-              EventTracer::JsonString(ToString(conn->parser.error()))}});
-      continue;
-    }
-    const TextRequest& req = conn->parser.request();
-    PendingEvent& ev = events_.emplace_back();
-    ev.verb = req.verb;
-    ev.keys.reserve(req.keys.size());
-    for (const std::string_view key : req.keys) {
-      ev.keys.emplace_back(key);
-    }
-    ev.flags = req.flags;
-    ev.exptime = req.exptime;
-    ev.delay_s = req.delay_s;
-    ev.stats_arg = std::string(req.stats_arg);
-    ev.data = std::string(req.data);
-    ev.noreply = req.noreply;
-    if (req.verb == Verb::kQuit) {
-      break;  // the single-threaded drain stops here too (close after quit)
-    }
-  }
-  // Phase 2: scatter/execute in request order.
-  if (!events_.empty() &&
-      !core_.ExecuteBatch(events_, now, &conn->assembler)) {
-    conn->close_after_flush = true;
-  }
-  if (t != nullptr && ended_need_more) {
-    // The trailing partial request consumes a sampler slot exactly like the
-    // single-threaded drain's abandoned BeginRequest.
-    t->BeginRequest();
-    t->OnAbandoned();
   }
   FlushTimed(conn, t);
 }

@@ -70,6 +70,7 @@
 #include "src/net/request_handler.h"
 #include "src/net/response.h"
 #include "src/net/server_core.h"
+#include "src/net/sharding.h"
 #include "src/obs/metrics_hub.h"
 #include "src/obs/obs.h"
 #include "src/obs/request_telemetry.h"
@@ -137,11 +138,9 @@ class NetServer {
   /// SIGUSR1/SIGHUP call this directly.
   void RequestTelemetryDump();
 
-  /// Substitutes `handler` for the built-in ServerCore on the single-threaded
-  /// drain path (the proxy seam; see request_handler.h). A handler with a
-  /// poll_fd() gets deferred replies. Must be called before Run(); the
-  /// handler must outlive the server. Incompatible with sharded serving
-  /// (DrainSharded executes through ServerCore batches).
+  /// Substitutes `handler` for the built-in ServerCore (the proxy seam; see
+  /// request_handler.h). A handler with a poll_fd() gets deferred replies.
+  /// Must be called before Run(); the handler must outlive the server.
   void SetHandler(RequestHandler* handler);
 
   /// Installs the loop-context reload callback RequestReload() triggers.
@@ -163,15 +162,16 @@ class NetServer {
 
   // --- Sharded serving (wired by ShardedServer; see sharded_server.h). ---
 
-  /// Makes this server shard ctx.self of ctx.count. Must run before Start().
+  /// Makes this server reactor ctx.self of ctx.count, serving from the
+  /// shared ctx.store. Must run before Start().
   void ConfigureShard(const ShardContext& ctx);
   /// Dispatcher role (hash-dispatch accept fallback): this shard accepts on
   /// behalf of everyone and round-robins the accepted fds across shards.
   void SetDispatcher(bool on) { dispatcher_ = on; }
   /// Adopts an fd handed over by the dispatcher shard. Owning thread only.
   void AdoptFd(int fd);
-  /// This shard's inbox executor (installed into the ShardExchange):
-  /// connection adoptions are handled here, everything else goes to the core.
+  /// This reactor's inbox executor (installed into the ShardExchange):
+  /// adopts handed-over connections.
   void ExecuteShardOp(CrossShardOp* op);
   /// Publishes this shard's registry into `hub` slot `slot` at epoch
   /// boundaries; scrapes then serve the hub aggregate (never a mid-update
@@ -223,10 +223,6 @@ class NetServer {
   void ConnWritable(Connection* conn);
   /// Runs parse/execute over buffered bytes, then flushes.
   void Drain(Connection* conn);
-  /// Sharded drain: parses the whole buffered batch into owned PendingEvents
-  /// first (scatter-ahead needs requests that outlive the parser buffer),
-  /// then executes via ServerCore::ExecuteBatch.
-  void DrainSharded(Connection* conn);
   /// Deferred-reply drain: parse and Start() requests, then flush.
   void DrainDeferred(Connection* conn);
   /// Starts buffered requests until the parser runs dry, quit, or the slot
@@ -244,11 +240,14 @@ class NetServer {
   /// Registers an accepted/adopted fd as a live connection (nodelay, epoll,
   /// counters, traces).
   void RegisterConn(int fd, bool metrics);
-  /// Epoch-publishes this shard's registry into the hub (rate-limited unless
-  /// forced), with a fresh net/store_index_bytes.
+  /// Epoch-publishes this reactor's registry into the hub (rate-limited
+  /// unless forced), with fresh store gauges on reactor 0.
   void MaybeFlushHub(bool force);
-  /// Sets the memory gauges (store index, process heap) right before a
-  /// scrape or metrics dump renders them.
+  /// Sets the store gauges (index heap, items, bytes). Only reactor 0 sets
+  /// them: the reactors share one store, and the hub sums gauges.
+  void UpdateStoreGauges();
+  /// Sets the memory gauges (store, process heap) right before a scrape or
+  /// metrics dump renders them.
   void UpdateMemoryGauges();
   /// writev the assembler + pending buffer; buffers any remainder.
   void Flush(Connection* conn);
@@ -310,7 +309,6 @@ class NetServer {
   size_t hub_slot_ = 0;
   std::mutex* dump_mu_ = nullptr;
   int64_t last_hub_flush_us_ = -1'000'000;
-  std::vector<PendingEvent> events_;  // sharded-drain scratch (reused)
 
   // High-water marks mirrored into gauges (kept locally so the hot path
   // compares against a plain size_t, not a double).
@@ -331,6 +329,8 @@ class NetServer {
   Gauge* pending_hw_gauge_ = nullptr;
   Gauge* conns_hw_gauge_ = nullptr;
   Gauge* store_index_gauge_ = nullptr;
+  Gauge* store_items_gauge_ = nullptr;
+  Gauge* store_bytes_gauge_ = nullptr;
 };
 
 }  // namespace spotcache::net

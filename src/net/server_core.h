@@ -1,7 +1,7 @@
 // Transport-independent memcached command execution.
 //
-// ServerCore turns parsed TextRequests into wire responses against an
-// ItemStore. Failover and degradation are not its business: the proxy tier
+// ServerCore turns parsed TextRequests into wire responses against a
+// StripedStore. Failover and degradation are not its business: the proxy tier
 // (src/proxy) runs breakers, backup fallback and misses in front of a fleet
 // of these servers.
 //
@@ -19,31 +19,27 @@
 // Stats surfaces: plain `stats` emits the memcached-compatible block;
 // `stats spotcache` emits the server-telemetry extension (event-loop
 // health, sampled span counts, per-(op, outcome) latency quantiles, and the
-// memory gauges: this shard's store index and the process heap).
+// memory gauges: the store index and the process heap).
 
-// Sharded serving (multi-core PR): when a ShardContext is attached, the
-// core becomes one of N partitions. Keys it owns (ShardOfKey == self) run
-// the exact single-threaded path — no locks, no mailbox; keys owned by
-// other shards are scattered ahead through the ShardExchange mailboxes
-// (ExecuteBatch parses a whole drain batch, submits every remote op up to
-// the next ordering barrier, then executes requests in order, awaiting each
-// remote reply at its emission point so multi-key `get` responses come back
-// in request order). `stats` and `flush_all` are barriers: they gather
-// kSnapshot/kFlushAll round-trips from every peer, so aggregate stats are
-// coherent and flush ordering matches the sequential server.
+// Multi-reactor serving: every reactor of a server runs its own ServerCore,
+// and all of them serve from one StripedStore (see striped_store.h), so any
+// reactor executes any key on its own thread. ShardContext names the reactor
+// and the shared state. The request counters stay per reactor: the owning
+// reactor is their only writer, and the reactor that serves `stats` sums
+// every reactor's counters (relaxed atomic reads) and the store's totals.
+// flush_all flushes the shared store, stripe by stripe.
 
 #pragma once
 
+#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
-#include "src/net/item_store.h"
 #include "src/net/protocol.h"
 #include "src/net/request_handler.h"
 #include "src/net/response.h"
-#include "src/net/sharding.h"
+#include "src/net/striped_store.h"
 #include "src/obs/obs.h"
 #include "src/obs/request_telemetry.h"
 
@@ -54,29 +50,39 @@ struct ServerCoreConfig {
   std::string version = "spotcache-1.6.0";
 };
 
-/// Identity + plumbing of one shard in the multi-core server. Default state
-/// (null exchange) means "not sharded" and leaves every hot path untouched.
+class ServerCore;
+class ShardExchange;
+
+/// Identity of one reactor in the multi-reactor server, and what the
+/// reactors share. The default (count 1) is the single-reactor server.
 struct ShardContext {
   uint32_t self = 0;
   uint32_t count = 1;
+  /// The store every reactor serves from.
+  StripedStore* store = nullptr;
+  /// Every reactor's core, by reactor index, for the `stats` sums.
+  const std::vector<const ServerCore*>* cores = nullptr;
+  /// Connection handoff in the accept fallback (NetServer's business).
   ShardExchange* exchange = nullptr;
 };
 
-/// One parsed-and-owned request (or parse error) from a drain batch. The
-/// sharded path deep-copies out of the parser buffer so remote operations
-/// can be scattered ahead while later requests are still being parsed.
-struct PendingEvent {
-  bool is_error = false;
-  ParseErrorKind error = ParseErrorKind::kUnknownCommand;
-
-  Verb verb = Verb::kGet;
-  std::vector<std::string> keys;
-  uint32_t flags = 0;
-  int64_t exptime = 0;
-  int64_t delay_s = 0;
-  std::string stats_arg;
-  std::string data;
-  bool noreply = false;
+/// The `stats` figures: the store's totals plus the request counters of
+/// every reactor.
+struct CoreSnapshot {
+  uint64_t curr_items = 0;
+  uint64_t bytes_used = 0;
+  uint64_t capacity_bytes = 0;
+  uint64_t evictions = 0;
+  uint64_t expired_reaped = 0;
+  uint64_t cmd_get = 0;
+  uint64_t cmd_set = 0;
+  uint64_t cmd_touch = 0;
+  uint64_t cmd_delete = 0;
+  uint64_t cmd_flush = 0;
+  uint64_t get_hits = 0;
+  uint64_t get_misses = 0;
+  uint64_t protocol_errors = 0;
+  int64_t start_time = -1;
 };
 
 class ServerCore : public RequestHandler {
@@ -100,41 +106,21 @@ class ServerCore : public RequestHandler {
   /// protocol errors even on noreply commands).
   void HandleParseError(ParseErrorKind kind, ResponseAssembler* out) override;
 
-  /// Makes this core shard `ctx.self` of `ctx.count`: wires the exchange
-  /// and the shared cas sequence. Must be called before serving starts.
+  /// Makes this core reactor `ctx.self` of `ctx.count`, serving from
+  /// `ctx.store`. Must be called before serving starts.
   void ConfigureShard(const ShardContext& ctx);
-  bool sharded() const {
-    return shard_.exchange != nullptr && shard_.count > 1;
-  }
-  uint32_t shard_index() const { return shard_.self; }
-  uint32_t shard_count() const { return shard_.count; }
+  bool sharded() const { return shard_.count > 1; }
 
-  /// Sharded drain: executes one batch of parsed events in order, scattering
-  /// remote-key operations ahead (up to the next stats/flush_all/quit
-  /// barrier) and reassembling replies in request order. Returns false when
-  /// the connection should close (quit).
-  bool ExecuteBatch(const std::vector<PendingEvent>& events, int64_t now,
-                    ResponseAssembler* out);
-
-  /// Owner-side execution of a cross-shard op against this core's store.
-  /// Runs on this core's thread only; publishes the reply via op->done.
-  void ExecuteCrossOp(CrossShardOp* op);
-
-  /// Drains this shard's mailbox (loop-top servicing).
-  void ServiceInbox();
-
-  /// This shard's aggregatable counter snapshot (thread-safe only on the
-  /// owning thread, or after the loop stopped).
+  /// The store's totals plus every reactor's request counters. Safe from
+  /// any thread.
   CoreSnapshot Snapshot() const;
 
-  ItemStore& store() { return store_; }
-  const ItemStore& store() const { return store_; }
+  StripedStore& store() { return *store_; }
+  const StripedStore& store() const { return *store_; }
 
-  uint64_t cmd_get() const { return cmd_get_; }
-  uint64_t cmd_set() const { return cmd_set_; }
-  uint64_t get_hits() const { return get_hits_; }
-  uint64_t get_misses() const { return get_misses_; }
-  uint64_t protocol_errors() const { return protocol_errors_; }
+  uint64_t protocol_errors() const {
+    return counters_.protocol_errors.load(std::memory_order_relaxed);
+  }
 
  private:
   /// (outcome, bytes) classification of one handled request, reported to
@@ -155,49 +141,32 @@ class ServerCore : public RequestHandler {
   /// The `stats spotcache` extension: telemetry + event-loop health.
   void AppendSpotcacheStats(ResponseAssembler* out);
 
-  // --- Sharded-batch machinery (no-ops when not sharded). ---------------
-  /// Scatters remote ops for events [from, barrier) into the batch deque,
-  /// wakes the touched shards once, and returns the index scatter should
-  /// resume at (always > from).
-  size_t ScatterWindow(const std::vector<PendingEvent>& events, size_t from);
-  void ScatterEvent(const PendingEvent& ev, size_t index, uint64_t* wake_mask);
-  /// The pre-scattered remote op for key position `ki` of the event being
-  /// executed (null = local key).
-  CrossShardOp* RemoteOp(size_t ki) const {
-    return current_event_ops_ != nullptr && ki < current_event_ops_->size()
-               ? (*current_event_ops_)[ki]
-               : nullptr;
+  /// Request counters. The owning reactor is their only writer and `stats`
+  /// on any reactor reads them, so they are relaxed atomics, bumped with a
+  /// plain load and store.
+  struct Counters {
+    std::atomic<uint64_t> cmd_get{0};
+    std::atomic<uint64_t> cmd_set{0};
+    std::atomic<uint64_t> cmd_touch{0};
+    std::atomic<uint64_t> cmd_delete{0};
+    std::atomic<uint64_t> cmd_flush{0};
+    std::atomic<uint64_t> get_hits{0};
+    std::atomic<uint64_t> get_misses{0};
+    std::atomic<uint64_t> protocol_errors{0};
+    std::atomic<int64_t> start_time{-1};  // first request, for uptime
+  };
+  static void Bump(std::atomic<uint64_t>& counter) {
+    counter.store(counter.load(std::memory_order_relaxed) + 1,
+                  std::memory_order_relaxed);
   }
-  void AwaitOp(CrossShardOp* op) {
-    shard_.exchange->AwaitOp(shard_.self, op);
-  }
-  /// stats barrier: kSnapshot round-trip to every peer, summed into `total`.
-  void GatherPeerSnapshots(CoreSnapshot* total);
-  /// flush_all barrier: kFlushAll round-trip to every peer.
-  void BroadcastFlush(int64_t now, int64_t delay_s);
 
   ServerCoreConfig config_;
-  ItemStore store_;
+  StripedStore own_store_;  // the single-reactor store
+  StripedStore* store_ = &own_store_;
   Obs* obs_;
   RequestTelemetry* telemetry_ = nullptr;
   ShardContext shard_;
-  int64_t start_time_ = -1;  // first-request time, for the uptime stat
-
-  // Per-batch scratch for the sharded path (reused across batches).
-  std::deque<CrossShardOp> batch_ops_;  // stable addresses; awaited in-batch
-  std::vector<std::vector<CrossShardOp*>> event_ops_;  // per event, per key
-  const std::vector<CrossShardOp*>* current_event_ops_ = nullptr;
-  std::vector<std::string_view> key_views_;  // TextRequest reconstruction
-  int64_t batch_now_ = 0;
-
-  uint64_t cmd_get_ = 0;
-  uint64_t cmd_set_ = 0;
-  uint64_t cmd_touch_ = 0;
-  uint64_t cmd_delete_ = 0;
-  uint64_t cmd_flush_ = 0;
-  uint64_t get_hits_ = 0;
-  uint64_t get_misses_ = 0;
-  uint64_t protocol_errors_ = 0;
+  Counters counters_;
 
   // Fleet counters (resolved once; null when obs is detached).
   Counter* obs_requests_ = nullptr;

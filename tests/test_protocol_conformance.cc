@@ -509,9 +509,9 @@ TEST(ProtocolConformance, ConnectionCapAndStartFailures) {
   // `first` stays connected past Stop(): the destructor sweep reaps it.
 }
 
-// The whole wire table, byte-for-byte, through a ShardedServer. The
-// partition, the cross-shard mailboxes, the shared cas sequence, and the
-// stats/flush barriers must be invisible on the wire: expectations are the
+// The whole wire table, byte-for-byte, through a ShardedServer. The striped
+// shared store, its shared cas sequence, the summed stats and the
+// stripe-by-stripe flush must be invisible on the wire: expectations are the
 // exact same bytes the single-threaded server produces.
 void RunTableSharded(uint32_t threads, bool force_dispatch) {
   std::atomic<int64_t> now{kT0};
@@ -551,9 +551,9 @@ TEST(ProtocolConformance, ShardedDispatchFallback) {
   RunTableSharded(3, /*force_dispatch=*/true);
 }
 
-// threads=1 is a passthrough: no exchange, no hub, the plain NetServer — the
-// table must hold byte-for-byte there too (the --threads=1 identity the
-// sharding work must not disturb).
+// threads=1 is a passthrough: no exchange, no hub, one store stripe, the
+// plain NetServer — the table must hold byte-for-byte there too (the
+// --threads=1 identity the multi-reactor server must not disturb).
 TEST(ProtocolConformance, ShardedSingleThreadPassthrough) {
   RunTableSharded(1, /*force_dispatch=*/false);
 }

@@ -309,14 +309,14 @@ TEST(ProtocolFuzz, OverlongLineResyncsAtNewline) {
 // --- Sharded serving must be invisible at the byte level (ISSUE 8). -------
 //
 // The same seed-driven hostile streams, but over real sockets: a plain
-// single-threaded NetServer receives each stream in one send; a 4-shard
+// single-threaded NetServer receives each stream in one send; a 4-reactor
 // ShardedServer receives the identical bytes split into arbitrary chunks
 // (separate recv batches, so commands — including multigets and payloads —
-// straddle the sharded two-phase drain's batch boundaries). Both servers run
-// the same fixed clock and accumulate the same state across seeds, so their
-// response bytes must match exactly. One comparison pins two properties at
-// once: chunking invariance through the scatter/execute path, and
-// threads=4 == threads=1 byte identity on arbitrary (mis)input.
+// straddle batch boundaries). Both servers run the same fixed clock and
+// accumulate the same state across seeds, so their response bytes must
+// match exactly. One comparison pins two properties at once: chunking
+// invariance through the striped shared store, and threads=4 == threads=1
+// byte identity on arbitrary (mis)input.
 
 int ConnectLoopback(uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);

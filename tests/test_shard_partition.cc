@@ -1,10 +1,10 @@
-// The key→shard partition function (ISSUE 8).
+// The key→slot function (ISSUE 8).
 //
-// ShardOfKey is load-bearing in two ways: every reactor decides locally
-// whether a key is its own (so all shards must agree forever — the golden
-// table below pins the mapping across restarts and rebuilds), and the modulo
-// split must not hot-spot one shard under realistic key shapes (distribution
-// bounds below).
+// ShardOfKey is load-bearing in two ways: it picks a key's stripe in the
+// shared store and external tooling recomputes it (so the mapping must stay
+// fixed — the golden table below pins it across restarts and rebuilds), and
+// the modulo split must not hot-spot one stripe under realistic key shapes
+// (distribution bounds below).
 
 #include <cstdint>
 #include <string>
@@ -19,9 +19,9 @@ namespace spotcache::net {
 namespace {
 
 // Golden mapping: these values are the contract. If this test fails after an
-// edit to ShardOfKey / HashString, the change breaks every deployed sharded
-// server's partition (peers would disagree about key ownership mid-flight) —
-// revert the hash, don't re-golden the table.
+// edit to ShardOfKey / HashString, the change moves every key's stripe and
+// breaks every tool that recomputes it — revert the hash, don't re-golden the
+// table.
 TEST(ShardPartition, GoldenMappingIsStable) {
   struct Golden {
     const char* key;

@@ -1,13 +1,13 @@
-// ShardedServer integration (ISSUE 8): N reactor threads, partitioned
-// ItemStores, cross-shard multigets, coherent aggregation surfaces.
+// ShardedServer integration: N reactor threads serving one lock-striped
+// store, with coherent aggregation surfaces.
 //
 // The soaks use self-verifying values (value encodes its key and version) so
-// any cross-shard routing bug — a reply stitched to the wrong request, a
-// remote op executed against the wrong partition — corrupts a comparison
-// instead of passing silently. The scrape test runs under live multi-shard
-// load and is part of the TSan CI job: it pins the "metrics listener never
-// reads a shard counter mid-update" property (epoch-snapshot aggregation,
-// metrics_hub.h).
+// any cross-reactor bug — a reply stitched to the wrong request, a pin
+// released too early, a stripe read without its lock — corrupts a comparison
+// instead of passing silently. These tests run in CI's TSan job: the store
+// tests pin the stripe locking and the cross-thread ItemRef release, and the
+// scrape test pins "the metrics listener never reads a reactor counter
+// mid-update" (epoch-snapshot aggregation, metrics_hub.h).
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -18,6 +18,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -27,10 +28,12 @@
 #include <gtest/gtest.h>
 
 #include "src/net/client.h"
+#include "src/net/protocol.h"
 #include "src/net/response.h"
 #include "src/net/server_core.h"
 #include "src/net/sharded_server.h"
 #include "src/net/sharding.h"
+#include "src/net/striped_store.h"
 
 namespace spotcache::net {
 namespace {
@@ -89,9 +92,8 @@ long SpotcacheStat(NetClient& client, const std::string& name) {
 }
 
 // Multi-connection soak with self-verifying values. Each worker owns a key
-// range but every key is named so ShardOfKey spreads it — most operations a
-// worker issues land on a different shard than its connection, exercising
-// the cross-shard mailboxes continuously.
+// range whose keys ShardOfKey spreads over the store's stripes, so the four
+// reactors take every stripe lock concurrently.
 TEST(ShardedServer, SoakSelfVerifyingAcrossShards) {
   ShardedServer server(FourShardConfig());
   ASSERT_TRUE(server.Start());
@@ -142,7 +144,7 @@ TEST(ShardedServer, SoakSelfVerifyingAcrossShards) {
             }
             break;
           }
-          default: {  // cross-shard multiget: four keys, four partitions
+          default: {  // multiget: four keys, up to four stripes
             std::string req = "get";
             std::vector<int> ks;
             for (int d = 0; d < 4; ++d) {
@@ -196,7 +198,7 @@ TEST(ShardedServer, SoakSelfVerifyingAcrossShards) {
   }
   EXPECT_EQ(failures.load(), 0);
 
-  // Aggregated stats are coherent: the gather barrier sums every partition.
+  // Aggregated stats are coherent: `stats` sums every reactor's counters.
   {
     NetClient client;
     ASSERT_TRUE(client.Connect("127.0.0.1", server.port()));
@@ -304,9 +306,9 @@ TEST(ShardedServer, DispatchFallbackServesAllShards) {
   loop.join();
 }
 
-// Cross-shard command semantics under a controlled clock: multiget assembles
-// in request order across partitions; flush_all's broadcast barrier empties
-// every partition atomically with respect to the issuing connection.
+// Command semantics across stripes under a controlled clock: multiget
+// assembles in request order across stripes; flush_all empties every stripe
+// before its reply reaches the issuing connection.
 TEST(ShardedServer, FlushAllAndMultigetSpanShards) {
   std::atomic<int64_t> now{kT0};
   ShardedServer server(FourShardConfig());
@@ -317,16 +319,18 @@ TEST(ShardedServer, FlushAllAndMultigetSpanShards) {
   {
     NetClient client;
     ASSERT_TRUE(client.Connect("127.0.0.1", server.port()));
-    // Golden keys covering all four partitions (test_shard_partition.cc).
+    // Keys on four distinct stripes.
     const std::vector<std::string> keys = {"a", "b", "key", "spotcache"};
-    EXPECT_EQ(ShardOfKey(keys[0], 4), 0u);
-    EXPECT_EQ(ShardOfKey(keys[1], 4), 1u);
-    EXPECT_EQ(ShardOfKey(keys[2], 4), 2u);
-    EXPECT_EQ(ShardOfKey(keys[3], 4), 3u);
+    std::vector<uint32_t> stripes;
+    for (const std::string& key : keys) {
+      stripes.push_back(ShardOfKey(key, kStoreStripes));
+    }
+    std::sort(stripes.begin(), stripes.end());
+    EXPECT_EQ(std::unique(stripes.begin(), stripes.end()), stripes.end());
     for (size_t i = 0; i < keys.size(); ++i) {
       ASSERT_TRUE(client.Set(keys[i], "val" + std::to_string(i)));
     }
-    // One request, four partitions, replies in request order.
+    // One request, four stripes, replies in request order.
     ASSERT_TRUE(client.SendRaw("get a b key spotcache\r\n"));
     for (size_t i = 0; i < keys.size(); ++i) {
       const auto header = client.ReadLine();
@@ -343,7 +347,7 @@ TEST(ShardedServer, FlushAllAndMultigetSpanShards) {
     for (const auto& key : keys) {
       EXPECT_FALSE(client.Get(key).found) << key;
     }
-    // Partitions serve again after the flush.
+    // Stripes serve again after the flush.
     EXPECT_TRUE(client.Set("post", "flush"));
     EXPECT_TRUE(client.Get("post").found);
     client.Close();
@@ -356,58 +360,290 @@ TEST(ShardedServer, FlushAllAndMultigetSpanShards) {
   EXPECT_EQ(total.cmd_flush, 1u);
 }
 
-// A cross-shard get pins the owner's item block. The owner overwrites and
-// deletes the key later in the same batch, on its own thread; the requester
-// must still assemble the original bytes, and its release of the last pin
-// frees the block on the requesting thread (the TSan job runs this).
-TEST(ShardedServer, CrossShardGetPinSurvivesOwnerOverwrite) {
-  ShardExchange exchange(2);
-  ServerCore requester(ServerCoreConfig{});
-  ServerCore owner(ServerCoreConfig{});
-  requester.ConfigureShard({0, 2, &exchange});
-  owner.ConfigureShard({1, 2, &exchange});
-  exchange.SetExecutor(0,
-                       [&](CrossShardOp* op) { requester.ExecuteCrossOp(op); });
-  exchange.SetExecutor(1, [&](CrossShardOp* op) { owner.ExecuteCrossOp(op); });
-  std::atomic<bool> stop{false};
-  std::thread owner_loop([&] {
-    while (!stop.load(std::memory_order_acquire)) {
-      if (exchange.ServiceInbox(1) == 0) {
-        std::this_thread::yield();
-      }
+/// Feeds `in` to `core` as one batch of requests at `now`.
+void HandleAll(ServerCore* core, std::string_view in, int64_t now,
+               ResponseAssembler* out) {
+  RequestParser parser;
+  parser.Feed(in);
+  while (parser.Next() == ParseStatus::kRequest) {
+    core->Handle(parser.request(), now, out);
+  }
+  EXPECT_EQ(parser.buffered(), 0u);
+}
+
+/// Two reactors' cores serving one store, like a two-thread ShardedServer.
+struct TwoCores {
+  explicit TwoCores(size_t capacity_bytes)
+      : store(capacity_bytes, kStoreStripes),
+        a(ServerCoreConfig{}),
+        b(ServerCoreConfig{}) {
+    cores = {&a, &b};
+    a.ConfigureShard({0, 2, &store, &cores, nullptr});
+    b.ConfigureShard({1, 2, &store, &cores, nullptr});
+  }
+  StripedStore store;
+  ServerCore a;
+  ServerCore b;
+  std::vector<const ServerCore*> cores;
+};
+
+// A get on one reactor pins the item's block. Another reactor then
+// overwrites, evicts or deletes the item on its own thread before the first
+// reactor's reply is written; the reply must still carry the original bytes,
+// and the first reactor's release of the last pin frees the block on its
+// own thread (the TSan job runs this).
+TEST(ShardedServer, GetPinSurvivesPeerOverwriteEvictAndDelete) {
+  // 4 KiB per stripe: one 4000-byte filler in k's stripe evicts k.
+  TwoCores two(kStoreStripes * 4096);
+  const std::string key = "k";
+  std::string filler = "f0";
+  for (int i = 1; ShardOfKey(filler, kStoreStripes) !=
+                  ShardOfKey(key, kStoreStripes);
+       ++i) {
+    filler = "f" + std::to_string(i);
+  }
+  const std::string big(4000, 'b');
+  const std::string writes[] = {
+      "set k 0 0 3\r\nnew\r\n",
+      "set " + filler + " 0 0 4000\r\n" + big + "\r\n",
+      "delete k\r\n",
+  };
+
+  // round r: the reader pins at 2r+1, the writer has written at 2r+2.
+  constexpr int kRounds = 300;
+  std::atomic<int> step{0};
+  const auto await = [&step](int want) {
+    while (step.load(std::memory_order_acquire) < want) {
+      std::this_thread::yield();
+    }
+  };
+  std::thread writer([&] {
+    ResponseAssembler out;
+    for (int r = 0; r < kRounds; ++r) {
+      await(2 * r + 1);
+      HandleAll(&two.b, writes[r % 3], kT0, &out);
+      out.Clear();
+      step.store(2 * r + 2, std::memory_order_release);
     }
   });
-
-  std::string key = "k0";
-  for (int i = 1; ShardOfKey(key, 2) != 1; ++i) {
-    key = "k" + std::to_string(i);
-  }
-  const auto event = [&key](Verb verb, std::string data) {
-    PendingEvent ev;
-    ev.verb = verb;
-    ev.keys = {key};
-    ev.data = std::move(data);
-    return ev;
-  };
+  ResponseAssembler setup;
   ResponseAssembler out;
-  EXPECT_TRUE(requester.ExecuteBatch({event(Verb::kSet, "old")}, kT0, &out));
-  out.Clear();
-  const std::string want = "VALUE " + key +
-                           " 0 3\r\nold\r\nEND\r\nSTORED\r\nDELETED\r\n"
-                           "STORED\r\n";
-  // EXPECT, not ASSERT: the owner thread must be joined on failure too.
-  for (int round = 0; round < 200 && !HasFailure(); ++round) {
-    EXPECT_TRUE(requester.ExecuteBatch(
-        {event(Verb::kGet, ""), event(Verb::kSet, "new" + std::to_string(round)),
-         event(Verb::kDelete, ""), event(Verb::kSet, "old")},
-        kT0, &out));
-    EXPECT_EQ(out.Flatten(), want) << "round " << round;
+  for (int r = 0; r < kRounds; ++r) {
+    HandleAll(&two.a, "set k 0 0 3\r\nold\r\n", kT0, &setup);
+    setup.Clear();
+    HandleAll(&two.a, "get k\r\n", kT0, &out);
+    step.store(2 * r + 1, std::memory_order_release);
+    await(2 * r + 2);
+    EXPECT_EQ(out.Flatten(), "VALUE k 0 3\r\nold\r\nEND\r\n") << "round " << r;
+    out.Clear();
+    // The peer's write took effect.
+    HandleAll(&two.a, "get k\r\n", kT0, &out);
+    EXPECT_EQ(out.Flatten(), r % 3 == 0 ? "VALUE k 0 3\r\nnew\r\nEND\r\n"
+                                        : "END\r\n")
+        << "round " << r;
     out.Clear();
   }
-  stop.store(true, std::memory_order_release);
-  owner_loop.join();
-  EXPECT_EQ(owner.store().item_count(), 1u);
-  EXPECT_EQ(requester.store().item_count(), 0u);
+  writer.join();
+  EXPECT_GE(two.store.evictions(), static_cast<uint64_t>(kRounds / 3));
+}
+
+/// Checks one get reply: every VALUE names a requested key, in request
+/// order, and carries a value that starts with "<key>:" and has the declared
+/// length. Returns the number of hits, or -1 on a malformed reply.
+int CheckGetReply(const std::string& reply,
+                  const std::vector<std::string>& keys) {
+  size_t pos = 0;
+  size_t next_key = 0;
+  int hits = 0;
+  for (;;) {
+    const size_t eol = reply.find("\r\n", pos);
+    if (eol == std::string::npos) {
+      return -1;
+    }
+    const std::string line = reply.substr(pos, eol - pos);
+    pos = eol + 2;
+    if (line == "END") {
+      return pos == reply.size() ? hits : -1;
+    }
+    char name[64];
+    unsigned flags = 0;
+    size_t len = 0;
+    if (std::sscanf(line.c_str(), "VALUE %63s %u %zu", name, &flags, &len) !=
+        3) {
+      return -1;
+    }
+    while (next_key < keys.size() && keys[next_key] != name) {
+      ++next_key;
+    }
+    if (next_key == keys.size() || pos + len + 2 > reply.size() ||
+        reply.compare(pos, keys[next_key].size() + 1,
+                      keys[next_key] + ":") != 0 ||
+        reply.compare(pos + len, 2, "\r\n") != 0) {
+      return -1;
+    }
+    pos += len + 2;
+    ++next_key;
+    ++hits;
+  }
+}
+
+// Four reactors' cores on four threads hammer one store with set, multiget,
+// delete, touch and flush_all over 48 keys they all share. Every get reply
+// must be well formed and self-verifying, and the counters every reactor
+// bumps must sum exactly.
+TEST(ShardedServer, FourReactorsShareKeysUnderSetGetDeleteFlush) {
+  constexpr int kThreads = 4;
+  constexpr int kOps = 4000;
+  constexpr int kKeys = 48;
+  StripedStore store(1 << 20, kStoreStripes);
+  std::vector<std::unique_ptr<ServerCore>> owned;
+  std::vector<const ServerCore*> cores;
+  for (uint32_t i = 0; i < kThreads; ++i) {
+    owned.push_back(std::make_unique<ServerCore>(ServerCoreConfig{}));
+    cores.push_back(owned.back().get());
+  }
+  for (uint32_t i = 0; i < kThreads; ++i) {
+    owned[i]->ConfigureShard({i, kThreads, &store, &cores, nullptr});
+  }
+  const auto key_of = [](int k) { return "ov:" + std::to_string(k); };
+
+  std::atomic<int> bad{0};
+  std::atomic<uint64_t> sets{0};
+  std::atomic<uint64_t> flushes{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ServerCore* core = owned[t].get();
+      ResponseAssembler out;
+      for (int i = 0; i < kOps; ++i) {
+        // The clock advances, so a flush_all hides what came before it.
+        const int64_t now = kT0 + i / 200;
+        const int k = (i * 7 + t * 13) % kKeys;
+        std::string wire;
+        std::vector<std::string> keys;
+        switch (i % 8) {
+          case 0:
+          case 1:
+          case 2: {
+            const std::string value = key_of(k) + ":" + std::to_string(t) +
+                                      ":" + std::to_string(i);
+            wire = "set " + key_of(k) + " 0 0 " +
+                   std::to_string(value.size()) + "\r\n" + value + "\r\n";
+            ++sets;
+            break;
+          }
+          case 3:
+          case 4:
+          case 5:
+            wire = "get";
+            for (int d = 0; d < 3; ++d) {
+              keys.push_back(key_of((k + d * 11) % kKeys));
+              wire += " " + keys.back();
+            }
+            wire += "\r\n";
+            break;
+          case 6:
+            wire = "delete " + key_of(k) + "\r\n";
+            break;
+          default:
+            if (i % 400 == 7) {
+              wire = "flush_all\r\n";
+              ++flushes;
+            } else {
+              wire = "touch " + key_of(k) + " 0\r\n";
+            }
+            break;
+        }
+        HandleAll(core, wire, now, &out);
+        if (!keys.empty() && CheckGetReply(out.Flatten(), keys) < 0) {
+          ++bad;
+        }
+        out.Clear();
+      }
+    });
+  }
+  for (auto& t : threads) {
+    t.join();
+  }
+  EXPECT_EQ(bad.load(), 0);
+  const CoreSnapshot total = owned[0]->Snapshot();
+  EXPECT_EQ(total.cmd_set, sets.load());
+  EXPECT_EQ(total.cmd_flush, flushes.load());
+  EXPECT_EQ(total.cmd_get, uint64_t{kThreads} * (kOps / 8) * 3 * 3);
+  EXPECT_EQ(total.get_hits + total.get_misses, total.cmd_get);
+  EXPECT_LE(total.curr_items, static_cast<uint64_t>(kKeys));
+  EXPECT_EQ(total.curr_items, store.item_count());
+}
+
+// `stats` served by one reactor reports writes made through another: the
+// store's totals and every reactor's counters, with no cross-reactor
+// barrier. The scrape (reactor 0) and `stats spotcache` (reactor 1) report
+// the same store index bytes.
+TEST(ShardedServer, StatsOnOneReactorSeeWritesOnAnother) {
+  ShardedServerConfig config = FourShardConfig();
+  config.threads = 2;
+  config.force_dispatch = true;  // connections land round-robin: 0, then 1
+  config.base.metrics_port = 0;
+  ShardedServer server(config);
+  ASSERT_TRUE(server.Start());
+  std::thread loop([&server] { server.Run(); });
+
+  NetClient on0;
+  NetClient on1;
+  ASSERT_TRUE(on0.Connect("127.0.0.1", server.port()));
+  ASSERT_EQ(SpotcacheStat(on0, "spotcache_shard"), 0);
+  ASSERT_TRUE(on1.Connect("127.0.0.1", server.port()));
+  ASSERT_EQ(SpotcacheStat(on1, "spotcache_shard"), 1);
+
+  ASSERT_TRUE(on0.Set("written-on-0", "value"));
+  ASSERT_TRUE(on0.Get("written-on-0").found);
+  const auto stats = on1.Stats();
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_EQ(stats->at("cmd_set"), "1");
+  EXPECT_EQ(stats->at("cmd_get"), "1");
+  EXPECT_EQ(stats->at("get_hits"), "1");
+  EXPECT_EQ(stats->at("curr_items"), "1");
+
+  const long index_bytes = SpotcacheStat(on1, "spotcache_store_index_bytes");
+  EXPECT_GT(index_bytes, 0);
+  const std::string scrape = Scrape(server.metrics_port());
+  const auto gauge = [&scrape](const std::string& name) {
+    const size_t at = scrape.find("\n" + name + " ");
+    return at == std::string::npos
+               ? -1L
+               : std::atol(scrape.c_str() + at + name.size() + 2);
+  };
+  EXPECT_EQ(gauge("net_store_index_bytes"), index_bytes);
+  EXPECT_EQ(gauge("net_store_items"), 1);
+
+  on0.Close();
+  on1.Close();
+  server.Stop();
+  loop.join();
+}
+
+// The stripes split the capacity to the byte: limit_maxbytes is exactly the
+// configured capacity, even when it does not divide by the stripe count.
+TEST(ShardedServer, LimitMaxbytesIsTheConfiguredCapacity) {
+  ShardedServerConfig config = FourShardConfig();
+  config.threads = 3;
+  config.base.core.capacity_bytes = (size_t{64} << 20) + 7;
+  ShardedServer server(config);
+  ASSERT_TRUE(server.Start());
+  std::thread loop([&server] { server.Run(); });
+  {
+    NetClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server.port()));
+    const auto stats = client.Stats();
+    ASSERT_TRUE(stats.has_value());
+    EXPECT_EQ(std::stoull(stats->at("limit_maxbytes")),
+              config.base.core.capacity_bytes);
+    client.Close();
+  }
+  server.Stop();
+  loop.join();
+  EXPECT_EQ(server.TotalSnapshot().capacity_bytes,
+            config.base.core.capacity_bytes);
 }
 
 }  // namespace
