@@ -1,8 +1,8 @@
 // Micro-benchmarks of the cache data path (google-benchmark): LRU get/put,
 // eviction pressure, the arena shrinking under small-to-large churn, the
-// serving tier's ItemStore at 100 B and 4 KB values, and back-end reads.
-// Not a paper artifact; supports the claim that the simulator's data plane
-// is cheap enough to run key-level experiments.
+// serving tier's ItemStore at 100 B and 4 KB values, and Zipf sampling.
+// Not a paper artifact; tracks the per-operation cost of the stores the
+// serving tier is built on.
 
 #include <benchmark/benchmark.h>
 
@@ -10,11 +10,8 @@
 #include <string>
 #include <vector>
 
-#include "src/cache/backend_store.h"
-#include "src/cache/cache_node.h"
 #include "src/cache/lru_cache.h"
 #include "src/net/item_store.h"
-#include "src/obs/obs.h"
 #include "src/util/rng.h"
 #include "src/workload/zipf.h"
 
@@ -145,50 +142,6 @@ void BM_ItemStoreZipfMixedEvicting(benchmark::State& state) {
       static_cast<double>(hits) / static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_ItemStoreZipfMixedEvicting)->Arg(100)->Arg(4096);
-
-void BM_CacheNodeGet(benchmark::State& state) {
-  CacheNode node(1, 4.0, "bench");
-  for (uint64_t i = 0; i < 100'000; ++i) {
-    node.Set(i, 4096);
-  }
-  Rng rng(3);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(node.Get(rng.NextBelow(100'000)));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CacheNodeGet);
-
-// Same get path with observability attached (fleet-wide cache/* counters,
-// published as deltas at flush points rather than per request, so the
-// per-get overhead budget of <2% holds trivially). Compare against
-// BM_CacheNodeGet.
-void BM_CacheNodeGetInstrumented(benchmark::State& state) {
-  Obs obs;
-  CacheNode node(1, 4.0, "bench");
-  node.AttachObs(&obs);
-  for (uint64_t i = 0; i < 100'000; ++i) {
-    node.Set(i, 4096);
-  }
-  Rng rng(3);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(node.Get(rng.NextBelow(100'000)));
-  }
-  state.SetItemsProcessed(state.iterations());
-  node.FlushObs();
-  state.counters["gets"] =
-      static_cast<double>(obs.registry.CounterValue("cache/gets"));
-}
-BENCHMARK(BM_CacheNodeGetInstrumented);
-
-void BM_BackendRead(benchmark::State& state) {
-  BackendStore backend;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(backend.Read(10'000.0));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_BackendRead);
 
 void BM_ZipfSample(benchmark::State& state) {
   ZipfianGenerator gen(1'000'000, static_cast<double>(state.range(0)) / 10.0);

@@ -4,13 +4,11 @@
 
 #include <benchmark/benchmark.h>
 
-#include "src/obs/obs.h"
 #include "src/routing/bloom_filter.h"
 #include "src/routing/consistent_hash.h"
 #include "src/routing/count_min_sketch.h"
 #include "src/routing/heavy_hitters.h"
 #include "src/routing/key_partitioner.h"
-#include "src/routing/router.h"
 #include "src/util/rng.h"
 #include "src/workload/zipf.h"
 
@@ -43,42 +41,6 @@ void BM_RingRebalance(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RingRebalance);
-
-void BM_RouterRoute(benchmark::State& state) {
-  Router router;
-  for (uint64_t n = 1; n <= 16; ++n) {
-    router.UpsertNode(n, 0.5, 1.5);
-  }
-  Rng rng(2);
-  for (auto _ : state) {
-    const uint64_t key = rng();
-    benchmark::DoNotOptimize(router.Route(key, (key & 7) == 0));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_RouterRoute);
-
-// Same hot path with observability attached (counters resolved at attach
-// time; exporters off). Compare against BM_RouterRoute: the instrumentation
-// budget is <2% on this path.
-void BM_RouterRouteInstrumented(benchmark::State& state) {
-  Obs obs;
-  Router router;
-  router.AttachObs(&obs);
-  for (uint64_t n = 1; n <= 16; ++n) {
-    router.UpsertNode(n, 0.5, 1.5);
-  }
-  Rng rng(2);
-  for (auto _ : state) {
-    const uint64_t key = rng();
-    benchmark::DoNotOptimize(router.Route(key, (key & 7) == 0));
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.counters["routes"] = static_cast<double>(
-      obs.registry.CounterValue("router/routes", {{"pool", "hot"}}) +
-      obs.registry.CounterValue("router/routes", {{"pool", "cold"}}));
-}
-BENCHMARK(BM_RouterRouteInstrumented);
 
 void BM_BloomAddQuery(benchmark::State& state) {
   BloomFilter filter(100'000, 0.01);

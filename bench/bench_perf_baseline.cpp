@@ -1,7 +1,7 @@
 // Performance baseline for the hot paths touched by the parallel-engine PR:
-// the flat LRU vs the node/map reference, the router's per-request Route,
-// the incremental vs rescan lifetime predictor, the warm- vs cold-started
-// simplex, and the serial vs parallel experiment grid.
+// the flat LRU vs the node/map reference, the incremental vs rescan lifetime
+// predictor, the warm- vs cold-started simplex, and the serial vs parallel
+// experiment grid.
 //
 // Writes a machine-readable BENCH_perf.json (path overridable by argv;
 // `--quick` shrinks the workloads for CI smoke runs) so regressions are
@@ -25,7 +25,6 @@
 #include "src/exec/thread_pool.h"
 #include "src/opt/simplex.h"
 #include "src/predict/spot_predictor.h"
-#include "src/routing/router.h"
 #include "src/util/rng.h"
 
 using namespace spotcache;
@@ -134,29 +133,6 @@ int main(int argc, char** argv) {
                "cache: put %.2fM/s -> %.2fM/s, get %.2fM/s -> %.2fM/s (%s)\n",
                ref.put_ops_s / 1e6, flat.put_ops_s / 1e6, ref.get_ops_s / 1e6,
                flat.get_ops_s / 1e6, cache_match ? "hits match" : "HIT MISMATCH");
-
-  // --- Router route throughput. -------------------------------------------
-  double route_ops_s = 0.0;
-  {
-    Router router;
-    router.Reserve(24);
-    for (uint64_t n = 1; n <= 24; ++n) {
-      router.UpsertNode(n, 0.5 + 0.03 * static_cast<double>(n), 1.0);
-    }
-    const size_t route_ops = quick ? 400'000 : 2'000'000;
-    Rng rng(0xbeef);
-    const auto t0 = std::chrono::steady_clock::now();
-    uint64_t sink = 0;
-    for (size_t i = 0; i < route_ops; ++i) {
-      const RouteResult node = router.Route(rng.NextBelow(1'000'000), (i & 3) != 0);
-      sink += node.ok() ? node.node() : 0;
-    }
-    route_ops_s = static_cast<double>(route_ops) / SecondsSince(t0);
-    if (sink == 0) {
-      std::fprintf(stderr, "router sink unexpectedly zero\n");
-    }
-    std::fprintf(stderr, "router: %.2fM routes/s\n", route_ops_s / 1e6);
-  }
 
   // --- Predictor: full-window rescan vs incremental advance. --------------
   double rescan_pred_s = 0.0;
@@ -271,7 +247,6 @@ int main(int argc, char** argv) {
                ref.put_ops_s, flat.put_ops_s, ref.get_ops_s, flat.get_ops_s,
                flat.put_ops_s / ref.put_ops_s, flat.get_ops_s / ref.get_ops_s,
                cache_match ? "true" : "false");
-  std::fprintf(f, "  \"router\": {\"route_ops_s\": %.0f},\n", route_ops_s);
   std::fprintf(f,
                "  \"predictor\": {\"rescan_predicts_s\": %.0f, "
                "\"incremental_predicts_s\": %.0f, \"speedup\": %.3f},\n",

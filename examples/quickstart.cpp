@@ -1,82 +1,56 @@
-// Quickstart: stand up the full system (simulated EC2 + controller + router +
-// cache nodes), run a day of diurnal traffic through it, and print what the
-// controller procured and how the cache behaved.
+// Quickstart: run the paper's Prop approach for one day of diurnal traffic
+// on the simulated cloud, and print what the controller procured each hour
+// and what it cost.
 //
 //   $ ./quickstart
 //
-// This is the 5-minute tour of the public API; see cost_planner.cpp,
-// spot_market_explorer.cpp and failover_drill.cpp for deeper dives.
+// This is the 5-minute tour of the public API: fill an ExperimentConfig,
+// call RunExperiment, read the ExperimentResult. See cost_planner.cpp,
+// spot_market_explorer.cpp and failover_drill.cpp for deeper dives, and
+// spotcache_server / spotcache_proxy for the real memcached data path.
 
 #include <cstdio>
 #include <iostream>
+#include <numeric>
+#include <string>
 
-#include "src/core/system.h"
-#include "src/util/rng.h"
+#include "src/core/experiment.h"
 #include "src/util/table.h"
-#include "src/workload/request_gen.h"
-#include "src/workload/trace.h"
 
 using namespace spotcache;
 
 int main() {
-  // --- Configure the system: the paper's Prop approach (spot + hot-cold
-  // mixing + burstable backup) over a 1M-key Zipf(1.0) population.
-  SpotCacheSystem::Config config;
+  // --- Configure: the paper's Prop approach (spot + hot-cold mixing +
+  // burstable backup) on the §5.3 prototype workload (320 kops peak, 60 GB
+  // working set, Zipf 1.0) for one day.
+  ExperimentConfig config;
   config.approach = Approach::kProp;
-  config.num_keys = 1'000'000;
-  config.zipf_theta = 1.0;
-  config.seed = 42;
-  SpotCacheSystem system(config);
+  config.workload = PrototypeWorkload(/*days=*/1);
 
-  // --- A one-day diurnal workload, 50 kops peak, ~4 GB working set.
-  DiurnalTraceConfig trace_config;
-  trace_config.peak_rate_ops = 50'000;
-  trace_config.peak_working_set_gb = 4.0;
-  trace_config.days = 1;
-  const WorkloadTrace trace = WorkloadTrace::GenerateDiurnal(trace_config);
+  // --- Run: one observe-predict-plan-actuate cycle per hourly slot.
+  const ExperimentResult result = RunExperiment(config);
 
-  RequestGenConfig gen_config;
-  gen_config.num_keys = config.num_keys;
-  gen_config.zipf_theta = config.zipf_theta;
-  const RequestGenerator gen(gen_config);
-  Rng rng(7);
-
-  std::printf("spotcache quickstart: 24 hourly slots, Prop approach\n\n");
+  std::printf("spotcache quickstart: %zu hourly slots, %s approach\n\n",
+              result.slots.size(), result.approach_name.c_str());
   TextTable table("hourly control-plane decisions");
   table.SetHeader({"hour", "rate(kops)", "ws(GB)", "nodes", "backups",
-                   "hit-rate", "cost($)"});
-
-  for (size_t hour = 0; hour < trace.slots(); ++hour) {
-    const double rate = trace.RateAt(hour);
-    const double ws = trace.WorkingSetGbAt(hour);
-
-    // Control plane: observe-plan-actuate, then advance one slot.
-    system.AdvanceSlot(rate, ws);
-
-    // Data plane: a sample of this hour's requests against the real nodes.
-    const int sample = 20'000;
-    uint64_t hits = 0;
-    for (int i = 0; i < sample; ++i) {
-      const CacheRequest req = gen.Next(rng);
-      const CacheResponse resp = system.Get(req.key);
-      hits += resp.hit ? 1 : 0;
-    }
-
-    const SpotCacheSystem::Stats stats = system.GetStats();
-    table.AddRow({std::to_string(hour), TextTable::Num(rate / 1000.0, 1),
-                  TextTable::Num(ws, 1), std::to_string(stats.nodes),
-                  std::to_string(stats.backups),
-                  TextTable::Pct(static_cast<double>(hits) / sample),
-                  TextTable::Num(stats.total_cost, 2)});
+                   "cost($)", "p95(us)"});
+  for (size_t hour = 0; hour < result.slots.size(); ++hour) {
+    const SlotRecord& slot = result.slots[hour];
+    const int nodes =
+        std::accumulate(slot.counts.begin(), slot.counts.end(), 0);
+    table.AddRow({std::to_string(hour), TextTable::Num(slot.lambda / 1e3, 1),
+                  TextTable::Num(slot.working_set_gb, 1),
+                  std::to_string(nodes), std::to_string(slot.backups),
+                  TextTable::Num(slot.cost, 2),
+                  TextTable::Num(slot.p95_latency.seconds() * 1e6, 0)});
   }
   table.Print(std::cout);
 
-  const SpotCacheSystem::Stats stats = system.GetStats();
   std::printf(
-      "\nday summary: %llu gets, %.1f%% hit rate, %d revocations, $%.2f total\n",
-      static_cast<unsigned long long>(stats.gets), stats.hit_rate * 100.0,
-      stats.revocations, stats.total_cost);
-  std::printf("hot keys tracked by partitioner: %zu\n",
-              system.partitioner().hot_key_count());
+      "\nday summary: $%.2f total ($%.2f on-demand, $%.2f spot, $%.2f backup), "
+      "mean latency %.0f us, %d revocations\n",
+      result.total_cost, result.od_cost, result.spot_cost, result.backup_cost,
+      result.tracker.MeanLatency().seconds() * 1e6, result.revocations);
   return 0;
 }

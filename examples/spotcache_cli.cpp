@@ -10,15 +10,17 @@
 //   $ ./spotcache_cli --trace=trace.jsonl run prop 10
 //   $ ./spotcache_cli compare 10 500 100 2.0
 //
-// Approaches: odpeak, odonly, sep, cdf, prop-nobackup, prop.
+// Approaches: odpeak, odonly, sep, cdf, prop-nobackup, prop. Numeric
+// arguments are strict (whole text, in range); a bad one prints the usage
+// and exits 2.
 //
 // Observability flags (apply to `run`; any one enables instrumentation):
 //   --trace=FILE    write the structured JSONL event stream
 //   --csv=FILE      write the sim-time metric series as CSV
 //   --metrics=FILE  write a Prometheus-style text snapshot
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -27,6 +29,7 @@
 #include "src/cloud/spot_price_model.h"
 #include "src/core/experiment.h"
 #include "src/core/recovery_sim.h"
+#include "src/util/flags.h"
 #include "src/util/table.h"
 
 using namespace spotcache;
@@ -43,15 +46,26 @@ std::optional<Approach> ParseApproach(const std::string& name) {
   return std::nullopt;
 }
 
-WorkloadSpec ParseWorkload(const std::vector<std::string>& args, size_t base) {
+/// Reads the optional [days] [rate_kops] [ws_gb] [zipf] arguments starting
+/// at args[base]; nullopt when any given one is malformed or out of range.
+std::optional<WorkloadSpec> ParseWorkload(const std::vector<std::string>& args,
+                                          size_t base) {
   WorkloadSpec w;
   w.name = "cli";
-  w.days = args.size() > base ? std::atoi(args[base].c_str()) : 10;
-  w.peak_rate_ops =
-      (args.size() > base + 1 ? std::atof(args[base + 1].c_str()) : 320.0) * 1e3;
-  w.peak_working_set_gb =
-      args.size() > base + 2 ? std::atof(args[base + 2].c_str()) : 60.0;
-  w.zipf_theta = args.size() > base + 3 ? std::atof(args[base + 3].c_str()) : 1.0;
+  int64_t days = 10;
+  double rate_kops = 320.0;
+  w.peak_working_set_gb = 60.0;
+  w.zipf_theta = 1.0;
+  const auto given = [&](size_t i) { return args.size() > base + i; };
+  if ((given(0) && !ParseInt(args[base], 1, 3650, &days)) ||
+      (given(1) && !ParseReal(args[base + 1], 1e-3, 1e9, &rate_kops)) ||
+      (given(2) &&
+       !ParseReal(args[base + 2], 1e-3, 1e6, &w.peak_working_set_gb)) ||
+      (given(3) && !ParseReal(args[base + 3], 1e-3, 100.0, &w.zipf_theta))) {
+    return std::nullopt;
+  }
+  w.days = static_cast<int>(days);
+  w.peak_rate_ops = rate_kops * 1e3;
   return w;
 }
 
@@ -122,11 +136,12 @@ int main(int argc, char** argv) {
       return Usage();
     }
     const auto approach = ParseApproach(args[1]);
-    if (!approach) {
+    const auto workload = ParseWorkload(args, 2);
+    if (!approach || !workload) {
       return Usage();
     }
     ExperimentConfig cfg;
-    cfg.workload = ParseWorkload(args, 2);
+    cfg.workload = *workload;
     cfg.approach = *approach;
     cfg.obs = obs;
     if (args.size() > 6) {
@@ -151,8 +166,12 @@ int main(int argc, char** argv) {
   }
 
   if (command == "compare") {
+    const auto workload = ParseWorkload(args, 1);
+    if (!workload) {
+      return Usage();
+    }
     ExperimentConfig cfg;
-    cfg.workload = ParseWorkload(args, 1);
+    cfg.workload = *workload;
     std::printf("comparing all approaches: %d days, %.0f kops, %.0f GB, "
                 "Zipf %.1f\n\n",
                 cfg.workload.days, cfg.workload.peak_rate_ops / 1e3,
@@ -203,12 +222,16 @@ int main(int argc, char** argv) {
         return 2;
       }
     }
-    const int delay_s = args.size() > 2 ? std::atoi(args[2].c_str()) : 0;
+    int64_t delay_s = 0;
+    if (args.size() > 2 && !ParseInt(args[2], 0, 86'400, &delay_s)) {
+      return Usage();
+    }
     cfg.replacement_delay = Duration::Seconds(delay_s);
     const RecoveryResult r = SimulateRecovery(cfg);
-    std::printf("backup=%s delay=%ds: warm-up %s, hot p95 %.0f us, "
+    std::printf("backup=%s delay=%llds: warm-up %s, hot p95 %.0f us, "
                 "max mean %.0f us%s\n",
-                backup.c_str(), delay_s, ToString(r.warmup_time).c_str(),
+                backup.c_str(), static_cast<long long>(delay_s),
+                ToString(r.warmup_time).c_str(),
                 r.p95_during_recovery.seconds() * 1e6,
                 r.max_mean_latency.seconds() * 1e6,
                 r.backup_tokens_exhausted ? " (tokens exhausted)" : "");

@@ -57,46 +57,4 @@ ShedSplit AdmissionController::PlanShed(double backend_ops, double total_ops,
   return Split(needed, hot_ops / sheddable, cold_ops / sheddable);
 }
 
-bool AdmissionController::Admit(bool is_hot, double overload_ratio) {
-  double needed = 0.0;
-  if (std::isfinite(overload_ratio) && overload_ratio > 1.0) {
-    needed = 1.0 - 1.0 / overload_ratio;
-  }
-  // Cold-first at the request level: treating the pools as roughly equal
-  // halves of the backend-bound stream, the cold pool's shed rate saturates
-  // before the hot pool sheds at all.
-  const double rate = is_hot ? std::max(0.0, 2.0 * needed - 1.0)
-                             : std::min(1.0, 2.0 * needed);
-
-  // Budget guard: never let realized drops exceed shed_budget of offered.
-  const bool over_budget =
-      static_cast<double>(shed_ + 1) >
-      config_.shed_budget * static_cast<double>(offered() + 1);
-
-  double& debt = is_hot ? hot_debt_ : cold_debt_;
-  debt += rate;
-  if (debt >= 1.0 && !over_budget) {
-    debt -= 1.0;
-    ++shed_;
-    return false;
-  }
-  // Clamp so a long overload followed by recovery doesn't owe phantom sheds.
-  debt = std::min(debt, 1.0);
-  ++admitted_;
-  return true;
-}
-
-double AdmissionController::DropRate() const {
-  const int64_t total = offered();
-  return total > 0 ? static_cast<double>(shed_) / static_cast<double>(total)
-                   : 0.0;
-}
-
-void AdmissionController::ResetCounters() {
-  admitted_ = 0;
-  shed_ = 0;
-  cold_debt_ = 0.0;
-  hot_debt_ = 0.0;
-}
-
 }  // namespace spotcache

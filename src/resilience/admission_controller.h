@@ -1,24 +1,18 @@
 // Admission control for the bottom of the degradation ladder.
 //
 // When enough of the cluster is degraded that backend-bound traffic exceeds
-// the backend's capacity, some requests must be shed (ServedBy::kDropped)
-// rather than queued into collapse. Shedding is *cold-first*: the cold pool's
-// traffic is sacrificed before any hot-pool request is refused, matching the
-// paper's premise that the hot working set carries most of the hit value.
+// the backend's capacity, some requests must be shed rather than queued into
+// collapse. Shedding is *cold-first*: the cold pool's traffic is sacrificed
+// before any hot-pool request is refused, matching the paper's premise that
+// the hot working set carries most of the hit value.
 //
-// Two interfaces share the same split math:
-//   * PlanShed — analytic, for the Cluster step model: given offered
-//     backend-bound load and the hot/cold weights, return the fraction of
-//     each pool to shed (cold saturates first).
-//   * Admit — per-request, for SpotCacheSystem: deterministic error-diffusion
-//     dithering (no RNG draws) turns the target shed rate into an admit/drop
-//     decision stream whose realized rate converges to the target, with a
-//     global budget guard so total drops never exceed shed_budget of offered
-//     traffic.
+// PlanShed is analytic, for the Cluster step model: given offered
+// backend-bound load and the hot/cold weights, it returns the fraction of
+// each pool to shed (cold saturates first), capped so total shed ops never
+// exceed shed_budget of offered traffic.
 
 #pragma once
 
-#include <cstdint>
 #include <string>
 
 namespace spotcache {
@@ -59,31 +53,12 @@ class AdmissionController {
   ShedSplit PlanShed(double backend_ops, double total_ops, double hot_ops,
                      double cold_ops) const;
 
-  /// Per-request decision: admit (true) or shed (false). `overload_ratio` is
-  /// offered backend-bound ops / backend capacity; <= 1 always admits.
-  /// Deterministic: a dither accumulator per pool, no RNG.
-  bool Admit(bool is_hot, double overload_ratio);
-
-  int64_t admitted() const { return admitted_; }
-  int64_t shed() const { return shed_; }
-  int64_t offered() const { return admitted_ + shed_; }
-  /// Realized drop rate so far (0 when nothing offered).
-  double DropRate() const;
-
-  void ResetCounters();
-
  private:
   /// Cold-first split of a total shed `needed` in [0, 1]: cold saturates at
   /// rate min(1, needed / cold_share) before hot sheds at all.
   ShedSplit Split(double needed, double hot_share, double cold_share) const;
 
   AdmissionConfig config_;
-  // Error-diffusion accumulators: each admit/shed decision folds the target
-  // rate in; a pool sheds when its accumulated debt crosses 1.
-  double cold_debt_ = 0.0;
-  double hot_debt_ = 0.0;
-  int64_t admitted_ = 0;
-  int64_t shed_ = 0;
 };
 
 }  // namespace spotcache

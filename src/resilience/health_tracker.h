@@ -4,8 +4,7 @@
 // "mcrouter-like"): every data-path outcome — served normally, served by the
 // passive backup, timed out, errored, revoked — folds into one exponentially
 // weighted failure score per node. The circuit breaker trips off this score
-// plus a consecutive-failure count; the router's degradation ladder consults
-// it to prefer healthy rungs. Updates are O(1), and iteration-order
+// plus a consecutive-failure count. Updates are O(1), and iteration-order
 // independent (each node's score depends only on its own outcome sequence),
 // so health state is bit-reproducible under a fixed seed.
 
@@ -59,9 +58,6 @@ class HealthTracker {
   }
   /// Outcomes recorded against the node (0 if unknown).
   int64_t SampleCount(uint64_t node_id) const;
-
-  /// Drops all state for a departed node.
-  void Forget(uint64_t node_id) { nodes_.erase(node_id); }
 
   size_t tracked_nodes() const { return nodes_.size(); }
   /// Tracked node ids, sorted (deterministic iteration for exports/tests).

@@ -18,20 +18,6 @@ std::string ValidateResilienceConfig(const ResilienceConfig& config) {
   return "";
 }
 
-std::string_view ToString(LadderRung r) {
-  switch (r) {
-    case LadderRung::kPrimary:
-      return "primary";
-    case LadderRung::kBackup:
-      return "backup";
-    case LadderRung::kBackend:
-      return "backend";
-    case LadderRung::kShed:
-      return "shed";
-  }
-  return "?";
-}
-
 ResilienceLayer::ResilienceLayer(const ResilienceConfig& config)
     : config_(config),
       health_(config.health),
@@ -42,8 +28,7 @@ void ResilienceLayer::AttachObs(Obs* obs) {
   obs_ = obs;
   if (obs_ == nullptr) {
     trips_counter_ = closes_counter_ = retries_counter_ = sheds_counter_ =
-        served_primary_ = served_backup_ = served_backend_ = served_shed_ =
-            nullptr;
+        nullptr;
     return;
   }
   auto& reg = obs_->registry;
@@ -51,10 +36,6 @@ void ResilienceLayer::AttachObs(Obs* obs) {
   closes_counter_ = reg.GetCounter("resilience/breaker_closes");
   retries_counter_ = reg.GetCounter("resilience/retries");
   sheds_counter_ = reg.GetCounter("resilience/sheds");
-  served_primary_ = reg.GetCounter("resilience/served", {{"rung", "primary"}});
-  served_backup_ = reg.GetCounter("resilience/served", {{"rung", "backup"}});
-  served_backend_ = reg.GetCounter("resilience/served", {{"rung", "backend"}});
-  served_shed_ = reg.GetCounter("resilience/served", {{"rung", "shed"}});
 }
 
 ResilienceLayer::BreakerStateCounts ResilienceLayer::CountBreakerStates(
@@ -120,31 +101,6 @@ void ResilienceLayer::RecordOutcome(uint64_t node_id, SimTime now,
     obs_->tracer.BreakerTransition(now, node_id, ToString(before),
                                    ToString(after));
   }
-}
-
-void ResilienceLayer::Forget(uint64_t node_id) {
-  health_.Forget(node_id);
-  breakers_.erase(node_id);
-}
-
-void ResilienceLayer::CountLadderHop(LadderRung rung) {
-  Counter* c = nullptr;
-  switch (rung) {
-    case LadderRung::kPrimary:
-      c = served_primary_;
-      break;
-    case LadderRung::kBackup:
-      c = served_backup_;
-      break;
-    case LadderRung::kBackend:
-      c = served_backend_;
-      break;
-    case LadderRung::kShed:
-      c = served_shed_;
-      if (sheds_counter_ != nullptr) sheds_counter_->Increment();
-      break;
-  }
-  if (c != nullptr) c->Increment();
 }
 
 void ResilienceLayer::CountRetry(SimTime now, uint64_t op_id, int attempt,

@@ -1,21 +1,20 @@
-// The request-path resilience layer: health tracking, per-node circuit
+// The simulator's resilience layer: health tracking, per-node circuit
 // breakers, retry/backoff policy, and admission control, bundled behind one
-// config and one obs hookup.
-//
-// Degradation ladder (consulted by SpotCacheSystem::Get and mirrored
-// analytically by Cluster::Step):
+// config and one obs hookup. Cluster::Step consults it to model the
+// degradation ladder analytically at sub-step granularity:
 //
 //   primary cache node  ->  passive backup  ->  backend store  ->  shed
 //
-// Each rung is guarded: the primary by its circuit breaker, the backup by its
-// own breaker, the backend by the AdmissionController (which sheds cold-pool
-// traffic first and never exceeds the shed budget). Every outcome feeds the
-// HealthTracker and the breaker of the node that answered (or failed to).
+// Market options are guarded by circuit breakers fed from replacement-launch
+// outcomes (health ids in kOptionHealthIdBase's range), and the backend by
+// the AdmissionController's PlanShed (cold-pool traffic first, never beyond
+// the shed budget). On real sockets the proxy walks the same ladder with its
+// own per-upstream CircuitBreakers (src/proxy/upstream_pool.h).
 //
 // Everything here is a pure function of (seed, recorded state): breaker probe
-// times and retry delays are stateless hashes, admission uses error-diffusion
-// dithering, and all iteration is over sorted ids — so a run's resilience
-// decisions replay bit-identically under the same seed (test_determinism).
+// times and retry delays are stateless hashes, shed plans are closed-form,
+// and all iteration is over sorted ids — so a run's resilience decisions
+// replay bit-identically under the same seed (test_determinism).
 //
 // The layer is OFF by default (`ResilienceConfig::enabled = false`); with it
 // off, no component changes behavior and all prior figures stay bit-exact.
@@ -51,11 +50,6 @@ struct ResilienceConfig {
 /// Returns "" when valid, else an actionable message naming the field.
 std::string ValidateResilienceConfig(const ResilienceConfig& config);
 
-/// Rung of the degradation ladder that ultimately answered a request.
-enum class LadderRung : uint8_t { kPrimary, kBackup, kBackend, kShed };
-
-std::string_view ToString(LadderRung r);
-
 class ResilienceLayer {
  public:
   /// Health / breaker ids for market options (Cluster's replacement retries)
@@ -70,7 +64,6 @@ class ResilienceLayer {
   const ResilienceConfig& config() const { return config_; }
   HealthTracker& health() { return health_; }
   const HealthTracker& health() const { return health_; }
-  AdmissionController& admission() { return admission_; }
   const AdmissionController& admission() const { return admission_; }
   const RetryPolicy& retry() const { return retry_; }
 
@@ -92,12 +85,6 @@ class ResilienceLayer {
   /// breaker transition it caused (trace event + trip/close counters).
   void RecordOutcome(uint64_t node_id, SimTime now, HealthOutcome outcome);
 
-  /// Drops all state for a departed node.
-  void Forget(uint64_t node_id);
-
-  /// Publishes which ladder rung served a request ("resilience/served/..."
-  /// counters; kShed also bumps "resilience/sheds").
-  void CountLadderHop(LadderRung rung);
   /// Publishes one scheduled retry (counter + trace event).
   void CountRetry(SimTime now, uint64_t op_id, int attempt, Duration delay);
   /// Publishes an analytic shed decision (counter + trace event).
@@ -118,10 +105,6 @@ class ResilienceLayer {
   Counter* closes_counter_ = nullptr;
   Counter* retries_counter_ = nullptr;
   Counter* sheds_counter_ = nullptr;
-  Counter* served_primary_ = nullptr;
-  Counter* served_backup_ = nullptr;
-  Counter* served_backend_ = nullptr;
-  Counter* served_shed_ = nullptr;
 
   int64_t breaker_trips_ = 0;
 };

@@ -13,12 +13,14 @@
 #include <cstdint>
 #include <memory>
 
-#include "src/cache/cache_protocol.h"
 #include "src/routing/bloom_filter.h"
 #include "src/routing/count_min_sketch.h"
 #include "src/routing/heavy_hitters.h"
 
 namespace spotcache {
+
+/// Keys are dense integer ids ranked by popularity (key 0 is the hottest).
+using KeyId = uint64_t;
 
 class KeyPartitioner {
  public:

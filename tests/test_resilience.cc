@@ -1,6 +1,6 @@
 // Unit tests of the resilience layer: retry policy, circuit breaker state
-// machine, health EWMA, admission control (cold-first shedding), config
-// validation, and the system-level degradation ladder.
+// machine, health EWMA, admission control (cold-first shedding), and config
+// validation.
 
 #include "src/resilience/resilience.h"
 
@@ -11,8 +11,6 @@
 #include <set>
 
 #include "src/core/experiment.h"
-#include "src/core/system.h"
-#include "src/workload/request_gen.h"
 
 namespace spotcache {
 namespace {
@@ -281,15 +279,6 @@ TEST(HealthTracker, BackupServedIsPartialFailure) {
   EXPECT_NEAR(h.FailureRate(1), 0.5, 0.01);
 }
 
-TEST(HealthTracker, ForgetDropsState) {
-  HealthTracker h;
-  h.Record(1, HealthOutcome::kError);
-  EXPECT_EQ(h.SampleCount(1), 1);
-  h.Forget(1);
-  EXPECT_EQ(h.SampleCount(1), 0);
-  EXPECT_DOUBLE_EQ(h.FailureRate(1), 0.0);
-}
-
 // --------------------------------------------------------------------------
 // AdmissionController
 
@@ -332,51 +321,6 @@ TEST(Admission, PlanShedRespectsBudget) {
   EXPECT_GT(shed_ops, 0.0);
 }
 
-TEST(Admission, AdmitAlwaysUnderCapacity) {
-  AdmissionController a(AdmissionConfig{});
-  for (int i = 0; i < 1000; ++i) {
-    EXPECT_TRUE(a.Admit(i % 2 == 0, 0.9));
-  }
-  EXPECT_EQ(a.shed(), 0);
-}
-
-TEST(Admission, AdmitShedsColdFirstAtModerateOverload) {
-  AdmissionConfig cfg;
-  cfg.shed_budget = 1.0;
-  AdmissionController a(cfg);
-  // 25% overload -> needed = 0.2; cold rate 0.4, hot rate 0.
-  int cold_shed = 0;
-  int hot_shed = 0;
-  for (int i = 0; i < 2000; ++i) {
-    cold_shed += a.Admit(/*is_hot=*/false, 1.25) ? 0 : 1;
-    hot_shed += a.Admit(/*is_hot=*/true, 1.25) ? 0 : 1;
-  }
-  EXPECT_EQ(hot_shed, 0);
-  EXPECT_NEAR(cold_shed / 2000.0, 0.4, 0.05);
-}
-
-TEST(Admission, AdmitNeverExceedsBudget) {
-  AdmissionConfig cfg;
-  cfg.shed_budget = 0.05;
-  AdmissionController a(cfg);
-  for (int i = 0; i < 20'000; ++i) {
-    a.Admit(i % 4 == 0, /*overload_ratio=*/50.0);  // catastrophic overload
-  }
-  EXPECT_GT(a.shed(), 0);
-  EXPECT_LE(a.DropRate(), 0.05 + 1e-3);
-}
-
-TEST(Admission, AdmitStreamIsDeterministic) {
-  AdmissionConfig cfg;
-  cfg.shed_budget = 0.5;
-  AdmissionController a(cfg);
-  AdmissionController b(cfg);
-  for (int i = 0; i < 500; ++i) {
-    const bool hot = (i % 3) == 0;
-    EXPECT_EQ(a.Admit(hot, 1.7), b.Admit(hot, 1.7)) << "request " << i;
-  }
-}
-
 // --------------------------------------------------------------------------
 // ResilienceLayer plumbing
 
@@ -414,18 +358,6 @@ TEST(ResilienceLayer, BackupServedNeitherTripsNorHeals) {
   EXPECT_GT(layer.health().FailureRate(3), 0.45);
   EXPECT_TRUE(layer.AllowRequest(3, t));
   EXPECT_EQ(layer.breaker_trips(), 0);
-}
-
-TEST(ResilienceLayer, ForgetDropsNodeState) {
-  ResilienceLayer layer(EnabledConfig());
-  SimTime t;
-  for (int i = 0; i < 3; ++i) {
-    layer.RecordOutcome(9, t, HealthOutcome::kError);
-  }
-  EXPECT_FALSE(layer.AllowRequest(9, t));
-  layer.Forget(9);
-  EXPECT_TRUE(layer.AllowRequest(9, t));
-  EXPECT_EQ(layer.health().SampleCount(9), 0);
 }
 
 // --------------------------------------------------------------------------
@@ -515,74 +447,6 @@ TEST(Validation, ExperimentConfigGuardsTheRun) {
 }
 
 // --------------------------------------------------------------------------
-// System-level degradation ladder
-
-SpotCacheSystem::Config LadderConfig() {
-  SpotCacheSystem::Config cfg;
-  cfg.approach = Approach::kProp;
-  cfg.num_keys = 200'000;
-  cfg.zipf_theta = 1.0;
-  cfg.seed = 7;
-  cfg.resilience.enabled = true;
-  return cfg;
-}
-
-TEST(Ladder, BreakerOpenDivertsTrafficOffPrimary) {
-  SpotCacheSystem system(LadderConfig());
-  system.AdvanceSlot(20'000, 0.8);
-  ASSERT_NE(system.resilience(), nullptr);
-  // Warm a key so the primary would serve it, then kill every node's breaker.
-  system.Get(42);
-  ASSERT_TRUE(system.Get(42).hit);
-  for (uint64_t node : system.router().NodeIds()) {
-    for (int i = 0; i < 3; ++i) {
-      system.resilience()->RecordOutcome(node, system.now(),
-                                         HealthOutcome::kError);
-    }
-  }
-  const CacheResponse r = system.Get(42);
-  // The primary rung is gated off: the request lands on a lower rung.
-  EXPECT_NE(r.served_by, ServedBy::kCacheNode);
-}
-
-TEST(Ladder, ShedRateBoundedByBudget) {
-  SpotCacheSystem::Config cfg = LadderConfig();
-  cfg.resilience.admission.backend_capacity_ops = 100.0;  // force overload
-  cfg.resilience.admission.shed_budget = 0.05;
-  SpotCacheSystem system(cfg);
-  system.AdvanceSlot(20'000, 0.8);
-  RequestGenConfig gen_cfg;
-  gen_cfg.num_keys = 200'000;
-  const RequestGenerator gen(gen_cfg);
-  Rng rng(1);
-  for (int i = 0; i < 20'000; ++i) {
-    system.Get(gen.Next(rng).key);
-  }
-  const auto stats = system.GetStats();
-  // Cold-pool misses were shed, but never beyond the budget.
-  EXPECT_GT(stats.dropped, 0u);
-  EXPECT_LE(static_cast<double>(stats.dropped),
-            0.05 * static_cast<double>(stats.gets) + 1.0);
-}
-
-TEST(Ladder, DisabledResilienceKeepsLegacyPath) {
-  SpotCacheSystem::Config cfg = LadderConfig();
-  cfg.resilience.enabled = false;
-  SpotCacheSystem system(cfg);
-  EXPECT_EQ(system.resilience(), nullptr);
-  system.AdvanceSlot(20'000, 0.8);
-  const CacheResponse r = system.Get(42);
-  EXPECT_EQ(r.served_by, ServedBy::kBackend);  // cold miss, never dropped
-  EXPECT_EQ(system.GetStats().dropped, 0u);
-}
-
-TEST(Ladder, InvalidResilienceConfigThrows) {
-  SpotCacheSystem::Config cfg = LadderConfig();
-  cfg.resilience.breaker.open_backoff = 0.0;
-  EXPECT_THROW(SpotCacheSystem system(cfg), std::invalid_argument);
-}
-
-// --------------------------------------------------------------------------
 // Introspection and validation surface (names, bad configs, counters)
 
 TEST(HealthTracker, OutcomeNamesAndWeights) {
@@ -617,14 +481,10 @@ TEST(HealthTracker, ValidateRejectsOutOfRangeConfig) {
   EXPECT_EQ(Validate(HealthConfig{}), "");
 }
 
-TEST(CircuitBreaker, StateAndRungNames) {
+TEST(CircuitBreaker, StateNames) {
   EXPECT_EQ(ToString(BreakerState::kClosed), "closed");
   EXPECT_EQ(ToString(BreakerState::kOpen), "open");
   EXPECT_EQ(ToString(BreakerState::kHalfOpen), "half_open");
-  EXPECT_EQ(ToString(LadderRung::kPrimary), "primary");
-  EXPECT_EQ(ToString(LadderRung::kBackup), "backup");
-  EXPECT_EQ(ToString(LadderRung::kBackend), "backend");
-  EXPECT_EQ(ToString(LadderRung::kShed), "shed");
 }
 
 TEST(CircuitBreaker, ValidateRejectsEachBadField) {
@@ -653,20 +513,6 @@ TEST(Admission, ValidateRejectsBadBudgetAndCapacity) {
   bad.backend_capacity_ops = 0.0;
   EXPECT_NE(Validate(bad), "");
   EXPECT_EQ(Validate(AdmissionConfig{}), "");
-}
-
-TEST(Admission, ResetCountersClearsRealizedState) {
-  AdmissionController adm{AdmissionConfig{}};
-  for (int i = 0; i < 200; ++i) {
-    adm.Admit(/*is_hot=*/false, /*overload_ratio=*/10.0);
-  }
-  EXPECT_EQ(adm.offered(), 200);
-  EXPECT_GT(adm.shed(), 0);
-  EXPECT_GT(adm.DropRate(), 0.0);
-  adm.ResetCounters();
-  EXPECT_EQ(adm.offered(), 0);
-  EXPECT_EQ(adm.shed(), 0);
-  EXPECT_EQ(adm.DropRate(), 0.0);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <sstream>
 
+#include "src/util/logging.h"
+
 namespace spotcache {
 namespace {
 
@@ -57,6 +59,17 @@ TEST(TextTable, RaggedRowsHandled) {
   std::ostringstream os;
   t.Print(os);  // must not crash
   EXPECT_NE(os.str().find("extra"), std::string::npos);
+}
+
+TEST(Logging, LevelGatesOutput) {
+  const LogLevel before = GetLogLevel();
+  SetLogLevel(LogLevel::kError);
+  EXPECT_EQ(GetLogLevel(), LogLevel::kError);
+  // Should be suppressed (no crash, no assertion available on stderr; this
+  // exercises the path).
+  SPOTCACHE_LOG(kDebug) << "suppressed " << 42;
+  SPOTCACHE_LOG(kError) << "emitted";
+  SetLogLevel(before);
 }
 
 }  // namespace
