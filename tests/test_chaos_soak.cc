@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "src/core/experiment.h"
+#include "src/exec/experiment_grid.h"
 
 namespace spotcache {
 namespace {
@@ -144,6 +145,14 @@ TEST(ChaosSoak, ReplaysBitIdentically) {
   EXPECT_EQ(a.trace_jsonl, b.trace_jsonl);
   EXPECT_EQ(a.metrics_csv, b.metrics_csv);
   EXPECT_FALSE(a.trace_jsonl.empty());
+}
+
+// Pins the whole run — costs, every slot record, the JSONL trace and the
+// metrics CSV — so a refactor of the breaker / retry / shed path cannot
+// drift silently. Re-record only for an intended behaviour change.
+TEST(ChaosSoak, DigestIsPinned) {
+  const ExperimentResult r = RunExperiment(ChaosSoakConfig());
+  EXPECT_EQ(DigestExperimentResult(r), 0x37d14d0b05f93a55ULL);
 }
 
 // With resilience off, the same storm must leave every legacy output
