@@ -39,18 +39,21 @@
 //   --trace=F            write a JSONL event stream (run_config / interval /
 //                        segment / run_summary)
 //
+// Numeric flags are strict: a non-numeric or out-of-range value prints the
+// usage and exits 2 (test_loadgen_flags).
+//
 // Exit status: 0 on a clean run (connections survived, stream drained), 1
-// otherwise — the CI gate applies latency/throughput thresholds separately
-// (tests/golden/check_latency.py).
+// otherwise, 2 on bad flags — the CI gate applies latency/throughput
+// thresholds separately (tests/golden/check_latency.py).
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "src/loadgen/engine.h"
 #include "src/loadgen/report.h"
 #include "src/obs/exporters.h"
+#include "src/util/flags.h"
 
 using namespace spotcache;
 using namespace spotcache::loadgen;
@@ -103,31 +106,41 @@ int main(int argc, char** argv) {
   bool dry_run = false;
   int server_shards = 0;
 
+  constexpr int64_t kMaxInt = 1 << 30;
+  constexpr double kMaxSeconds = 1e7;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto val = [&arg](size_t prefix) { return arg.substr(prefix); };
+    int64_t n = 0;
+    bool ok = true;
     if (arg.rfind("--host=", 0) == 0) {
       config.host = val(7);
     } else if (arg.rfind("--port=", 0) == 0) {
-      config.port = static_cast<uint16_t>(std::atoi(arg.c_str() + 7));
+      ok = ParseInt(val(7), 1, 65535, &n);
+      config.port = static_cast<uint16_t>(n);
     } else if (arg.rfind("--connections=", 0) == 0) {
-      config.connections = std::atoi(arg.c_str() + 14);
+      ok = ParseInt(val(14), 1, kMaxInt, &n);
+      config.connections = static_cast<int>(n);
     } else if (arg.rfind("--server-shards=", 0) == 0) {
-      server_shards = std::atoi(arg.c_str() + 16);
+      ok = ParseInt(val(16), 0, kMaxInt, &n);
+      server_shards = static_cast<int>(n);
     } else if (arg == "--no-probe-shards") {
       config.probe_shards = false;
     } else if (arg.rfind("--rate=", 0) == 0) {
-      config.stream.schedule.base_rate_rps = std::atof(arg.c_str() + 7);
+      ok = ParseReal(val(7), 1e-3, 1e9, &config.stream.schedule.base_rate_rps);
     } else if (arg.rfind("--duration=", 0) == 0) {
-      config.stream.schedule.duration_s = std::atof(arg.c_str() + 11);
+      ok = ParseReal(val(11), 1e-3, kMaxSeconds,
+                     &config.stream.schedule.duration_s);
     } else if (arg == "--schedule=poisson") {
       config.stream.schedule.kind = ScheduleConfig::Kind::kPoisson;
     } else if (arg == "--schedule=diurnal") {
       config.stream.schedule.kind = ScheduleConfig::Kind::kDiurnal;
     } else if (arg.rfind("--diurnal-period=", 0) == 0) {
-      config.stream.schedule.diurnal_period_s = std::atof(arg.c_str() + 17);
+      ok = ParseReal(val(17), 1e-3, kMaxSeconds,
+                     &config.stream.schedule.diurnal_period_s);
     } else if (arg.rfind("--diurnal-amplitude=", 0) == 0) {
-      config.stream.schedule.diurnal_amplitude = std::atof(arg.c_str() + 20);
+      ok = ParseReal(val(20), 0.0, 1.0,
+                     &config.stream.schedule.diurnal_amplitude);
     } else if (arg.rfind("--phase=", 0) == 0) {
       Phase p;
       if (!ParsePhase(val(8), &p)) {
@@ -136,32 +149,34 @@ int main(int argc, char** argv) {
       }
       config.stream.schedule.phases.push_back(p);
     } else if (arg.rfind("--keys=", 0) == 0) {
-      config.stream.keys.num_keys =
-          static_cast<uint64_t>(std::atoll(arg.c_str() + 7));
+      ok = ParseInt(val(7), 1, INT64_MAX, &n);
+      config.stream.keys.num_keys = static_cast<uint64_t>(n);
     } else if (arg.rfind("--theta=", 0) == 0) {
-      config.stream.keys.theta = std::atof(arg.c_str() + 8);
+      ok = ParseReal(val(8), 0.0, 10.0, &config.stream.keys.theta);
     } else if (arg == "--scramble") {
       config.stream.keys.scramble = true;
     } else if (arg.rfind("--get-ratio=", 0) == 0) {
-      config.stream.mix.get_ratio = std::atof(arg.c_str() + 12);
+      ok = ParseReal(val(12), 0.0, 1.0, &config.stream.mix.get_ratio);
     } else if (arg.rfind("--value-bytes=", 0) == 0) {
-      config.stream.mix.value_bytes =
-          static_cast<uint32_t>(std::atoi(arg.c_str() + 14));
+      ok = ParseInt(val(14), 0, kMaxInt, &n);
+      config.stream.mix.value_bytes = static_cast<uint32_t>(n);
     } else if (arg.rfind("--value-bytes-max=", 0) == 0) {
-      config.stream.mix.value_bytes_max =
-          static_cast<uint32_t>(std::atoi(arg.c_str() + 18));
+      ok = ParseInt(val(18), 0, kMaxInt, &n);
+      config.stream.mix.value_bytes_max = static_cast<uint32_t>(n);
     } else if (arg.rfind("--seed=", 0) == 0) {
-      config.stream.seed = static_cast<uint64_t>(std::atoll(arg.c_str() + 7));
+      ok = ParseInt(val(7), 0, INT64_MAX, &n);
+      config.stream.seed = static_cast<uint64_t>(n);
     } else if (arg == "--no-prefill") {
       config.prefill = false;
     } else if (arg.rfind("--drain-timeout=", 0) == 0) {
-      config.drain_timeout_s = std::atof(arg.c_str() + 16);
+      ok = ParseReal(val(16), 0.0, kMaxSeconds, &config.drain_timeout_s);
     } else if (arg.rfind("--keyfile=", 0) == 0) {
       keyfile = val(10);
     } else if (arg.rfind("--write-keyfile=", 0) == 0) {
       write_keyfile = val(16);
     } else if (arg.rfind("--keyfile-count=", 0) == 0) {
-      keyfile_count = static_cast<size_t>(std::atoll(arg.c_str() + 16));
+      ok = ParseInt(val(16), 1, kMaxInt, &n);
+      keyfile_count = static_cast<size_t>(n);
     } else if (arg.rfind("--json=", 0) == 0) {
       json_path = val(7);
     } else if (arg.rfind("--trace=", 0) == 0) {
@@ -172,6 +187,16 @@ int main(int argc, char** argv) {
       std::printf("unknown flag '%s'\n\n", arg.c_str());
       return Usage();
     }
+    if (!ok) {
+      std::printf("bad value in '%s'\n\n", arg.c_str());
+      return Usage();
+    }
+  }
+  if (config.stream.mix.value_bytes_max != 0 &&
+      config.stream.mix.value_bytes_max < config.stream.mix.value_bytes) {
+    std::printf("--value-bytes-max must be 0 (fixed size) or >= "
+                "--value-bytes\n\n");
+    return Usage();
   }
 
   if (server_shards > 1) {

@@ -11,6 +11,7 @@
 
 #pragma once
 
+#include <map>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -20,6 +21,7 @@
 #include "src/obs/obs.h"
 #include "src/opt/procurement.h"
 #include "src/resilience/resilience.h"
+#include "src/resilience/retry_policy.h"
 #include "src/sim/latency_model.h"
 #include "src/workload/zipf.h"
 
@@ -40,11 +42,11 @@ struct ClusterConfig {
   double copy_efficiency = 0.7;
   double ram_usable_fraction = 0.85;
   /// Governs retries of failed replacement launches (injected transient
-  /// outages). Without an attached ResilienceLayer only `initial_delay`
-  /// matters — the shard stays degraded that long and the next
-  /// reconciliation re-provisions, exactly the old fixed-timer behavior.
-  /// With the layer attached, in-step retries follow the full policy
-  /// (capped exponential backoff + decorrelated jitter, bounded attempts).
+  /// outages). Without resilience only `initial_delay` matters — the shard
+  /// stays degraded that long and the next reconciliation re-provisions,
+  /// exactly the old fixed-timer behavior. With resilience attached, in-step
+  /// retries follow the full policy (capped exponential backoff +
+  /// decorrelated jitter, bounded attempts).
   RetryPolicyConfig replacement_retry;
 };
 
@@ -87,8 +89,8 @@ class Cluster {
     Duration mean_latency;
     Duration p95_latency;
     double hit_fraction = 1.0;
-    /// Fraction of arrivals shed by admission control (0 without an attached
-    /// ResilienceLayer): backend-bound overload refused cold-first.
+    /// Fraction of arrivals shed by admission control (0 without resilience
+    /// attached): backend-bound overload refused cold-first.
     double shed_fraction = 0.0;
     int revocations = 0;
     bool saturated = false;
@@ -116,18 +118,26 @@ class Cluster {
 
   /// Attaches observability (null detaches): Apply updates launch/terminate
   /// counters and the backup-fleet gauge; HandleRevocation traces warm-up
-  /// windows with the paper's Fig 4 case labels (1a / 1b / 2).
+  /// windows with the paper's Fig 4 case labels (1a / 1b / 2). With
+  /// resilience attached it also publishes breaker transitions, retries and
+  /// sheds (the `resilience/*` counters and trace events).
   void AttachObs(Obs* obs);
 
-  /// Attaches the resilience layer (null detaches). When attached, failed
-  /// replacement launches are retried *within* Step under the
-  /// `replacement_retry` policy (gated by a per-option circuit breaker), and
-  /// backend-bound overload is shed cold-first through admission control.
-  /// When detached, behavior is bit-identical to the pre-resilience model.
-  void AttachResilience(ResilienceLayer* layer);
+  /// Applies `config`. When enabled, failed replacement launches are retried
+  /// *within* Step under the `replacement_retry` policy (gated by a circuit
+  /// breaker per market option), and backend-bound overload is shed
+  /// cold-first by PlanShed. When disabled, behavior is bit-identical to the
+  /// pre-resilience model.
+  void AttachResilience(const ResilienceConfig& config);
 
   /// Replacement retries still pending (tests/diagnostics).
   size_t pending_replacements() const { return pending_.size(); }
+  /// The launch breaker of market option `option`; null until resilience
+  /// has recorded a replacement launch on it (tests/diagnostics).
+  const CircuitBreaker* option_breaker(size_t option) const {
+    const auto it = option_breakers_.find(option);
+    return it == option_breakers_.end() ? nullptr : &it->second;
+  }
 
   /// Instance ids held per option (parallel to the option vector).
   const std::vector<std::vector<InstanceId>>& holdings() const {
@@ -148,7 +158,7 @@ class Cluster {
   };
 
   /// One failed replacement launch awaiting an in-step retry (only populated
-  /// with an attached ResilienceLayer).
+  /// with resilience attached).
   struct PendingReplacement {
     size_t option = 0;
     const InstanceTypeSpec* type = nullptr;
@@ -178,6 +188,13 @@ class Cluster {
                                double cold_traffic);
   /// Retries pending replacement launches due by `now` (resilience only).
   void RetryPendingReplacements(SimTime now);
+  /// The option's launch breaker, created closed on first use.
+  CircuitBreaker& OptionBreaker(size_t option);
+  /// Feeds one replacement-launch outcome into the option's breaker and
+  /// publishes any transition it caused (trace event + trip/close counters).
+  void RecordLaunchOutcome(size_t option, SimTime now, bool ok);
+  /// Publishes one scheduled replacement retry (counter + trace event).
+  void CountRetry(SimTime now, uint64_t op_id, int attempt, Duration delay);
   /// Copy rate (Mbps) available for warming from the backup fleet at `now`
   /// over an estimated window; consumes backup network tokens.
   double BackupCopyMbps(SimTime from, Duration window, double demand_mbps);
@@ -202,8 +219,9 @@ class Cluster {
   int failed_replacements_ = 0;
   std::vector<size_t> step_revoked_options_;
 
-  ResilienceLayer* resilience_ = nullptr;
+  std::optional<ResilienceConfig> resilience_;  // set when enabled
   RetryPolicy replacement_policy_;
+  std::map<size_t, CircuitBreaker> option_breakers_;
 
   Obs* obs_ = nullptr;
   Counter* launched_ = nullptr;
@@ -211,6 +229,11 @@ class Cluster {
   Counter* bid_rejected_ = nullptr;
   Counter* launch_failed_ = nullptr;
   Gauge* backups_gauge_ = nullptr;
+  // Resolved only with resilience attached, so legacy exports are unchanged.
+  Counter* breaker_trips_ = nullptr;
+  Counter* breaker_closes_ = nullptr;
+  Counter* retries_ = nullptr;
+  Counter* sheds_ = nullptr;
 };
 
 }  // namespace spotcache

@@ -46,7 +46,7 @@ class GlobalController {
   /// Whether `option` is currently in cooldown.
   bool InCooldown(size_t option, SimTime now) const;
 
-  /// Escalating cooldowns (resilience layer): successive revocations of the
+  /// Escalating cooldowns (resilience): successive revocations of the
   /// same option *while it is still cooling* lengthen the cooldown under the
   /// retry policy (initial_delay should be the base revocation cooldown);
   /// a revocation after the option recovered resets the escalation.

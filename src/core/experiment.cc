@@ -181,21 +181,17 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   Cluster cluster(&provider, &controller.options(), cluster_config);
   cluster.AttachObs(obs.get());
 
-  // --- Resilience layer (off by default; all consumers keep legacy behavior
-  // bit-for-bit when it is absent).
-  std::unique_ptr<ResilienceLayer> resilience;
-  if (config.resilience.enabled) {
-    resilience = std::make_unique<ResilienceLayer>(config.resilience);
-    resilience->AttachObs(obs.get());
-    cluster.AttachResilience(resilience.get());
-    if (config.revocation_cooldown > Duration::Micros(0)) {
-      // Escalating market cooldowns: the base cooldown is the policy's
-      // initial delay, repeated storms on one option back off from there.
-      RetryPolicyConfig cooldown = config.resilience.retry;
-      cooldown.initial_delay = config.revocation_cooldown;
-      cooldown.max_delay = std::max(cooldown.max_delay, cooldown.initial_delay);
-      controller.EnableCooldownBackoff(cooldown, config.resilience.seed);
-    }
+  // --- Resilience (off by default; every consumer keeps its legacy behavior
+  // bit-for-bit when it is disabled).
+  cluster.AttachResilience(config.resilience);
+  if (config.resilience.enabled &&
+      config.revocation_cooldown > Duration::Micros(0)) {
+    // Escalating market cooldowns: the base cooldown is the policy's initial
+    // delay, repeated storms on one option back off from there.
+    RetryPolicyConfig cooldown = config.cluster.replacement_retry;
+    cooldown.initial_delay = config.revocation_cooldown;
+    cooldown.max_delay = std::max(cooldown.max_delay, cooldown.initial_delay);
+    controller.EnableCooldownBackoff(cooldown, config.resilience.seed);
   }
 
   // --- Workload.
@@ -374,8 +370,8 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
       reg.AddSample("slot/cost", slot_start, rec.cost);
       reg.AddSample("slot/lambda", slot_start, lambda_act);
       reg.AddSample("slot/affected_fraction", slot_start, affected);
-      if (resilience != nullptr) {
-        // Only sampled with the layer on, so legacy CSV exports stay
+      if (config.resilience.enabled) {
+        // Only sampled with resilience on, so legacy CSV exports stay
         // byte-identical when it is disabled.
         reg.AddSample("slot/shed_fraction", slot_start, shed);
       }

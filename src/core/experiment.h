@@ -73,10 +73,10 @@ struct ExperimentConfig {
   /// Prometheus snapshot additionally includes wall-clock timer histograms
   /// and is expected to vary run-to-run.
   ObsConfig obs;
-  /// Request-path resilience: health tracking, circuit breakers, in-step
-  /// replacement retries, escalating market cooldowns, and admission-control
-  /// shedding. Disabled by default; with it off every output is bit-identical
-  /// to the pre-resilience harness.
+  /// Request-path resilience: launch circuit breakers, in-step replacement
+  /// retries, escalating market cooldowns, and admission-control shedding.
+  /// Disabled by default; with it off every output is bit-identical to the
+  /// pre-resilience harness.
   ResilienceConfig resilience;
 };
 
@@ -95,7 +95,7 @@ struct SlotRecord {
   int backups = 0;
   double cost = 0.0;  // ledger delta across the slot
   double affected_fraction = 0.0;
-  double shed_fraction = 0.0;  // admission-control drops (resilience layer)
+  double shed_fraction = 0.0;  // admission-control drops (resilience)
   Duration mean_latency;
   Duration p95_latency;
   int revocations = 0;

@@ -186,7 +186,7 @@ RecoveryResult SimulateRecovery(const RecoveryConfig& config) {
     double to_backup = 0.0;
     double to_backend = uncovered_cold;
     if (backup_ok) {
-      to_backup = uncovered_hot * (repl_ready ? 1.0 : 1.0);
+      to_backup = uncovered_hot;
     } else {
       to_backend += uncovered_hot;
     }
@@ -197,12 +197,12 @@ RecoveryResult SimulateRecovery(const RecoveryConfig& config) {
     // mixture) and reported per epoch as shed_fraction.
     double shed_fraction = 0.0;
     if (config.admission.has_value() && to_backend > 0.0) {
-      const AdmissionController admit(*config.admission);
       const double cold_bound = uncovered_cold;
       const double hot_bound = to_backend - uncovered_cold;
-      const ShedSplit split = admit.PlanShed(
-          config.arrival_rate * to_backend, config.arrival_rate,
-          config.arrival_rate * hot_bound, config.arrival_rate * cold_bound);
+      const ShedSplit split = PlanShed(
+          *config.admission, config.arrival_rate * to_backend,
+          config.arrival_rate, config.arrival_rate * hot_bound,
+          config.arrival_rate * cold_bound);
       const double shed_cold = cold_bound * split.cold;
       const double shed_hot = hot_bound * split.hot;
       to_backend -= shed_cold + shed_hot;

@@ -15,7 +15,7 @@
 
 #include "src/cloud/instance_types.h"
 #include "src/obs/obs.h"
-#include "src/resilience/admission_controller.h"
+#include "src/resilience/resilience.h"
 #include "src/sim/latency_model.h"
 #include "src/util/time.h"
 

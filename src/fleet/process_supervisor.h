@@ -63,8 +63,7 @@ struct SupervisorConfig {
                           .backoff_factor = 2.0,
                           .max_delay = Duration::Millis(500),
                           .max_attempts = 3,
-                          .jitter = 0.25,
-                          .deadline = Duration()};
+                          .jitter = 0.25};
   uint64_t seed = 0;
 };
 

@@ -1,49 +1,16 @@
 #include "src/loadgen/key_sampler.h"
 
-#include <cassert>
-#include <cmath>
 #include <cstdio>
 
 namespace spotcache::loadgen {
 
-FastZipf::FastZipf(uint64_t num_keys, double theta)
-    : n_(num_keys < 1 ? 1 : num_keys), theta_(theta) {
-  assert(theta_ >= 0.0 && theta_ < 1.0);
-  zetan_ = GeneralizedHarmonic(static_cast<double>(n_), theta_);
-  const double zeta2 = GeneralizedHarmonic(2.0, theta_);
-  alpha_ = 1.0 / (1.0 - theta_);
-  eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n_), 1.0 - theta_)) /
-         (1.0 - zeta2 / zetan_);
-  threshold_ = 1.0 + std::pow(0.5, theta_);
-}
-
-uint64_t FastZipf::Sample(Rng& rng) const {
-  const double u = rng.NextDouble();
-  const double uz = u * zetan_;
-  if (uz < 1.0) {
-    return 0;
-  }
-  if (uz < threshold_) {
-    return 1;
-  }
-  const uint64_t rank = static_cast<uint64_t>(
-      static_cast<double>(n_) * std::pow(eta_ * u - eta_ + 1.0, alpha_));
-  return rank >= n_ ? n_ - 1 : rank;
-}
-
-KeySampler::KeySampler(const Config& config) : config_(config) {
-  if (config_.num_keys < 1) {
-    config_.num_keys = 1;
-  }
-  if (config_.theta < 1.0) {
-    fast_.emplace(config_.num_keys, config_.theta);
-  } else {
-    general_.emplace(config_.num_keys, config_.theta);
-  }
+KeySampler::KeySampler(const Config& config)
+    : config_(config), zipf_(config.num_keys, config.theta) {
+  config_.num_keys = zipf_.num_keys();  // at least one key
 }
 
 uint64_t KeySampler::SampleRank(Rng& rng) const {
-  return fast_.has_value() ? fast_->Sample(rng) : general_->Sample(rng);
+  return zipf_.Sample(rng);
 }
 
 uint64_t KeySampler::KeyFor(uint64_t rank, uint64_t hot_shift) const {

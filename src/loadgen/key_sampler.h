@@ -1,10 +1,9 @@
 // Key popularity sampling for the open-loop load generator.
 //
-// FastZipf is Jim Gray et al.'s closed-form Zipf sampler: one uniform draw,
-// two comparisons, one pow() — O(1) per sample with no rejection loop, valid
-// for theta in [0, 1). KeySampler wraps it together with the repo's
-// ZipfianGenerator (which handles theta >= 1) behind one interface and adds
-// the two transformations the traffic engine needs:
+// KeySampler draws popularity ranks from the repo's ZipfianGenerator (Jim
+// Gray et al.'s closed-form sampler: one uniform draw, two comparisons, one
+// pow() — O(1) per sample with no rejection loop) and adds the two
+// transformations the traffic engine needs:
 //
 //   * scramble: decorrelates popularity rank from key-space locality by
 //     hashing the rank into [0, n) (SplitMix64 scatter, YCSB-style; the map
@@ -30,26 +29,6 @@
 
 namespace spotcache::loadgen {
 
-/// Closed-form O(1) Zipf sampler (Gray et al.); requires 0 <= theta < 1.
-class FastZipf {
- public:
-  FastZipf(uint64_t num_keys, double theta);
-
-  /// Samples a 0-based popularity rank; rank 0 is most popular.
-  uint64_t Sample(Rng& rng) const;
-
-  uint64_t num_keys() const { return n_; }
-  double theta() const { return theta_; }
-
- private:
-  uint64_t n_;
-  double theta_;
-  double zetan_;
-  double alpha_;
-  double eta_;
-  double threshold_;
-};
-
 class KeySampler {
  public:
   struct Config {
@@ -72,8 +51,7 @@ class KeySampler {
 
  private:
   Config config_;
-  std::optional<FastZipf> fast_;            // theta < 1
-  std::optional<ZipfianGenerator> general_;  // theta >= 1
+  ZipfianGenerator zipf_;
 };
 
 /// Writes `ranks` as a raw little-endian uint32 stream. Returns false on I/O

@@ -2,8 +2,7 @@
 // style, with deterministic seed-driven probe scheduling.
 //
 // Closed breakers pass everything and count consecutive failures; at the
-// threshold (or when the node's EWMA failure rate crosses the trip rate) the
-// breaker opens and refuses traffic until a probe time computed as
+// threshold the breaker opens and refuses traffic until a probe time of
 //   trip_time + open_base * open_backoff^(streak-1) * jitter(seed, node, trip)
 // — a pure hash, no RNG state, so two same-seed runs probe at identical
 // sim-times while different nodes' probes de-synchronize. At the probe time

@@ -1,112 +1,70 @@
-// The simulator's resilience layer: health tracking, per-node circuit
-// breakers, retry/backoff policy, and admission control, bundled behind one
-// config and one obs hookup. Cluster::Step consults it to model the
-// degradation ladder analytically at sub-step granularity:
+// The simulator's opt-in resilience config and its shed planner.
+//
+// Cluster walks the degradation ladder analytically at sub-step granularity:
 //
 //   primary cache node  ->  passive backup  ->  backend store  ->  shed
 //
-// Market options are guarded by circuit breakers fed from replacement-launch
-// outcomes (health ids in kOptionHealthIdBase's range), and the backend by
-// the AdmissionController's PlanShed (cold-pool traffic first, never beyond
-// the shed budget). On real sockets the proxy walks the same ladder with its
-// own per-upstream CircuitBreakers (src/proxy/upstream_pool.h).
+// With `ResilienceConfig::enabled`, Cluster adds three things on top of the
+// paper's recovery path: a CircuitBreaker per market option fed by
+// replacement-launch outcomes, in-step retries of failed launches under
+// `ClusterConfig::replacement_retry`, and PlanShed below (cold-pool traffic
+// first, never beyond the shed budget). On real sockets the proxy walks the
+// same ladder with its own per-upstream CircuitBreakers
+// (src/proxy/upstream_pool.h).
 //
-// Everything here is a pure function of (seed, recorded state): breaker probe
-// times and retry delays are stateless hashes, shed plans are closed-form,
-// and all iteration is over sorted ids — so a run's resilience decisions
-// replay bit-identically under the same seed (test_determinism).
-//
-// The layer is OFF by default (`ResilienceConfig::enabled = false`); with it
-// off, no component changes behavior and all prior figures stay bit-exact.
+// Everything is a pure function of (seed, recorded state): breaker probe
+// times and retry delays are stateless hashes and shed plans are closed-form,
+// so a run's resilience decisions replay bit-identically under the same seed
+// (test_determinism). Off by default; with it off no output changes.
 
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
-#include <string_view>
 
-#include "src/obs/obs.h"
-#include "src/resilience/admission_controller.h"
 #include "src/resilience/circuit_breaker.h"
-#include "src/resilience/health_tracker.h"
-#include "src/resilience/retry_policy.h"
-#include "src/util/time.h"
 
 namespace spotcache {
 
+struct AdmissionConfig {
+  /// Hard ceiling on the fraction of offered requests that may be dropped.
+  double shed_budget = 0.05;
+  /// Backend sustainable throughput (ops/s); admission sheds when
+  /// backend-bound load exceeds this.
+  double backend_capacity_ops = 50'000.0;
+};
+
+/// Returns "" when valid, else an actionable message.
+std::string Validate(const AdmissionConfig& config);
+
+/// Fraction of each pool's backend-bound traffic to shed.
+struct ShedSplit {
+  double cold = 0.0;  // fraction of cold-pool traffic shed
+  double hot = 0.0;   // fraction of hot-pool traffic shed
+  /// Overall shed fraction of the sheddable (hot + cold) load.
+  double overall = 0.0;
+};
+
+/// Analytic cold-first shed plan. `backend_ops` is the total backend-bound
+/// load (ops/s) out of `total_ops` offered to the whole system; `hot_ops` and
+/// `cold_ops` are the *sheddable* portions of that load (writes etc. are
+/// backend-bound but never shed). The returned per-class rates absorb the
+/// overflow beyond backend capacity, cold first, capped so shed ops never
+/// exceed shed_budget * total_ops.
+ShedSplit PlanShed(const AdmissionConfig& config, double backend_ops,
+                   double total_ops, double hot_ops, double cold_ops);
+
 struct ResilienceConfig {
-  /// Master switch. When false the layer is never constructed and every
-  /// consumer keeps its legacy behavior bit-for-bit.
+  /// Master switch. When false every consumer keeps its legacy behavior
+  /// bit-for-bit.
   bool enabled = false;
-  /// Seed for all resilience randomness (breaker probe jitter, retry jitter).
+  /// Seed for breaker probe jitter and replacement-retry jitter.
   uint64_t seed = 0x7e51ULL;
-  HealthConfig health;
   CircuitBreakerConfig breaker;
-  RetryPolicyConfig retry;
   AdmissionConfig admission;
 };
 
 /// Returns "" when valid, else an actionable message naming the field.
 std::string ValidateResilienceConfig(const ResilienceConfig& config);
-
-class ResilienceLayer {
- public:
-  /// Health / breaker ids for market options (Cluster's replacement retries)
-  /// live in a reserved id range so they never collide with instance ids.
-  static constexpr uint64_t kOptionHealthIdBase = 0xF000'0000'0000'0000ULL;
-
-  explicit ResilienceLayer(const ResilienceConfig& config);
-
-  /// Resolves counters once; pass nullptr to detach.
-  void AttachObs(Obs* obs);
-
-  const ResilienceConfig& config() const { return config_; }
-  HealthTracker& health() { return health_; }
-  const HealthTracker& health() const { return health_; }
-  const AdmissionController& admission() const { return admission_; }
-  const RetryPolicy& retry() const { return retry_; }
-
-  /// Breaker population by state as of `now` (for stats surfaces).
-  struct BreakerStateCounts {
-    int closed = 0;
-    int open = 0;
-    int half_open = 0;
-  };
-  BreakerStateCounts CountBreakerStates(SimTime now) const;
-
-  /// The node's breaker, created closed on first use.
-  CircuitBreaker& BreakerFor(uint64_t node_id);
-  /// Whether the node may be sent a request at `now` (true for unknown
-  /// nodes). An open breaker's first allowed request is its probe.
-  bool AllowRequest(uint64_t node_id, SimTime now);
-
-  /// Feeds one outcome into health + the node's breaker, and publishes any
-  /// breaker transition it caused (trace event + trip/close counters).
-  void RecordOutcome(uint64_t node_id, SimTime now, HealthOutcome outcome);
-
-  /// Publishes one scheduled retry (counter + trace event).
-  void CountRetry(SimTime now, uint64_t op_id, int attempt, Duration delay);
-  /// Publishes an analytic shed decision (counter + trace event).
-  void RecordShed(SimTime now, std::string_view scope, double fraction);
-
-  int64_t breaker_trips() const { return breaker_trips_; }
-
- private:
-  ResilienceConfig config_;
-  HealthTracker health_;
-  AdmissionController admission_;
-  RetryPolicy retry_;
-  // std::map for sorted, deterministic iteration in exports/tests.
-  std::map<uint64_t, CircuitBreaker> breakers_;
-
-  Obs* obs_ = nullptr;
-  Counter* trips_counter_ = nullptr;
-  Counter* closes_counter_ = nullptr;
-  Counter* retries_counter_ = nullptr;
-  Counter* sheds_counter_ = nullptr;
-
-  int64_t breaker_trips_ = 0;
-};
 
 }  // namespace spotcache

@@ -24,9 +24,6 @@ std::string Validate(const RetryPolicyConfig& config) {
       config.jitter >= 1.0) {
     return "retry jitter must be in [0, 1)";
   }
-  if (config.deadline < Duration::Micros(0)) {
-    return "retry deadline must be non-negative";
-  }
   return "";
 }
 

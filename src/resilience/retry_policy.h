@@ -5,7 +5,7 @@
 // same retry schedule (the property test_determinism asserts). Attempt 1
 // always waits exactly `initial_delay` — the old fixed
 // `ClusterConfig::replacement_retry` constant slots in unchanged, which keeps
-// seed figures reproducible when the resilience layer is disabled — and
+// seed figures reproducible when resilience is disabled — and
 // attempts 2..N follow AWS-style decorrelated jitter: each delay is drawn
 // (by hash, not by a stateful RNG) from [initial, prev * backoff * (1+jitter)]
 // and capped at `max_delay`.
@@ -33,10 +33,6 @@ struct RetryPolicyConfig {
   /// Decorrelated-jitter amplitude in [0, 1): widens the sampling interval of
   /// attempts >= 2 so synchronized failures do not retry in lockstep.
   double jitter = 0.5;
-  /// Per-operation deadline budget: once an op has been in flight this long
-  /// across all attempts, it should be failed over / shed rather than retried.
-  /// Zero disables the budget.
-  Duration deadline;
 };
 
 /// Returns "" when valid, else an actionable message.
@@ -57,11 +53,6 @@ class RetryPolicy {
 
   /// True once `attempts` retries have been spent (budget exhausted).
   bool Exhausted(int attempts) const { return attempts >= config_.max_attempts; }
-
-  /// True while `elapsed` still fits the per-op deadline budget.
-  bool WithinDeadline(Duration elapsed) const {
-    return config_.deadline <= Duration::Micros(0) || elapsed < config_.deadline;
-  }
 
   /// Stateless hash -> uniform double in [0, 1). Shared with the breaker's
   /// probe jitter so all resilience randomness flows from one seeded family.

@@ -112,10 +112,11 @@ ZipfianGenerator::ZipfianGenerator(uint64_t num_keys, double theta)
     theta_ = 1.0 + (theta_ >= 1.0 ? 1e-6 : -1e-6);
   }
   zetan_ = GeneralizedHarmonic(static_cast<double>(n_), theta_);
-  zeta2_ = GeneralizedHarmonic(2.0, theta_);
+  const double zeta2 = GeneralizedHarmonic(2.0, theta_);
   alpha_ = 1.0 / (1.0 - theta_);
   eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n_), 1.0 - theta_)) /
-         (1.0 - zeta2_ / zetan_);
+         (1.0 - zeta2 / zetan_);
+  threshold_ = 1.0 + std::pow(0.5, theta_);
 }
 
 uint64_t ZipfianGenerator::Sample(Rng& rng) const {
@@ -124,7 +125,7 @@ uint64_t ZipfianGenerator::Sample(Rng& rng) const {
   if (uz < 1.0) {
     return 0;
   }
-  if (uz < 1.0 + std::pow(0.5, theta_)) {
+  if (uz < threshold_) {
     return 1;
   }
   const double r = static_cast<double>(n_) *

@@ -67,7 +67,7 @@ class ZipfianGenerator {
   double zetan_;
   double alpha_;
   double eta_;
-  double zeta2_;
+  double threshold_;  // 1 + 0.5^theta: u * zetan below it samples rank 1
 };
 
 }  // namespace spotcache

@@ -1,6 +1,6 @@
 // Load-generator correctness (ISSUE 6 satellites):
 //
-//   * statistical validation of the O(1) FastZipf sampler: empirical rank
+//   * statistical validation of the O(1) Zipf sampler: empirical rank
 //     frequencies vs the analytic ZipfPopularity pmf under chi-square and
 //     total-variation tolerances across several skews;
 //   * seed-pinned determinism: the op stream is a pure function of
@@ -32,7 +32,7 @@ namespace spotcache::loadgen {
 namespace {
 
 // ---------------------------------------------------------------------------
-// FastZipf: statistical agreement with the analytic pmf.
+// ZipfianGenerator: statistical agreement with the analytic pmf.
 
 struct FitStats {
   double chi2_per_sample = 0.0;  // sum (f_emp - p)^2 / p  (chi2 / N)
@@ -51,14 +51,14 @@ FitStats FitAgainstAnalytic(const std::vector<uint64_t>& counts,
   return fit;
 }
 
-class FastZipfPmf : public ::testing::TestWithParam<double> {};
+class ZipfianGeneratorPmf : public ::testing::TestWithParam<double> {};
 
-TEST_P(FastZipfPmf, EmpiricalFrequenciesMatchAnalyticPmf) {
+TEST_P(ZipfianGeneratorPmf, EmpiricalFrequenciesMatchAnalyticPmf) {
   const double theta = GetParam();
   constexpr uint64_t kKeys = 100;
   constexpr uint64_t kSamples = 200'000;
 
-  FastZipf zipf(kKeys, theta);
+  const ZipfianGenerator zipf(kKeys, theta);
   Rng rng(0xfa57'21f0 + static_cast<uint64_t>(theta * 1000));
   std::vector<uint64_t> counts(kKeys, 0);
   for (uint64_t i = 0; i < kSamples; ++i) {
@@ -81,12 +81,12 @@ TEST_P(FastZipfPmf, EmpiricalFrequenciesMatchAnalyticPmf) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Skews, FastZipfPmf,
+INSTANTIATE_TEST_SUITE_P(Skews, ZipfianGeneratorPmf,
                          ::testing::Values(0.0, 0.3, 0.6, 0.9, 0.99));
 
-TEST(FastZipfTest, HighSkewFallbackMatchesAnalyticPmf) {
-  // theta >= 1 routes to ZipfianGenerator, whose known head distortion is
-  // documented at ~20% on rank 0 — hence the looser TV tolerance.
+TEST(KeySamplerTest, HighSkewMatchesAnalyticPmf) {
+  // At theta >= 1 the closed form's known head distortion is documented at
+  // ~20% on rank 0 — hence the looser TV tolerance.
   constexpr uint64_t kKeys = 100;
   constexpr uint64_t kSamples = 200'000;
   KeySampler sampler({kKeys, 1.2, false});
@@ -101,9 +101,9 @@ TEST(FastZipfTest, HighSkewFallbackMatchesAnalyticPmf) {
   EXPECT_GT(counts[0], counts[10]);
 }
 
-TEST(FastZipfTest, SameSeedSameSequence) {
-  FastZipf a(50'000, 0.99);
-  FastZipf b(50'000, 0.99);
+TEST(ZipfianGeneratorTest, SameSeedSameSequence) {
+  const ZipfianGenerator a(50'000, 0.99);
+  const ZipfianGenerator b(50'000, 0.99);
   Rng ra(31337);
   Rng rb(31337);
   for (int i = 0; i < 10'000; ++i) {
