@@ -19,7 +19,6 @@
 //   --server=PATH          spotcache_server binary (required)
 //   --proxy=PATH           spotcache_proxy binary (required)
 //   --connections=N        open-loop connections against the proxy (def. 4)
-//   --window=N             proxy per-upstream pipelined window (default 32)
 //   --seed=N               drives the kill schedule AND the traffic stream
 //   --kills=N              revocation storms in the chaos window (default 2)
 //   --primaries=N          primary fleet size (default 3)
@@ -42,7 +41,7 @@
 //   --help
 //
 // Numeric flags are parsed strictly: a value that is not a number, or is
-// out of range (fractions outside [0, 1]; primaries, connections, window,
+// out of range (fractions outside [0, 1]; primaries, connections,
 // capacity, keys and rate below 1; negative seeds, storms or times), is a
 // bad flag.
 //
@@ -74,7 +73,7 @@ constexpr int kExitConnErrors = 5;
 int Usage(int exit_code) {
   std::printf(
       "usage: spotcache_fleet --server=PATH --proxy=PATH\n"
-      "                       [--connections=N] [--window=N]\n"
+      "                       [--connections=N]\n"
       "                       [--seed=N] [--kills=N]\n"
       "                       [--primaries=N] [--missed-warning=F]\n"
       "                       [--late-warning=F] [--capacity-mb=N]\n"
@@ -122,9 +121,6 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--connections=", 0) == 0) {
       ok = ParseInt(arg.substr(14), 1, kMaxInt, &n);
       config.proxy_connections = static_cast<int>(n);
-    } else if (arg.rfind("--window=", 0) == 0) {
-      ok = ParseInt(arg.substr(9), 1, kMaxInt, &n);
-      config.proxy_window = static_cast<int>(n);
     } else if (arg.rfind("--seed=", 0) == 0) {
       ok = ParseInt(arg.substr(7), 0, INT64_MAX, &n);
       config.seed = static_cast<uint64_t>(n);

@@ -11,9 +11,9 @@
 // ring and rides the breaker-gated degradation ladder (primary -> backup ->
 // miss) so upstream churn never surfaces to the client as a connection
 // error. Upstream sockets live in the same epoll loop: requests are
-// pipelined per upstream under a bounded window and answered in each
-// client's request order, and a stalled upstream delays only the requests
-// whose keys it owns.
+// pipelined per upstream (a client batch leaves in one send per upstream,
+// with no cap on commands in flight) and answered in each client's request
+// order, and a stalled upstream delays only the requests whose keys it owns.
 //
 // Readiness: the first stdout line is `listening <port>` (flushed once the
 // socket is bound); with --metrics-port the second line is
@@ -29,10 +29,9 @@
 //                      --node only)
 //   --port=N           listen port (0 picks an ephemeral port, printed)
 //   --host=H           bind address
-//   --window=N         cap on commands in flight per upstream, every verb
-//                      (default 32)
 //   --timeout-ms=N     per-leg deadline: an upstream command unanswered
-//                      this long fails its upstream (default 250)
+//                      this long after it was sent fails its upstream
+//                      (default 250)
 //   --trace=FILE       on shutdown, write the JSONL event stream
 //   --metrics=FILE     on shutdown, write a Prometheus-style snapshot
 //   --metrics-port=N   serve live Prometheus text over HTTP on port N
@@ -45,8 +44,8 @@
 //   --pidfile=FILE     write pid after a successful bind
 //
 // Numeric flags are parsed strictly: a value that is not a whole number, or
-// is out of range (ports above 65535, a window or timeout below 1), is a bad
-// flag (exit 2).
+// is out of range (ports above 65535, a timeout below 1), is a bad flag
+// (exit 2).
 //
 // Signals: SIGINT/SIGTERM stop cleanly. SIGHUP re-reads --fleet from loop
 // context (generation + node count printed; a malformed file keeps the
@@ -101,7 +100,7 @@ int Usage(int exit_code) {
   std::printf(
       "usage: spotcache_proxy [--fleet=FILE] [--node=SLOT:HOST:PORT]...\n"
       "                       [--backup=HOST:PORT] [--port=11311]\n"
-      "                       [--host=127.0.0.1] [--window=N]\n"
+      "                       [--host=127.0.0.1]\n"
       "                       [--timeout-ms=N] [--trace=FILE]\n"
       "                       [--metrics=FILE] [--metrics-port=N]\n"
       "                       [--spans=FILE] [--span-sample=N]\n"
@@ -113,10 +112,10 @@ int Usage(int exit_code) {
       "--fleet, or by --node/--backup, over the breaker-gated consistent-hash\n"
       "ring. SIGHUP re-reads --fleet without dropping client connections.\n"
       "\n"
-      "  --window=N      cap on commands in flight per upstream, every verb\n"
-      "                  (default 32)\n"
       "  --timeout-ms=N  per-leg deadline: an upstream command unanswered\n"
-      "                  this long fails its upstream (default 250)\n"
+      "                  this long after it was sent fails its upstream\n"
+      "                  (default 250). Every command is sent in the loop\n"
+      "                  round it arrives in; there is no in-flight cap.\n"
       "\n"
       "Readiness contract: first stdout line is exactly `listening <port>`\n"
       "(after listen(2) succeeded); with --metrics-port the next line is\n"
@@ -158,9 +157,6 @@ int main(int argc, char** argv) {
       node_specs.push_back(arg.substr(7));
     } else if (arg.rfind("--backup=", 0) == 0) {
       backup_spec = arg.substr(9);
-    } else if (arg.rfind("--window=", 0) == 0) {
-      ok = ParseInt(arg.substr(9), 1, kMaxInt, &n);
-      proxy_config.upstreams.window = static_cast<int>(n);
     } else if (arg.rfind("--timeout-ms=", 0) == 0) {
       ok = ParseInt(arg.substr(13), 1, kMaxMs, &n);
       proxy_config.upstreams.op_timeout_ms = static_cast<int>(n);
@@ -267,12 +263,11 @@ int main(int argc, char** argv) {
   if (config.metrics_port >= 0) {
     std::printf("metrics listening %u\n", server.metrics_port());
   }
-  std::printf("spotcache_proxy listening on %s:%u (%zu nodes%s, window %d, "
+  std::printf("spotcache_proxy listening on %s:%u (%zu nodes%s, "
               "timeout %d ms)\n",
               config.bind_host.c_str(), server.port(),
               proxy_core.pool().node_count(),
               proxy_core.pool().has_backup() ? " + backup" : "",
-              proxy_config.upstreams.window,
               proxy_config.upstreams.op_timeout_ms);
   std::fflush(stdout);
 

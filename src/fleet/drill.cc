@@ -215,9 +215,7 @@ FleetDrillReport RunFleetDrill(const FleetDrillConfig& config) {
   SupervisorConfig proxy_sup_config = config.supervisor;
   proxy_sup_config.server_binary = config.proxy_binary;
   proxy_sup_config.seed = config.seed ^ 0x9e3779b97f4a7c15ULL;
-  proxy_sup_config.base_args = {
-      "--fleet=" + members_path,
-      "--window=" + std::to_string(config.proxy_window)};
+  proxy_sup_config.base_args = {"--fleet=" + members_path};
   ProcessSupervisor proxy_sup(proxy_sup_config);
   SpawnResult proxy = proxy_sup.Spawn("proxy", {"--port=0"});
   if (!proxy.ok) {

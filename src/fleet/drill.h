@@ -79,8 +79,6 @@ struct FleetDrillConfig {
   std::string proxy_binary;
   /// Open-loop connections against the proxy.
   int proxy_connections = 4;
-  /// Per-upstream pipelined in-flight window forwarded to the proxy.
-  int proxy_window = 32;
 };
 
 /// One client-observed hit-rate bucket of the traffic timeline (the proxy

@@ -2,6 +2,8 @@
 
 #include <inttypes.h>
 
+#include <charconv>
+
 namespace spotcache::proxy {
 
 namespace {
@@ -22,6 +24,15 @@ TelemetryOp OpFor(net::Verb verb) {
     default:
       return TelemetryOp::kOther;
   }
+}
+
+/// Appends ' ' and the decimal form of `value` (no temporary string).
+template <typename Int>
+void AppendArg(std::string* out, Int value) {
+  char buf[24];
+  const auto end = std::to_chars(buf, buf + sizeof(buf), value).ptr;
+  out->push_back(' ');
+  out->append(buf, end);
 }
 
 /// Worst-first merge for multi-key retrievals, matching the server's
@@ -83,15 +94,15 @@ void ProxyCore::RenderRetrieve(const Request& r, net::ResponseAssembler* out,
                                uint32_t* value_bytes) {
   const OpResult& result = pool_.result(r.op);
   ++stats_.gets;
-  stats_.get_keys += result.keys.size();
+  stats_.get_keys += result.key_count();
   const bool with_cas = r.verb == net::Verb::kGets;
 
   *outcome = RequestOutcome::kHit;
-  for (size_t i = 0; i < result.fetches.size(); ++i) {
+  for (size_t i = 0; i < result.key_count(); ++i) {
     const KeyFetch& fetch = result.fetches[i];
     if (fetch.found) {
       // Byte-identical to ServerCore's VALUE block formatting.
-      const std::string_view key = result.keys[i];
+      const std::string_view key = result.key(i);
       if (with_cas) {
         out->Appendf("VALUE %.*s %u %zu %" PRIu64 "\r\n",
                      static_cast<int>(key.size()), key.data(), fetch.flags,
@@ -133,35 +144,35 @@ void ProxyCore::RenderRetrieve(const Request& r, net::ResponseAssembler* out,
   out->Append("END\r\n");
 }
 
-std::string ProxyCore::RebuildWire(const net::TextRequest& req) const {
-  std::string wire;
+void ProxyCore::RebuildWire(const net::TextRequest& req, std::string* wire) {
   switch (req.verb) {
     case net::Verb::kSet:
     case net::Verb::kAdd:
     case net::Verb::kReplace:
-      wire.append(ToString(req.verb));
-      wire += ' ';
-      wire.append(req.keys[0]);
-      wire += ' ' + std::to_string(req.flags) + ' ' +
-              std::to_string(req.exptime) + ' ' +
-              std::to_string(req.data.size()) + "\r\n";
-      wire.append(req.data);
-      wire += "\r\n";
+      wire->append(ToString(req.verb));
+      wire->push_back(' ');
+      wire->append(req.keys[0]);
+      AppendArg(wire, req.flags);
+      AppendArg(wire, req.exptime);
+      AppendArg(wire, req.data.size());
+      wire->append("\r\n");
+      wire->append(req.data);
+      wire->append("\r\n");
       break;
     case net::Verb::kDelete:
-      wire = "delete ";
-      wire.append(req.keys[0]);
-      wire += "\r\n";
+      wire->append("delete ");
+      wire->append(req.keys[0]);
+      wire->append("\r\n");
       break;
     case net::Verb::kTouch:
-      wire = "touch ";
-      wire.append(req.keys[0]);
-      wire += ' ' + std::to_string(req.exptime) + "\r\n";
+      wire->append("touch ");
+      wire->append(req.keys[0]);
+      AppendArg(wire, req.exptime);
+      wire->append("\r\n");
       break;
     default:
       break;
   }
-  return wire;
 }
 
 void ProxyCore::RenderForwarded(const Request& r,
@@ -286,7 +297,9 @@ uint64_t ProxyCore::Begin(const net::TextRequest& req, bool deferred) {
     case net::Verb::kReplace:
     case net::Verb::kDelete:
     case net::Verb::kTouch:
-      r.op = pool_.SubmitLine(req.keys[0], RebuildWire(req), tag);
+      r.op = pool_.SubmitLine(req.keys[0], tag, [&req](std::string* wire) {
+        RebuildWire(req, wire);
+      });
       r.has_op = true;
       break;
     case net::Verb::kFlushAll:

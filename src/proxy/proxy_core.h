@@ -10,10 +10,11 @@
 // Wire semantics are pinned byte-for-byte against direct serving by the
 // conformance suite's proxy transport:
 //
-//   * get/gets scatter across owning upstreams (pipelined, bounded window)
-//     and reassemble VALUE blocks in request-key order; unreachable keys
-//     degrade to backup copies and finally to plain misses — a client can
-//     see a miss where direct serving would hit, but never an error;
+//   * get/gets scatter across owning upstreams (pipelined: a client batch
+//     leaves in one send per upstream) and reassemble VALUE blocks in
+//     request-key order; unreachable keys degrade to backup copies and
+//     finally to plain misses — a client can see a miss where direct
+//     serving would hit, but never an error;
 //   * storage/delete/touch forward to the owner and relay its status line
 //     verbatim (noreply suppresses the relay, but the round trip still
 //     happens so upstream cas numbering stays in lockstep);
@@ -132,9 +133,9 @@ class ProxyCore final : public net::RequestHandler {
   void AppendStats(net::ResponseAssembler* out);
   /// Advances the proxy/* obs mirrors of the pool's failure counters.
   void MirrorPoolCounters();
-  /// Rebuilds the forwarded wire bytes for one request (storage payload and
-  /// flags included, noreply stripped).
-  std::string RebuildWire(const net::TextRequest& req) const;
+  /// Appends the forwarded wire bytes for one request (storage payload and
+  /// flags included, noreply stripped) to `wire`.
+  static void RebuildWire(const net::TextRequest& req, std::string* wire);
 
   ProxyCoreConfig config_;
   UpstreamPool pool_;

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 
 #include "src/routing/hash.h"
 
@@ -19,6 +20,15 @@ namespace {
 
 constexpr uint64_t kBackupSlot = ~0ULL;
 constexpr size_t kRecvChunk = 64 * 1024;
+
+/// Clears a fetch back to "unresolved", keeping its data buffer's capacity.
+void ResetFetch(KeyFetch* fetch) {
+  fetch->found = false;
+  fetch->rung = ServedRung::kNone;
+  fetch->flags = 0;
+  fetch->cas = 0;
+  fetch->data.clear();
+}
 
 int64_t WallUs() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
@@ -196,9 +206,22 @@ UpstreamPool::OpId UpstreamPool::NewOp(OpKind kind, uint64_t tag) {
   return id;
 }
 
-void UpstreamPool::Release(OpId op) {
-  ops_[op] = Op{};
-  free_ops_.push_back(op);
+void UpstreamPool::Release(OpId id) {
+  // Cleared in place: the slot keeps its wire, key and value buffers for the
+  // next op (SubmitGet resets the fetches it uses).
+  Op& op = ops_[id];
+  op.with_cas = false;
+  op.done = false;
+  op.tag = 0;
+  op.legs_left = 0;
+  op.fallen = 0;
+  op.backup_resolved = 0;
+  op.wire.clear();
+  op.result.key_bytes.clear();
+  op.result.key_ends.clear();
+  op.result.line = ForwardResult{};
+  op.result.acked = 0;
+  free_ops_.push_back(id);
 }
 
 void UpstreamPool::TakeFinished(std::vector<uint64_t>* out) {
@@ -271,8 +294,17 @@ UpstreamPool::OpId UpstreamPool::SubmitGet(
   const OpId id = NewOp(OpKind::kGet, tag);
   Op& op = ops_[id];
   op.with_cas = with_cas;
-  op.result.keys.assign(keys.begin(), keys.end());
-  op.result.fetches.resize(keys.size());
+  OpResult& result = op.result;
+  for (const std::string_view key : keys) {
+    result.key_bytes.append(key);
+    result.key_ends.push_back(static_cast<uint32_t>(result.key_bytes.size()));
+  }
+  if (result.fetches.size() < keys.size()) {
+    result.fetches.resize(keys.size());
+  }
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ResetFetch(&result.fetches[i]);
+  }
   op.legs_left = keys.size();
   if (keys.empty()) {
     FinishOp(id);
@@ -281,17 +313,17 @@ UpstreamPool::OpId UpstreamPool::SubmitGet(
   // One breaker decision per owning slot (a skip counts once per slot, as
   // one upstream leg of the request); keys of skipped or ownerless slots
   // fall to the backup afterwards, in request-key order.
-  std::vector<std::pair<uint64_t, Upstream*>> route;
-  std::vector<uint32_t> fallen;
+  route_.clear();
+  fallen_.clear();
   for (size_t i = 0; i < keys.size(); ++i) {
     const auto owner = ring_.NodeFor(HashString(keys[i]));
     if (!owner.has_value()) {
-      fallen.push_back(static_cast<uint32_t>(i));
+      fallen_.push_back(static_cast<uint32_t>(i));
       continue;
     }
-    auto decided = std::find_if(route.begin(), route.end(),
+    auto decided = std::find_if(route_.begin(), route_.end(),
                                 [&](const auto& r) { return r.first == *owner; });
-    if (decided == route.end()) {
+    if (decided == route_.end()) {
       auto it = nodes_.find(*owner);
       Upstream* node = it != nodes_.end() ? &it->second : nullptr;
       const bool usable =
@@ -299,24 +331,21 @@ UpstreamPool::OpId UpstreamPool::SubmitGet(
       if (node != nullptr && !usable) {
         ++stats_.breaker_skips;
       }
-      decided = route.emplace(route.end(), *owner, usable ? node : nullptr);
+      decided = route_.emplace(route_.end(), *owner, usable ? node : nullptr);
     }
     if (decided->second != nullptr) {
       Enqueue(*decided->second, Leg{id, static_cast<uint32_t>(i)});
     } else {
-      fallen.push_back(static_cast<uint32_t>(i));
+      fallen_.push_back(static_cast<uint32_t>(i));
     }
   }
-  for (const uint32_t key : fallen) {
+  for (const uint32_t key : fallen_) {
     GetToBackup(Leg{id, key});
   }
   return id;
 }
 
-UpstreamPool::OpId UpstreamPool::SubmitLine(std::string_view key,
-                                            std::string wire, uint64_t tag) {
-  const OpId id = NewOp(OpKind::kLine, tag);
-  ops_[id].wire = std::move(wire);
+void UpstreamPool::RouteLine(OpId id, std::string_view key) {
   ops_[id].legs_left = 1;
   const auto owner = ring_.NodeFor(HashString(key));
   if (owner.has_value()) {
@@ -325,7 +354,7 @@ UpstreamPool::OpId UpstreamPool::SubmitLine(std::string_view key,
       Upstream& node = it->second;
       if (!node.dead && node.breaker->Allow(Now())) {
         Enqueue(node, Leg{id, 0});
-        return id;
+        return;
       }
       ++stats_.breaker_skips;
     }
@@ -333,7 +362,6 @@ UpstreamPool::OpId UpstreamPool::SubmitLine(std::string_view key,
   // Degraded leg: land the command on the backup so warm-up (and backup
   // fall-through reads) see fresh data.
   LineToBackup(Leg{id, 0});
-  return id;
 }
 
 UpstreamPool::OpId UpstreamPool::SubmitFlush(int64_t delay_s, uint64_t tag) {
@@ -372,20 +400,16 @@ void UpstreamPool::Pump(Upstream& up) {
     return;
   }
   if (up.connecting) {
-    return;
+    return;  // the queued legs leave once the connect finishes
   }
-  const size_t window =
-      config_.window > 0 ? static_cast<size_t>(config_.window) : 1;
-  if (!up.queued.empty() && up.inflight.size() < window) {
+  if (!up.queued.empty()) {
     const int64_t deadline =
         WallUs() + static_cast<int64_t>(config_.op_timeout_ms) * 1000;
-    while (!up.queued.empty() && up.inflight.size() < window) {
-      const Leg leg = up.queued.front();
-      up.queued.pop_front();
+    for (const Leg leg : up.queued) {
       const Op& op = ops_[leg.op];
       if (op.kind == OpKind::kGet) {
         up.out += op.with_cas ? "gets " : "get ";
-        up.out += op.result.keys[leg.key];
+        up.out += op.result.key(leg.key);
         up.out += "\r\n";
         up.reader.Push(net::ReplyReader::Expect::kRetrieval);
       } else {
@@ -394,6 +418,7 @@ void UpstreamPool::Pump(Upstream& up) {
       }
       up.inflight.push_back({leg, deadline});
     }
+    up.queued.clear();
   }
   FlushOut(up);
 }
@@ -527,9 +552,6 @@ void UpstreamPool::ReadReady(Upstream& up) {
   if (resolved_in_read_ > 0) {
     RecordSuccess(up);
   }
-  if (!up.queued.empty()) {
-    MarkDirty(up);  // replies opened the window
-  }
 }
 
 void UpstreamPool::OnValue(const net::ReplyReader::Value& value) {
@@ -537,7 +559,7 @@ void UpstreamPool::OnValue(const net::ReplyReader::Value& value) {
   fetch.found = true;
   fetch.flags = value.flags;
   fetch.cas = value.cas;
-  fetch.data.assign(value.data);
+  fetch.data.assign(value.data);  // into the retained staging buffer
 }
 
 void UpstreamPool::OnReply(net::ReplyReader::Status /*status*/,
@@ -551,9 +573,10 @@ void UpstreamPool::OnReply(net::ReplyReader::Status /*status*/,
       is_backup(up) ? ServedRung::kBackup : ServedRung::kPrimary;
   switch (op.kind) {
     case OpKind::kGet:
+      // The op takes the staged value; its entry, reset at submission,
+      // becomes the upstream's next staging fetch with its buffer.
       up.value.rung = rung;
-      op.result.fetches[leg.key] = std::move(up.value);
-      up.value = KeyFetch{};
+      std::swap(op.result.fetches[leg.key], up.value);
       if (rung == ServedRung::kBackup) {
         ++op.backup_resolved;
       }
@@ -583,7 +606,7 @@ void UpstreamPool::Disconnect(Upstream& up, bool failure) {
   up.out.clear();
   up.out_sent = 0;
   up.reader.Reset();
-  up.value = KeyFetch{};
+  ResetFetch(&up.value);
   if (failure && at_stake) {
     const SimTime now = Now();
     const BreakerState before = up.breaker->state(now);
@@ -728,13 +751,18 @@ void UpstreamPool::MultiGet(const std::vector<std::string_view>& keys,
                             bool with_cas, std::vector<KeyFetch>* out) {
   const OpId op = SubmitGet(keys, with_cas, kWaitTag);
   Wait(op);
-  *out = std::move(ops_[op].result.fetches);
+  // Swapped, not copied: `out`'s old entries become the op's spares.
+  out->resize(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    std::swap((*out)[i], ops_[op].result.fetches[i]);
+  }
   Release(op);
 }
 
 ForwardResult UpstreamPool::ForwardLineCommand(std::string_view key,
                                                const std::string& wire) {
-  const OpId op = SubmitLine(key, wire, kWaitTag);
+  const OpId op = SubmitLine(
+      key, kWaitTag, [&wire](std::string* buf) { buf->append(wire); });
   Wait(op);
   ForwardResult result = std::move(ops_[op].result.line);
   Release(op);

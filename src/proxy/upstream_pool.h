@@ -15,15 +15,22 @@
 // recv. An operation (a multiget, one forwarded status-line command, or a
 // flush broadcast) becomes one *leg* per key and upstream:
 //
-//   * each upstream keeps a FIFO of legs — queued, then in flight — and at
-//     most `window` commands of any verb are on the wire unanswered;
-//   * legs queued during one Service() round leave in one send per
-//     upstream, so a pipelined client batch costs one round trip per
-//     window, not one per request;
+//   * each upstream keeps a FIFO of legs — queued, then in flight — with no
+//     cap on commands in flight (mcrouter has none by default either);
+//   * legs submitted before a Service() round leave in that round, in one
+//     send per upstream, so a pipelined client batch costs one upstream
+//     round trip however many commands it holds. Only a leg whose upstream
+//     is still connecting waits longer, until the connect finishes;
 //   * replies are parsed incrementally by the strict net::ReplyReader, so a
 //     torn or out-of-vocabulary reply is a transport failure, never data;
 //   * every leg on the wire (and every connect in progress) carries a
-//     deadline of `op_timeout_ms`; a missed deadline is a transport failure.
+//     deadline of `op_timeout_ms` from the round it was sent in — its
+//     submission round, or the connect's completion for a leg that waited
+//     on one; a missed deadline is a transport failure.
+//
+// Ops are recycled: a released op's slot keeps the capacity of its wire
+// bytes, key bytes and value buffers, so a steady stream of requests runs
+// without heap allocation.
 //
 // A transport failure keeps the resolved prefix: legs already answered
 // stick, and the upstream's unresolved legs re-route to the backup in FIFO
@@ -79,9 +86,6 @@ struct UpstreamPoolConfig {
   /// Per-leg deadline: a command on the wire (or a connect in progress)
   /// unanswered after this long fails its upstream.
   int op_timeout_ms = 250;
-  /// Per-upstream cap on commands in flight (sent, not yet answered), for
-  /// every verb.
-  int window = 32;
   uint64_t seed = 0;
 };
 
@@ -119,8 +123,18 @@ struct UpstreamPoolStats {
 
 /// What a finished operation produced (see UpstreamPool::result()).
 struct OpResult {
-  std::vector<std::string> keys;   // get: the requested keys, in order
-  std::vector<KeyFetch> fetches;   // get: one per key
+  /// get: the number of requested keys, and key `i` in request order.
+  size_t key_count() const { return key_ends.size(); }
+  std::string_view key(size_t i) const {
+    const size_t begin = i == 0 ? 0 : key_ends[i - 1];
+    return std::string_view(key_bytes).substr(begin, key_ends[i] - begin);
+  }
+
+  std::string key_bytes;           // get: the keys, concatenated
+  std::vector<uint32_t> key_ends;  // get: end offset of each key
+  /// get: fetches[i] is key i's result for i < key_count(); entries past
+  /// that are spares recycled from an earlier, wider multiget.
+  std::vector<KeyFetch> fetches;
   ForwardResult line;              // forwarded status-line command
   size_t acked = 0;                // flush: upstreams that answered OK
 };
@@ -162,9 +176,17 @@ class UpstreamPool : private net::ReplyReader::Handler {
   OpId SubmitGet(std::span<const std::string_view> keys, bool with_cas,
                  uint64_t tag);
   /// Starts forwarding one command whose reply is a single status line (set
-  /// / add / replace / delete / touch). `wire` is the full request bytes
-  /// including payload and CRLFs; `key` homes it on the ring.
-  OpId SubmitLine(std::string_view key, std::string wire, uint64_t tag);
+  /// / add / replace / delete / touch). `write_wire(std::string*)` appends
+  /// the full request bytes, payload and CRLFs included, to the op's wire
+  /// buffer (empty, with capacity recycled from earlier ops); `key` homes it
+  /// on the ring.
+  template <typename WriteWire>
+  OpId SubmitLine(std::string_view key, uint64_t tag, WriteWire&& write_wire) {
+    const OpId id = NewOp(OpKind::kLine, tag);
+    write_wire(&ops_[id].wire);
+    RouteLine(id, key);
+    return id;
+  }
   /// Starts broadcasting flush_all (with optional delay) to every node plus
   /// the backup; the result counts the upstreams that acknowledged OK.
   OpId SubmitFlush(int64_t delay_s, uint64_t tag);
@@ -245,12 +267,12 @@ class UpstreamPool : private net::ReplyReader::Handler {
     bool want_write = false;     // EPOLLOUT registered
     bool failed_before = false;  // the next connect counts as a reconnect
     bool dirty = false;          // listed in dirty_
-    std::deque<Leg> queued;      // waiting for a window slot / connection
+    std::deque<Leg> queued;      // waiting for the connect to finish
     std::deque<InFlight> inflight;
     std::string out;  // bytes written to the socket only partially
     size_t out_sent = 0;
     net::ReplyReader reader{net::ReplyReader::Mode::kStrict};
-    KeyFetch value;  // VALUE block of the get reply being read
+    KeyFetch value;  // VALUE block of the get reply being read (staging)
   };
 
   bool is_backup(const Upstream& up) const { return &up == backup_.get(); }
@@ -262,6 +284,8 @@ class UpstreamPool : private net::ReplyReader::Handler {
   /// Counts one leg of `op` resolved; finishes the op after its last leg.
   void ResolveLeg(OpId op);
   void FinishOp(OpId op);
+  /// Homes a status-line op on its key's slot (or the backup rung).
+  void RouteLine(OpId op, std::string_view key);
 
   void MarkDirty(Upstream& up);
   void Enqueue(Upstream& up, Leg leg);
@@ -271,8 +295,7 @@ class UpstreamPool : private net::ReplyReader::Handler {
   void GetToBackup(Leg leg);
   void LineToBackup(Leg leg);
 
-  /// Connects if needed, moves queued legs onto the wire up to the window,
-  /// and sends.
+  /// Connects if needed, moves every queued leg onto the wire, and sends.
   void Pump(Upstream& up);
   void StartConnect(Upstream& up);
   void FinishConnect(Upstream& up);
@@ -315,6 +338,10 @@ class UpstreamPool : private net::ReplyReader::Handler {
   std::vector<OpId> free_ops_;
   std::vector<uint64_t> finished_;  // tags of finished ops
   std::vector<Upstream*> dirty_;  // upstreams with legs or bytes to send
+  // Reused by SubmitGet: one breaker decision per owning slot, and the keys
+  // that fall to the backup.
+  std::vector<std::pair<uint64_t, Upstream*>> route_;
+  std::vector<uint32_t> fallen_;
   Upstream* reading_ = nullptr;   // upstream whose replies are being fed
   size_t resolved_in_read_ = 0;   // legs answered by the current read pass
   std::unique_ptr<char[]> rbuf_;  // recv scratch shared by all upstreams

@@ -1,41 +1,49 @@
 #include "src/routing/consistent_hash.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/routing/hash.h"
 
 namespace spotcache {
 
+namespace {
+
+bool PositionBefore(const std::pair<uint64_t, uint64_t>& vnode, uint64_t pos) {
+  return vnode.first < pos;
+}
+
+}  // namespace
+
 void ConsistentHashRing::SetNode(uint64_t node_id, double weight) {
   // Drop existing vnodes.
-  auto existing = vnodes_.find(node_id);
-  if (existing != vnodes_.end()) {
-    for (uint64_t pos : existing->second) {
-      auto it = ring_.find(pos);
-      // Only erase if we still own the position (a later node may have
-      // collided and taken it; collisions are ~impossible at 64 bits but the
-      // check keeps the structure consistent regardless).
-      if (it != ring_.end() && it->second == node_id) {
-        ring_.erase(it);
-      }
-    }
-    vnodes_.erase(existing);
-    weights_.erase(node_id);
+  if (weights_.erase(node_id) > 0) {
+    std::erase_if(ring_, [node_id](const auto& vnode) {
+      return vnode.second == node_id;
+    });
   }
   if (weight <= 0.0) {
     return;
   }
   const int count = std::max(1, static_cast<int>(std::lround(
                                     weight * kVnodesPerUnitWeight)));
-  std::vector<uint64_t> positions;
-  positions.reserve(count);
+  // Append the new vnodes unsorted, then merge them into the sorted prefix.
+  const auto old_size = static_cast<ptrdiff_t>(ring_.size());
   for (int r = 0; r < count; ++r) {
     const uint64_t pos = HashCombine(HashU64(node_id), static_cast<uint64_t>(r));
-    if (ring_.emplace(pos, node_id).second) {
-      positions.push_back(pos);
+    // A position another node already holds stays with it (collisions are
+    // ~impossible at 64 bits, but the ring must stay consistent regardless).
+    const auto old_end = ring_.begin() + old_size;
+    const auto it = std::lower_bound(ring_.begin(), old_end, pos,
+                                     PositionBefore);
+    if (it == old_end || it->first != pos) {
+      ring_.emplace_back(pos, node_id);
     }
   }
-  vnodes_.emplace(node_id, std::move(positions));
+  // Two vnode indices of this node hashing alike keep one vnode.
+  std::sort(ring_.begin() + old_size, ring_.end());
+  ring_.erase(std::unique(ring_.begin() + old_size, ring_.end()), ring_.end());
+  std::inplace_merge(ring_.begin(), ring_.begin() + old_size, ring_.end());
   weights_.emplace(node_id, weight);
 }
 
@@ -43,7 +51,8 @@ std::optional<uint64_t> ConsistentHashRing::NodeFor(uint64_t key_hash) const {
   if (ring_.empty()) {
     return std::nullopt;
   }
-  auto it = ring_.lower_bound(key_hash);
+  auto it = std::lower_bound(ring_.begin(), ring_.end(), key_hash,
+                             PositionBefore);
   if (it == ring_.end()) {
     it = ring_.begin();  // wrap around
   }
@@ -57,7 +66,7 @@ std::unordered_map<uint64_t, double> ConsistentHashRing::OwnershipFractions() co
   }
   // Each vnode owns the arc from the previous position (exclusive) to itself.
   const double full = std::pow(2.0, 64);
-  uint64_t prev = ring_.rbegin()->first;  // wrap: last vnode precedes first
+  uint64_t prev = ring_.back().first;  // wrap: last vnode precedes first
   bool first = true;
   for (const auto& [pos, node] : ring_) {
     uint64_t arc;

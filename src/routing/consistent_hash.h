@@ -6,13 +6,17 @@
 // changes and node arrivals/departures only move the keys they must — the
 // property that lets the paper's controller rebalance hot/cold weights every
 // slot without reshuffling the cluster.
+//
+// The ring is one sorted vector of (position, node) pairs searched with
+// std::lower_bound: lookups sit on the proxy's per-key path, membership
+// edits are rare.
 
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace spotcache {
@@ -42,9 +46,9 @@ class ConsistentHashRing {
   double WeightOf(uint64_t node_id) const;
 
  private:
-  std::map<uint64_t, uint64_t> ring_;  // vnode position -> node id
+  // (vnode position, node id), sorted by position; positions are unique.
+  std::vector<std::pair<uint64_t, uint64_t>> ring_;
   std::unordered_map<uint64_t, double> weights_;
-  std::unordered_map<uint64_t, std::vector<uint64_t>> vnodes_;  // node -> positions
 };
 
 }  // namespace spotcache

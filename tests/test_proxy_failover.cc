@@ -50,6 +50,8 @@ enum class PeerScript {
   kCloseMidValue,    // reply to the first get with a torn VALUE block
   kStall,            // read requests, never answer
   kServeThenClose,   // answer `serve_replies` gets correctly, then close
+  kAnswerAfter,      // answer no set until `serve_replies` sets have been
+                     // read, then all of them and every later one: STORED
 };
 
 /// A one-connection-at-a-time scripted upstream. Runs until Stop().
@@ -149,6 +151,47 @@ class ScriptedPeer {
           ++served;
         }
         return;  // the close mid-pipeline is the point
+      }
+      case PeerScript::kAnswerAfter: {
+        std::string in;
+        int read_sets = 0;
+        int unanswered = 0;
+        char buf[4096];
+        for (;;) {
+          const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+          if (n <= 0) {
+            return;
+          }
+          in.append(buf, static_cast<size_t>(n));
+          // Complete commands only: "set <key> <flags> <exptime> <bytes>",
+          // then <bytes> of payload and CRLF.
+          size_t pos = 0;
+          for (;;) {
+            const size_t eol = in.find("\r\n", pos);
+            if (eol == std::string::npos) {
+              break;
+            }
+            const size_t sp = in.rfind(' ', eol);
+            const size_t end =
+                eol + 2 + std::stoul(in.substr(sp + 1, eol - sp - 1)) + 2;
+            if (end > in.size()) {
+              break;
+            }
+            pos = end;
+            ++read_sets;
+            ++unanswered;
+          }
+          in.erase(0, pos);
+          if (read_sets >= serve_replies_ && unanswered > 0) {
+            std::string replies;
+            for (; unanswered > 0; --unanswered) {
+              replies += "STORED\r\n";
+            }
+            if (::send(fd, replies.data(), replies.size(), MSG_NOSIGNAL) < 0) {
+              return;
+            }
+          }
+        }
       }
     }
   }
@@ -465,6 +508,40 @@ TEST(ProxyFailover, KillDuringPipelinedMultigetResolvesEveryKey) {
   // One mid-pipeline kill is one breaker failure (threshold 2): recorded
   // but not yet open — a single blip must not eject the node.
   EXPECT_EQ(CountBreakerTransitions(tracer, "open"), 0u);
+}
+
+TEST(ProxyFailover, PipelinedBatchLeavesInOneRoundTrip) {
+  // The peer answers nothing until it has read all 200 sets, so the batch
+  // lands on the primary only if every set goes upstream together. Any cap
+  // on commands in flight strands the rest behind unanswered legs until
+  // their deadline sends the whole batch down to the backup.
+  constexpr int kSets = 200;
+  ScriptedPeer peer(PeerScript::kAnswerAfter, /*serve_replies=*/kSets);
+  BackupServer backup;
+  UpstreamPool pool(FastPoolConfig());
+  pool.SetNode(0, "127.0.0.1", peer.port());
+  pool.SetBackup("127.0.0.1", backup.server.port());
+
+  std::vector<UpstreamPool::OpId> ops;
+  for (int i = 0; i < kSets; ++i) {
+    const std::string key = "batch" + std::to_string(i);
+    const std::string wire = "set " + key + " 0 0 1\r\nv\r\n";
+    ops.push_back(pool.SubmitLine(
+        key, UpstreamPool::kWaitTag,
+        [&wire](std::string* buf) { buf->append(wire); }));
+  }
+  int stored = 0;
+  for (const UpstreamPool::OpId op : ops) {
+    pool.Wait(op);
+    const ForwardResult& result = pool.result(op).line;
+    if (result.line == "STORED" && result.rung == ServedRung::kPrimary) {
+      ++stored;
+    }
+    pool.Release(op);
+  }
+  EXPECT_EQ(stored, kSets);
+  EXPECT_EQ(pool.stats().absorbed_failures, 0u);
+  EXPECT_EQ(peer.connections_seen(), 1);
 }
 
 TEST(ProxyFailover, WritesDegradeToBackupThenReportUnreachable) {
