@@ -13,6 +13,19 @@
 // server's store keeps each key in its item's heap block, so reading one is
 // usually a cache miss).
 //
+// Two key modes, chosen by the KeyOf template parameter:
+//   - stored key (KeyOf = void, the default): a slot keeps its own copy of
+//     the key, exposed as Entry::key;
+//   - key in value: a slot keeps no key; KeyOf{}(value) derives it, exposed
+//     as Entry::key(). Put still takes the key (it must equal the one the
+//     value yields) to hash and probe with. The server's store uses this
+//     mode: its value already names the block that holds the key bytes.
+// A slot is flat: {charge, prev, next, hash} as four uint32_t, then the key
+// (stored mode only) and the value. With an 8-byte value and a derived key
+// that is 24 bytes; a nested {value, size_t charge} entry would pad it to 32
+// or 40. The charge is 32 bits, so Put rejects one above UINT32_MAX in both
+// modes; bytes_used() sums charges in size_t.
+//
 // The arena is dense: slots [0, size()) are exactly the live entries, with no
 // free list. Erase and eviction move the last slot into the hole (re-pointing
 // its bucket and list neighbours) and pop it. When removals leave fewer than
@@ -22,13 +35,14 @@
 // churns a few large ones gives the index memory back instead of keeping its
 // high-water mark.
 //
-// Behavior is bit-identical to the reference implementation: same hit / miss
-// / eviction sequences, same byte accounting, same MRU→LRU iteration order
-// (test_lru_equivalence drives both through ~1e5 randomized ops to prove it).
-// The overwrite path is the one deliberate improvement folded in: Put on an
-// existing key updates value/bytes in place and splices the slot to the front
-// instead of erase + re-insert (two hash walks and node churn in the
-// reference; the observable semantics are unchanged).
+// Behavior is bit-identical to the reference implementation for charges up
+// to UINT32_MAX: same hit / miss / eviction sequences, same byte accounting,
+// same MRU→LRU iteration order (test_lru_equivalence drives both through
+// ~1e5 randomized ops to prove it; test_lru_cache does the same for the
+// key-in-value mode). The overwrite path is the one deliberate improvement
+// folded in: Put on an existing key updates value/bytes in place and splices
+// the slot to the front instead of erase + re-insert (two hash walks and node
+// churn in the reference; the observable semantics are unchanged).
 //
 // The eviction hook is a template parameter so simulation code that needs a
 // hook pays a direct (inlineable) call instead of a std::function dispatch.
@@ -51,14 +65,52 @@
 namespace spotcache {
 
 template <typename K, typename V, typename Hash = std::hash<K>,
-          typename EvictHook = void>
+          typename EvictHook = void, typename KeyOf = void>
+class LruCache;
+
+namespace lru_detail {
+
+inline constexpr uint32_t kNil = 0xffffffffu;
+
+/// The fields every arena slot starts with. Only the charge is public; the
+/// recency links and the key's hash belong to the cache.
+class SlotHeader {
+ public:
+  uint32_t bytes = 0;  // the charge
+
+ private:
+  template <typename, typename, typename, typename, typename>
+  friend class spotcache::LruCache;
+
+  uint32_t prev = kNil;  // toward MRU
+  uint32_t next = kNil;  // toward LRU
+  uint32_t hash = 0;     // HashOf(key)
+};
+
+/// A key-in-value slot: the key is KeyOf{}(value).
+template <typename K, typename V, typename KeyOf>
+struct Entry : SlotHeader {
+  V value;
+
+  K key() const { return KeyOf{}(value); }
+};
+
+/// A stored-key slot.
+template <typename K, typename V>
+struct Entry<K, V, void> : SlotHeader {
+  K key;
+  V value;
+};
+
+}  // namespace lru_detail
+
+template <typename K, typename V, typename Hash, typename EvictHook,
+          typename KeyOf>
 class LruCache {
  public:
-  struct Entry {
-    K key;
-    V value;
-    size_t bytes = 0;
-  };
+  /// One arena slot, as eviction hooks and ForEachMruToLru see it: `value`,
+  /// `bytes`, and `key` (stored mode) or `key()` (key-in-value mode).
+  using Entry = lru_detail::Entry<K, V, KeyOf>;
 
   using EvictionCallback = std::function<void(const Entry&)>;
 
@@ -69,14 +121,9 @@ class LruCache {
   using HookStorage =
       std::conditional_t<kFunctionHook, EvictionCallback, EvictHook>;
 
-  static constexpr uint32_t kNil = 0xffffffffu;
-
-  struct Slot {
-    Entry entry;
-    uint32_t prev = kNil;  // toward MRU
-    uint32_t next = kNil;  // toward LRU
-    uint32_t hash = 0;     // HashOf(entry.key)
-  };
+  static constexpr bool kStoredKey = std::is_void_v<KeyOf>;
+  static constexpr uint32_t kNil = lru_detail::kNil;
+  using Slot = Entry;
 
  public:
   /// Arena bytes per slot, for sizing index_bytes().
@@ -97,9 +144,10 @@ class LruCache {
   }
 
   /// Inserts or overwrites; evicts LRU entries until the item fits. Returns
-  /// false (and stores nothing) if `bytes` alone exceeds the capacity.
+  /// false (and stores nothing) if `bytes` alone exceeds the capacity or
+  /// UINT32_MAX. In key-in-value mode `key` must equal the key `value` yields.
   bool Put(const K& key, V value, size_t bytes) {
-    if (bytes > capacity_bytes_) {
+    if (bytes > capacity_bytes_ || bytes > UINT32_MAX) {
       return false;
     }
     const uint32_t hash = HashOf(key);
@@ -111,12 +159,10 @@ class LruCache {
         // this entry is at the front, so it is never its own victim.
         const uint32_t s = buckets_[b];
         Slot& slot = slots_[s];
-        bytes_used_ -= slot.entry.bytes;
-        // The key is re-pointed too: a view key may live in the very value
-        // this overwrite releases.
-        slot.entry.key = key;
-        slot.entry.value = std::move(value);
-        slot.entry.bytes = bytes;
+        bytes_used_ -= slot.bytes;
+        // A stored key is re-pointed too: a view key may live in the very
+        // value this overwrite releases. A derived key follows the value.
+        Fill(slot, key, std::move(value), bytes);
         MoveToFront(s);
         bytes_used_ += bytes;
         EvictUntilFits(0);
@@ -127,9 +173,7 @@ class LruCache {
     assert(slots_.size() < kNil);
     const auto s = static_cast<uint32_t>(slots_.size());
     Slot& slot = slots_.emplace_back();
-    slot.entry.key = key;
-    slot.entry.value = std::move(value);
-    slot.entry.bytes = bytes;
+    Fill(slot, key, std::move(value), bytes);
     slot.hash = hash;
     LinkFront(s);
     InsertIndex(s);
@@ -154,14 +198,14 @@ class LruCache {
     }
     ++hits_;
     MoveToFront(s);
-    return &slots_[s].entry.value;
+    return &slots_[s].value;
   }
 
   /// Lookup without promotion or stats. The pointer is valid until the next
   /// mutating call, as for Lookup.
   const V* Peek(const K& key) const {
     const uint32_t s = FindSlot(key);
-    return s == kNil ? nullptr : &slots_[s].entry.value;
+    return s == kNil ? nullptr : &slots_[s].value;
   }
 
   bool Contains(const K& key) const { return FindSlot(key) != kNil; }
@@ -222,7 +266,7 @@ class LruCache {
   template <typename Fn>
   void ForEachMruToLru(Fn&& fn) const {
     for (uint32_t s = head_; s != kNil; s = slots_[s].next) {
-      fn(slots_[s].entry);
+      fn(slots_[s]);
     }
   }
 
@@ -238,6 +282,24 @@ class LruCache {
       want <<= 1;
     }
     return want;
+  }
+
+  /// The slot's key: its own copy, or the one its value yields.
+  static decltype(auto) KeyAt(const Slot& slot) {
+    if constexpr (kStoredKey) {
+      return (slot.key);
+    } else {
+      return slot.key();
+    }
+  }
+
+  static void Fill(Slot& slot, const K& key, V&& value, size_t bytes) {
+    if constexpr (kStoredKey) {
+      slot.key = key;
+    }
+    slot.value = std::move(value);
+    slot.bytes = static_cast<uint32_t>(bytes);
+    assert(KeyAt(slot) == key);
   }
 
   // ---- Intrusive recency list ------------------------------------------
@@ -282,7 +344,7 @@ class LruCache {
   /// arena dense: the last slot moves into the hole and the bucket and list
   /// links that named it are re-pointed.
   void RemoveSlot(uint32_t s, size_t b) {
-    bytes_used_ -= slots_[s].entry.bytes;
+    bytes_used_ -= slots_[s].bytes;
     EraseBucket(b);
     Unlink(s);
     const auto last = static_cast<uint32_t>(slots_.size() - 1);
@@ -349,7 +411,7 @@ class LruCache {
     size_t b = hash & mask;
     while (buckets_[b] != kNil) {
       const Slot& slot = slots_[buckets_[b]];
-      if (slot.hash == hash && slot.entry.key == key) {
+      if (slot.hash == hash && KeyAt(slot) == key) {
         break;
       }
       b = (b + 1) & mask;
@@ -427,7 +489,7 @@ class LruCache {
   void EvictUntilFits(size_t incoming_bytes) {
     while (tail_ != kNil && bytes_used_ + incoming_bytes > capacity_bytes_) {
       const uint32_t s = tail_;
-      NotifyEvict(slots_[s].entry);
+      NotifyEvict(slots_[s]);
       RemoveSlot(s, BucketHolding(s));
       ++evictions_;
     }

@@ -71,7 +71,7 @@ bool ItemStore::Store(Mode mode, std::string_view key, uint32_t flags,
   block.stored_at = now;
   block.cas = NextCas();
   op_now_ = now;
-  // An overwrite keeps the slot and re-points its key at the new block.
+  // An overwrite keeps the slot; its key now reads the new block.
   lru_.Put(SlotKey(&block), std::move(item), cost);
   return true;
 }

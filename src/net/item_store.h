@@ -3,8 +3,9 @@
 //
 // Each item is one heap block: an ItemBlock header (refcount, flags, cas,
 // deadlines, lengths), then the key bytes, then the value bytes. The flat
-// LruCache arena indexes the blocks: a slot holds a SlotKey naming its
-// block's key bytes and a counted ItemRef to the block. The response
+// LruCache arena indexes the blocks in its key-in-value mode: a slot holds a
+// counted ItemRef to the block, its 32-bit charge, its recency links and its
+// key's hash (24 bytes), and the key is read from the block. The response
 // assembler holds ItemRefs to the same block, so a value stays valid across a
 // batched writev even if a later request in the batch evicts, overwrites or
 // deletes the item. The count is atomic because the reactors of a server
@@ -102,12 +103,11 @@ struct Item {
   ItemRef data;
 };
 
-/// A slot's key in 8 bytes, where a string_view takes 16 (the arena keeps
-/// one per item). A stored key points at its own block and reads the key
-/// bytes there. A lookup converts the caller's string_view into a SlotKey
-/// that points at that string_view, tagged in bit 0 (both pointers are
-/// 8-aligned); it lives only for the store call, and only block keys are
-/// stored.
+/// The arena's key type, in 8 bytes. The arena stores none: a slot's key
+/// is derived from its item (ItemKeyOf) and points at the item's block,
+/// reading the key bytes there. A lookup converts the caller's string_view
+/// into a SlotKey that points at that string_view, tagged in bit 0 (both
+/// pointers are 8-aligned); it lives only for the store call.
 class SlotKey {
  public:
   SlotKey() = default;
@@ -137,6 +137,11 @@ struct SlotKeyHash {
   size_t operator()(const SlotKey& key) const {
     return std::hash<std::string_view>{}(key.view());
   }
+};
+
+/// A slot's key: the one its item's block holds.
+struct ItemKeyOf {
+  SlotKey operator()(const Item& item) const { return SlotKey(&*item.data); }
 };
 
 class ItemStore {
@@ -210,7 +215,9 @@ class ItemStore {
   int64_t op_now_ = 0;             // clock of the store in progress
   uint64_t evictions_ = 0;
   uint64_t expired_reaped_ = 0;
-  LruCache<SlotKey, Item, SlotKeyHash, VictimCounter> lru_;
+  LruCache<SlotKey, Item, SlotKeyHash, VictimCounter, ItemKeyOf> lru_;
+  static_assert(decltype(lru_)::kSlotBytes == 24,
+                "slot = ItemRef + charge + prev + next + hash, unpadded");
 };
 
 }  // namespace spotcache::net

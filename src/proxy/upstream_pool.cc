@@ -274,7 +274,7 @@ void UpstreamPool::Enqueue(Upstream& up, Leg leg) {
 
 void UpstreamPool::GetToBackup(Leg leg) {
   ++ops_[leg.op].fallen;
-  if (backup_ != nullptr && backup_->breaker->Allow(Now())) {
+  if (backup_ != nullptr && BreakerAllows(*backup_)) {
     Enqueue(*backup_, leg);
   } else {
     ResolveLeg(leg.op);
@@ -282,7 +282,7 @@ void UpstreamPool::GetToBackup(Leg leg) {
 }
 
 void UpstreamPool::LineToBackup(Leg leg) {
-  if (backup_ != nullptr && backup_->breaker->Allow(Now())) {
+  if (backup_ != nullptr && BreakerAllows(*backup_)) {
     Enqueue(*backup_, leg);
   } else {
     ResolveLeg(leg.op);
@@ -327,7 +327,7 @@ UpstreamPool::OpId UpstreamPool::SubmitGet(
       auto it = nodes_.find(*owner);
       Upstream* node = it != nodes_.end() ? &it->second : nullptr;
       const bool usable =
-          node != nullptr && !node->dead && node->breaker->Allow(Now());
+          node != nullptr && !node->dead && BreakerAllows(*node);
       if (node != nullptr && !usable) {
         ++stats_.breaker_skips;
       }
@@ -352,7 +352,7 @@ void UpstreamPool::RouteLine(OpId id, std::string_view key) {
     auto it = nodes_.find(*owner);
     if (it != nodes_.end()) {
       Upstream& node = it->second;
-      if (!node.dead && node.breaker->Allow(Now())) {
+      if (!node.dead && BreakerAllows(node)) {
         Enqueue(node, Leg{id, 0});
         return;
       }
@@ -373,7 +373,7 @@ UpstreamPool::OpId UpstreamPool::SubmitFlush(int64_t delay_s, uint64_t tag) {
   }
   op.wire += "\r\n";
   const auto send_to = [&](Upstream& up) {
-    if (!up.dead && up.breaker->Allow(Now())) {
+    if (!up.dead && BreakerAllows(up)) {
       ++op.legs_left;
       Enqueue(up, Leg{id, 0});
     }

@@ -277,6 +277,12 @@ class UpstreamPool : private net::ReplyReader::Handler {
 
   bool is_backup(const Upstream& up) const { return &up == backup_.get(); }
   SimTime Now() const;
+  /// Whether `up`'s breaker admits a leg now. The clock is read only for an
+  /// open breaker, so the route path costs no clock read while all are
+  /// closed.
+  bool BreakerAllows(const Upstream& up) const {
+    return up.breaker->closed() || up.breaker->Allow(Now());
+  }
   void TraceBreaker(uint64_t slot, BreakerState before, BreakerState after);
   void RecordSuccess(Upstream& up);
 

@@ -54,6 +54,10 @@ class CircuitBreaker {
   /// time has arrived).
   BreakerState state(SimTime now) const;
 
+  /// Whether the breaker is closed. Unlike state(), needs no clock: only an
+  /// open breaker's state depends on the time.
+  bool closed() const { return !open_; }
+
   /// Whether a request may be sent to the node at `now`. Closed: always.
   /// Open: only once the probe time arrives (the request *is* the probe).
   bool Allow(SimTime now) const { return state(now) != BreakerState::kOpen; }

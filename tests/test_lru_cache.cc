@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "src/cache/lru_cache_ref.h"
+#include "src/util/rng.h"
 
 namespace spotcache {
 namespace {
@@ -276,6 +282,150 @@ TEST(LruCache, ErasingLastSlotHeadAndTailKeepsListConsistent) {
   ExpectConsistent(c, {10, 11});
   c.Put(12, "12", 985);  // evicts the tail, 11
   ExpectConsistent(c, {12, 10});
+}
+
+// ---- Key-in-value mode -----------------------------------------------------
+
+/// A value that carries its own key, as the server's items do.
+struct Tagged {
+  uint64_t key = 0;
+  uint32_t payload = 0;
+  bool operator==(const Tagged&) const = default;
+};
+
+struct TaggedKey {
+  uint64_t operator()(const Tagged& t) const { return t.key; }
+};
+
+using KeyInValue =
+    LruCache<uint64_t, Tagged, std::hash<uint64_t>, void, TaggedKey>;
+
+struct Victim {
+  uint64_t key;
+  size_t bytes;
+  bool operator==(const Victim&) const = default;
+};
+
+TEST(LruCacheKeyInValue, SeededMixMatchesReference) {
+  // Puts (a small key space, so about a fifth overwrite a live key with a new
+  // payload and size), gets, erases and peeks; every result, victim and
+  // counter must match the reference after every op.
+  ReferenceLruCache<uint64_t, Tagged> ref(64 * 1024);
+  KeyInValue flat(64 * 1024);
+  std::vector<Victim> ref_victims, flat_victims;
+  ref.SetEvictionCallback(
+      [&](const auto& e) { ref_victims.push_back({e.key, e.bytes}); });
+  flat.SetEvictionCallback([&](const KeyInValue::Entry& e) {
+    flat_victims.push_back({e.key(), e.bytes});
+  });
+  Rng rng(0x6b1f);
+  size_t overwrites = 0;
+  for (uint32_t i = 0; i < 100'000; ++i) {
+    SCOPED_TRACE("op " + std::to_string(i));
+    const uint64_t key = rng.NextBelow(300);
+    const double roll = rng.NextDouble();
+    if (roll < 0.45) {
+      overwrites += ref.Contains(key) ? 1 : 0;
+      const size_t bytes = 1 + rng.NextBelow(2048);
+      ASSERT_EQ(ref.Put(key, Tagged{key, i}, bytes),
+                flat.Put(key, Tagged{key, i}, bytes));
+    } else if (roll < 0.80) {
+      const auto a = ref.Get(key);
+      const auto b = flat.Get(key);
+      ASSERT_EQ(a, b);
+    } else if (roll < 0.92) {
+      ASSERT_EQ(ref.Erase(key), flat.Erase(key));
+    } else {
+      const Tagged* a = ref.Peek(key);
+      const Tagged* b = flat.Peek(key);
+      ASSERT_EQ(a == nullptr, b == nullptr);
+      if (a != nullptr) {
+        ASSERT_EQ(*a, *b);
+      }
+    }
+    ASSERT_EQ(ref.size(), flat.size());
+    ASSERT_EQ(ref.bytes_used(), flat.bytes_used());
+    ASSERT_EQ(ref.hits(), flat.hits());
+    ASSERT_EQ(ref.misses(), flat.misses());
+    ASSERT_EQ(ref.evictions(), flat.evictions());
+    ASSERT_EQ(ref_victims.size(), flat_victims.size());
+  }
+  EXPECT_EQ(ref_victims, flat_victims);
+  std::vector<uint64_t> ref_order, flat_order;
+  ref.ForEachMruToLru([&](const auto& e) { ref_order.push_back(e.key); });
+  flat.ForEachMruToLru(
+      [&](const KeyInValue::Entry& e) { flat_order.push_back(e.key()); });
+  EXPECT_EQ(ref_order, flat_order);
+  EXPECT_GT(ref_victims.size(), 5000u) << "the mix never evicted; weak test";
+  EXPECT_GT(overwrites, 5'000u) << "the mix rarely overwrote; weak test";
+}
+
+/// A view key that lives in its own heap-held value, the server store's
+/// shape: the slot is the 8-byte value plus four uint32_t.
+struct OwnedKey {
+  std::string_view operator()(const std::unique_ptr<std::string>& v) const {
+    return *v;
+  }
+};
+
+using ViewCache = LruCache<std::string_view, std::unique_ptr<std::string>,
+                           std::hash<std::string_view>, void, OwnedKey>;
+static_assert(ViewCache::kSlotBytes == 24);
+
+TEST(LruCacheKeyInValue, OverwriteKeyFollowsTheNewValue) {
+  ViewCache c(1000);
+  auto first = std::make_unique<std::string>("alpha");
+  const std::string_view first_key = *first;
+  ASSERT_TRUE(c.Put(first_key, std::move(first), 10));
+  // The overwrite frees the string the stored key pointed into; the slot's
+  // key must now read the new value's bytes.
+  auto second = std::make_unique<std::string>("alpha");
+  const std::string* second_ptr = second.get();
+  ASSERT_TRUE(c.Put(*second_ptr, std::move(second), 30));
+  EXPECT_EQ(c.size(), 1u);
+  EXPECT_EQ(c.bytes_used(), 30u);
+  const std::string probe = "alpha";
+  const auto* hit = c.Peek(probe);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit->get(), second_ptr);
+  c.ForEachMruToLru([&](const ViewCache::Entry& e) {
+    EXPECT_EQ(e.key().data(), second_ptr->data());
+  });
+  EXPECT_TRUE(c.Erase(probe));
+  EXPECT_EQ(c.size(), 0u);
+}
+
+// ---- The 32-bit charge -----------------------------------------------------
+
+constexpr size_t kU32Max = UINT32_MAX;
+
+template <typename C, typename MakeValue>
+void ExpectChargeAboveUint32MaxRejected(MakeValue make) {
+  C c(4 * kU32Max);  // 16 GiB of capacity: only the charge's width limits
+  EXPECT_FALSE(c.Put(1, make(1), kU32Max + 1));
+  EXPECT_EQ(c.size(), 0u);
+  EXPECT_EQ(c.bytes_used(), 0u);
+  EXPECT_FALSE(c.Contains(1));
+  EXPECT_EQ(c.evictions(), 0u);
+  // The widest charge fits, and bytes_used() sums charges past 32 bits.
+  EXPECT_TRUE(c.Put(1, make(1), kU32Max));
+  EXPECT_TRUE(c.Put(2, make(2), kU32Max));
+  EXPECT_EQ(c.bytes_used(), 2 * kU32Max);
+  // An oversized overwrite leaves the stored entry as it was.
+  EXPECT_FALSE(c.Put(1, make(1), kU32Max + 1));
+  EXPECT_EQ(c.size(), 2u);
+  EXPECT_EQ(c.bytes_used(), 2 * kU32Max);
+  EXPECT_TRUE(c.Contains(1));
+}
+
+TEST(LruCache, ChargeAboveUint32MaxRejected) {
+  ExpectChargeAboveUint32MaxRejected<Cache>(
+      [](uint64_t k) { return std::to_string(k); });
+}
+
+TEST(LruCacheKeyInValue, ChargeAboveUint32MaxRejected) {
+  ExpectChargeAboveUint32MaxRejected<KeyInValue>(
+      [](uint64_t k) { return Tagged{k, 0}; });
 }
 
 }  // namespace

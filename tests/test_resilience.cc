@@ -150,10 +150,12 @@ TEST(CircuitBreaker, ClosedUntilThreshold) {
 TEST(CircuitBreaker, HalfOpenAtProbeTimeThenCloses) {
   CircuitBreaker b(FastBreaker(), 1, 10);
   SimTime t;
+  EXPECT_TRUE(b.closed());
   for (int i = 0; i < 3; ++i) {
     b.RecordFailure(t);
   }
   ASSERT_EQ(b.state(t), BreakerState::kOpen);
+  EXPECT_FALSE(b.closed());
   const SimTime probe = b.probe_at();
   EXPECT_GT(probe, t);
   // Jitter keeps the window within [0.75, 1.25] of open_base.
@@ -162,10 +164,12 @@ TEST(CircuitBreaker, HalfOpenAtProbeTimeThenCloses) {
   EXPECT_LE(window_s, 30.0 * 1.25 + 1e-9);
   EXPECT_EQ(b.state(probe), BreakerState::kHalfOpen);
   EXPECT_TRUE(b.Allow(probe));
+  EXPECT_FALSE(b.closed());  // half-open admits only through Allow(now)
   b.RecordSuccess(probe);
   EXPECT_EQ(b.state(probe), BreakerState::kHalfOpen);  // needs 2 successes
   b.RecordSuccess(probe);
   EXPECT_EQ(b.state(probe), BreakerState::kClosed);
+  EXPECT_TRUE(b.closed());
   EXPECT_EQ(b.trip_streak(), 0);
 }
 
