@@ -282,11 +282,7 @@ int main(int argc, char** argv) {
     }
   }
   if (!metrics_path.empty() &&
-      WriteStringToFile(metrics_path,
-                        // One shard has no hub: its registry is the total.
-                        shards == 1
-                            ? ToPrometheusText(server.shard_obs(0).registry)
-                            : server.hub().RenderPrometheus())) {
+      WriteStringToFile(metrics_path, server.shard(0).RenderMetrics())) {
     std::printf("metrics snapshot written to %s\n", metrics_path.c_str());
   }
   if (!config.span_dump_path.empty()) {

@@ -67,9 +67,6 @@ NetServer::NetServer(const NetServerConfig& config, Obs* obs)
     pending_hw_gauge_ =
         obs_->registry.GetGauge("net/pending_out_high_water_bytes");
     conns_hw_gauge_ = obs_->registry.GetGauge("net/conns_high_water");
-    store_index_gauge_ = obs_->registry.GetGauge("net/store_index_bytes");
-    store_items_gauge_ = obs_->registry.GetGauge("net/store_items");
-    store_bytes_gauge_ = obs_->registry.GetGauge("net/store_bytes");
   }
 }
 
@@ -196,9 +193,6 @@ bool NetServer::Run() {
     telemetry_->SetOrigin(t0_us_);
   }
   const bool instrument = loop_iterations_ != nullptr;
-  // A hub-attached shard wakes periodically to epoch-publish its registry;
-  // the plain server keeps the pure block-forever wait.
-  const int wait_ms = hub_ != nullptr ? 50 : -1;
   if (deferred_) {
     epoll_event ev{};
     ev.events = EPOLLIN;
@@ -213,7 +207,7 @@ bool NetServer::Run() {
   constexpr int kMaxEvents = 64;
   epoll_event events[kMaxEvents];
   while (!stop_requested_.load(std::memory_order_relaxed)) {
-    int timeout_ms = wait_ms;
+    int timeout_ms = -1;
     if (deferred_) {
       // Sleep no longer than the handler's next deadline (rounded up, so
       // the deadline has passed when the loop wakes for it).
@@ -292,7 +286,6 @@ bool NetServer::Run() {
       }
     }
     MaybeDumpTelemetry();
-    MaybeFlushHub(/*force=*/false);
     if (instrument) {
       const int64_t t_end = RequestTelemetry::NowMicros();
       loop_wait_hist_->Record(static_cast<double>(t_work0 - t_wait0) * 1e-6);
@@ -319,7 +312,6 @@ bool NetServer::Run() {
     }
     ex->ServiceInbox(shard_ctx_.self);
   }
-  MaybeFlushHub(/*force=*/true);
   return ok;
 }
 
@@ -400,15 +392,8 @@ void NetServer::DumpTelemetry(const char* reason) {
                            << config_.span_dump_path;
     }
   }
-  if (!config_.metrics_dump_path.empty()) {
-    UpdateMemoryGauges();
-    if (hub_ != nullptr) {
-      MaybeFlushHub(/*force=*/true);
-      WriteStringToFile(config_.metrics_dump_path, hub_->RenderPrometheus());
-    } else if (obs_ != nullptr) {
-      WriteStringToFile(config_.metrics_dump_path,
-                        ToPrometheusText(obs_->registry));
-    }
+  if (!config_.metrics_dump_path.empty() && obs_ != nullptr) {
+    WriteStringToFile(config_.metrics_dump_path, RenderMetrics());
   }
   SPOTCACHE_LOG(kInfo) << "telemetry dump (" << reason << "): " << spans
                        << " spans";
@@ -514,43 +499,30 @@ void NetServer::ConfigureShard(const ShardContext& ctx) {
   core_.ConfigureShard(ctx);
 }
 
-void NetServer::MaybeFlushHub(bool force) {
-  if (hub_ == nullptr || obs_ == nullptr) {
-    return;
-  }
-  const int64_t now = LoopMicros();
-  if (!force && now - last_hub_flush_us_ < 100'000) {
-    return;
-  }
-  last_hub_flush_us_ = now;
-  UpdateStoreGauges();
-  hub_->Publish(hub_slot_, obs_->registry);
-}
-
-void NetServer::UpdateStoreGauges() {
-  if (obs_ == nullptr || shard_ctx_.self != 0) {
-    return;
-  }
+std::string NetServer::RenderMetrics() {
+  // The store and the heap are shared by every reactor. Only the rendering
+  // reactor sets their gauges, so the cross-reactor sum counts each once.
   const StripedStore::Totals store = core_.store().totals();
-  store_index_gauge_->Set(static_cast<double>(store.index_bytes));
-  store_items_gauge_->Set(static_cast<double>(store.items));
-  store_bytes_gauge_->Set(static_cast<double>(store.bytes_used));
-}
-
-void NetServer::UpdateMemoryGauges() {
-  if (obs_ == nullptr) {
-    return;
-  }
-  UpdateStoreGauges();
-  // Process-wide figures: only the reactor that renders the scrape sets
-  // them, so the hub's cross-reactor gauge sum reports each exactly once.
   const HeapStats heap = ReadHeapStats();
   MetricsRegistry& reg = obs_->registry;
-  reg.GetGauge("net/heap_in_use_bytes")->Set(static_cast<double>(heap.in_use));
-  reg.GetGauge("net/heap_free_held_bytes")
-      ->Set(static_cast<double>(heap.free_held));
-  reg.GetGauge("net/heap_mmapped_bytes")
-      ->Set(static_cast<double>(heap.mmapped));
+  const auto set = [&reg](const char* name, size_t v) {
+    reg.GetGauge(name)->Set(static_cast<double>(v));
+  };
+  set("net/store_index_bytes", store.index_bytes);
+  set("net/store_items", store.items);
+  set("net/store_bytes", store.bytes_used);
+  set("net/heap_in_use_bytes", heap.in_use);
+  set("net/heap_free_held_bytes", heap.free_held);
+  set("net/heap_mmapped_bytes", heap.mmapped);
+  std::vector<const MetricsRegistry*> registries;
+  if (shard_ctx_.cores == nullptr) {
+    registries.push_back(&reg);
+  } else {
+    for (const ServerCore* core : *shard_ctx_.cores) {
+      registries.push_back(&core->registry());
+    }
+  }
+  return ToPrometheusText(registries);
 }
 
 void NetServer::ConnReadable(Connection* conn) {
@@ -627,16 +599,7 @@ void NetServer::MetricsReadable(Connection* conn) {
   if (metrics_scrapes_ != nullptr) {
     metrics_scrapes_->Increment();
   }
-  std::string body;
-  UpdateMemoryGauges();
-  if (hub_ != nullptr) {
-    // Publish our own registry first so the scrape includes this reactor's
-    // freshest epoch, then render the cross-reactor aggregate.
-    MaybeFlushHub(/*force=*/true);
-    body = hub_->RenderPrometheus();
-  } else if (obs_ != nullptr) {
-    body = ToPrometheusText(obs_->registry);
-  }
+  const std::string body = obs_ != nullptr ? RenderMetrics() : std::string();
   char header[160];
   const int header_len = snprintf(
       header, sizeof(header),

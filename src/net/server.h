@@ -9,12 +9,12 @@
 // exceeds `max_output_buffer` marks a slow consumer and the connection is
 // dropped (counted + traced) rather than ballooning memory.
 //
-// Observability uses the PR-2 vocabulary: `net/*` counters
+// Observability uses the simulator's registry vocabulary: `net/*` counters
 // (conns_opened/conns_closed/bytes_in/bytes_out/slow_consumer_closes plus
 // ServerCore's request counters) and JSONL `conn_open` / `conn_close` /
 // `protocol_error` events stamped with microseconds since server start.
 //
-// Serving-path telemetry (this PR): the server owns a RequestTelemetry that
+// Serving-path telemetry: the server owns a RequestTelemetry that
 // samples request spans (parse -> store -> write phases) and feeds
 // always-on per-(op, outcome) latency histograms — see request_telemetry.h
 // for the sampling/overhead story. The event loop itself is instrumented:
@@ -26,9 +26,12 @@
 //
 // Live scrape surface: with `metrics_port >= 0` the server opens a second
 // listener in the same epoll loop that answers any HTTP request with the
-// Prometheus text rendering of the registry. Because the loop is
-// single-threaded, a scrape renders between request batches — always a
-// consistent snapshot, no locks on the hot path.
+// Prometheus text rendering of the registry (RenderMetrics). In a
+// multi-reactor server only reactor 0 listens, and it renders the sum of
+// every reactor's registry, read directly while the other reactors serve:
+// registry values are single-writer relaxed atomics and map walks take the
+// registry's lock (metrics_registry.h). No reactor publishes anything in the
+// background, so an idle loop sleeps in epoll_wait until an event arrives.
 //
 // Flight-recorder dumps: RequestTelemetryDump() is async-signal-safe
 // (atomic flag + eventfd wakeup) — signal handlers call it to get the span
@@ -71,7 +74,6 @@
 #include "src/net/response.h"
 #include "src/net/server_core.h"
 #include "src/net/sharding.h"
-#include "src/obs/metrics_hub.h"
 #include "src/obs/obs.h"
 #include "src/obs/request_telemetry.h"
 
@@ -154,6 +156,12 @@ class NetServer {
   /// Unix-seconds clock used for expiry (defaults to the wall clock).
   void SetClock(std::function<int64_t()> now_unix);
 
+  /// Prometheus text of every reactor's registry summed (this one alone
+  /// when unsharded), after setting the store and heap gauges: what the
+  /// scrape, the metrics dump and a shutdown snapshot write. Requires an Obs;
+  /// call it on the loop thread, or after Run() has returned.
+  std::string RenderMetrics();
+
   ServerCore& core() { return core_; }
   const ServerCore& core() const { return core_; }
   /// The serving-path telemetry, or nullptr when disabled by config.
@@ -173,13 +181,6 @@ class NetServer {
   /// This reactor's inbox executor (installed into the ShardExchange):
   /// adopts handed-over connections.
   void ExecuteShardOp(CrossShardOp* op);
-  /// Publishes this shard's registry into `hub` slot `slot` at epoch
-  /// boundaries; scrapes then serve the hub aggregate (never a mid-update
-  /// counter).
-  void AttachMetricsHub(MetricsHub* hub, size_t slot) {
-    hub_ = hub;
-    hub_slot_ = slot;
-  }
   /// Serializes flight-recorder dumps across shards (shared span file).
   void SetDumpMutex(std::mutex* mu) { dump_mu_ = mu; }
   /// The loop's eventfd (the exchange's wake target). Valid after Start().
@@ -240,15 +241,6 @@ class NetServer {
   /// Registers an accepted/adopted fd as a live connection (nodelay, epoll,
   /// counters, traces).
   void RegisterConn(int fd, bool metrics);
-  /// Epoch-publishes this reactor's registry into the hub (rate-limited
-  /// unless forced), with fresh store gauges on reactor 0.
-  void MaybeFlushHub(bool force);
-  /// Sets the store gauges (index heap, items, bytes). Only reactor 0 sets
-  /// them: the reactors share one store, and the hub sums gauges.
-  void UpdateStoreGauges();
-  /// Sets the memory gauges (store, process heap) right before a scrape or
-  /// metrics dump renders them.
-  void UpdateMemoryGauges();
   /// writev the assembler + pending buffer; buffers any remainder.
   void Flush(Connection* conn);
   void CloseConn(Connection* conn, const char* reason);
@@ -305,10 +297,7 @@ class NetServer {
   ShardContext shard_ctx_;
   bool dispatcher_ = false;
   uint32_t dispatch_rr_ = 0;
-  MetricsHub* hub_ = nullptr;
-  size_t hub_slot_ = 0;
   std::mutex* dump_mu_ = nullptr;
-  int64_t last_hub_flush_us_ = -1'000'000;
 
   // High-water marks mirrored into gauges (kept locally so the hot path
   // compares against a plain size_t, not a double).
@@ -328,9 +317,6 @@ class NetServer {
   Histogram* loop_work_hist_ = nullptr;
   Gauge* pending_hw_gauge_ = nullptr;
   Gauge* conns_hw_gauge_ = nullptr;
-  Gauge* store_index_gauge_ = nullptr;
-  Gauge* store_items_gauge_ = nullptr;
-  Gauge* store_bytes_gauge_ = nullptr;
 };
 
 }  // namespace spotcache::net

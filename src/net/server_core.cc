@@ -35,15 +35,18 @@ ItemStore::Mode StoreModeOf(Verb verb) {
 }  // namespace
 
 ServerCore::ServerCore(const ServerCoreConfig& config, Obs* obs)
-    : config_(config), own_store_(config.capacity_bytes, 1), obs_(obs) {
-  if (obs != nullptr) {
-    obs_requests_ = obs->registry.GetCounter("net/requests");
-    obs_get_hits_ = obs->registry.GetCounter("net/get_hits");
-    obs_get_misses_ = obs->registry.GetCounter("net/get_misses");
-    obs_sets_ = obs->registry.GetCounter("net/sets");
-    obs_protocol_errors_ = obs->registry.GetCounter("net/protocol_errors");
-  }
-}
+    : config_(config),
+      own_store_(config.capacity_bytes, 1),
+      obs_(obs),
+      registry_(obs != nullptr ? &obs->registry : &own_registry_),
+      requests_(registry_->GetCounter("net/requests")),
+      get_hits_(registry_->GetCounter("net/get_hits")),
+      get_misses_(registry_->GetCounter("net/get_misses")),
+      sets_(registry_->GetCounter("net/sets")),
+      touches_(registry_->GetCounter("net/touches")),
+      deletes_(registry_->GetCounter("net/deletes")),
+      flushes_(registry_->GetCounter("net/flushes")),
+      protocol_errors_(registry_->GetCounter("net/protocol_errors")) {}
 
 void ServerCore::ConfigureShard(const ShardContext& ctx) {
   shard_ = ctx;
@@ -59,22 +62,15 @@ ServerCore::Outcome ServerCore::HandleRetrieve(const TextRequest& req,
   Outcome result{RequestOutcome::kHit, 0};
   for (size_t ki = 0; ki < req.keys.size(); ++ki) {
     const std::string_view key = req.keys[ki];
-    Bump(counters_.cmd_get);
     ItemRef hit = store_->Get(key, now);
     if (!hit) {
-      Bump(counters_.get_misses);
-      if (obs_get_misses_ != nullptr) {
-        obs_get_misses_->Increment();
-      }
+      get_misses_->Increment();
       if (result.outcome == RequestOutcome::kHit) {
         result.outcome = RequestOutcome::kMiss;
       }
       continue;
     }
-    Bump(counters_.get_hits);
-    if (obs_get_hits_ != nullptr) {
-      obs_get_hits_->Increment();
-    }
+    get_hits_->Increment();
     const ItemBlock& item = *hit;
     result.value_bytes += item.value_len;
     if (with_cas) {
@@ -95,10 +91,7 @@ ServerCore::Outcome ServerCore::HandleRetrieve(const TextRequest& req,
 ServerCore::Outcome ServerCore::HandleStorage(const TextRequest& req,
                                               int64_t now,
                                               ResponseAssembler* out) {
-  Bump(counters_.cmd_set);
-  if (obs_sets_ != nullptr) {
-    obs_sets_->Increment();
-  }
+  sets_->Increment();
   const bool stored = store_->Store(StoreModeOf(req.verb), req.keys[0],
                                     req.flags, req.exptime, req.data, now);
   if (!req.noreply) {
@@ -165,25 +158,13 @@ void ServerCore::AppendSpotcacheStats(ResponseAssembler* out) {
     } else if (full == "net/loop/work_s") {
       flat = "loop_work";
     } else if (full.rfind("net/request_latency_s{", 0) == 0) {
+      // {op=x,outcome=y} -> latency_x_y
       flat = "latency";
-      // Label block -> "_<value>" per label, emission order (op, outcome).
-      const size_t open = full.find('{');
-      size_t pos = open + 1;
-      while (pos < full.size() && full[pos] != '}') {
-        const size_t eq = full.find('=', pos);
-        size_t end = full.find(',', pos);
-        if (end == std::string::npos || end > full.find('}', pos)) {
-          end = full.find('}', pos);
-        }
-        if (eq == std::string::npos || eq > end) {
-          break;
-        }
+      for (size_t eq = full.find('='); eq != std::string::npos;) {
+        const size_t end = full.find_first_of(",}", eq);
         flat += '_';
         flat += full.substr(eq + 1, end - eq - 1);
-        pos = end + (full[end] == ',' ? 1 : 0);
-        if (full[end] == '}') {
-          break;
-        }
+        eq = full.find('=', end);
       }
     } else {
       continue;
@@ -233,12 +214,10 @@ void ServerCore::HandleStats(const TextRequest& req, int64_t now,
 
 bool ServerCore::Handle(const TextRequest& req, int64_t now,
                         ResponseAssembler* out) {
-  if (counters_.start_time.load(std::memory_order_relaxed) < 0) {
-    counters_.start_time.store(now, std::memory_order_relaxed);
+  if (start_time_.load(std::memory_order_relaxed) < 0) {
+    start_time_.store(now, std::memory_order_relaxed);
   }
-  if (obs_requests_ != nullptr) {
-    obs_requests_->Increment();
-  }
+  requests_->Increment();
   if (telemetry_ != nullptr) {
     telemetry_->OnParsed(OpFor(req.verb),
                          static_cast<uint32_t>(req.keys.size()));
@@ -258,7 +237,7 @@ bool ServerCore::Handle(const TextRequest& req, int64_t now,
       break;
 
     case Verb::kDelete: {
-      Bump(counters_.cmd_delete);
+      deletes_->Increment();
       const bool deleted = store_->Delete(req.keys[0], now);
       if (!req.noreply) {
         out->Append(deleted ? "DELETED\r\n" : "NOT_FOUND\r\n");
@@ -269,7 +248,7 @@ bool ServerCore::Handle(const TextRequest& req, int64_t now,
     }
 
     case Verb::kTouch: {
-      Bump(counters_.cmd_touch);
+      touches_->Increment();
       const bool touched = store_->Touch(req.keys[0], req.exptime, now);
       if (!req.noreply) {
         out->Append(touched ? "TOUCHED\r\n" : "NOT_FOUND\r\n");
@@ -288,7 +267,7 @@ bool ServerCore::Handle(const TextRequest& req, int64_t now,
       break;
 
     case Verb::kFlushAll:
-      Bump(counters_.cmd_flush);
+      flushes_->Increment();
       store_->FlushAll(now, req.delay_s);
       if (!req.noreply) {
         out->Append("OK\r\n");
@@ -306,10 +285,7 @@ bool ServerCore::Handle(const TextRequest& req, int64_t now,
 }
 
 void ServerCore::HandleParseError(ParseErrorKind kind, ResponseAssembler* out) {
-  Bump(counters_.protocol_errors);
-  if (obs_protocol_errors_ != nullptr) {
-    obs_protocol_errors_->Increment();
-  }
+  protocol_errors_->Increment();
   out->Append(ErrorReply(kind));
 }
 
@@ -321,28 +297,30 @@ CoreSnapshot ServerCore::Snapshot() const {
   s.capacity_bytes = store.capacity_bytes;
   s.evictions = store.evictions;
   s.expired_reaped = store.expired_reaped;
-  const auto add = [&s](const Counters& c) {
-    constexpr auto kRelaxed = std::memory_order_relaxed;
-    s.cmd_get += c.cmd_get.load(kRelaxed);
-    s.cmd_set += c.cmd_set.load(kRelaxed);
-    s.cmd_touch += c.cmd_touch.load(kRelaxed);
-    s.cmd_delete += c.cmd_delete.load(kRelaxed);
-    s.cmd_flush += c.cmd_flush.load(kRelaxed);
-    s.get_hits += c.get_hits.load(kRelaxed);
-    s.get_misses += c.get_misses.load(kRelaxed);
-    s.protocol_errors += c.protocol_errors.load(kRelaxed);
-    const int64_t start = c.start_time.load(kRelaxed);
+  const auto add = [&s](const ServerCore& core) {
+    const auto get = [](const Counter* c) {
+      return static_cast<uint64_t>(c->value());
+    };
+    s.get_hits += get(core.get_hits_);
+    s.get_misses += get(core.get_misses_);
+    s.cmd_set += get(core.sets_);
+    s.cmd_touch += get(core.touches_);
+    s.cmd_delete += get(core.deletes_);
+    s.cmd_flush += get(core.flushes_);
+    s.protocol_errors += get(core.protocol_errors_);
+    const int64_t start = core.start_time_.load(std::memory_order_relaxed);
     if (start >= 0 && (s.start_time < 0 || start < s.start_time)) {
       s.start_time = start;
     }
   };
   if (shard_.cores == nullptr) {
-    add(counters_);
+    add(*this);
   } else {
     for (const ServerCore* core : *shard_.cores) {
-      add(core->counters_);
+      add(*core);
     }
   }
+  s.cmd_get = s.get_hits + s.get_misses;
   return s;
 }
 

@@ -24,9 +24,11 @@
 // Multi-reactor serving: every reactor of a server runs its own ServerCore,
 // and all of them serve from one StripedStore (see striped_store.h), so any
 // reactor executes any key on its own thread. ShardContext names the reactor
-// and the shared state. The request counters stay per reactor: the owning
-// reactor is their only writer, and the reactor that serves `stats` sums
-// every reactor's counters (relaxed atomic reads) and the store's totals.
+// and the shared state. Each request fact is counted once, in the reactor's
+// registry (`net/get_hits`, `net/sets`, ...): the owning reactor is the only
+// writer of its counters, and the reactor that serves `stats` sums every
+// reactor's counters (relaxed atomic reads) and the store's totals. The
+// scrape renders the same counters, so `stats` and the scrape agree.
 // flush_all flushes the shared store, stripe by stripe.
 
 #pragma once
@@ -60,14 +62,16 @@ struct ShardContext {
   uint32_t count = 1;
   /// The store every reactor serves from.
   StripedStore* store = nullptr;
-  /// Every reactor's core, by reactor index, for the `stats` sums.
+  /// Every reactor's core, by reactor index, for the `stats` sums and the
+  /// scrape.
   const std::vector<const ServerCore*>* cores = nullptr;
   /// Connection handoff in the accept fallback (NetServer's business).
   ShardExchange* exchange = nullptr;
 };
 
 /// The `stats` figures: the store's totals plus the request counters of
-/// every reactor.
+/// every reactor. cmd_get is get_hits + get_misses: every key of a get is
+/// exactly one of the two.
 struct CoreSnapshot {
   uint64_t curr_items = 0;
   uint64_t bytes_used = 0;
@@ -119,8 +123,12 @@ class ServerCore : public RequestHandler {
   const StripedStore& store() const { return *store_; }
 
   uint64_t protocol_errors() const {
-    return counters_.protocol_errors.load(std::memory_order_relaxed);
+    return static_cast<uint64_t>(protocol_errors_->value());
   }
+
+  /// The registry holding this core's request counters: the Obs registry,
+  /// or, for a core built without one, a registry the core owns.
+  const MetricsRegistry& registry() const { return *registry_; }
 
  private:
   /// (outcome, bytes) classification of one handled request, reported to
@@ -141,39 +149,25 @@ class ServerCore : public RequestHandler {
   /// The `stats spotcache` extension: telemetry + event-loop health.
   void AppendSpotcacheStats(ResponseAssembler* out);
 
-  /// Request counters. The owning reactor is their only writer and `stats`
-  /// on any reactor reads them, so they are relaxed atomics, bumped with a
-  /// plain load and store.
-  struct Counters {
-    std::atomic<uint64_t> cmd_get{0};
-    std::atomic<uint64_t> cmd_set{0};
-    std::atomic<uint64_t> cmd_touch{0};
-    std::atomic<uint64_t> cmd_delete{0};
-    std::atomic<uint64_t> cmd_flush{0};
-    std::atomic<uint64_t> get_hits{0};
-    std::atomic<uint64_t> get_misses{0};
-    std::atomic<uint64_t> protocol_errors{0};
-    std::atomic<int64_t> start_time{-1};  // first request, for uptime
-  };
-  static void Bump(std::atomic<uint64_t>& counter) {
-    counter.store(counter.load(std::memory_order_relaxed) + 1,
-                  std::memory_order_relaxed);
-  }
-
   ServerCoreConfig config_;
   StripedStore own_store_;  // the single-reactor store
   StripedStore* store_ = &own_store_;
   Obs* obs_;
+  MetricsRegistry own_registry_;  // a core built without an Obs
+  MetricsRegistry* registry_;
   RequestTelemetry* telemetry_ = nullptr;
   ShardContext shard_;
-  Counters counters_;
 
-  // Fleet counters (resolved once; null when obs is detached).
-  Counter* obs_requests_ = nullptr;
-  Counter* obs_get_hits_ = nullptr;
-  Counter* obs_get_misses_ = nullptr;
-  Counter* obs_sets_ = nullptr;
-  Counter* obs_protocol_errors_ = nullptr;
+  // Request counters, resolved once from registry_.
+  Counter* requests_;
+  Counter* get_hits_;
+  Counter* get_misses_;
+  Counter* sets_;
+  Counter* touches_;
+  Counter* deletes_;
+  Counter* flushes_;
+  Counter* protocol_errors_;
+  std::atomic<int64_t> start_time_{-1};  // first request, for uptime
 };
 
 }  // namespace spotcache::net

@@ -47,8 +47,7 @@ ShardedServer::ShardedServer(const ShardedServerConfig& config, Obs* obs)
     : config_(config),
       obs_(obs),
       shard_count_(std::clamp<uint32_t>(config.threads, 1, kMaxShards)),
-      exchange_(shard_count_),
-      hub_(shard_count_) {}
+      exchange_(shard_count_) {}
 
 bool ShardedServer::Start() {
   using_reuseport_ = shard_count_ > 1 && !config_.force_dispatch &&
@@ -94,7 +93,6 @@ bool ShardedServer::Start() {
       ctx.exchange = using_reuseport_ ? nullptr : &exchange_;
       shard->ConfigureShard(ctx);
       cores_.push_back(&shard->core());
-      shard->AttachMetricsHub(&hub_, i);
       shard->SetDumpMutex(&dump_mu_);
       if (!using_reuseport_ && i == 0) {
         shard->SetDispatcher(true);

@@ -15,23 +15,25 @@
 // peers as kAdoptConn handoffs through the ShardExchange (sharding.h). That
 // handoff is the exchange's only job.
 //
-// Aggregation surfaces:
+// Aggregation surfaces: each request fact is one counter in its reactor's
+// registry, and both surfaces read those counters directly.
 //   * `stats` / `stats spotcache` — the serving reactor reads the store's
 //     totals under the stripe locks and sums every reactor's request
 //     counters (ServerCore::Snapshot).
-//   * Prometheus scrape (`--metrics-port`, reactor 0's loop) — reactors
-//     epoch-publish registry copies into a MetricsHub; the scrape renders
-//     the aggregate, never a mid-update counter (metrics_hub.h). The store
-//     gauges are published by reactor 0 only, so the hub's sum counts the
-//     shared store once.
+//   * Prometheus scrape (`--metrics-port`, reactor 0's loop) — reactor 0
+//     renders the sum of every reactor's registry (NetServer::RenderMetrics)
+//     while the others keep serving. Registry values are single-writer
+//     relaxed atomics, and the walk holds each registry's lock against lazy
+//     registration (metrics_registry.h). The store gauges are set by
+//     reactor 0 only, so the sum counts the shared store once.
 //   * SIGUSR1 flight recorder — RequestTelemetryDump() fans out to every
 //     reactor (async-signal-safe); dumps append to one shared span file
-//     under a shared mutex, and reactor 0 writes the hub-aggregated metrics
-//     file.
+//     under a shared mutex, and reactor 0 writes the same summed metrics
+//     file the scrape serves.
 //
 // threads == 1 is a true passthrough: one NetServer serving its own
-// one-stripe store (one global LRU), no exchange, no hub — byte-identical
-// behavior to the plain server.
+// one-stripe store (one global LRU), no exchange — byte-identical behavior
+// to the plain server.
 
 #pragma once
 
@@ -43,7 +45,6 @@
 
 #include "src/net/server.h"
 #include "src/net/sharding.h"
-#include "src/obs/metrics_hub.h"
 #include "src/obs/obs.h"
 
 namespace spotcache::net {
@@ -113,7 +114,6 @@ class ShardedServer {
 
   NetServer& shard(size_t i) { return *shards_[i]; }
   Obs& shard_obs(size_t i) { return *shard_obs_[i]; }
-  MetricsHub& hub() { return hub_; }
 
   /// The store's totals and every reactor's request counters (what `stats`
   /// reports).
@@ -129,7 +129,6 @@ class ShardedServer {
   std::unique_ptr<StripedStore> store_;  // threads > 1 only
   std::vector<const ServerCore*> cores_;
   ShardExchange exchange_;
-  MetricsHub hub_;  // one slot per reactor
   std::mutex dump_mu_;
   std::vector<std::unique_ptr<Obs>> shard_obs_;
   std::vector<std::unique_ptr<NetServer>> shards_;

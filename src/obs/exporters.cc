@@ -130,6 +130,7 @@ std::string ToCsvTimeSeries(const MetricsRegistry& registry) {
 }
 
 std::string ToPrometheusText(const MetricsRegistry& registry) {
+  const auto lock = registry.Lock();
   std::string out;
   for (const auto& [full, counter] : registry.counters()) {
     AppendLine(&out, full, "", std::to_string(counter.value()));
@@ -145,31 +146,59 @@ std::string ToPrometheusText(const MetricsRegistry& registry) {
   for (const auto& [full, hist] : registry.histograms()) {
     // Prometheus-convention cumulative buckets over the LogHistogram
     // geometry. Empty buckets are skipped (cumulative counts make them
-    // redundant); the +Inf bucket always closes the series at _count.
-    const std::vector<uint64_t>& buckets = hist.log_histogram().buckets();
+    // redundant). The top bucket also holds out-of-range values, so it has
+    // no finite edge: the +Inf bucket closes the series, and _count is the
+    // same bucket sum, so the two agree even while a reactor records.
     uint64_t cumulative = 0;
-    for (size_t b = 0; b < buckets.size(); ++b) {
-      if (buckets[b] == 0) {
+    for (size_t b = 0; b < Histogram::kBuckets; ++b) {
+      const uint64_t n = hist.bucket(b);
+      if (n == 0) {
         continue;
       }
-      cumulative += buckets[b];
+      cumulative += n;
+      if (b + 1 == Histogram::kBuckets) {
+        break;
+      }
       const std::pair<std::string, std::string> le{
-          "le", Num(hist.log_histogram().BucketUpperBound(b))};
+          "le", Num(Histogram::BucketUpperBound(b))};
       AppendLine(&out, full, "_bucket", std::to_string(cumulative), &le);
     }
+    const std::string count = std::to_string(cumulative);
     const std::pair<std::string, std::string> le_inf{"le", "+Inf"};
-    AppendLine(&out, full, "_bucket",
-               std::to_string(static_cast<int64_t>(hist.count())), &le_inf);
+    AppendLine(&out, full, "_bucket", count, &le_inf);
     AppendLine(&out, full, "_sum", Num(hist.sum()));
-    AppendLine(&out, full, "_count",
-               std::to_string(static_cast<int64_t>(hist.count())));
+    AppendLine(&out, full, "_count", count);
     AppendLine(&out, full, "_mean", Num(hist.mean()));
-    AppendLine(&out, full, "_p50", Num(hist.Quantile(0.5)));
-    AppendLine(&out, full, "_p95", Num(hist.Quantile(0.95)));
-    AppendLine(&out, full, "_p99", Num(hist.Quantile(0.99)));
+    const std::vector<double> qs = hist.Quantiles({0.5, 0.95, 0.99});
+    AppendLine(&out, full, "_p50", Num(qs[0]));
+    AppendLine(&out, full, "_p95", Num(qs[1]));
+    AppendLine(&out, full, "_p99", Num(qs[2]));
     AppendLine(&out, full, "_max", Num(hist.max_recorded()));
   }
   return out;
+}
+
+std::string ToPrometheusText(
+    std::span<const MetricsRegistry* const> registries) {
+  if (registries.size() == 1) {
+    return ToPrometheusText(*registries[0]);
+  }
+  // Keys are canonical full names already, so registering one again by its
+  // full key lands on the same metric in `sum`.
+  MetricsRegistry sum;
+  for (const MetricsRegistry* registry : registries) {
+    const auto lock = registry->Lock();
+    for (const auto& [name, counter] : registry->counters()) {
+      sum.GetCounter(name)->Increment(counter.value());
+    }
+    for (const auto& [name, gauge] : registry->gauges()) {
+      sum.GetGauge(name)->Add(gauge.value());
+    }
+    for (const auto& [name, hist] : registry->histograms()) {
+      sum.GetHistogram(name)->MergeFrom(hist);
+    }
+  }
+  return ToPrometheusText(sum);
 }
 
 bool WriteStringToFile(const std::string& path, std::string_view content) {

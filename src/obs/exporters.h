@@ -6,6 +6,7 @@
 
 #pragma once
 
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -28,7 +29,15 @@ std::string ToCsvTimeSeries(const MetricsRegistry& registry);
 /// expose cumulative _bucket{le=...} series over the LogHistogram geometry
 /// (empty buckets elided, closed by le="+Inf"), plus _sum, _count, _mean,
 /// _p50, _p95, _p99, and _max.
+/// Safe from any thread while the registry's owner keeps recording.
 std::string ToPrometheusText(const MetricsRegistry& registry);
+
+/// The Prometheus text of the sum of `registries`: counters and histograms
+/// add, gauges sum. Safe from any thread while the registries' owners keep
+/// recording: this is what a multi-reactor server's scrape, metrics dump
+/// and shutdown snapshot render.
+std::string ToPrometheusText(
+    std::span<const MetricsRegistry* const> registries);
 
 /// Overwrites `path` with `content`; returns false (and logs) on failure.
 bool WriteStringToFile(const std::string& path, std::string_view content);

@@ -8,15 +8,35 @@
 //     one null check + one increment, never a map lookup.
 //   * Iteration order is the lexicographic full-name order (std::map), so
 //     every exporter snapshot is deterministic.
-//   * Histograms are backed by util's LogHistogram (O(1) record, ~5 %
-//     relative-error quantiles) — cheap enough for per-request recording.
+//   * Histograms keep util's LogHistogram geometry (1e-6 floor, 5 % growth:
+//     O(1) record, ~2.5 % relative-error quantiles) in a fixed bucket array.
 //   * Series are keyed by SimTime, not wall time, so exported CSV streams are
 //     bit-identical under deterministic replay.
+//
+// Threading: one writer, any number of readers.
+//   * Every Counter, Gauge and Histogram value is a relaxed atomic updated by
+//     one thread with a load and a store, never a read-modify-write. That
+//     costs what a plain increment costs on x86, and lets another thread read
+//     the value at any time. Two threads must not update one metric.
+//   * A histogram's buckets never move, so a reader sees each bucket whole.
+//     count() is the bucket sum, so the exported +Inf bucket always equals
+//     _count; _sum and _max may run a sample ahead of or behind the buckets.
+//   * Get*, AddSample, CounterValue and GaugeValue take the registry's mutex,
+//     so the owner may register a metric lazily while another thread walks
+//     the counters()/gauges()/histograms()/series() views under Lock().
+//     The owner walks them without the lock. Updates through resolved
+//     pointers take no lock.
+//
+// The multi-reactor server gives each reactor its own registry; the reactor
+// that answers a scrape sums all of them (exporters.h).
 
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -32,48 +52,68 @@ using MetricLabels = std::vector<std::pair<std::string, std::string>>;
 
 class Counter {
  public:
-  void Increment(int64_t n = 1) { value_ += n; }
+  void Increment(int64_t n = 1) {
+    value_.store(value_.load(std::memory_order_relaxed) + n,
+                 std::memory_order_relaxed);
+  }
   /// For porting pre-aggregated totals (e.g. FaultCounters) onto the registry.
-  void Set(int64_t v) { value_ = v; }
-  int64_t value() const { return value_; }
+  void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }
+  int64_t value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
-  int64_t value_ = 0;
+  std::atomic<int64_t> value_{0};
 };
 
 class Gauge {
  public:
-  void Set(double v) { value_ = v; }
-  void Add(double d) { value_ += d; }
-  double value() const { return value_; }
+  void Set(double v) { value_.store(v, std::memory_order_relaxed); }
+  void Add(double d) { Set(value() + d); }
+  double value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
-  double value_ = 0.0;
+  std::atomic<double> value_{0.0};
 };
 
 class Histogram {
  public:
-  void Record(double v) { hist_.Record(v); }
-  uint64_t count() const { return hist_.count(); }
-  double mean() const { return hist_.mean(); }
-  double sum() const { return hist_.sum(); }
-  double max_recorded() const { return hist_.max_recorded(); }
-  double Quantile(double q) const { return hist_.Quantile(q); }
+  /// LogHistogram's default geometry: bucket 0 holds values <= kMinValue,
+  /// bucket b holds (kMinValue * kGrowth^(b-1), kMinValue * kGrowth^b].
+  static constexpr double kMinValue = 1e-6;
+  static constexpr double kGrowth = 1.05;
+  /// Covers kMinValue .. ~1e4; the top bucket also absorbs larger values
+  /// (max_recorded() stays exact).
+  static constexpr size_t kBuckets = 473;
+
+  void Record(double v);
+  /// Sum of the bucket counts.
+  uint64_t count() const;
+  double mean() const;
+  double sum() const { return sum_.load(std::memory_order_relaxed); }
+  double max_recorded() const { return max_.load(std::memory_order_relaxed); }
+  double Quantile(double q) const { return log_histogram().Quantile(q); }
   /// Batched quantiles (ascending `qs`); one cumulative pass.
   std::vector<double> Quantiles(const std::vector<double>& qs) const {
-    return hist_.Quantiles(qs);
+    return log_histogram().Quantiles(qs);
   }
 
-  /// Folds another histogram's samples into this one (exact on bucket
-  /// counts; see LogHistogram::Merge). All registry histograms share the
-  /// same bucket geometry, so any two are mergeable.
-  void MergeFrom(const Histogram& other) { hist_.Merge(other.hist_); }
-  /// The underlying log-bucketed histogram (per-connection recorders merge
-  /// through this when aggregating outside a registry).
-  const LogHistogram& log_histogram() const { return hist_; }
+  uint64_t bucket(size_t b) const {
+    return buckets_[b].load(std::memory_order_relaxed);
+  }
+  /// Inclusive upper edge of bucket `b` (the exported `le`).
+  static double BucketUpperBound(size_t b);
+
+  /// Folds another histogram's samples into this one (bucket-exact). The
+  /// caller must be this histogram's writer.
+  void MergeFrom(const Histogram& other);
+  /// A LogHistogram with the same bucket counts, quantiles and max. Its
+  /// samples sit at bucket midpoints, the highest bucket's at max, so its sum
+  /// is an estimate (and values above the range move to max's bucket).
+  LogHistogram log_histogram() const;
 
  private:
-  LogHistogram hist_{1e-6, 1.05};
+  std::array<std::atomic<uint64_t>, kBuckets> buckets_{};
+  std::atomic<double> sum_{0.0};
+  std::atomic<double> max_{0.0};
 };
 
 /// An append-only (sim time, value) series for CSV export.
@@ -105,7 +145,11 @@ class MetricsRegistry {
   /// Value of a gauge, or 0.0 if it was never registered.
   double GaugeValue(std::string_view name, MetricLabels labels = {}) const;
 
-  /// Deterministically ordered views for exporters.
+  /// Held by a thread other than the owner while it walks the views below.
+  std::unique_lock<std::mutex> Lock() const {
+    return std::unique_lock<std::mutex>(mu_);
+  }
+  /// Deterministically ordered views.
   const std::map<std::string, Counter>& counters() const { return counters_; }
   const std::map<std::string, Gauge>& gauges() const { return gauges_; }
   const std::map<std::string, Histogram>& histograms() const {
@@ -114,6 +158,7 @@ class MetricsRegistry {
   const std::map<std::string, MetricSeries>& series() const { return series_; }
 
  private:
+  mutable std::mutex mu_;  // guards the maps' structure, not the values
   // std::map: stable addresses across inserts (Get* pointers never dangle).
   std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;
