@@ -33,7 +33,7 @@
 //                      this long after it was sent fails its upstream
 //                      (default 250)
 //   --trace=FILE       on shutdown, write the JSONL event stream
-//   --metrics=FILE     on shutdown, write a Prometheus-style snapshot
+//   --metrics=FILE     on shutdown, write the live scrape's Prometheus text
 //   --metrics-port=N   serve live Prometheus text over HTTP on port N
 //   --spans=FILE       flight-recorder dump target (SIGUSR1 / slow-request)
 //   --span-sample=N    span-sample every ~Nth request (default 256)
@@ -279,7 +279,7 @@ int main(int argc, char** argv) {
     std::printf("trace written to %s\n", trace_path.c_str());
   }
   if (!metrics_path.empty() &&
-      WriteStringToFile(metrics_path, ToPrometheusText(obs.registry))) {
+      WriteStringToFile(metrics_path, server.RenderMetrics())) {
     std::printf("metrics snapshot written to %s\n", metrics_path.c_str());
   }
   if (!config.span_dump_path.empty() && server.telemetry() != nullptr &&
@@ -290,8 +290,8 @@ int main(int argc, char** argv) {
                 config.span_dump_path.c_str());
   }
 
-  const proxy::ProxyStats& stats = proxy_core.stats();
-  const proxy::UpstreamPoolStats& pool = proxy_core.pool().stats();
+  const proxy::ProxyStats stats = proxy_core.stats();
+  const proxy::UpstreamPoolStats pool = proxy_core.pool().stats();
   std::printf(
       "proxied: %llu requests, %llu get keys (%llu hits, %llu backup, "
       "%llu misses, %llu sheds), %llu sets (%llu failed), "

@@ -57,35 +57,67 @@ RequestOutcome Worse(RequestOutcome a, RequestOutcome b) {
 
 }  // namespace
 
+ProxyCore::Counters::Counters(MetricsRegistry& registry)
+    : requests(registry.GetCounter("proxy/requests")),
+      gets(registry.GetCounter("proxy/gets")),
+      get_keys(registry.GetCounter("proxy/get_keys")),
+      get_hits(registry.GetCounter("proxy/get_hits")),
+      backup_hits(registry.GetCounter("proxy/backup_hits")),
+      get_misses(registry.GetCounter("proxy/get_misses")),
+      sheds(registry.GetCounter("proxy/sheds")),
+      sets(registry.GetCounter("proxy/sets")),
+      set_primary(registry.GetCounter("proxy/set_primary")),
+      set_backup(registry.GetCounter("proxy/set_backup")),
+      set_failures(registry.GetCounter("proxy/set_failures")),
+      deletes(registry.GetCounter("proxy/deletes")),
+      touches(registry.GetCounter("proxy/touches")),
+      flushes(registry.GetCounter("proxy/flushes")),
+      reloads(registry.GetCounter("proxy/reloads")),
+      reload_failures(registry.GetCounter("proxy/reload_failures")),
+      protocol_errors(registry.GetCounter("proxy/protocol_errors")) {}
+
 ProxyCore::ProxyCore(const ProxyCoreConfig& config, Obs* obs,
                      EventTracer* tracer)
-    : config_(config), pool_(config.upstreams, tracer) {
-  if (obs != nullptr) {
-    obs_requests_ = obs->registry.GetCounter("proxy/requests");
-    obs_get_hits_ = obs->registry.GetCounter("proxy/get_hits");
-    obs_backup_hits_ = obs->registry.GetCounter("proxy/backup_hits");
-    obs_misses_ = obs->registry.GetCounter("proxy/get_misses");
-    obs_sheds_ = obs->registry.GetCounter("proxy/sheds");
-    obs_sets_ = obs->registry.GetCounter("proxy/sets");
-    obs_absorbed_ = obs->registry.GetCounter("proxy/absorbed_failures");
-    obs_reconnects_ = obs->registry.GetCounter("proxy/reconnects");
-    obs_reloads_ = obs->registry.GetCounter("proxy/reloads");
-    obs_protocol_errors_ = obs->registry.GetCounter("proxy/protocol_errors");
-  }
+    : config_(config),
+      registry_(obs != nullptr ? &obs->registry : &own_registry_),
+      counters_(*registry_),
+      pool_(config.upstreams, tracer, registry_) {}
+
+ProxyStats ProxyCore::stats() const {
+  const auto v = [](const Counter* c) {
+    return static_cast<uint64_t>(c->value());
+  };
+  const Counters& c = counters_;
+  return ProxyStats{
+      .requests = v(c.requests),
+      .gets = v(c.gets),
+      .get_keys = v(c.get_keys),
+      .get_hits = v(c.get_hits),
+      .backup_hits = v(c.backup_hits),
+      .misses = v(c.get_misses),
+      .sheds = v(c.sheds),
+      .sets = v(c.sets),
+      .set_primary = v(c.set_primary),
+      .set_backup = v(c.set_backup),
+      .set_failures = v(c.set_failures),
+      .deletes = v(c.deletes),
+      .touches = v(c.touches),
+      .flushes = v(c.flushes),
+      .reloads = v(c.reloads),
+      .reload_failures = v(c.reload_failures),
+      .protocol_errors = v(c.protocol_errors),
+  };
 }
 
 bool ProxyCore::ReloadMembership(const std::string& path) {
   std::string error;
   const auto m = LoadMembership(path, &error);
   if (!m.has_value()) {
-    ++stats_.reload_failures;
+    counters_.reload_failures->Increment();
     return false;
   }
   pool_.ApplyMembership(*m);
-  ++stats_.reloads;
-  if (obs_reloads_ != nullptr) {
-    obs_reloads_->Increment();
-  }
+  counters_.reloads->Increment();
   return true;
 }
 
@@ -93,8 +125,8 @@ void ProxyCore::RenderRetrieve(const Request& r, net::ResponseAssembler* out,
                                RequestOutcome* outcome,
                                uint32_t* value_bytes) {
   const OpResult& result = pool_.result(r.op);
-  ++stats_.gets;
-  stats_.get_keys += result.key_count();
+  counters_.gets->Increment();
+  counters_.get_keys->Increment(static_cast<int64_t>(result.key_count()));
   const bool with_cas = r.verb == net::Verb::kGets;
 
   *outcome = RequestOutcome::kHit;
@@ -115,29 +147,17 @@ void ProxyCore::RenderRetrieve(const Request& r, net::ResponseAssembler* out,
       out->Append("\r\n");
       *value_bytes += static_cast<uint32_t>(fetch.data.size());
       if (fetch.rung == ServedRung::kBackup) {
-        ++stats_.backup_hits;
-        if (obs_backup_hits_ != nullptr) {
-          obs_backup_hits_->Increment();
-        }
+        counters_.backup_hits->Increment();
         *outcome = Worse(*outcome, RequestOutcome::kBackup);
       } else {
-        ++stats_.get_hits;
-        if (obs_get_hits_ != nullptr) {
-          obs_get_hits_->Increment();
-        }
+        counters_.get_hits->Increment();
       }
     } else if (fetch.rung == ServedRung::kNone) {
       // Nothing reachable: absorbed as a shed, reported as a plain miss.
-      ++stats_.sheds;
-      if (obs_sheds_ != nullptr) {
-        obs_sheds_->Increment();
-      }
+      counters_.sheds->Increment();
       *outcome = Worse(*outcome, RequestOutcome::kShed);
     } else {
-      ++stats_.misses;
-      if (obs_misses_ != nullptr) {
-        obs_misses_->Increment();
-      }
+      counters_.get_misses->Increment();
       *outcome = Worse(*outcome, RequestOutcome::kMiss);
     }
   }
@@ -182,14 +202,11 @@ void ProxyCore::RenderForwarded(const Request& r,
                        r.verb == net::Verb::kAdd ||
                        r.verb == net::Verb::kReplace;
   if (storage) {
-    ++stats_.sets;
-    if (obs_sets_ != nullptr) {
-      obs_sets_->Increment();
-    }
+    counters_.sets->Increment();
   } else if (r.verb == net::Verb::kDelete) {
-    ++stats_.deletes;
+    counters_.deletes->Increment();
   } else {
-    ++stats_.touches;
+    counters_.touches->Increment();
   }
 
   // The command went upstream WITHOUT noreply and its status line was
@@ -200,9 +217,9 @@ void ProxyCore::RenderForwarded(const Request& r,
   if (result.line.has_value()) {
     if (storage) {
       if (result.rung == ServedRung::kBackup) {
-        ++stats_.set_backup;
+        counters_.set_backup->Increment();
       } else {
-        ++stats_.set_primary;
+        counters_.set_primary->Increment();
       }
       *outcome = *result.line == "STORED" ? RequestOutcome::kStored
                                           : RequestOutcome::kNotStored;
@@ -222,14 +239,12 @@ void ProxyCore::RenderForwarded(const Request& r,
   }
 
   // No rung reachable. Never lie about a write landing: surface a
-  // SERVER_ERROR (suppressed under noreply, like every status reply).
+  // SERVER_ERROR (suppressed under noreply, like every status reply). The
+  // pool counts the lost command as unreachable.
   if (storage) {
-    ++stats_.set_failures;
+    counters_.set_failures->Increment();
   }
   *outcome = RequestOutcome::kShed;
-  if (obs_sheds_ != nullptr) {
-    obs_sheds_->Increment();
-  }
   if (!r.noreply) {
     out->Append("SERVER_ERROR proxy upstream unavailable\r\n");
   }
@@ -239,22 +254,24 @@ void ProxyCore::AppendStats(net::ResponseAssembler* out) {
   // The proxy's own deterministic stats block: pure functions of the
   // request history (no clocks, no uptime), so chunking-invariance holds
   // through the fuzz harness.
-  const UpstreamPoolStats& ps = pool_.stats();
+  const ProxyStats s = stats();
+  const UpstreamPoolStats ps = pool_.stats();
   out->Appendf("STAT version %s\r\n", config_.version.c_str());
-  out->Appendf("STAT proxy_gets %" PRIu64 "\r\n", stats_.gets);
-  out->Appendf("STAT proxy_get_keys %" PRIu64 "\r\n", stats_.get_keys);
-  out->Appendf("STAT proxy_get_hits %" PRIu64 "\r\n", stats_.get_hits);
-  out->Appendf("STAT proxy_backup_hits %" PRIu64 "\r\n", stats_.backup_hits);
-  out->Appendf("STAT proxy_get_misses %" PRIu64 "\r\n", stats_.misses);
-  out->Appendf("STAT proxy_sheds %" PRIu64 "\r\n", stats_.sheds);
-  out->Appendf("STAT proxy_sets %" PRIu64 "\r\n", stats_.sets);
-  out->Appendf("STAT proxy_set_primary %" PRIu64 "\r\n", stats_.set_primary);
-  out->Appendf("STAT proxy_set_backup %" PRIu64 "\r\n", stats_.set_backup);
+  out->Appendf("STAT proxy_requests %" PRIu64 "\r\n", s.requests);
+  out->Appendf("STAT proxy_gets %" PRIu64 "\r\n", s.gets);
+  out->Appendf("STAT proxy_get_keys %" PRIu64 "\r\n", s.get_keys);
+  out->Appendf("STAT proxy_get_hits %" PRIu64 "\r\n", s.get_hits);
+  out->Appendf("STAT proxy_backup_hits %" PRIu64 "\r\n", s.backup_hits);
+  out->Appendf("STAT proxy_get_misses %" PRIu64 "\r\n", s.misses);
+  out->Appendf("STAT proxy_sheds %" PRIu64 "\r\n", s.sheds);
+  out->Appendf("STAT proxy_sets %" PRIu64 "\r\n", s.sets);
+  out->Appendf("STAT proxy_set_primary %" PRIu64 "\r\n", s.set_primary);
+  out->Appendf("STAT proxy_set_backup %" PRIu64 "\r\n", s.set_backup);
   out->Appendf("STAT proxy_set_failures %" PRIu64 "\r\n",
-               stats_.set_failures);
-  out->Appendf("STAT proxy_deletes %" PRIu64 "\r\n", stats_.deletes);
-  out->Appendf("STAT proxy_touches %" PRIu64 "\r\n", stats_.touches);
-  out->Appendf("STAT proxy_flushes %" PRIu64 "\r\n", stats_.flushes);
+               s.set_failures);
+  out->Appendf("STAT proxy_deletes %" PRIu64 "\r\n", s.deletes);
+  out->Appendf("STAT proxy_touches %" PRIu64 "\r\n", s.touches);
+  out->Appendf("STAT proxy_flushes %" PRIu64 "\r\n", s.flushes);
   out->Appendf("STAT proxy_absorbed_failures %" PRIu64 "\r\n",
                ps.absorbed_failures);
   out->Appendf("STAT proxy_reconnects %" PRIu64 "\r\n", ps.reconnects);
@@ -263,9 +280,9 @@ void ProxyCore::AppendStats(net::ResponseAssembler* out) {
   out->Appendf("STAT proxy_unreachable %" PRIu64 "\r\n", ps.unreachable);
   out->Appendf("STAT proxy_nodes %zu\r\n", pool_.node_count());
   out->Appendf("STAT proxy_generation %" PRIu64 "\r\n", pool_.generation());
-  out->Appendf("STAT proxy_reloads %" PRIu64 "\r\n", stats_.reloads);
+  out->Appendf("STAT proxy_reloads %" PRIu64 "\r\n", s.reloads);
   out->Appendf("STAT proxy_protocol_errors %" PRIu64 "\r\n",
-               stats_.protocol_errors);
+               s.protocol_errors);
   out->Append("END\r\n");
 }
 
@@ -344,7 +361,6 @@ void ProxyCore::Service(bool io_ready, std::vector<net::ReplySlot>* ready) {
     r.done = true;
     ready->push_back(r.slot);
   }
-  MirrorPoolCounters();
 }
 
 void ProxyCore::Drop(uint64_t handle) {
@@ -368,10 +384,7 @@ bool ProxyCore::Handle(const net::TextRequest& req, int64_t now,
 
 bool ProxyCore::Finish(uint64_t handle, net::ResponseAssembler* out) {
   const Request& r = requests_[handle];
-  ++stats_.requests;
-  if (obs_requests_ != nullptr) {
-    obs_requests_->Increment();
-  }
+  counters_.requests->Increment();
   RequestOutcome outcome = RequestOutcome::kOther;
   uint32_t value_bytes = 0;
   bool keep_open = true;
@@ -398,7 +411,7 @@ bool ProxyCore::Finish(uint64_t handle, net::ResponseAssembler* out) {
       break;
 
     case net::Verb::kFlushAll:
-      ++stats_.flushes;
+      counters_.flushes->Increment();
       if (!r.noreply) {
         out->Append("OK\r\n");
       }
@@ -409,33 +422,15 @@ bool ProxyCore::Finish(uint64_t handle, net::ResponseAssembler* out) {
       break;
   }
   FreeRequest(handle);
-  MirrorPoolCounters();
   if (telemetry_ != nullptr) {
     telemetry_->OnExecuted(outcome, value_bytes);
   }
   return keep_open;
 }
 
-void ProxyCore::MirrorPoolCounters() {
-  const UpstreamPoolStats& ps = pool_.stats();
-  if (obs_absorbed_ != nullptr) {
-    obs_absorbed_->Increment(
-        static_cast<int64_t>(ps.absorbed_failures - mirrored_absorbed_));
-  }
-  if (obs_reconnects_ != nullptr) {
-    obs_reconnects_->Increment(
-        static_cast<int64_t>(ps.reconnects - mirrored_reconnects_));
-  }
-  mirrored_absorbed_ = ps.absorbed_failures;
-  mirrored_reconnects_ = ps.reconnects;
-}
-
 void ProxyCore::HandleParseError(net::ParseErrorKind kind,
                                  net::ResponseAssembler* out) {
-  ++stats_.protocol_errors;
-  if (obs_protocol_errors_ != nullptr) {
-    obs_protocol_errors_->Increment();
-  }
+  counters_.protocol_errors->Increment();
   out->Append(net::ErrorReply(kind));
 }
 

@@ -30,9 +30,16 @@
 // and calls Service(), and Finish() renders the reply once NetServer
 // releases it in connection order. One stalled upstream therefore delays
 // only the requests whose keys it owns (until their leg deadline sends them
-// down the ladder); every other client keeps its own pace. Counters —
-// proxy_* stats and the proxy/* obs registry — are applied in Finish(), so
-// they follow each connection's request order exactly.
+// down the ladder); every other client keeps its own pace.
+//
+// Counting: each proxy fact is one `proxy/*` counter in a MetricsRegistry —
+// the Obs registry, or one the core owns when built without an Obs — and the
+// core's UpstreamPool counts its own facts into the same registry. Request
+// counters are applied in Finish(), so they follow each connection's request
+// order exactly and `stats` stays a pure function of the request history.
+// The `stats` block (proxy_<name>), the live scrape and the shutdown
+// snapshot (proxy_<name> after the exporter's '/' → '_') all read these
+// counters, so they agree; stats() is a by-value snapshot of them.
 //
 // Handle() stays as the synchronous form (benches and tests drive a core
 // with no server): Start, pump the pool until the request is done, Finish.
@@ -55,8 +62,7 @@ struct ProxyCoreConfig {
   UpstreamPoolConfig upstreams;
 };
 
-/// Monotonic request counters, mirrored into proxy/* obs counters when an
-/// Obs is attached. All loop-thread-only.
+/// A snapshot of the core's proxy/* request counters (see stats()).
 struct ProxyStats {
   uint64_t requests = 0;
   uint64_t gets = 0;        // get/gets commands
@@ -108,7 +114,7 @@ class ProxyCore final : public net::RequestHandler {
 
   UpstreamPool& pool() { return pool_; }
   const UpstreamPool& pool() const { return pool_; }
-  const ProxyStats& stats() const { return stats_; }
+  ProxyStats stats() const;
 
  private:
   /// One request between Start() and Finish().
@@ -131,34 +137,42 @@ class ProxyCore final : public net::RequestHandler {
   void RenderForwarded(const Request& r, net::ResponseAssembler* out,
                        RequestOutcome* outcome);
   void AppendStats(net::ResponseAssembler* out);
-  /// Advances the proxy/* obs mirrors of the pool's failure counters.
-  void MirrorPoolCounters();
   /// Appends the forwarded wire bytes for one request (storage payload and
   /// flags included, noreply stripped) to `wire`.
   static void RebuildWire(const net::TextRequest& req, std::string* wire);
 
+  /// The proxy/* request counters, resolved once from one registry.
+  struct Counters {
+    explicit Counters(MetricsRegistry& registry);
+    Counter* requests;
+    Counter* gets;
+    Counter* get_keys;
+    Counter* get_hits;
+    Counter* backup_hits;
+    Counter* get_misses;
+    Counter* sheds;
+    Counter* sets;
+    Counter* set_primary;
+    Counter* set_backup;
+    Counter* set_failures;
+    Counter* deletes;
+    Counter* touches;
+    Counter* flushes;
+    Counter* reloads;
+    Counter* reload_failures;
+    Counter* protocol_errors;
+  };
+
   ProxyCoreConfig config_;
+  MetricsRegistry own_registry_;  // a core built without an Obs
+  MetricsRegistry* registry_;     // holds the core's and the pool's counters
+  const Counters counters_;
   UpstreamPool pool_;
   RequestTelemetry* telemetry_ = nullptr;
-  ProxyStats stats_;
 
   std::vector<Request> requests_;  // handle = index
   std::vector<uint64_t> free_requests_;
   std::vector<uint64_t> finished_;  // Service() scratch: request handles
-  uint64_t mirrored_absorbed_ = 0;
-  uint64_t mirrored_reconnects_ = 0;
-
-  // proxy/* obs counters (null when obs is detached).
-  Counter* obs_requests_ = nullptr;
-  Counter* obs_get_hits_ = nullptr;
-  Counter* obs_backup_hits_ = nullptr;
-  Counter* obs_misses_ = nullptr;
-  Counter* obs_sheds_ = nullptr;
-  Counter* obs_sets_ = nullptr;
-  Counter* obs_absorbed_ = nullptr;
-  Counter* obs_reconnects_ = nullptr;
-  Counter* obs_reloads_ = nullptr;
-  Counter* obs_protocol_errors_ = nullptr;
 };
 
 }  // namespace spotcache::proxy

@@ -39,9 +39,15 @@ int64_t WallUs() {
 }  // namespace
 
 UpstreamPool::UpstreamPool(const UpstreamPoolConfig& config,
-                           EventTracer* tracer)
+                           EventTracer* tracer, MetricsRegistry* registry)
     : config_(config),
       tracer_(tracer),
+      registry_(registry != nullptr ? registry : &own_registry_),
+      absorbed_failures_(registry_->GetCounter("proxy/absorbed_failures")),
+      reconnects_(registry_->GetCounter("proxy/reconnects")),
+      breaker_skips_(registry_->GetCounter("proxy/breaker_skips")),
+      backup_served_(registry_->GetCounter("proxy/backup_served")),
+      unreachable_(registry_->GetCounter("proxy/unreachable")),
       epoch_us_(WallUs()),
       epoll_fd_(::epoll_create1(EPOLL_CLOEXEC)),
       rbuf_(new char[kRecvChunk]) {}
@@ -58,6 +64,19 @@ UpstreamPool::~UpstreamPool() {
   if (epoll_fd_ >= 0) {
     ::close(epoll_fd_);
   }
+}
+
+UpstreamPoolStats UpstreamPool::stats() const {
+  const auto v = [](const Counter* c) {
+    return static_cast<uint64_t>(c->value());
+  };
+  return UpstreamPoolStats{
+      .absorbed_failures = v(absorbed_failures_),
+      .reconnects = v(reconnects_),
+      .breaker_skips = v(breaker_skips_),
+      .backup_served = v(backup_served_),
+      .unreachable = v(unreachable_),
+  };
 }
 
 SimTime UpstreamPool::Now() const {
@@ -237,20 +256,22 @@ void UpstreamPool::ResolveLeg(OpId op) {
 
 void UpstreamPool::FinishOp(OpId id) {
   Op& op = ops_[id];
+  size_t served = 0;  // keys / writes the backup rung answered
   size_t lost = 0;
   if (op.kind == OpKind::kGet) {
-    stats_.backup_served += op.backup_resolved;
+    served = op.backup_resolved;
     lost = op.fallen - op.backup_resolved;
   } else if (op.kind == OpKind::kLine) {
     if (!op.result.line.line.has_value()) {
       lost = 1;
     } else if (op.result.line.rung == ServedRung::kBackup) {
-      ++stats_.backup_served;
+      served = 1;
     }
   }
   // Unresolved keys / writes stay at their zero-initialized state: a miss
   // (or a nullopt line) on the kNone rung — absorbed, never an error.
-  stats_.unreachable += lost;
+  backup_served_->Increment(static_cast<int64_t>(served));
+  unreachable_->Increment(static_cast<int64_t>(lost));
   if (tracer_ != nullptr && lost > 0) {
     tracer_->Shed(Now(), "proxy_pool", static_cast<double>(lost));
   }
@@ -324,14 +345,7 @@ UpstreamPool::OpId UpstreamPool::SubmitGet(
     auto decided = std::find_if(route_.begin(), route_.end(),
                                 [&](const auto& r) { return r.first == *owner; });
     if (decided == route_.end()) {
-      auto it = nodes_.find(*owner);
-      Upstream* node = it != nodes_.end() ? &it->second : nullptr;
-      const bool usable =
-          node != nullptr && !node->dead && BreakerAllows(*node);
-      if (node != nullptr && !usable) {
-        ++stats_.breaker_skips;
-      }
-      decided = route_.emplace(route_.end(), *owner, usable ? node : nullptr);
+      decided = route_.emplace(route_.end(), *owner, Admit(*owner));
     }
     if (decided->second != nullptr) {
       Enqueue(*decided->second, Leg{id, static_cast<uint32_t>(i)});
@@ -345,19 +359,25 @@ UpstreamPool::OpId UpstreamPool::SubmitGet(
   return id;
 }
 
+UpstreamPool::Upstream* UpstreamPool::Admit(uint64_t slot) {
+  const auto it = nodes_.find(slot);
+  if (it == nodes_.end()) {
+    return nullptr;
+  }
+  Upstream& node = it->second;
+  if (!node.dead && BreakerAllows(node)) {
+    return &node;
+  }
+  breaker_skips_->Increment();
+  return nullptr;
+}
+
 void UpstreamPool::RouteLine(OpId id, std::string_view key) {
   ops_[id].legs_left = 1;
   const auto owner = ring_.NodeFor(HashString(key));
-  if (owner.has_value()) {
-    auto it = nodes_.find(*owner);
-    if (it != nodes_.end()) {
-      Upstream& node = it->second;
-      if (!node.dead && BreakerAllows(node)) {
-        Enqueue(node, Leg{id, 0});
-        return;
-      }
-      ++stats_.breaker_skips;
-    }
+  if (Upstream* node = owner.has_value() ? Admit(*owner) : nullptr) {
+    Enqueue(*node, Leg{id, 0});
+    return;
   }
   // Degraded leg: land the command on the backup so warm-up (and backup
   // fall-through reads) see fresh data.
@@ -476,7 +496,7 @@ void UpstreamPool::FinishConnect(Upstream& up) {
 
 void UpstreamPool::OnConnected(Upstream& up) {
   if (up.failed_before) {
-    ++stats_.reconnects;
+    reconnects_->Increment();
     up.failed_before = false;
   }
   Pump(up);  // sends the queued legs (and drops EPOLLOUT when all is out)
@@ -611,7 +631,7 @@ void UpstreamPool::Disconnect(Upstream& up, bool failure) {
     const SimTime now = Now();
     const BreakerState before = up.breaker->state(now);
     up.breaker->RecordFailure(now);
-    ++stats_.absorbed_failures;
+    absorbed_failures_->Increment();
     up.failed_before = true;
     TraceBreaker(up.slot, before, up.breaker->state(Now()));
   }

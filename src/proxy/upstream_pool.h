@@ -52,6 +52,13 @@
 // that did not change keep their connection and breaker history; changed or
 // dead slots reset. The pool is single-threaded by design: it lives inside
 // ProxyCore, which NetServer drives from its one event loop.
+//
+// Counting: each pool fact (absorbed failures, reconnects, breaker skips,
+// backup-served and unreachable keys/writes) is one `proxy/*` counter in a
+// MetricsRegistry — the one passed in (ProxyCore passes its own), or one the
+// pool owns when built without. The pool is the counters' only writer, and
+// stats() is a by-value snapshot of them, so the proxy's `stats` block and
+// its scrape read the same storage.
 
 #pragma once
 
@@ -66,6 +73,7 @@
 #include <vector>
 
 #include "src/net/reply_reader.h"
+#include "src/obs/metrics_registry.h"
 #include "src/obs/trace.h"
 #include "src/proxy/membership.h"
 #include "src/resilience/circuit_breaker.h"
@@ -113,6 +121,7 @@ struct ForwardResult {
   ServedRung rung = ServedRung::kNone;
 };
 
+/// A snapshot of the pool's proxy/* counters (see stats()).
 struct UpstreamPoolStats {
   uint64_t absorbed_failures = 0;  // transport failures hidden by degradation
   uint64_t reconnects = 0;
@@ -145,8 +154,10 @@ class UpstreamPool : private net::ReplyReader::Handler {
   /// Tag for ops that are only ever Wait()-ed on: TakeFinished() skips them.
   static constexpr uint64_t kWaitTag = ~0ULL;
 
+  /// Counts into `registry`, or into a registry of its own when null.
   explicit UpstreamPool(const UpstreamPoolConfig& config,
-                        EventTracer* tracer = nullptr);
+                        EventTracer* tracer = nullptr,
+                        MetricsRegistry* registry = nullptr);
   ~UpstreamPool() override;
 
   UpstreamPool(const UpstreamPool&) = delete;
@@ -223,7 +234,7 @@ class UpstreamPool : private net::ReplyReader::Handler {
   /// will not be reported by TakeFinished().
   void Wait(OpId op);
 
-  const UpstreamPoolStats& stats() const { return stats_; }
+  UpstreamPoolStats stats() const;
   uint64_t generation() const { return generation_; }
   size_t node_count() const { return nodes_.size(); }
   bool has_backup() const { return backup_ != nullptr; }
@@ -283,6 +294,10 @@ class UpstreamPool : private net::ReplyReader::Handler {
   bool BreakerAllows(const Upstream& up) const {
     return up.breaker->closed() || up.breaker->Allow(Now());
   }
+  /// Slot `slot`'s upstream when it admits a leg now; null (counting a
+  /// breaker skip) when it is dead or its breaker is open, and null when the
+  /// slot has no upstream.
+  Upstream* Admit(uint64_t slot);
   void TraceBreaker(uint64_t slot, BreakerState before, BreakerState after);
   void RecordSuccess(Upstream& up);
 
@@ -330,11 +345,18 @@ class UpstreamPool : private net::ReplyReader::Handler {
 
   UpstreamPoolConfig config_;
   EventTracer* tracer_;
+  MetricsRegistry own_registry_;  // a pool built without a registry
+  MetricsRegistry* registry_;
+  // proxy/* counters, resolved once from registry_.
+  Counter* absorbed_failures_;
+  Counter* reconnects_;
+  Counter* breaker_skips_;
+  Counter* backup_served_;
+  Counter* unreachable_;
 
   ConsistentHashRing ring_;
   std::map<uint64_t, Upstream> nodes_;
   std::unique_ptr<Upstream> backup_;
-  UpstreamPoolStats stats_;
   uint64_t generation_ = 0;
   /// Wall anchor for the breakers' SimTime clock (proxy-relative micros).
   int64_t epoch_us_ = 0;
