@@ -27,6 +27,7 @@
 #include "src/loadgen/engine.h"
 #include "src/loadgen/report.h"
 #include "src/net/server.h"
+#include "src/net/server_core.h"
 #include "src/obs/exporters.h"
 
 using namespace spotcache;
@@ -66,7 +67,8 @@ int main(int argc, char** argv) {
   }
 
   net::NetServerConfig server_config;  // ephemeral port
-  net::NetServer server(server_config);
+  net::ServerCore core(net::ServerCoreConfig{});
+  net::NetServer server(server_config, &core);
   if (!server.Start()) {
     std::fprintf(stderr, "failed to start loopback server\n");
     return 1;

@@ -59,6 +59,7 @@
 
 #include "src/net/client.h"
 #include "src/net/server.h"
+#include "src/net/server_core.h"
 #include "src/net/sharded_server.h"
 #include "src/obs/obs.h"
 #include "src/obs/request_telemetry.h"
@@ -162,8 +163,9 @@ net::NetServerConfig MakeConfig(bool instrumented) {
 double PipelinedGetRun(bool instrumented, double budget_s) {
   Obs obs;
   obs.tracer.set_enabled(false);
-  net::NetServer server(MakeConfig(instrumented),
-                        instrumented ? &obs : nullptr);
+  Obs* server_obs = instrumented ? &obs : nullptr;
+  net::ServerCore core(net::ServerCoreConfig{}, server_obs);
+  net::NetServer server(MakeConfig(instrumented), &core, server_obs);
   if (!server.Start()) {
     return 0.0;
   }
@@ -466,8 +468,9 @@ int main(int argc, char** argv) {
 
   Obs obs;
   obs.tracer.set_enabled(false);
-  net::NetServer server(MakeConfig(instrumented),
-                        instrumented ? &obs : nullptr);
+  Obs* server_obs = instrumented ? &obs : nullptr;
+  net::ServerCore core(net::ServerCoreConfig{}, server_obs);
+  net::NetServer server(MakeConfig(instrumented), &core, server_obs);
   if (!server.Start()) {
     std::fprintf(stderr, "failed to start loopback server\n");
     return 1;

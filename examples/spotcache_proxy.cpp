@@ -224,8 +224,7 @@ int main(int argc, char** argv) {
   proxy::ProxyCore proxy_core(proxy_config, &obs, &obs.tracer);
   proxy_core.pool().ApplyMembership(*membership);
 
-  net::NetServer server(config, &obs);
-  server.SetHandler(&proxy_core);
+  net::NetServer server(config, &proxy_core, &obs);
   if (!fleet_path.empty()) {
     server.SetReloadHandler([&proxy_core, &fleet_path] {
       if (proxy_core.ReloadMembership(fleet_path)) {

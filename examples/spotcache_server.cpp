@@ -172,7 +172,7 @@ int main(int argc, char** argv) {
       config.bind_host = arg.substr(7);
     } else if (arg.rfind("--capacity-mb=", 0) == 0) {
       ok = ParseInt(arg.substr(14), 1, kMaxCapacityMb, &n);
-      config.core.capacity_bytes = static_cast<size_t>(n) * 1024 * 1024;
+      scfg.capacity_bytes = static_cast<size_t>(n) * 1024 * 1024;
     } else if (arg.rfind("--threads=", 0) == 0) {
       ok = ParseInt(arg.substr(10), 1, net::kMaxShards, &n);
       scfg.threads = static_cast<uint32_t>(n);
@@ -227,8 +227,8 @@ int main(int argc, char** argv) {
   Obs obs;
   obs.tracer.set_enabled(!trace_path.empty());
 
-  // --threads=1 is a passthrough to one un-sharded NetServer; N > 1 runs N
-  // reactor shards behind one port. Flags and readiness lines are the same.
+  // --threads=1 runs one reactor on this thread; N > 1 runs N reactor
+  // shards behind one port. Flags and readiness lines are the same.
   net::ShardedServer server(scfg, &obs);
   if (!server.Start()) {
     std::fprintf(stderr, "spotcache_server: failed to bind %s:%u\n",
@@ -256,13 +256,13 @@ int main(int argc, char** argv) {
   if (shards == 1) {
     std::printf("spotcache_server listening on %s:%u (capacity %zu MB)\n",
                 config.bind_host.c_str(), server.port(),
-                config.core.capacity_bytes / (1024 * 1024));
+                scfg.capacity_bytes / (1024 * 1024));
   } else {
     std::printf(
         "spotcache_server listening on %s:%u (capacity %zu MB, %u shards "
         "via %s)\n",
         config.bind_host.c_str(), server.port(),
-        config.core.capacity_bytes / (1024 * 1024), shards,
+        scfg.capacity_bytes / (1024 * 1024), shards,
         server.using_reuseport() ? "SO_REUSEPORT" : "dispatch");
   }
   std::fflush(stdout);

@@ -1,11 +1,11 @@
 // The request-execution seam between NetServer's transport loop and whoever
 // answers the protocol.
 //
-// NetServer parses bytes into TextRequests and hands each one to a
-// RequestHandler; ServerCore (the local cache) is the default
-// implementation, and ProxyCore (src/proxy) substitutes a fan-out to a fleet
-// of upstreams behind the identical wire surface. The synchronous contract
-// mirrors ServerCore exactly:
+// NetServer parses bytes into TextRequests and hands each one to the
+// RequestHandler it was built with: ServerCore (the local cache) in
+// spotcache_server, ProxyCore (src/proxy, a fan-out to a fleet of upstreams
+// behind the identical wire surface) in spotcache_proxy. NetServer holds no
+// handler of its own. The synchronous contract mirrors ServerCore exactly:
 //
 //   * Handle() appends the complete reply bytes for one request (noreply
 //     suppression is the handler's job) and returns false when the
@@ -14,6 +14,9 @@
 //     always sent, even under noreply.
 //   * set_telemetry() receives the server's RequestTelemetry so the handler
 //     can classify (op, outcome) per request; handlers may ignore it.
+//   * PublishGauges() sets the gauges the handler derives from what it
+//     serves (ServerCore: the store's). The reactor that renders the scrape
+//     calls it just before rendering; the default has none.
 //
 // Handlers run on the server's loop thread only — no locking required. A
 // handler whose answers come from elsewhere (the proxy's upstreams) must not
@@ -70,6 +73,10 @@ class RequestHandler {
 
   /// Attaches the serving-path telemetry (non-owning; may be null).
   virtual void set_telemetry(RequestTelemetry* telemetry) { (void)telemetry; }
+
+  /// Sets the handler's scrape gauges; the rendering reactor's loop thread
+  /// calls it before every render.
+  virtual void PublishGauges() {}
 
   // --- Deferred replies (used only when poll_fd() >= 0). ----------------
 

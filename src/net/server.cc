@@ -41,16 +41,18 @@ constexpr size_t kMaxPendingReplies = 1024;
 
 }  // namespace
 
-NetServer::NetServer(const NetServerConfig& config, Obs* obs)
+NetServer::NetServer(const NetServerConfig& config, RequestHandler* handler,
+                     Obs* obs)
     : config_(config),
-      core_(config.core, obs),
-      handler_(&core_),
+      handler_(handler),
+      handler_fd_(handler->poll_fd()),
+      deferred_(handler_fd_ >= 0),
       obs_(obs),
       clock_([] { return static_cast<int64_t>(::time(nullptr)); }) {
   const RequestTelemetryConfig& tc = config_.telemetry;
   if (tc.span_sample_every != 0 || tc.latency_sample_every != 0) {
     telemetry_ = std::make_unique<RequestTelemetry>(tc, obs);
-    core_.set_telemetry(telemetry_.get());
+    handler_->set_telemetry(telemetry_.get());
   }
   if (obs_ != nullptr) {
     conns_opened_ = obs_->registry.GetCounter("net/conns_opened");
@@ -213,11 +215,8 @@ bool NetServer::Run() {
       // the deadline has passed when the loop wakes for it).
       const int64_t deadline = handler_->next_deadline_us();
       if (deadline >= 0) {
-        const int64_t until_ms = std::max<int64_t>(
-            0, (deadline - RequestTelemetry::NowMicros() + 999) / 1000);
-        if (timeout_ms < 0 || until_ms < timeout_ms) {
-          timeout_ms = static_cast<int>(until_ms);
-        }
+        timeout_ms = static_cast<int>(std::max<int64_t>(
+            0, (deadline - RequestTelemetry::NowMicros() + 999) / 1000));
       }
     }
     bool handler_io = false;
@@ -275,9 +274,9 @@ bool NetServer::Run() {
     if (deferred_) {
       ServiceHandler(handler_io);
     }
-    if (shard_ctx_.exchange != nullptr) {
+    if (reactor_.exchange != nullptr) {
       // Connections handed over while we were waiting.
-      shard_ctx_.exchange->ServiceInbox(shard_ctx_.self);
+      reactor_.exchange->ServiceInbox(reactor_.self);
     }
     if (reload_requested_.load(std::memory_order_relaxed)) {
       reload_requested_.store(false, std::memory_order_relaxed);
@@ -300,17 +299,17 @@ bool NetServer::Run() {
       }
     }
   }
-  if (ShardExchange* ex = shard_ctx_.exchange; ex != nullptr) {
+  if (ShardExchange* ex = reactor_.exchange; ex != nullptr) {
     // Shutdown drain: the dispatcher may still be blocked awaiting a handoff
     // we owe it. Announce our exit, then keep servicing our inbox until
     // every reactor has left its loop — after which no op can be
     // outstanding (each op is awaited by its sender).
     ex->NotifyStopped();
     while (!ex->AllStopped()) {
-      ex->ServiceInbox(shard_ctx_.self);
+      ex->ServiceInbox(reactor_.self);
       std::this_thread::yield();
     }
-    ex->ServiceInbox(shard_ctx_.self);
+    ex->ServiceInbox(reactor_.self);
   }
   return ok;
 }
@@ -334,13 +333,6 @@ void NetServer::RequestTelemetryDump() {
     const uint64_t one = 1;
     (void)!::write(wake_fd_, &one, sizeof(one));
   }
-}
-
-void NetServer::SetHandler(RequestHandler* handler) {
-  handler_ = handler != nullptr ? handler : &core_;
-  handler_->set_telemetry(telemetry_.get());
-  handler_fd_ = handler_->poll_fd();
-  deferred_ = handler_fd_ >= 0;
 }
 
 void NetServer::SetReloadHandler(std::function<void()> on_reload) {
@@ -378,8 +370,8 @@ void NetServer::DumpTelemetry(const char* reason) {
   // Shards append to one shared span file; the dump mutex keeps each dump's
   // JSONL lines contiguous.
   std::unique_lock<std::mutex> dump_lock;
-  if (dump_mu_ != nullptr) {
-    dump_lock = std::unique_lock<std::mutex>(*dump_mu_);
+  if (reactor_.dump_mu != nullptr) {
+    dump_lock = std::unique_lock<std::mutex>(*reactor_.dump_mu);
   }
   size_t spans = 0;
   if (telemetry_ != nullptr && !config_.span_dump_path.empty()) {
@@ -409,39 +401,39 @@ void NetServer::AcceptReady(int listen_fd, bool metrics) {
     if (fd < 0) {
       return;  // EAGAIN or transient accept error: wait for the next event
     }
-    // Hash-dispatch accept fallback: the dispatcher shard accepts for
-    // everyone and round-robins fds to the other shards (kAdoptConn,
-    // awaited so the fd has exactly one owner at any instant).
-    if (!metrics && dispatcher_) {
-      const uint32_t target = dispatch_rr_++ % shard_ctx_.count;
-      if (target != shard_ctx_.self) {
+    // Hash-dispatch accept fallback: the one reactor with both a cache
+    // listener and an exchange accepts for everyone and round-robins fds to
+    // the others (kAdoptConn, awaited so the fd has exactly one owner at any
+    // instant).
+    if (ShardExchange* ex = reactor_.exchange; !metrics && ex != nullptr) {
+      const uint32_t target = dispatch_rr_++ % ex->shard_count();
+      if (target != reactor_.self) {
         CrossShardOp op;
         op.kind = CrossShardOp::Kind::kAdoptConn;
         op.fd = fd;
-        shard_ctx_.exchange->Submit(shard_ctx_.self, target, &op);
-        shard_ctx_.exchange->Wake(target);
-        shard_ctx_.exchange->AwaitOp(shard_ctx_.self, &op);
+        ex->Submit(reactor_.self, target, &op);
+        ex->Wake(target);
+        ex->AwaitOp(reactor_.self, &op);
         continue;
       }
-    }
-    // Scrape connections have their own small cap so metrics stay reachable
-    // even when the cache listener is at max_connections, and vice versa.
-    const bool over_limit = metrics
-                                ? metrics_conns_ >= kMaxMetricsConns
-                                : conns_.size() - metrics_conns_ >=
-                                      config_.max_connections;
-    if (over_limit) {
-      if (!metrics && conns_rejected_ != nullptr) {
-        conns_rejected_->Increment();
-      }
-      ::close(fd);
-      continue;
     }
     RegisterConn(fd, metrics);
   }
 }
 
 void NetServer::RegisterConn(int fd, bool metrics) {
+  // Scrape connections have their own small cap so metrics stay reachable
+  // even when the cache listener is at max_connections, and vice versa.
+  const bool over_limit = metrics ? metrics_conns_ >= kMaxMetricsConns
+                                  : conns_.size() - metrics_conns_ >=
+                                        config_.max_connections;
+  if (over_limit) {
+    if (!metrics && conns_rejected_ != nullptr) {
+      conns_rejected_->Increment();
+    }
+    ::close(fd);
+    return;
+  }
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   auto conn = std::make_unique<Connection>();
@@ -476,53 +468,26 @@ void NetServer::RegisterConn(int fd, bool metrics) {
   }
 }
 
-void NetServer::AdoptFd(int fd) {
-  if (conns_.size() - metrics_conns_ >= config_.max_connections) {
-    if (conns_rejected_ != nullptr) {
-      conns_rejected_->Increment();
-    }
-    ::close(fd);
-    return;
-  }
-  RegisterConn(fd, /*metrics=*/false);
-}
-
 void NetServer::ExecuteShardOp(CrossShardOp* op) {
   if (op->kind == CrossShardOp::Kind::kAdoptConn) {
-    AdoptFd(op->fd);
+    RegisterConn(op->fd, /*metrics=*/false);
   }
   op->done.store(true, std::memory_order_release);
 }
 
-void NetServer::ConfigureShard(const ShardContext& ctx) {
-  shard_ctx_ = ctx;
-  core_.ConfigureShard(ctx);
-}
-
 std::string NetServer::RenderMetrics() {
-  // The store and the heap are shared by every reactor. Only the rendering
-  // reactor sets their gauges, so the cross-reactor sum counts each once.
-  const StripedStore::Totals store = core_.store().totals();
+  // What the handler serves from and the heap are shared by every reactor.
+  // Only the rendering reactor sets their gauges, so the cross-reactor sum
+  // counts each once.
+  handler_->PublishGauges();
   const HeapStats heap = ReadHeapStats();
   MetricsRegistry& reg = obs_->registry;
-  const auto set = [&reg](const char* name, size_t v) {
-    reg.GetGauge(name)->Set(static_cast<double>(v));
-  };
-  set("net/store_index_bytes", store.index_bytes);
-  set("net/store_items", store.items);
-  set("net/store_bytes", store.bytes_used);
-  set("net/heap_in_use_bytes", heap.in_use);
-  set("net/heap_free_held_bytes", heap.free_held);
-  set("net/heap_mmapped_bytes", heap.mmapped);
-  std::vector<const MetricsRegistry*> registries;
-  if (shard_ctx_.cores == nullptr) {
-    registries.push_back(&reg);
-  } else {
-    for (const ServerCore* core : *shard_ctx_.cores) {
-      registries.push_back(&core->registry());
-    }
-  }
-  return ToPrometheusText(registries);
+  reg.GetGauge("net/heap_in_use_bytes")->Set(static_cast<double>(heap.in_use));
+  reg.GetGauge("net/heap_free_held_bytes")
+      ->Set(static_cast<double>(heap.free_held));
+  reg.GetGauge("net/heap_mmapped_bytes")->Set(static_cast<double>(heap.mmapped));
+  return reactor_.registries != nullptr ? ToPrometheusText(*reactor_.registries)
+                                        : ToPrometheusText(reg);
 }
 
 void NetServer::ConnReadable(Connection* conn) {

@@ -3,16 +3,20 @@
 // Single-threaded epoll loop (level-triggered), one state machine per
 // connection: bytes are recv()'d straight into the connection's
 // RequestParser (zero-copy WritePtr/Commit), every complete request is
-// executed by the shared ServerCore, and the batch's responses go out in one
-// writev over the assembler's iovecs. Short writes spill the remainder into
-// a per-connection pending buffer drained on EPOLLOUT; a pending buffer that
-// exceeds `max_output_buffer` marks a slow consumer and the connection is
-// dropped (counted + traced) rather than ballooning memory.
+// executed by the RequestHandler the server was built with (a ServerCore in
+// the cache server, a ProxyCore in the proxy), and the batch's responses go
+// out in one writev over the assembler's iovecs. The server is transport
+// only: it holds no store and counts no request facts of its own. Short
+// writes spill the remainder into a per-connection pending buffer drained
+// on EPOLLOUT; a pending buffer that exceeds `max_output_buffer` marks a
+// slow consumer and the connection is dropped (counted + traced) rather
+// than ballooning memory.
 //
-// Observability uses the simulator's registry vocabulary: `net/*` counters
-// (conns_opened/conns_closed/bytes_in/bytes_out/slow_consumer_closes plus
-// ServerCore's request counters) and JSONL `conn_open` / `conn_close` /
-// `protocol_error` events stamped with microseconds since server start.
+// Observability uses the simulator's registry vocabulary: `net/*` transport
+// counters (conns_opened/conns_closed/bytes_in/bytes_out/
+// slow_consumer_closes) beside whatever the handler counts, and JSONL
+// `conn_open` / `conn_close` / `protocol_error` events stamped with
+// microseconds since server start.
 //
 // Serving-path telemetry: the server owns a RequestTelemetry that
 // samples request spans (parse -> store -> write phases) and feeds
@@ -26,11 +30,12 @@
 //
 // Live scrape surface: with `metrics_port >= 0` the server opens a second
 // listener in the same epoll loop that answers any HTTP request with the
-// Prometheus text rendering of the registry (RenderMetrics). In a
+// Prometheus text rendering of the registry (RenderMetrics): the handler's
+// PublishGauges(), then the process heap gauges, then the render. In a
 // multi-reactor server only reactor 0 listens, and it renders the sum of
-// every reactor's registry, read directly while the other reactors serve:
-// registry values are single-writer relaxed atomics and map walks take the
-// registry's lock (metrics_registry.h). No reactor publishes anything in the
+// the reactors' registries its owner listed, read directly while the other
+// reactors serve: registry values are single-writer relaxed atomics and map
+// walks take the registry's lock (metrics_registry.h). No reactor publishes anything in the
 // background, so an idle loop sleeps in epoll_wait until an event arrives.
 //
 // Flight-recorder dumps: RequestTelemetryDump() is async-signal-safe
@@ -51,7 +56,7 @@
 // Late completions find their connection by id, so a client that closed
 // with requests in flight is never touched. A connection holding
 // kMaxPendingReplies unanswered requests stops being read until replies
-// drain. The synchronous ServerCore path never touches any of this.
+// drain. A synchronous handler (ServerCore) never touches any of this.
 //
 // Run() owns the calling thread until Stop() (thread-safe, eventfd wakeup)
 // or a fatal listener error. Expiry time is injectable (`SetClock`) so tests
@@ -72,7 +77,6 @@
 #include "src/net/protocol.h"
 #include "src/net/request_handler.h"
 #include "src/net/response.h"
-#include "src/net/server_core.h"
 #include "src/net/sharding.h"
 #include "src/obs/obs.h"
 #include "src/obs/request_telemetry.h"
@@ -88,7 +92,6 @@ struct NetServerConfig {
   size_t recv_chunk = 64 * 1024;
   /// Slow-consumer cap on buffered unsent bytes before the connection drops.
   size_t max_output_buffer = 8 * 1024 * 1024;
-  ServerCoreConfig core;
 
   /// Request-span / latency sampling. Setting both sample periods to 0
   /// disables the telemetry entirely (no per-request sampler step) — the
@@ -114,9 +117,25 @@ struct NetServerConfig {
   bool skip_cache_listener = false;
 };
 
+/// One reactor's place in a multi-reactor server, as the transport sees it
+/// (wired by ShardedServer; the default is a lone server).
+struct ReactorContext {
+  uint32_t self = 0;
+  /// Connection handoff in the accept fallback (null under SO_REUSEPORT):
+  /// the reactor that still has a cache listener accepts for everyone.
+  ShardExchange* exchange = nullptr;
+  /// The registries RenderMetrics sums; null renders this server's alone.
+  const std::vector<const MetricsRegistry*>* registries = nullptr;
+  /// Serializes flight-recorder dumps across reactors (shared span file).
+  std::mutex* dump_mu = nullptr;
+};
+
 class NetServer {
  public:
-  explicit NetServer(const NetServerConfig& config, Obs* obs = nullptr);
+  /// Serves `handler` (non-owning; it must outlive the server). A handler
+  /// with a poll_fd() gets deferred replies (see request_handler.h).
+  NetServer(const NetServerConfig& config, RequestHandler* handler,
+            Obs* obs = nullptr);
   ~NetServer();
 
   NetServer(const NetServer&) = delete;
@@ -140,11 +159,6 @@ class NetServer {
   /// SIGUSR1/SIGHUP call this directly.
   void RequestTelemetryDump();
 
-  /// Substitutes `handler` for the built-in ServerCore (the proxy seam; see
-  /// request_handler.h). A handler with a poll_fd() gets deferred replies.
-  /// Must be called before Run(); the handler must outlive the server.
-  void SetHandler(RequestHandler* handler);
-
   /// Installs the loop-context reload callback RequestReload() triggers.
   /// Must be called before Run(); runs on the loop thread between batches.
   void SetReloadHandler(std::function<void()> on_reload);
@@ -156,33 +170,23 @@ class NetServer {
   /// Unix-seconds clock used for expiry (defaults to the wall clock).
   void SetClock(std::function<int64_t()> now_unix);
 
-  /// Prometheus text of every reactor's registry summed (this one alone
-  /// when unsharded), after setting the store and heap gauges: what the
-  /// scrape, the metrics dump and a shutdown snapshot write. Requires an Obs;
-  /// call it on the loop thread, or after Run() has returned.
+  /// Prometheus text of the listed registries summed (this one alone when
+  /// unsharded), after the handler's gauges and the heap gauges are set:
+  /// what the scrape, the metrics dump and a shutdown snapshot write.
+  /// Requires an Obs; call it on the loop thread, or after Run() has
+  /// returned.
   std::string RenderMetrics();
 
-  ServerCore& core() { return core_; }
-  const ServerCore& core() const { return core_; }
   /// The serving-path telemetry, or nullptr when disabled by config.
   RequestTelemetry* telemetry() { return telemetry_.get(); }
-  size_t connection_count() const { return conns_.size(); }
 
   // --- Sharded serving (wired by ShardedServer; see sharded_server.h). ---
 
-  /// Makes this server reactor ctx.self of ctx.count, serving from the
-  /// shared ctx.store. Must run before Start().
-  void ConfigureShard(const ShardContext& ctx);
-  /// Dispatcher role (hash-dispatch accept fallback): this shard accepts on
-  /// behalf of everyone and round-robins the accepted fds across shards.
-  void SetDispatcher(bool on) { dispatcher_ = on; }
-  /// Adopts an fd handed over by the dispatcher shard. Owning thread only.
-  void AdoptFd(int fd);
+  /// Makes this server reactor ctx.self. Must run before Start().
+  void ConfigureShard(const ReactorContext& ctx) { reactor_ = ctx; }
   /// This reactor's inbox executor (installed into the ShardExchange):
-  /// adopts handed-over connections.
+  /// adopts handed-over connections. Owning thread only.
   void ExecuteShardOp(CrossShardOp* op);
-  /// Serializes flight-recorder dumps across shards (shared span file).
-  void SetDumpMutex(std::mutex* mu) { dump_mu_ = mu; }
   /// The loop's eventfd (the exchange's wake target). Valid after Start().
   int wake_fd() const { return wake_fd_; }
 
@@ -239,7 +243,7 @@ class NetServer {
   /// End-of-batch flush with the span write-stamp bookkeeping.
   void FlushTimed(Connection* conn, RequestTelemetry* t);
   /// Registers an accepted/adopted fd as a live connection (nodelay, epoll,
-  /// counters, traces).
+  /// counters, traces), or closes it when over the connection cap.
   void RegisterConn(int fd, bool metrics);
   /// writev the assembler + pending buffer; buffers any remainder.
   void Flush(Connection* conn);
@@ -259,13 +263,10 @@ class NetServer {
              std::vector<std::pair<std::string, std::string>> fields);
 
   NetServerConfig config_;
-  ServerCore core_;
-  /// The active request executor: &core_ unless SetHandler() swapped in a
-  /// different implementation (e.g. the proxy's fan-out core).
-  RequestHandler* handler_ = nullptr;
+  RequestHandler* handler_;
+  int handler_fd_;  // handler_->poll_fd(), registered in Run()
   /// handler_ defers replies (poll_fd() >= 0): the slot machinery is live.
-  bool deferred_ = false;
-  int handler_fd_ = -1;  // handler_->poll_fd(), registered in Run()
+  bool deferred_;
   std::unordered_map<uint64_t, Connection*> conns_by_id_;  // deferred only
   std::vector<ReplySlot> ready_slots_;  // ServiceHandler scratch
   std::vector<uint64_t> releasing_;     // conn ids with ready slots
@@ -294,10 +295,8 @@ class NetServer {
   std::function<void()> on_reload_;
 
   // Sharded-serving state (inert in the single-threaded server).
-  ShardContext shard_ctx_;
-  bool dispatcher_ = false;
+  ReactorContext reactor_;
   uint32_t dispatch_rr_ = 0;
-  std::mutex* dump_mu_ = nullptr;
 
   // High-water marks mirrored into gauges (kept locally so the hot path
   // compares against a plain size_t, not a double).

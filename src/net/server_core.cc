@@ -289,6 +289,15 @@ void ServerCore::HandleParseError(ParseErrorKind kind, ResponseAssembler* out) {
   out->Append(ErrorReply(kind));
 }
 
+void ServerCore::PublishGauges() {
+  const StripedStore::Totals store = store_->totals();
+  registry_->GetGauge("net/store_index_bytes")->Set(
+      static_cast<double>(store.index_bytes));
+  registry_->GetGauge("net/store_items")->Set(static_cast<double>(store.items));
+  registry_->GetGauge("net/store_bytes")->Set(
+      static_cast<double>(store.bytes_used));
+}
+
 CoreSnapshot ServerCore::Snapshot() const {
   const StripedStore::Totals store = store_->totals();
   CoreSnapshot s;

@@ -19,14 +19,17 @@
 // Stats surfaces: plain `stats` emits the memcached-compatible block;
 // `stats spotcache` emits the server-telemetry extension (event-loop
 // health, sampled span counts, per-(op, outcome) latency quantiles, and the
-// memory gauges: the store index and the process heap).
+// memory figures: the store index and the process heap). The scrape's
+// `net/store_*` gauges come from PublishGauges(), which reads the same
+// StripedStore::totals() that `stats spotcache` prints from.
 
-// Multi-reactor serving: every reactor of a server runs its own ServerCore,
+// Multi-reactor serving: ShardedServer builds one ServerCore per reactor,
 // and all of them serve from one StripedStore (see striped_store.h), so any
 // reactor executes any key on its own thread. ShardContext names the reactor
-// and the shared state. Each request fact is counted once, in the reactor's
-// registry (`net/get_hits`, `net/sets`, ...): the owning reactor is the only
-// writer of its counters, and the reactor that serves `stats` sums every
+// and the shared state; a core built alone serves a one-stripe store of its
+// own. Each request fact is counted once, in the reactor's registry
+// (`net/get_hits`, `net/sets`, ...): the owning reactor is the only writer
+// of its counters, and the reactor that serves `stats` sums every
 // reactor's counters (relaxed atomic reads) and the store's totals. The
 // scrape renders the same counters, so `stats` and the scrape agree.
 // flush_all flushes the shared store, stripe by stripe.
@@ -53,20 +56,16 @@ struct ServerCoreConfig {
 };
 
 class ServerCore;
-class ShardExchange;
 
-/// Identity of one reactor in the multi-reactor server, and what the
-/// reactors share. The default (count 1) is the single-reactor server.
+/// Identity of one reactor's core in the multi-reactor server, and what the
+/// cores share. The default (count 1) is a core serving its own store.
 struct ShardContext {
   uint32_t self = 0;
   uint32_t count = 1;
   /// The store every reactor serves from.
   StripedStore* store = nullptr;
-  /// Every reactor's core, by reactor index, for the `stats` sums and the
-  /// scrape.
+  /// Every reactor's core, by reactor index, for the `stats` sums.
   const std::vector<const ServerCore*>* cores = nullptr;
-  /// Connection handoff in the accept fallback (NetServer's business).
-  ShardExchange* exchange = nullptr;
 };
 
 /// The `stats` figures: the store's totals plus the request counters of
@@ -110,6 +109,11 @@ class ServerCore : public RequestHandler {
   /// protocol errors even on noreply commands).
   void HandleParseError(ParseErrorKind kind, ResponseAssembler* out) override;
 
+  /// Sets the `net/store_*` gauges from one read of the store's totals. The
+  /// store is shared, so only the rendering reactor's core sets them and the
+  /// cross-reactor sum counts it once.
+  void PublishGauges() override;
+
   /// Makes this core reactor `ctx.self` of `ctx.count`, serving from
   /// `ctx.store`. Must be called before serving starts.
   void ConfigureShard(const ShardContext& ctx);
@@ -125,10 +129,6 @@ class ServerCore : public RequestHandler {
   uint64_t protocol_errors() const {
     return static_cast<uint64_t>(protocol_errors_->value());
   }
-
-  /// The registry holding this core's request counters: the Obs registry,
-  /// or, for a core built without one, a registry the core owns.
-  const MetricsRegistry& registry() const { return *registry_; }
 
  private:
   /// (outcome, bytes) classification of one handled request, reported to

@@ -47,16 +47,17 @@ ShardedServer::ShardedServer(const ShardedServerConfig& config, Obs* obs)
     : config_(config),
       obs_(obs),
       shard_count_(std::clamp<uint32_t>(config.threads, 1, kMaxShards)),
+      store_(config.capacity_bytes, shard_count_ > 1 ? kStoreStripes : 1),
       exchange_(shard_count_) {}
 
 bool ShardedServer::Start() {
   using_reuseport_ = shard_count_ > 1 && !config_.force_dispatch &&
                      ReusePortSupported();
-  if (shard_count_ > 1) {
-    store_ = std::make_unique<StripedStore>(config_.base.core.capacity_bytes,
-                                            kStoreStripes);
-    cores_.reserve(shard_count_);
-  }
+  // The exchange carries the accept fallback's handoffs and nothing else, so
+  // SO_REUSEPORT reactors (and a lone reactor) never touch it.
+  const bool dispatch = shard_count_ > 1 && !using_reuseport_;
+  ServerCoreConfig core_config;
+  core_config.capacity_bytes = config_.capacity_bytes;
   for (uint32_t i = 0; i < shard_count_; ++i) {
     NetServerConfig c = config_.base;
     if (i > 0) {
@@ -67,47 +68,38 @@ bool ShardedServer::Start() {
       c.metrics_dump_path.clear();
       // Peers of an ephemeral shard 0 must bind the port it resolved.
       c.port = shards_[0]->port();
-      if (!using_reuseport_) {
-        c.skip_cache_listener = true;
-      }
+      c.skip_cache_listener = !using_reuseport_;
     }
     c.reuse_port = using_reuseport_;
     shard_obs_.push_back(std::make_unique<Obs>());
+    Obs* shard_obs = shard_obs_.back().get();
     // Per-shard tracers inherit the caller's tracer enablement: each ring is
     // only ever touched by its owning reactor thread, and the shutdown path
     // concatenates the per-shard JSONL streams into the one trace file.
-    shard_obs_.back()->tracer.set_enabled(obs_ != nullptr &&
-                                          obs_->tracer.enabled());
-    auto shard = std::make_unique<NetServer>(c, shard_obs_.back().get());
+    shard_obs->tracer.set_enabled(obs_ != nullptr && obs_->tracer.enabled());
+    cores_.push_back(std::make_unique<ServerCore>(core_config, shard_obs));
+    cores_.back()->ConfigureShard({i, shard_count_, &store_, &core_list_});
+    core_list_.push_back(cores_.back().get());
+    registries_.push_back(&shard_obs->registry);
+    auto shard =
+        std::make_unique<NetServer>(c, cores_.back().get(), shard_obs);
     if (clock_) {
       shard->SetClock(clock_);
     }
-    if (shard_count_ > 1) {
-      ShardContext ctx;
-      ctx.self = i;
-      ctx.count = shard_count_;
-      ctx.store = store_.get();
-      ctx.cores = &cores_;
-      // The exchange carries the accept fallback's handoffs and nothing
-      // else, so SO_REUSEPORT reactors never touch it.
-      ctx.exchange = using_reuseport_ ? nullptr : &exchange_;
-      shard->ConfigureShard(ctx);
-      cores_.push_back(&shard->core());
-      shard->SetDumpMutex(&dump_mu_);
-      if (!using_reuseport_ && i == 0) {
-        shard->SetDispatcher(true);
-      }
-    }
+    shard->ConfigureShard(
+        {i, dispatch ? &exchange_ : nullptr, &registries_, &dump_mu_});
     if (!shard->Start()) {
       SPOTCACHE_LOG(kError) << "shard " << i << " failed to start";
       shards_.clear();
-      shard_obs_.clear();
+      core_list_.clear();
+      registries_.clear();
       cores_.clear();
+      shard_obs_.clear();
       return false;
     }
     shards_.push_back(std::move(shard));
   }
-  if (shard_count_ > 1 && !using_reuseport_) {
+  if (dispatch) {
     for (uint32_t i = 0; i < shard_count_; ++i) {
       exchange_.SetWakeFd(i, shards_[i]->wake_fd());
       exchange_.SetExecutor(i, [s = shards_[i].get()](CrossShardOp* op) {
@@ -164,7 +156,7 @@ void ShardedServer::SetClock(std::function<int64_t()> now_unix) {
 }
 
 CoreSnapshot ShardedServer::TotalSnapshot() const {
-  return shards_.empty() ? CoreSnapshot{} : shards_[0]->core().Snapshot();
+  return cores_.empty() ? CoreSnapshot{} : cores_[0]->Snapshot();
 }
 
 }  // namespace spotcache::net

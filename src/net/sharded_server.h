@@ -1,12 +1,13 @@
 // ShardedServer: N reactors behind one port, serving one shared store.
 //
-// This is memcached's worker model. Each reactor is a full NetServer —
-// private epoll loop, private RequestTelemetry, private Obs registry —
-// running on its own thread, and all of them serve from one StripedStore of
-// kStoreStripes key-hashed stripes, each behind its own mutex. Every reactor
-// runs the plain parse -> ServerCore::Handle -> writev path for every key:
-// no request crosses reactors. A get hit pins the item's block under the
-// stripe lock and releases it on the reactor's own thread.
+// This is memcached's worker model. ShardedServer owns what is served: one
+// StripedStore of key-hashed stripes, each behind its own mutex, and one
+// ServerCore per reactor. Each reactor is a NetServer built around its
+// reactor's core — private epoll loop, private RequestTelemetry, private Obs
+// registry — running on its own thread. Every reactor runs the plain
+// parse -> ServerCore::Handle -> writev path for every key: no request
+// crosses reactors. A get hit pins the item's block under the stripe lock
+// and releases it on the reactor's own thread.
 //
 // Accept strategy: by default every reactor binds the same port with
 // SO_REUSEPORT and the kernel spreads connections by 4-tuple. Where
@@ -21,19 +22,21 @@
 //     totals under the stripe locks and sums every reactor's request
 //     counters (ServerCore::Snapshot).
 //   * Prometheus scrape (`--metrics-port`, reactor 0's loop) — reactor 0
-//     renders the sum of every reactor's registry (NetServer::RenderMetrics)
-//     while the others keep serving. Registry values are single-writer
-//     relaxed atomics, and the walk holds each registry's lock against lazy
-//     registration (metrics_registry.h). The store gauges are set by
-//     reactor 0 only, so the sum counts the shared store once.
+//     renders the sum of every reactor's registry, from the list this class
+//     hands each NetServer (NetServer::RenderMetrics), while the others keep
+//     serving. Registry values are single-writer relaxed atomics, and the
+//     walk holds each registry's lock against lazy registration
+//     (metrics_registry.h). The store gauges are set by reactor 0's core
+//     only (ServerCore::PublishGauges), so the sum counts the store once.
 //   * SIGUSR1 flight recorder — RequestTelemetryDump() fans out to every
 //     reactor (async-signal-safe); dumps append to one shared span file
 //     under a shared mutex, and reactor 0 writes the same summed metrics
 //     file the scrape serves.
 //
-// threads == 1 is a true passthrough: one NetServer serving its own
-// one-stripe store (one global LRU), no exchange — byte-identical behavior
-// to the plain server.
+// The store has one stripe (one global LRU) at threads == 1 and
+// kStoreStripes above; otherwise every thread count is built the same way.
+// threads == 1 runs its one reactor on the calling thread with no exchange,
+// byte-identical to a NetServer around a lone ServerCore.
 
 #pragma once
 
@@ -44,7 +47,9 @@
 #include <vector>
 
 #include "src/net/server.h"
+#include "src/net/server_core.h"
 #include "src/net/sharding.h"
+#include "src/net/striped_store.h"
 #include "src/obs/obs.h"
 
 namespace spotcache::net {
@@ -62,10 +67,11 @@ inline constexpr uint32_t kStoreStripes = 16;
 void PinToCore(uint32_t core);
 
 struct ShardedServerConfig {
-  /// Per-reactor template. `core.capacity_bytes` is the capacity of the
-  /// shared store. The metrics listener / metrics dump run on reactor 0
-  /// only.
+  /// Per-reactor template. The metrics listener / metrics dump run on
+  /// reactor 0 only.
   NetServerConfig base;
+  /// Capacity of the shared store.
+  size_t capacity_bytes = 64 * 1024 * 1024;
   uint32_t threads = 1;  // clamped to [1, kMaxShards]
   /// Pin reactor i to cpu (i % hardware_concurrency); with threads == 1,
   /// the thread that calls Run().
@@ -126,11 +132,14 @@ class ShardedServer {
   uint32_t shard_count_;
   bool using_reuseport_ = false;
 
-  std::unique_ptr<StripedStore> store_;  // threads > 1 only
-  std::vector<const ServerCore*> cores_;
+  // Declared in dependency order, so each is destroyed before what it uses.
+  StripedStore store_;
   ShardExchange exchange_;
   std::mutex dump_mu_;
   std::vector<std::unique_ptr<Obs>> shard_obs_;
+  std::vector<std::unique_ptr<ServerCore>> cores_;
+  std::vector<const ServerCore*> core_list_;        // ShardContext::cores
+  std::vector<const MetricsRegistry*> registries_;  // the scrape's sum
   std::vector<std::unique_ptr<NetServer>> shards_;
 };
 

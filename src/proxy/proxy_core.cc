@@ -278,6 +278,7 @@ void ProxyCore::AppendStats(net::ResponseAssembler* out) {
   out->Appendf("STAT proxy_breaker_skips %" PRIu64 "\r\n", ps.breaker_skips);
   out->Appendf("STAT proxy_backup_served %" PRIu64 "\r\n", ps.backup_served);
   out->Appendf("STAT proxy_unreachable %" PRIu64 "\r\n", ps.unreachable);
+  // The fleet view: the pool's proxy/nodes and proxy/generation gauges.
   out->Appendf("STAT proxy_nodes %zu\r\n", pool_.node_count());
   out->Appendf("STAT proxy_generation %" PRIu64 "\r\n", pool_.generation());
   out->Appendf("STAT proxy_reloads %" PRIu64 "\r\n", s.reloads);

@@ -48,6 +48,8 @@ UpstreamPool::UpstreamPool(const UpstreamPoolConfig& config,
       breaker_skips_(registry_->GetCounter("proxy/breaker_skips")),
       backup_served_(registry_->GetCounter("proxy/backup_served")),
       unreachable_(registry_->GetCounter("proxy/unreachable")),
+      generation_gauge_(registry_->GetGauge("proxy/generation")),
+      nodes_gauge_(registry_->GetGauge("proxy/nodes")),
       epoch_us_(WallUs()),
       epoll_fd_(::epoll_create1(EPOLL_CLOEXEC)),
       rbuf_(new char[kRecvChunk]) {}
@@ -102,6 +104,7 @@ void UpstreamPool::SetNode(uint64_t slot, const std::string& host,
   node.breaker =
       std::make_unique<CircuitBreaker>(config_.breaker, config_.seed, slot);
   ring_.SetNode(slot, 1.0);
+  nodes_gauge_->Set(static_cast<double>(nodes_.size()));
 }
 
 void UpstreamPool::SetBackup(const std::string& host, uint16_t port) {
@@ -131,6 +134,7 @@ void UpstreamPool::MarkDead(uint64_t slot) {
         std::make_unique<CircuitBreaker>(config_.breaker, config_.seed, slot);
     node.dead = true;
     ring_.SetNode(slot, 1.0);
+    nodes_gauge_->Set(static_cast<double>(nodes_.size()));
     return;
   }
   Upstream& node = it->second;
@@ -152,6 +156,7 @@ void UpstreamPool::RemoveNode(uint64_t slot) {
   Retire(it->second);
   nodes_.erase(it);
   ring_.RemoveNode(slot);
+  nodes_gauge_->Set(static_cast<double>(nodes_.size()));
 }
 
 void UpstreamPool::ApplyMembership(const FleetMembership& m) {
@@ -185,7 +190,7 @@ void UpstreamPool::ApplyMembership(const FleetMembership& m) {
       SetNode(n.slot, n.host, n.port);
     }
   }
-  generation_ = m.generation;
+  generation_gauge_->Set(static_cast<double>(m.generation));
 }
 
 std::optional<uint64_t> UpstreamPool::OwnerOf(std::string_view key) const {

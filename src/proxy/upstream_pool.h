@@ -176,7 +176,8 @@ class UpstreamPool : private net::ReplyReader::Handler {
 
   /// Applies a whole membership document: unchanged endpoints keep their
   /// breaker and connection, changed ones reset, absent slots are removed,
-  /// `dead` slots are marked. Records the document's generation.
+  /// `dead` slots are marked. Records the document's generation in the
+  /// `proxy/generation` gauge (`proxy/nodes` follows every slot change).
   void ApplyMembership(const FleetMembership& m);
 
   // --- Asynchronous engine. ----------------------------------------------
@@ -235,8 +236,13 @@ class UpstreamPool : private net::ReplyReader::Handler {
   void Wait(OpId op);
 
   UpstreamPoolStats stats() const;
-  uint64_t generation() const { return generation_; }
-  size_t node_count() const { return nodes_.size(); }
+  /// The fleet view, read from the proxy/generation and proxy/nodes gauges.
+  uint64_t generation() const {
+    return static_cast<uint64_t>(generation_gauge_->value());
+  }
+  size_t node_count() const {
+    return static_cast<size_t>(nodes_gauge_->value());
+  }
   bool has_backup() const { return backup_ != nullptr; }
   /// The slot owning `key` (for tests).
   std::optional<uint64_t> OwnerOf(std::string_view key) const;
@@ -353,11 +359,12 @@ class UpstreamPool : private net::ReplyReader::Handler {
   Counter* breaker_skips_;
   Counter* backup_served_;
   Counter* unreachable_;
+  Gauge* generation_gauge_;
+  Gauge* nodes_gauge_;  // nodes_.size(), set wherever a slot is added/removed
 
   ConsistentHashRing ring_;
   std::map<uint64_t, Upstream> nodes_;
   std::unique_ptr<Upstream> backup_;
-  uint64_t generation_ = 0;
   /// Wall anchor for the breakers' SimTime clock (proxy-relative micros).
   int64_t epoch_us_ = 0;
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validates a Prometheus text-exposition payload (CI loadgen-smoke gate).
 
-Usage: check_prom.py FILE [--require NAME]...
+Usage: check_prom.py FILE [--require NAME]... [--forbid NAME]...
 
 Checks, line by line and across the document:
   * every non-comment line is `name{labels} value` with a legal metric name,
@@ -13,7 +13,9 @@ Checks, line by line and across the document:
     non-decreasing `le` edges, is closed by le="+Inf", and the +Inf count
     equals the histogram's `_count`;
   * each --require NAME appears as a series prefix (used by CI to assert the
-    scrape actually contains the serving-path metrics).
+    scrape actually contains the serving-path metrics);
+  * no series starts with any --forbid NAME (used by CI to assert that the
+    proxy's scrape carries no cache-server series).
 
 Exits 0 when valid; prints every violation and exits 1 otherwise.
 """
@@ -58,11 +60,14 @@ def split_labels(raw):
 
 def main():
     args = sys.argv[1:]
-    required = []
-    while '--require' in args:
-        idx = args.index('--require')
-        required.append(args[idx + 1])
-        del args[idx:idx + 2]
+    prefixes = {'--require': [], '--forbid': []}
+    for flag, names in prefixes.items():
+        while flag in args[:-1]:
+            idx = args.index(flag)
+            names.append(args[idx + 1])
+            del args[idx:idx + 2]
+    required = prefixes['--require']
+    forbidden = prefixes['--forbid']
     if len(args) != 1:
         print(__doc__)
         return 2
@@ -159,6 +164,10 @@ def main():
     for name in required:
         if not any(k[0].startswith(name) for k in seen):
             errors.append(f'required metric missing: {name}')
+    for name in forbidden:
+        hits = sorted({k[0] for k in seen if k[0].startswith(name)})
+        if hits:
+            errors.append(f'forbidden metric present: {name} ({hits[0]})')
 
     if errors:
         for err in errors:

@@ -25,6 +25,7 @@
 #include "src/loadgen/op_stream.h"
 #include "src/loadgen/schedule.h"
 #include "src/net/server.h"
+#include "src/net/server_core.h"
 #include "src/util/rng.h"
 #include "src/workload/zipf.h"
 
@@ -352,7 +353,8 @@ TEST(OpStreamTest, KeyFileDrivesKeysAndHotShiftRotates) {
 
 TEST(EngineTest, LoopbackSoakCompletesEverythingCleanly) {
   net::NetServerConfig server_config;  // ephemeral loopback port
-  net::NetServer server(server_config);
+  net::ServerCore core(net::ServerCoreConfig{});
+  net::NetServer server(server_config, &core);
   ASSERT_TRUE(server.Start());
   std::thread loop([&server] { server.Run(); });
 

@@ -240,7 +240,8 @@ TEST(ProtocolConformance, OverLoopbackSocket) {
   std::atomic<int64_t> now{kT0};
   NetServerConfig config;
   Obs obs;
-  NetServer server(config, &obs);
+  ServerCore core(ServerCoreConfig{}, &obs);
+  NetServer server(config, &core, &obs);
   server.SetClock([&now] { return now.load(); });
   ASSERT_TRUE(server.Start());
   std::thread loop([&server] { server.Run(); });
@@ -259,7 +260,7 @@ TEST(ProtocolConformance, OverLoopbackSocket) {
   server.Stop();
   loop.join();
   const size_t want_errors = ExpectedProtocolErrors(ConformanceCases());
-  EXPECT_EQ(server.core().protocol_errors(), want_errors);
+  EXPECT_EQ(core.protocol_errors(), want_errors);
   EXPECT_EQ(obs.registry.CounterValue("net/protocol_errors"),
             static_cast<int64_t>(want_errors));
   EXPECT_GT(obs.registry.CounterValue("net/requests"), 0);
@@ -294,7 +295,8 @@ TEST(ProtocolConformance, ExternalServer) {
 
 TEST(ProtocolConformance, QuitClosesConnection) {
   NetServerConfig config;
-  NetServer server(config);
+  ServerCore core(ServerCoreConfig{});
+  NetServer server(config, &core);
   ASSERT_TRUE(server.Start());
   std::thread loop([&server] { server.Run(); });
 
@@ -345,7 +347,8 @@ TEST(ProtocolConformance, StatsShape) {
 TEST(ProtocolConformance, TypedClientSurface) {
   std::atomic<int64_t> now{kT0};
   NetServerConfig config;
-  NetServer server(config);
+  ServerCore core(ServerCoreConfig{});
+  NetServer server(config, &core);
   server.SetClock([&now] { return now.load(); });
   ASSERT_TRUE(server.Start());
   std::thread loop([&server] { server.Run(); });
@@ -400,7 +403,8 @@ TEST(ProtocolConformance, BackpressureDrainsPendingBuffer) {
   Obs obs;
   NetServerConfig config;
   config.max_output_buffer = 256 * 1024 * 1024;  // never a slow consumer here
-  NetServer server(config, &obs);
+  ServerCore core(ServerCoreConfig{}, &obs);
+  NetServer server(config, &core, &obs);
   ASSERT_TRUE(server.Start());
   std::thread loop([&server] { server.Run(); });
 
@@ -444,7 +448,8 @@ TEST(ProtocolConformance, SlowConsumerIsDropped) {
   Obs obs;
   NetServerConfig config;
   config.max_output_buffer = 64 * 1024;
-  NetServer server(config, &obs);
+  ServerCore core(ServerCoreConfig{}, &obs);
+  NetServer server(config, &core, &obs);
   ASSERT_TRUE(server.Start());
   std::thread loop([&server] { server.Run(); });
 
@@ -479,17 +484,18 @@ TEST(ProtocolConformance, ConnectionCapAndStartFailures) {
   Obs obs;
   NetServerConfig config;
   config.max_connections = 1;
-  NetServer server(config, &obs);
+  ServerCore core(ServerCoreConfig{}, &obs);
+  NetServer server(config, &core, &obs);
   ASSERT_TRUE(server.Start());
 
   NetServerConfig clash;
   clash.port = server.port();
-  NetServer dup(clash);
+  NetServer dup(clash, &core);
   EXPECT_FALSE(dup.Start());  // EADDRINUSE
 
   NetServerConfig badhost;
   badhost.bind_host = "not-an-address";
-  NetServer bad(badhost);
+  NetServer bad(badhost, &core);
   EXPECT_FALSE(bad.Start());
 
   std::thread loop([&server] { server.Run(); });
@@ -551,9 +557,9 @@ TEST(ProtocolConformance, ShardedDispatchFallback) {
   RunTableSharded(3, /*force_dispatch=*/true);
 }
 
-// threads=1 is a passthrough: no exchange, no hub, one store stripe, the
-// plain NetServer — the table must hold byte-for-byte there too (the
-// --threads=1 identity the multi-reactor server must not disturb).
+// threads=1: no exchange, one store stripe, one reactor — the table must
+// hold byte-for-byte there too (the --threads=1 identity the multi-reactor
+// server must not disturb).
 TEST(ProtocolConformance, ShardedSingleThreadPassthrough) {
   RunTableSharded(1, /*force_dispatch=*/false);
 }
@@ -566,7 +572,8 @@ TEST(ProtocolConformance, ShardedSingleThreadPassthrough) {
 TEST(ProtocolConformance, ThroughProxyTier) {
   std::atomic<int64_t> now{kT0};
   NetServerConfig up_cfg;
-  NetServer upstream(up_cfg);
+  ServerCore up_core(ServerCoreConfig{});
+  NetServer upstream(up_cfg, &up_core);
   upstream.SetClock([&now] { return now.load(); });
   ASSERT_TRUE(upstream.Start());
   std::thread up_loop([&upstream] { upstream.Run(); });
@@ -576,8 +583,7 @@ TEST(ProtocolConformance, ThroughProxyTier) {
   proxy::ProxyCore proxy_core(pc, &obs);
   proxy_core.pool().SetNode(0, "127.0.0.1", upstream.port());
   NetServerConfig px_cfg;
-  NetServer proxy(px_cfg);
-  proxy.SetHandler(&proxy_core);
+  NetServer proxy(px_cfg, &proxy_core);
   ASSERT_TRUE(proxy.Start());
   std::thread px_loop([&proxy] { proxy.Run(); });
 
@@ -617,11 +623,13 @@ TEST(ProtocolConformance, ThroughProxyTier) {
 // wire contract must not depend on how many nodes serve the keyspace.
 TEST(ProtocolConformance, ThroughProxyTierSharded) {
   std::atomic<int64_t> now{kT0};
+  std::vector<std::unique_ptr<ServerCore>> cores;
   std::vector<std::unique_ptr<NetServer>> upstreams;
   std::vector<std::thread> loops;
   for (int i = 0; i < 3; ++i) {
     NetServerConfig cfg;
-    auto server = std::make_unique<NetServer>(cfg);
+    cores.push_back(std::make_unique<ServerCore>(ServerCoreConfig{}));
+    auto server = std::make_unique<NetServer>(cfg, cores.back().get());
     server->SetClock([&now] { return now.load(); });
     ASSERT_TRUE(server->Start());
     loops.emplace_back([s = server.get()] { s->Run(); });
@@ -634,8 +642,7 @@ TEST(ProtocolConformance, ThroughProxyTierSharded) {
     proxy_core.pool().SetNode(i, "127.0.0.1", upstreams[i]->port());
   }
   NetServerConfig px_cfg;
-  NetServer proxy(px_cfg);
-  proxy.SetHandler(&proxy_core);
+  NetServer proxy(px_cfg, &proxy_core);
   ASSERT_TRUE(proxy.Start());
   std::thread px_loop([&proxy] { proxy.Run(); });
 

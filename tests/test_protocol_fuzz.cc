@@ -369,7 +369,8 @@ void DrainUntilSilence(std::vector<std::pair<int, std::string*>> conns,
 
 TEST(ProtocolFuzz, ShardedServerMatchesSingleThreadedByteForByte) {
   NetServerConfig plain_config;
-  NetServer plain(plain_config);
+  ServerCore plain_core(ServerCoreConfig{});
+  NetServer plain(plain_config, &plain_core);
   plain.SetClock([] { return kNow; });
   ASSERT_TRUE(plain.Start());
   std::thread plain_loop([&plain] { plain.Run(); });
@@ -456,12 +457,15 @@ struct ProxyRunResult {
 ProxyRunResult RunThroughProxyStack(std::string_view stream,
                                     const std::vector<size_t>& cuts,
                                     size_t upstream_count) {
+  std::vector<std::unique_ptr<ServerCore>> up_cores;
   std::vector<std::unique_ptr<NetServer>> upstreams;
   std::vector<std::thread> up_loops;
   proxy::ProxyCoreConfig pc;
   proxy::ProxyCore core(pc);
   for (size_t i = 0; i < upstream_count; ++i) {
-    upstreams.push_back(std::make_unique<NetServer>(NetServerConfig{}));
+    up_cores.push_back(std::make_unique<ServerCore>(ServerCoreConfig{}));
+    upstreams.push_back(
+        std::make_unique<NetServer>(NetServerConfig{}, up_cores.back().get()));
     NetServer* upstream = upstreams.back().get();
     upstream->SetClock([] { return kNow; });
     EXPECT_TRUE(upstream->Start());
@@ -469,8 +473,7 @@ ProxyRunResult RunThroughProxyStack(std::string_view stream,
     core.pool().SetNode(i, "127.0.0.1", upstream->port());
   }
   NetServerConfig px_cfg;
-  NetServer proxy_server(px_cfg);
-  proxy_server.SetHandler(&core);
+  NetServer proxy_server(px_cfg, &core);
   proxy_server.SetClock([] { return kNow; });
   EXPECT_TRUE(proxy_server.Start());
   std::thread px_loop([&proxy_server] { proxy_server.Run(); });

@@ -24,6 +24,7 @@
 #include "src/net/protocol.h"
 #include "src/net/response.h"
 #include "src/net/server.h"
+#include "src/net/server_core.h"
 #include "src/proxy/proxy_core.h"
 
 namespace {
@@ -49,7 +50,10 @@ constexpr double kMaxPerRequest = 0.1;
 
 class ProxyAllocs : public ::testing::Test {
  protected:
-  ProxyAllocs() : upstream_(net::NetServerConfig{}), core_(ProxyCoreConfig{}) {}
+  ProxyAllocs()
+      : upstream_core_(net::ServerCoreConfig{}),
+        upstream_(net::NetServerConfig{}, &upstream_core_),
+        core_(ProxyCoreConfig{}) {}
 
   void SetUp() override {
     ASSERT_TRUE(upstream_.Start());
@@ -85,6 +89,7 @@ class ProxyAllocs : public ::testing::Test {
     return g_allocations - before;
   }
 
+  net::ServerCore upstream_core_;
   net::NetServer upstream_;
   std::thread loop_;
   ProxyCore core_;

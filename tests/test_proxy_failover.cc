@@ -29,6 +29,7 @@
 
 #include "src/net/client.h"
 #include "src/net/server.h"
+#include "src/net/server_core.h"
 #include "src/obs/trace.h"
 #include "src/proxy/membership.h"
 #include "src/proxy/proxy_core.h"
@@ -40,6 +41,8 @@ namespace {
 using net::NetClient;
 using net::NetServer;
 using net::NetServerConfig;
+using net::ServerCore;
+using net::ServerCoreConfig;
 
 // ---------------------------------------------------------------------------
 // Scripted peers: exact upstream misbehavior on a real socket.
@@ -238,7 +241,7 @@ uint16_t RefusedPort() {
 
 /// A real backup: NetServer prefilled with `keys` (value "b_<key>").
 struct BackupServer {
-  BackupServer() : server(NetServerConfig{}) {
+  BackupServer() : core(ServerCoreConfig{}), server(NetServerConfig{}, &core) {
     EXPECT_TRUE(server.Start());
     loop = std::thread([this] { server.Run(); });
   }
@@ -254,6 +257,7 @@ struct BackupServer {
     }
     c.Close();
   }
+  ServerCore core;
   NetServer server;
   std::thread loop;
 };
@@ -667,8 +671,7 @@ TEST(ProxyFailover, StalledUpstreamDelaysOnlyItsOwnKeys) {
   backup.Prefill({stalled_key});
   healthy.Prefill(healthy_keys);
 
-  NetServer proxy((NetServerConfig()));
-  proxy.SetHandler(&core);
+  NetServer proxy(NetServerConfig{}, &core);
   ASSERT_TRUE(proxy.Start());
   std::thread loop([&proxy] { proxy.Run(); });
 
@@ -732,8 +735,7 @@ TEST(ProxyFailover, ClientSeesZeroErrorsThroughLiveProxy) {
   core.pool().SetNode(0, "127.0.0.1", dying.port());
   core.pool().SetBackup("127.0.0.1", backup.server.port());
 
-  NetServer proxy((NetServerConfig()));
-  proxy.SetHandler(&core);
+  NetServer proxy(NetServerConfig{}, &core);
   ASSERT_TRUE(proxy.Start());
   std::thread loop([&proxy] { proxy.Run(); });
 

@@ -1,8 +1,9 @@
 // The proxy counts each fact once: its `stats` block and its scrape read the
-// same proxy/* registry counters, so at quiescence every proxy_* counter line
-// of `stats` equals the scrape series of the same name.
+// same proxy/* registry counters and fleet-view gauges, so at quiescence
+// every proxy_* line of `stats` equals the scrape series of the same name.
+// The proxy serves no cache, so its scrape has no cache-server series.
 //
-// The fleet here is one live upstream and one dead slot with no backup, so
+// The agreement test's fleet is one live upstream and one dead slot with no backup, so
 // every rung of the accounting moves: gets on the dead slot are sheds
 // (reported as misses), writes there fail (SERVER_ERROR to the client), and
 // the pool counts every lost key and command as unreachable.
@@ -13,8 +14,10 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,7 +26,9 @@
 
 #include "src/net/client.h"
 #include "src/net/server.h"
+#include "src/net/server_core.h"
 #include "src/obs/obs.h"
+#include "src/proxy/membership.h"
 #include "src/proxy/proxy_core.h"
 
 namespace spotcache::proxy {
@@ -70,7 +75,8 @@ std::map<std::string, double> Scrape(uint16_t port) {
 }
 
 TEST(ProxyMetrics, StatsAndScrapeAgreeAtQuiescence) {
-  net::NetServer upstream(net::NetServerConfig{});
+  net::ServerCore upstream_core(net::ServerCoreConfig{});
+  net::NetServer upstream(net::NetServerConfig{}, &upstream_core);
   ASSERT_TRUE(upstream.Start());
 
   Obs obs;
@@ -89,8 +95,7 @@ TEST(ProxyMetrics, StatsAndScrapeAgreeAtQuiescence) {
   ASSERT_LT(dead_keys, 40);
   net::NetServerConfig px_cfg;
   px_cfg.metrics_port = 0;
-  net::NetServer proxy(px_cfg, &obs);
-  proxy.SetHandler(&core);
+  net::NetServer proxy(px_cfg, &core, &obs);
   ASSERT_TRUE(proxy.Start());
   std::thread up_loop([&upstream] { upstream.Run(); });
   std::thread px_loop([&proxy] { proxy.Run(); });
@@ -115,9 +120,7 @@ TEST(ProxyMetrics, StatsAndScrapeAgreeAtQuiescence) {
   const std::map<std::string, double> scrape = Scrape(proxy.metrics_port());
   int compared = 0;
   for (const auto& [name, value] : *stats) {
-    // proxy_nodes and proxy_generation describe the fleet view, not traffic.
-    if (name.rfind("proxy_", 0) != 0 || name == "proxy_nodes" ||
-        name == "proxy_generation") {
+    if (name.rfind("proxy_", 0) != 0) {
       continue;
     }
     ++compared;
@@ -128,7 +131,7 @@ TEST(ProxyMetrics, StatsAndScrapeAgreeAtQuiescence) {
     }
     EXPECT_EQ(std::stod(value), it->second) << name;
   }
-  EXPECT_EQ(compared, 21);
+  EXPECT_EQ(compared, 23);
 
   const auto stat = [&stats](const std::string& name) {
     return std::stol(stats->at(name));
@@ -146,6 +149,103 @@ TEST(ProxyMetrics, StatsAndScrapeAgreeAtQuiescence) {
   px_loop.join();
   upstream.Stop();
   up_loop.join();
+}
+
+/// Whether any scrape series name starts with `prefix`.
+bool HasSeries(const std::map<std::string, double>& scrape,
+               const std::string& prefix) {
+  const auto it = scrape.lower_bound(prefix);
+  return it != scrape.end() && it->first.rfind(prefix, 0) == 0;
+}
+
+// The proxy's NetServer serves the ProxyCore alone: its scrape carries the
+// transport and proxy series, and none of a cache server's request counters
+// or store gauges.
+TEST(ProxyMetrics, ScrapeCarriesNoCacheSeries) {
+  net::ServerCore upstream_core(net::ServerCoreConfig{});
+  net::NetServer upstream(net::NetServerConfig{}, &upstream_core);
+  ASSERT_TRUE(upstream.Start());
+  Obs obs;
+  ProxyCore core(ProxyCoreConfig{}, &obs);
+  core.pool().SetNode(0, "127.0.0.1", upstream.port());
+  net::NetServerConfig px_cfg;
+  px_cfg.metrics_port = 0;
+  net::NetServer proxy(px_cfg, &core, &obs);
+  ASSERT_TRUE(proxy.Start());
+  std::thread up_loop([&upstream] { upstream.Run(); });
+  std::thread px_loop([&proxy] { proxy.Run(); });
+
+  net::NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", proxy.port()));
+  EXPECT_TRUE(client.Set("k", "v"));
+  EXPECT_TRUE(client.Get("k").found);
+  EXPECT_FALSE(client.Get("absent").found);
+  const std::map<std::string, double> scrape = Scrape(proxy.metrics_port());
+  EXPECT_EQ(scrape.at("proxy_requests"), 3);
+  for (const char* absent :
+       {"net_requests", "net_get_hits", "net_sets", "net_store_"}) {
+    EXPECT_FALSE(HasSeries(scrape, absent)) << absent;
+  }
+  EXPECT_EQ(scrape.count("net_heap_in_use_bytes"), 1u);
+  EXPECT_TRUE(HasSeries(scrape, "net_loop_work_s"));
+
+  client.Close();
+  proxy.Stop();
+  px_loop.join();
+  upstream.Stop();
+  up_loop.join();
+}
+
+// A reloaded fleet view shows the same generation and node count in `stats`
+// and in the scrape.
+TEST(ProxyMetrics, ReloadedFleetViewAgreesInStatsAndScrape) {
+  net::ServerCore upstream_core(net::ServerCoreConfig{});
+  net::NetServer upstream(net::NetServerConfig{}, &upstream_core);
+  ASSERT_TRUE(upstream.Start());
+  const std::string path = ::testing::TempDir() + "/proxy_metrics_members_" +
+                           std::to_string(::getpid());
+  FleetMembership m;
+  m.generation = 1;
+  m.nodes = {{0, "127.0.0.1", upstream.port()}};
+  Obs obs;
+  ProxyCore core(ProxyCoreConfig{}, &obs);
+  core.pool().ApplyMembership(m);
+  net::NetServerConfig px_cfg;
+  px_cfg.metrics_port = 0;
+  net::NetServer proxy(px_cfg, &core, &obs);
+  proxy.SetReloadHandler([&core, &path] { core.ReloadMembership(path); });
+  ASSERT_TRUE(proxy.Start());
+  std::thread up_loop([&upstream] { upstream.Run(); });
+  std::thread px_loop([&proxy] { proxy.Run(); });
+
+  m.generation = 5;
+  m.nodes.push_back({1, "", 0});  // a dead slot
+  ASSERT_TRUE(SaveMembership(path, m));
+  proxy.RequestReload();
+  net::NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", proxy.port()));
+  std::optional<std::map<std::string, std::string>> stats;
+  for (int i = 0; i < 200; ++i) {
+    stats = client.Stats();
+    ASSERT_TRUE(stats.has_value());
+    if (stats->at("proxy_generation") == "5") {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const std::map<std::string, double> scrape = Scrape(proxy.metrics_port());
+  EXPECT_EQ(stats->at("proxy_generation"), "5");
+  EXPECT_EQ(stats->at("proxy_nodes"), "2");
+  EXPECT_EQ(scrape.at("proxy_generation"), 5);
+  EXPECT_EQ(scrape.at("proxy_nodes"), 2);
+  EXPECT_EQ(scrape.at("proxy_reloads"), 1);
+
+  client.Close();
+  proxy.Stop();
+  px_loop.join();
+  upstream.Stop();
+  up_loop.join();
+  ::unlink(path.c_str());
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 
 #include "src/net/client.h"
 #include "src/net/server.h"
+#include "src/net/server_core.h"
 #include "src/obs/exporters.h"
 #include "src/obs/obs.h"
 #include "src/obs/request_telemetry.h"
@@ -190,7 +191,7 @@ class TelemetryServerTest : public ::testing::Test {
  protected:
   void StartServer(net::NetServerConfig config) {
     config.port = 0;
-    server_ = std::make_unique<net::NetServer>(config, &obs_);
+    server_ = std::make_unique<net::NetServer>(config, &core_, &obs_);
     ASSERT_TRUE(server_->Start());
     loop_ = std::thread([this] { server_->Run(); });
   }
@@ -203,6 +204,7 @@ class TelemetryServerTest : public ::testing::Test {
   }
 
   Obs obs_;
+  net::ServerCore core_{net::ServerCoreConfig{}, &obs_};
   std::unique_ptr<net::NetServer> server_;
   std::thread loop_;
 };

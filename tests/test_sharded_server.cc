@@ -532,8 +532,8 @@ struct TwoCores {
         a(ServerCoreConfig{}),
         b(ServerCoreConfig{}) {
     cores = {&a, &b};
-    a.ConfigureShard({0, 2, &store, &cores, nullptr});
-    b.ConfigureShard({1, 2, &store, &cores, nullptr});
+    a.ConfigureShard({0, 2, &store, &cores});
+    b.ConfigureShard({1, 2, &store, &cores});
   }
   StripedStore store;
   ServerCore a;
@@ -657,7 +657,7 @@ TEST(ShardedServer, FourReactorsShareKeysUnderSetGetDeleteFlush) {
     cores.push_back(owned.back().get());
   }
   for (uint32_t i = 0; i < kThreads; ++i) {
-    owned[i]->ConfigureShard({i, kThreads, &store, &cores, nullptr});
+    owned[i]->ConfigureShard({i, kThreads, &store, &cores});
   }
   const auto key_of = [](int k) { return "ov:" + std::to_string(k); };
 
@@ -781,7 +781,7 @@ TEST(ShardedServer, StatsOnOneReactorSeeWritesOnAnother) {
 TEST(ShardedServer, LimitMaxbytesIsTheConfiguredCapacity) {
   ShardedServerConfig config = FourShardConfig();
   config.threads = 3;
-  config.base.core.capacity_bytes = (size_t{64} << 20) + 7;
+  config.capacity_bytes = (size_t{64} << 20) + 7;
   ShardedServer server(config);
   ASSERT_TRUE(server.Start());
   std::thread loop([&server] { server.Run(); });
@@ -791,13 +791,13 @@ TEST(ShardedServer, LimitMaxbytesIsTheConfiguredCapacity) {
     const auto stats = client.Stats();
     ASSERT_TRUE(stats.has_value());
     EXPECT_EQ(std::stoull(stats->at("limit_maxbytes")),
-              config.base.core.capacity_bytes);
+              config.capacity_bytes);
     client.Close();
   }
   server.Stop();
   loop.join();
   EXPECT_EQ(server.TotalSnapshot().capacity_bytes,
-            config.base.core.capacity_bytes);
+            config.capacity_bytes);
 }
 
 }  // namespace
