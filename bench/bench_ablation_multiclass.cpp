@@ -10,7 +10,7 @@
 
 #include "src/cloud/spot_price_model.h"
 #include "src/exec/thread_pool.h"
-#include "src/opt/multiclass.h"
+#include "src/opt/optimizer.h"
 #include "src/util/table.h"
 
 using namespace spotcache;
@@ -42,6 +42,8 @@ int main() {
   std::vector<std::vector<std::vector<std::string>>> rows(zipfs.size());
   ThreadPool pool(DefaultThreadCount());
   ParallelFor(pool, zipfs.size(), [&](size_t z) {
+    const ProcurementOptimizer optimizer(options, LatencyModel(),
+                                         OptimizerConfig{});
     const ZipfPopularity popularity(15'000'000, zipfs[z]);
     double base_obj = 0.0;
     for (const auto& variant : variants) {
@@ -61,9 +63,7 @@ int main() {
           in.available[o] = in.spot_predictions[o].usable;
         }
       }
-      const MultiClassOptimizer mc(options, LatencyModel(),
-                                   MultiClassOptimizer::Config{});
-      const MultiClassPlan plan = mc.Solve(in);
+      const MultiClassPlan plan = optimizer.SolveClasses(in);
       if (!plan.feasible) {
         rows[z].push_back({variant.label, "infeasible", "-", "-", "-"});
         continue;

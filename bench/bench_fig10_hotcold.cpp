@@ -11,6 +11,7 @@
 
 #include "src/core/experiment.h"
 #include "src/exec/experiment_grid.h"
+#include "src/opt/procurement.h"
 #include "src/sim/latency_model.h"
 #include "src/util/table.h"
 
@@ -111,7 +112,8 @@ int main(int argc, char** argv) {
       }
       const double cpu_rate = rec.counts[o] * type->capacity.vcpus *
                               model.params().service_rate_per_vcpu;
-      const double ram = rec.counts[o] * type->capacity.ram_gb * 0.85;
+      const double ram =
+          rec.counts[o] * type->capacity.ram_gb * kRamUsableFraction;
       if (od) {
         od_ram += ram;
         od_cpu_rate += cpu_rate;
@@ -164,7 +166,7 @@ int main(int argc, char** argv) {
                                 : "m4.large");
       cpu_rate += rec.counts[o] * type->capacity.vcpus *
                   model.params().service_rate_per_vcpu;
-      ram += rec.counts[o] * type->capacity.ram_gb * 0.85;
+      ram += rec.counts[o] * type->capacity.ram_gb * kRamUsableFraction;
     }
     std::printf("Prop_NoBackup at peak (whole fleet): CPU util %.0f%%, "
                 "memory occupancy %.0f%%\n",

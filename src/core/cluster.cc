@@ -197,7 +197,7 @@ Cluster::ApplyResult Cluster::Apply(const AllocationPlan& plan,
       }
     }
     const double per_backup =
-        BackupType().capacity.ram_gb * config_.ram_usable_fraction;
+        BackupType().capacity.ram_gb * kRamUsableFraction;
     if (hot_on_spot_gb > 1e-9) {
       backup_target =
           static_cast<int>(std::ceil(hot_on_spot_gb / per_backup - 1e-9));

@@ -40,7 +40,6 @@ struct ClusterConfig {
   double backend_copy_mbps = 100.0;
   /// Fraction of line rate a warm-up copy stream achieves.
   double copy_efficiency = 0.7;
-  double ram_usable_fraction = 0.85;
   /// Governs retries of failed replacement launches (injected transient
   /// outages). Without resilience only `initial_delay` matters — the shard
   /// stays degraded that long and the next reconciliation re-provisions,

@@ -11,6 +11,11 @@
 
 namespace spotcache {
 
+/// Fraction of instance RAM usable for cache data (memcached overhead). The
+/// LP, the cluster's backup sizing and the reserved-instance demand series
+/// all apply it to `capacity.ram_gb`.
+inline constexpr double kRamUsableFraction = 0.85;
+
 /// One procurement option: an on-demand type, or a (spot market, bid) pair.
 /// The paper treats on-demand as a degenerate spot option with infinite
 /// lifetime and a fixed price; we keep the distinction explicit.

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/opt/procurement.h"
+
 namespace spotcache {
 
 namespace {
@@ -65,11 +67,10 @@ ReservedAnalysis AnalyzeReservation(const std::vector<double>& hourly_demand,
 
 std::vector<double> InstanceDemandSeries(const WorkloadTrace& trace,
                                          const InstanceTypeSpec& type,
-                                         double ops_capacity_per_instance,
-                                         double ram_usable_fraction) {
+                                         double ops_capacity_per_instance) {
   std::vector<double> demand;
   demand.reserve(trace.slots());
-  const double usable_gb = type.capacity.ram_gb * ram_usable_fraction;
+  const double usable_gb = type.capacity.ram_gb * kRamUsableFraction;
   for (size_t s = 0; s < trace.slots(); ++s) {
     const double by_ram = trace.WorkingSetGbAt(s) / usable_gb;
     const double by_rate =

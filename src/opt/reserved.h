@@ -43,10 +43,10 @@ ReservedAnalysis AnalyzeReservation(const std::vector<double>& hourly_demand,
                                     double decline_factor = 0.4);
 
 /// Derives an hourly instance-demand series from a workload trace for one
-/// type: instances = max(RAM need, throughput need) per slot.
+/// type: instances = max(RAM need, throughput need) per slot, with
+/// kRamUsableFraction of each instance's RAM holding cache data.
 std::vector<double> InstanceDemandSeries(const WorkloadTrace& trace,
                                          const InstanceTypeSpec& type,
-                                         double ops_capacity_per_instance,
-                                         double ram_usable_fraction = 0.85);
+                                         double ops_capacity_per_instance);
 
 }  // namespace spotcache

@@ -1,4 +1,4 @@
-#include "src/opt/multiclass.h"
+#include <algorithm>
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,10 @@ class MultiClassTest : public ::testing::Test {
       : markets_(MakeEvaluationMarkets(catalog_, Duration::Days(10), 7)),
         options_(BuildOptions(catalog_, markets_, {1.0, 5.0})),
         popularity_(1'000'000, 1.0) {}
+
+  ProcurementOptimizer MakeOptimizer(OptimizerConfig cfg = {}) const {
+    return ProcurementOptimizer(options_, LatencyModel(), cfg);
+  }
 
   MultiClassInputs Inputs(const std::vector<double>& cuts, double lambda,
                           double ws_gb) const {
@@ -61,39 +65,92 @@ TEST_F(MultiClassTest, ClassesPartitionWorkingSetAndAccesses) {
   EXPECT_NEAR(classes[0].loss_penalty, 0.5, 1e-9);
 }
 
-TEST_F(MultiClassTest, SingleCutMatchesTwoClassOptimizer) {
-  // K=2 with a 90% cut should land near the base optimizer's objective.
-  const MultiClassInputs in = Inputs({0.9}, 320e3, 60.0);
-  ASSERT_EQ(in.classes.size(), 2u);
-  MultiClassOptimizer::Config mc_cfg;
-  const MultiClassOptimizer mc(options_, LatencyModel(), mc_cfg);
-  const MultiClassPlan mc_plan = mc.Solve(in);
-  ASSERT_TRUE(mc_plan.feasible);
-
+TEST_F(MultiClassTest, TwoBandsMatchHotColdSolveExactly) {
+  // Hot/cold is the K = 2 band LP: the same slot posed as two bands with
+  // penalties beta1/beta2 yields the same plan, bit for bit.
+  const MultiClassInputs cut = Inputs({0.9}, 320e3, 60.0);
+  ASSERT_EQ(cut.classes.size(), 2u);
   SlotInputs base_in;
-  base_in.lambda_hat = 320e3;
-  base_in.working_set_gb = 60.0;
-  base_in.hot_ws_fraction = in.classes[0].ws_fraction;
-  base_in.hot_access_fraction = in.classes[0].access_fraction;
+  static_cast<SlotState&>(base_in) = cut;
+  base_in.hot_ws_fraction = cut.classes[0].ws_fraction;
+  base_in.hot_access_fraction = cut.classes[0].access_fraction;
   base_in.alpha_access_fraction = 1.0;
-  base_in.existing.assign(options_.size(), 0);
-  base_in.available.assign(options_.size(), true);
-  base_in.spot_predictions = in.spot_predictions;
-  const ProcurementOptimizer base(options_, LatencyModel(), OptimizerConfig{});
-  const AllocationPlan base_plan = base.Solve(base_in);
-  ASSERT_TRUE(base_plan.feasible);
-  EXPECT_NEAR(mc_plan.lp_objective, base_plan.lp_objective,
-              0.08 * base_plan.lp_objective);
+
+  const OptimizerConfig cfg;
+  MultiClassInputs in;
+  static_cast<SlotState&>(in) = base_in;
+  in.classes.resize(2);
+  in.classes[0].ws_fraction = base_in.hot_ws_fraction;
+  in.classes[0].access_fraction = base_in.hot_access_fraction;
+  in.classes[0].loss_penalty = cfg.beta1;
+  in.classes[1].ws_fraction =
+      std::max(0.0, cfg.alpha - base_in.hot_ws_fraction);
+  in.classes[1].access_fraction = std::max(
+      0.0, base_in.alpha_access_fraction - base_in.hot_access_fraction);
+  in.classes[1].loss_penalty = cfg.beta2;
+
+  const ProcurementOptimizer opt = MakeOptimizer(cfg);
+  const AllocationPlan base = opt.Solve(base_in);
+  const MultiClassPlan bands = opt.SolveClasses(in);
+  ASSERT_TRUE(base.feasible);
+  ASSERT_TRUE(bands.feasible);
+  EXPECT_EQ(bands.lp_objective, base.lp_objective);
+  ASSERT_EQ(bands.items.size(), base.items.size());
+  ASSERT_EQ(bands.class_fractions.size(), base.items.size());
+  for (size_t i = 0; i < base.items.size(); ++i) {
+    EXPECT_EQ(bands.items[i].option, base.items[i].option);
+    EXPECT_EQ(bands.items[i].count, base.items[i].count);
+    ASSERT_EQ(bands.class_fractions[i].size(), 2u);
+    EXPECT_EQ(bands.class_fractions[i][0], base.items[i].x);
+    EXPECT_EQ(bands.class_fractions[i][1], base.items[i].y);
+  }
+}
+
+TEST_F(MultiClassTest, ThreeBandPlanMeetsCapacityAndThroughput) {
+  // Per option: n*ram >= sum g_c and n*lambda >= sum density_c * g_c.
+  const MultiClassInputs in = Inputs({0.6, 0.9}, 320e3, 60.0);
+  ASSERT_EQ(in.classes.size(), 3u);
+  const ProcurementOptimizer opt = MakeOptimizer();
+  const MultiClassPlan plan = opt.SolveClasses(in);
+  ASSERT_TRUE(plan.feasible);
+  ASSERT_EQ(plan.class_fractions.size(), plan.items.size());
+  double alpha_access = 0.0;
+  for (const auto& band : in.classes) {
+    alpha_access += band.access_fraction;
+  }
+  alpha_access = std::min(1.0, alpha_access);
+  for (size_t i = 0; i < plan.items.size(); ++i) {
+    const AllocationItem& item = plan.items[i];
+    const std::vector<double>& fractions = plan.class_fractions[i];
+    ASSERT_EQ(fractions.size(), in.classes.size());
+    double data = 0.0;
+    double traffic = 0.0;
+    for (size_t c = 0; c < fractions.size(); ++c) {
+      data += fractions[c];
+      traffic += fractions[c] / in.classes[c].ws_fraction *
+                 in.classes[c].access_fraction;
+    }
+    EXPECT_LE(data * in.working_set_gb,
+              item.count * opt.UsableRamGb(item.option) + 1e-6)
+        << options_[item.option].label;
+    EXPECT_LE(traffic * in.lambda_hat,
+              item.count * opt.MaxRatePerInstance(item.option, alpha_access) +
+                  1e-6)
+        << options_[item.option].label;
+    // x is the hottest band, y the rest.
+    EXPECT_EQ(item.x, fractions[0]);
+    EXPECT_NEAR(item.y, fractions[1] + fractions[2], 1e-12);
+  }
 }
 
 TEST_F(MultiClassTest, MoreClassesNeverCostMore) {
   // Finer partitions only add placement freedom... with identical per-band
   // penalties the LP optimum is monotone; with interpolated penalties the
   // cheaper cold tail usually wins. Compare 2 vs 4 classes.
-  const MultiClassOptimizer mc(options_, LatencyModel(),
-                               MultiClassOptimizer::Config{});
-  const MultiClassPlan two = mc.Solve(Inputs({0.9}, 320e3, 60.0));
-  const MultiClassPlan four = mc.Solve(Inputs({0.5, 0.75, 0.9}, 320e3, 60.0));
+  const ProcurementOptimizer opt = MakeOptimizer();
+  const MultiClassPlan two = opt.SolveClasses(Inputs({0.9}, 320e3, 60.0));
+  const MultiClassPlan four =
+      opt.SolveClasses(Inputs({0.5, 0.75, 0.9}, 320e3, 60.0));
   ASSERT_TRUE(two.feasible);
   ASSERT_TRUE(four.feasible);
   EXPECT_LE(four.lp_objective, two.lp_objective * 1.02);
@@ -101,14 +158,12 @@ TEST_F(MultiClassTest, MoreClassesNeverCostMore) {
 
 TEST_F(MultiClassTest, PlanCoversEveryClass) {
   const MultiClassInputs in = Inputs({0.6, 0.9}, 320e3, 60.0);
-  const MultiClassOptimizer mc(options_, LatencyModel(),
-                               MultiClassOptimizer::Config{});
-  const MultiClassPlan plan = mc.Solve(in);
+  const MultiClassPlan plan = MakeOptimizer().SolveClasses(in);
   ASSERT_TRUE(plan.feasible);
   std::vector<double> placed(in.classes.size(), 0.0);
-  for (const auto& item : plan.items) {
-    for (size_t c = 0; c < item.class_fractions.size(); ++c) {
-      placed[c] += item.class_fractions[c];
+  for (const auto& fractions : plan.class_fractions) {
+    for (size_t c = 0; c < fractions.size(); ++c) {
+      placed[c] += fractions[c];
     }
   }
   for (size_t c = 0; c < in.classes.size(); ++c) {
@@ -118,36 +173,37 @@ TEST_F(MultiClassTest, PlanCoversEveryClass) {
 }
 
 TEST_F(MultiClassTest, ZetaFloorHolds) {
-  MultiClassOptimizer::Config cfg;
+  OptimizerConfig cfg;
   cfg.zeta = 0.3;
-  const MultiClassOptimizer mc(options_, LatencyModel(), cfg);
-  const MultiClassPlan plan = mc.Solve(Inputs({0.6, 0.9}, 320e3, 60.0));
+  const MultiClassPlan plan =
+      MakeOptimizer(cfg).SolveClasses(Inputs({0.6, 0.9}, 320e3, 60.0));
   ASSERT_TRUE(plan.feasible);
   EXPECT_GE(plan.OnDemandDataFraction(options_), 0.3 - 1e-6);
 }
 
-TEST_F(MultiClassTest, CollapseSplitsHotAndCold) {
-  const MultiClassOptimizer mc(options_, LatencyModel(),
-                               MultiClassOptimizer::Config{});
-  const MultiClassInputs in = Inputs({0.6, 0.9}, 320e3, 60.0);
-  const MultiClassPlan plan = mc.Solve(in);
-  const AllocationPlan collapsed = plan.Collapse(/*hot_classes=*/2);
-  double x = 0.0;
-  double y = 0.0;
-  for (const auto& item : collapsed.items) {
-    x += item.x;
-    y += item.y;
+TEST_F(MultiClassTest, SeparationPinsHottestBandToOnDemand) {
+  OptimizerConfig cfg;
+  cfg.mixing = MixingPolicy::kSeparate;
+  const MultiClassPlan plan =
+      MakeOptimizer(cfg).SolveClasses(Inputs({0.6, 0.9}, 320e3, 60.0));
+  ASSERT_TRUE(plan.feasible);
+  for (size_t i = 0; i < plan.items.size(); ++i) {
+    const bool od = options_[plan.items[i].option].is_on_demand();
+    const std::vector<double>& fractions = plan.class_fractions[i];
+    for (size_t c = 0; c < fractions.size(); ++c) {
+      if (od == (c == 0)) {
+        continue;
+      }
+      EXPECT_LT(fractions[c], 1e-9)
+          << options_[plan.items[i].option].label << " class " << c;
+    }
   }
-  EXPECT_NEAR(x, in.classes[0].ws_fraction + in.classes[1].ws_fraction, 1e-6);
-  EXPECT_NEAR(y, in.classes[2].ws_fraction, 1e-6);
 }
 
 TEST_F(MultiClassTest, EmptyClassesRejected) {
   MultiClassInputs in = Inputs({0.9}, 320e3, 60.0);
   in.classes.clear();
-  const MultiClassOptimizer mc(options_, LatencyModel(),
-                               MultiClassOptimizer::Config{});
-  EXPECT_FALSE(mc.Solve(in).feasible);
+  EXPECT_FALSE(MakeOptimizer().SolveClasses(in).feasible);
 }
 
 }  // namespace
