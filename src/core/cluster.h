@@ -32,7 +32,7 @@ struct ClusterConfig {
   bool use_backup = false;
   /// Burstable type used for backups; null selects t2.medium.
   const InstanceTypeSpec* backup_type = nullptr;
-  LatencyModel latency_model;
+  LatencyModel latency_model{};
   /// Extra hop latency when a request is served by the backup during warm-up.
   Duration backup_hop_latency = Duration::Micros(250);
   /// Effective warm-from-back-end rate (Mbps): the back-end must not be

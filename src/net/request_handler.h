@@ -2,10 +2,11 @@
 // answers the protocol.
 //
 // NetServer parses bytes into TextRequests and hands each one to the
-// RequestHandler it was built with: ServerCore (the local cache) in
-// spotcache_server, ProxyCore (src/proxy, a fan-out to a fleet of upstreams
-// behind the identical wire surface) in spotcache_proxy. NetServer holds no
-// handler of its own. The synchronous contract mirrors ServerCore exactly:
+// RequestHandler it was built with. In both serving binaries a
+// ShardedServer's HandlerFactory builds one handler per reactor: a
+// ServerCore (the local cache) in spotcache_server, a ProxyCore (src/proxy,
+// a fan-out to a fleet of upstreams behind the identical wire surface) in
+// spotcache_proxy. The synchronous contract mirrors ServerCore exactly:
 //
 //   * Handle() appends the complete reply bytes for one request (noreply
 //     suppression is the handler's job) and returns false when the
@@ -15,8 +16,9 @@
 //   * set_telemetry() receives the server's RequestTelemetry so the handler
 //     can classify (op, outcome) per request; handlers may ignore it.
 //   * PublishGauges() sets the gauges the handler derives from what it
-//     serves (ServerCore: the store's). The reactor that renders the scrape
-//     calls it just before rendering; the default has none.
+//     serves (ServerCore: the shared store's). Only the reactor that renders
+//     the scrape (reactor 0) calls it, just before rendering, so gauges of
+//     state the reactors share are counted once; the default has none.
 //
 // Handlers run on the server's loop thread only — no locking required. A
 // handler whose answers come from elsewhere (the proxy's upstreams) must not

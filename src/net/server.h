@@ -1,49 +1,30 @@
-// NetServer: the non-blocking TCP serving surface.
+// NetServer: one reactor of the non-blocking TCP serving surface.
 //
 // Single-threaded epoll loop (level-triggered), one state machine per
 // connection: bytes are recv()'d straight into the connection's
 // RequestParser (zero-copy WritePtr/Commit), every complete request is
-// executed by the RequestHandler the server was built with (a ServerCore in
-// the cache server, a ProxyCore in the proxy), and the batch's responses go
-// out in one writev over the assembler's iovecs. The server is transport
-// only: it holds no store and counts no request facts of its own. Short
-// writes spill the remainder into a per-connection pending buffer drained
-// on EPOLLOUT; a pending buffer that exceeds `max_output_buffer` marks a
-// slow consumer and the connection is dropped (counted + traced) rather
-// than ballooning memory.
+// executed by the RequestHandler the server was built with, and the batch's
+// responses go out in one writev over the assembler's iovecs. The server is
+// transport only: it holds no store and counts no request facts of its own.
+// Both serving binaries run NetServers through ShardedServer
+// (sharded_server.h), which builds each reactor's handler; tests and benches
+// also build one directly around a handler. Short writes spill into a
+// per-connection pending buffer drained on EPOLLOUT; a buffer that exceeds
+// `max_output_buffer` marks a slow consumer, and the connection is dropped
+// (counted + traced) rather than ballooning memory.
 //
-// Observability uses the simulator's registry vocabulary: `net/*` transport
-// counters (conns_opened/conns_closed/bytes_in/bytes_out/
-// slow_consumer_closes) beside whatever the handler counts, and JSONL
-// `conn_open` / `conn_close` / `protocol_error` events stamped with
-// microseconds since server start.
-//
-// Serving-path telemetry: the server owns a RequestTelemetry that
-// samples request spans (parse -> store -> write phases) and feeds
-// always-on per-(op, outcome) latency histograms — see request_telemetry.h
-// for the sampling/overhead story. The event loop itself is instrumented:
-// every iteration records epoll-wait vs. work time into `net/loop/wait_s` /
-// `net/loop/work_s`, and an iteration whose work phase exceeds
-// `stall_threshold_us` bumps `net/loop/stalls` and emits a `loop_stall`
-// trace event. High-water gauges track the worst pending-output backlog and
-// peak concurrent connections.
-//
-// Live scrape surface: with `metrics_port >= 0` the server opens a second
-// listener in the same epoll loop that answers any HTTP request with the
-// Prometheus text rendering of the registry (RenderMetrics): the handler's
-// PublishGauges(), then the process heap gauges, then the render. In a
-// multi-reactor server only reactor 0 listens, and it renders the sum of
-// the reactors' registries its owner listed, read directly while the other
-// reactors serve: registry values are single-writer relaxed atomics and map
-// walks take the registry's lock (metrics_registry.h). No reactor publishes anything in the
+// Observability: `net/*` transport counters and loop histograms beside
+// whatever the handler counts, JSONL connection events stamped with
+// microseconds since start, and a RequestTelemetry that samples request
+// spans and feeds per-(op, outcome) latency histograms
+// (request_telemetry.h). A loop iteration whose work phase exceeds
+// `stall_threshold_us` counts as a stall and emits a `loop_stall` event.
+// With `metrics_port >= 0` a second listener in the same loop answers any
+// HTTP request with RenderMetrics(). Nothing is published in the
 // background, so an idle loop sleeps in epoll_wait until an event arrives.
-//
-// Flight-recorder dumps: RequestTelemetryDump() is async-signal-safe
-// (atomic flag + eventfd wakeup) — signal handlers call it to get the span
-// ring appended to `span_dump_path` and a metrics snapshot written to
-// `metrics_dump_path` from loop context. A request slower than the
-// telemetry's `slow_request_us` triggers the same dump automatically
-// (debounced to at most one per second).
+// RequestTelemetryDump() (and a request slower than `slow_request_us`,
+// debounced to one per second) appends the span ring to `span_dump_path`
+// and writes `metrics_dump_path` from loop context.
 //
 // Deferred replies (the proxy seam, see request_handler.h): a handler with a
 // poll_fd() may leave requests pending. Each client connection then keeps an

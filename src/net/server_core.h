@@ -23,8 +23,8 @@
 // `net/store_*` gauges come from PublishGauges(), which reads the same
 // StripedStore::totals() that `stats spotcache` prints from.
 
-// Multi-reactor serving: ShardedServer builds one ServerCore per reactor,
-// and all of them serve from one StripedStore (see striped_store.h), so any
+// Multi-reactor serving: ShardedServer's cache factory builds one ServerCore
+// per reactor, all serving from one StripedStore (see striped_store.h), so any
 // reactor executes any key on its own thread. ShardContext names the reactor
 // and the shared state; a core built alone serves a one-stripe store of its
 // own. Each request fact is counted once, in the reactor's registry

@@ -43,11 +43,12 @@ void PinToCore(uint32_t core) {
 #endif
 }
 
-ShardedServer::ShardedServer(const ShardedServerConfig& config, Obs* obs)
+ShardedServer::ShardedServer(const ShardedServerConfig& config,
+                             HandlerFactory factory, Obs* obs)
     : config_(config),
       obs_(obs),
       shard_count_(std::clamp<uint32_t>(config.threads, 1, kMaxShards)),
-      store_(config.capacity_bytes, shard_count_ > 1 ? kStoreStripes : 1),
+      factory_(std::move(factory)),
       exchange_(shard_count_) {}
 
 bool ShardedServer::Start() {
@@ -56,8 +57,6 @@ bool ShardedServer::Start() {
   // The exchange carries the accept fallback's handoffs and nothing else, so
   // SO_REUSEPORT reactors (and a lone reactor) never touch it.
   const bool dispatch = shard_count_ > 1 && !using_reuseport_;
-  ServerCoreConfig core_config;
-  core_config.capacity_bytes = config_.capacity_bytes;
   for (uint32_t i = 0; i < shard_count_; ++i) {
     NetServerConfig c = config_.base;
     if (i > 0) {
@@ -77,12 +76,10 @@ bool ShardedServer::Start() {
     // only ever touched by its owning reactor thread, and the shutdown path
     // concatenates the per-shard JSONL streams into the one trace file.
     shard_obs->tracer.set_enabled(obs_ != nullptr && obs_->tracer.enabled());
-    cores_.push_back(std::make_unique<ServerCore>(core_config, shard_obs));
-    cores_.back()->ConfigureShard({i, shard_count_, &store_, &core_list_});
-    core_list_.push_back(cores_.back().get());
+    handlers_.push_back(factory_(i, shard_obs));
     registries_.push_back(&shard_obs->registry);
     auto shard =
-        std::make_unique<NetServer>(c, cores_.back().get(), shard_obs);
+        std::make_unique<NetServer>(c, handlers_.back().get(), shard_obs);
     if (clock_) {
       shard->SetClock(clock_);
     }
@@ -91,9 +88,8 @@ bool ShardedServer::Start() {
     if (!shard->Start()) {
       SPOTCACHE_LOG(kError) << "shard " << i << " failed to start";
       shards_.clear();
-      core_list_.clear();
       registries_.clear();
-      cores_.clear();
+      handlers_.clear();
       shard_obs_.clear();
       return false;
     }
@@ -153,10 +149,6 @@ void ShardedServer::SetClock(std::function<int64_t()> now_unix) {
   for (auto& shard : shards_) {
     shard->SetClock(clock_);
   }
-}
-
-CoreSnapshot ShardedServer::TotalSnapshot() const {
-  return cores_.empty() ? CoreSnapshot{} : cores_[0]->Snapshot();
 }
 
 }  // namespace spotcache::net

@@ -1,13 +1,17 @@
-// ShardedServer: N reactors behind one port, serving one shared store.
+// ShardedServer: N reactors behind one port, each serving the handler a
+// HandlerFactory built for it. The one serving runtime of both serving
+// binaries (memcached's worker model).
 //
-// This is memcached's worker model. ShardedServer owns what is served: one
-// StripedStore of key-hashed stripes, each behind its own mutex, and one
-// ServerCore per reactor. Each reactor is a NetServer built around its
-// reactor's core — private epoll loop, private RequestTelemetry, private Obs
-// registry — running on its own thread. Every reactor runs the plain
-// parse -> ServerCore::Handle -> writev path for every key: no request
-// crosses reactors. A get hit pins the item's block under the stripe lock
-// and releases it on the reactor's own thread.
+// Each reactor is a NetServer — private epoll loop, private
+// RequestTelemetry, private Obs registry — on its own thread, around the
+// handler the factory built from (reactor index, reactor Obs). The cache
+// factory (ShardedServer(config, obs)) owns one StripedStore of key-hashed
+// stripes, each behind its own mutex — one stripe (one global LRU) at
+// threads == 1, kStoreStripes above — and builds a ServerCore per reactor
+// over it, so any reactor serves any key on its own thread: a get hit pins
+// the item's block under the stripe lock and releases it on the reactor's
+// thread. spotcache_proxy's factory builds a ProxyCore and its UpstreamPool
+// on the reactor's Obs, and no store.
 //
 // Accept strategy: by default every reactor binds the same port with
 // SO_REUSEPORT and the kernel spreads connections by 4-tuple. Where
@@ -16,27 +20,15 @@
 // peers as kAdoptConn handoffs through the ShardExchange (sharding.h). That
 // handoff is the exchange's only job.
 //
-// Aggregation surfaces: each request fact is one counter in its reactor's
-// registry, and both surfaces read those counters directly.
-//   * `stats` / `stats spotcache` — the serving reactor reads the store's
-//     totals under the stripe locks and sums every reactor's request
-//     counters (ServerCore::Snapshot).
-//   * Prometheus scrape (`--metrics-port`, reactor 0's loop) — reactor 0
-//     renders the sum of every reactor's registry, from the list this class
-//     hands each NetServer (NetServer::RenderMetrics), while the others keep
-//     serving. Registry values are single-writer relaxed atomics, and the
-//     walk holds each registry's lock against lazy registration
-//     (metrics_registry.h). The store gauges are set by reactor 0's core
-//     only (ServerCore::PublishGauges), so the sum counts the store once.
-//   * SIGUSR1 flight recorder — RequestTelemetryDump() fans out to every
-//     reactor (async-signal-safe); dumps append to one shared span file
-//     under a shared mutex, and reactor 0 writes the same summed metrics
-//     file the scrape serves.
+// Aggregation: `stats` is the handler's (a ServerCore sums every reactor's
+// counters and the store's totals, server_core.h). Reactor 0 serves the
+// scrape and writes the metrics dump: the sum of every reactor's registry
+// (NetServer::RenderMetrics), read while the others keep serving.
+// RequestTelemetryDump() fans out to every reactor; their span dumps append
+// to one file under a shared mutex.
 //
-// The store has one stripe (one global LRU) at threads == 1 and
-// kStoreStripes above; otherwise every thread count is built the same way.
 // threads == 1 runs its one reactor on the calling thread with no exchange,
-// byte-identical to a NetServer around a lone ServerCore.
+// byte-identical to a NetServer around the lone handler.
 
 #pragma once
 
@@ -46,10 +38,10 @@
 #include <mutex>
 #include <vector>
 
+#include "src/net/request_handler.h"
 #include "src/net/server.h"
 #include "src/net/server_core.h"
 #include "src/net/sharding.h"
-#include "src/net/striped_store.h"
 #include "src/obs/obs.h"
 
 namespace spotcache::net {
@@ -66,11 +58,16 @@ inline constexpr uint32_t kStoreStripes = 16;
 /// off Linux.
 void PinToCore(uint32_t core);
 
+/// Builds reactor `reactor`'s handler, counting into that reactor's `obs`.
+/// Start() calls it once per reactor, in reactor order.
+using HandlerFactory = std::function<std::unique_ptr<RequestHandler>(
+    uint32_t reactor, Obs* obs)>;
+
 struct ShardedServerConfig {
   /// Per-reactor template. The metrics listener / metrics dump run on
   /// reactor 0 only.
   NetServerConfig base;
-  /// Capacity of the shared store.
+  /// Capacity of the cache factory's shared store.
   size_t capacity_bytes = 64 * 1024 * 1024;
   uint32_t threads = 1;  // clamped to [1, kMaxShards]
   /// Pin reactor i to cpu (i % hardware_concurrency); with threads == 1,
@@ -81,12 +78,19 @@ struct ShardedServerConfig {
   bool force_dispatch = false;
 };
 
+struct CacheFactory;
+
 class ShardedServer {
  public:
-  /// `obs` (optional) only lends its tracer enablement to the per-shard
-  /// tracers; every shard records into its own private Obs (shard_obs()).
+  /// Serves the cache: the cache factory's StripedStore and a ServerCore
+  /// per reactor. `obs` (optional) only lends its tracer enablement to the
+  /// per-shard tracers; every shard records into its own private Obs
+  /// (shard_obs()).
   explicit ShardedServer(const ShardedServerConfig& config,
                          Obs* obs = nullptr);
+  /// Serves what `factory` builds per reactor (`capacity_bytes` unused).
+  ShardedServer(const ShardedServerConfig& config, HandlerFactory factory,
+                Obs* obs = nullptr);
 
   ShardedServer(const ShardedServer&) = delete;
   ShardedServer& operator=(const ShardedServer&) = delete;
@@ -121,8 +125,8 @@ class ShardedServer {
   NetServer& shard(size_t i) { return *shards_[i]; }
   Obs& shard_obs(size_t i) { return *shard_obs_[i]; }
 
-  /// The store's totals and every reactor's request counters (what `stats`
-  /// reports).
+  /// The cache's store totals and every reactor's request counters (what
+  /// `stats` reports); zero when serving another factory's handlers.
   CoreSnapshot TotalSnapshot() const;
 
  private:
@@ -133,12 +137,12 @@ class ShardedServer {
   bool using_reuseport_ = false;
 
   // Declared in dependency order, so each is destroyed before what it uses.
-  StripedStore store_;
+  HandlerFactory factory_;  // owns the cache factory's state, if any
+  const CacheFactory* cache_ = nullptr;  // that state
   ShardExchange exchange_;
   std::mutex dump_mu_;
   std::vector<std::unique_ptr<Obs>> shard_obs_;
-  std::vector<std::unique_ptr<ServerCore>> cores_;
-  std::vector<const ServerCore*> core_list_;        // ShardContext::cores
+  std::vector<std::unique_ptr<RequestHandler>> handlers_;
   std::vector<const MetricsRegistry*> registries_;  // the scrape's sum
   std::vector<std::unique_ptr<NetServer>> shards_;
 };

@@ -1,8 +1,9 @@
-// spotcache_server signal handling (ISSUE 7 satellite): SIGUSR1 dumps the
-// flight recorder + a live metrics snapshot without interrupting service;
-// SIGTERM still shuts down cleanly (exit 0, artifacts written). Drives the
-// real binary — the path to it arrives as argv[1] (wired by CMake via
-// $<TARGET_FILE:spotcache_server>); the test skips if it's absent.
+// Serving-binary signal handling: SIGUSR1 dumps the flight recorder + a live
+// metrics snapshot without interrupting service; SIGTERM still shuts down
+// cleanly (exit 0, artifacts written, pidfile removed); the proxy's SIGHUP
+// re-reads its fleet file. Drives the real binaries — spotcache_server's
+// path arrives as argv[1] and spotcache_proxy's as argv[2] (wired by CMake
+// via $<TARGET_FILE:...>); a case skips when its binary is absent.
 
 #include <gtest/gtest.h>
 
@@ -26,6 +27,7 @@ namespace spotcache {
 namespace {
 
 std::string g_server_bin;  // set from argv[1] in main() below
+std::string g_proxy_bin;   // set from argv[2]
 
 std::string ReadFileOrEmpty(const std::string& path) {
   std::ifstream in(path);
@@ -37,11 +39,16 @@ std::string ReadFileOrEmpty(const std::string& path) {
   return out.str();
 }
 
-/// A spotcache_server child process with stdout captured for the readiness
-/// lines.
+bool FileExists(const std::string& path) {
+  return ::access(path.c_str(), F_OK) == 0;
+}
+
+/// A serving-binary child process (spotcache_server unless `bin` names
+/// another) with stdout captured for the readiness lines.
 class ServerProcess {
  public:
-  explicit ServerProcess(std::vector<std::string> extra_args) {
+  explicit ServerProcess(std::vector<std::string> extra_args,
+                         const std::string& bin = g_server_bin) {
     int out_pipe[2];
     if (::pipe(out_pipe) != 0) {
       return;
@@ -51,7 +58,7 @@ class ServerProcess {
       ::dup2(out_pipe[1], STDOUT_FILENO);
       ::close(out_pipe[0]);
       ::close(out_pipe[1]);
-      std::vector<std::string> args = {g_server_bin, "--port=0"};
+      std::vector<std::string> args = {bin, "--port=0"};
       for (std::string& a : extra_args) {
         args.push_back(std::move(a));
       }
@@ -61,7 +68,7 @@ class ServerProcess {
         argv.push_back(a.data());
       }
       argv.push_back(nullptr);
-      ::execv(g_server_bin.c_str(), argv.data());
+      ::execv(bin.c_str(), argv.data());
       std::perror("execv");
       ::_exit(127);
     }
@@ -223,6 +230,98 @@ TEST_F(ServerSignalsTest, MetricsPortServesLiveScrape) {
   EXPECT_EQ(server.Terminate(), 0);
 }
 
+TEST_F(ServerSignalsTest, ProxyPidfileDumpReloadAndCleanExit) {
+  if (g_proxy_bin.empty()) {
+    GTEST_SKIP() << "spotcache_proxy binary path not provided";
+  }
+  char dir[] = "/tmp/spotcache_proxy_signals_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir), nullptr);
+  const std::string fleet = std::string(dir) + "/fleet.txt";
+  const std::string pidfile = std::string(dir) + "/proxy.pid";
+  const std::string trace = std::string(dir) + "/trace.jsonl";
+  const std::string metrics = std::string(dir) + "/metrics.prom";
+  const std::string spans = std::string(dir) + "/spans.jsonl";
+
+  ServerProcess server({});
+  ASSERT_GT(server.pid(), 0);
+  server.ReadUntil("listening ");
+  const uint16_t server_port = server.PortAfter("listening ");
+  ASSERT_NE(server_port, 0);
+  const auto write_fleet = [&](int generation) {
+    std::ofstream(fleet) << "# spotcache fleet membership v1\ngeneration "
+                         << generation << "\nnode 0 127.0.0.1 " << server_port
+                         << "\n";
+  };
+  write_fleet(1);
+
+  ServerProcess proxy({"--fleet=" + fleet, "--pidfile=" + pidfile,
+                       "--trace=" + trace, "--metrics=" + metrics,
+                       "--spans=" + spans, "--span-sample=1"},
+                      g_proxy_bin);
+  ASSERT_GT(proxy.pid(), 0);
+  proxy.ReadUntil("listening ");
+  const uint16_t port = proxy.PortAfter("listening ");
+  ASSERT_NE(port, 0);
+  // The pidfile is written before the readiness line is printed.
+  EXPECT_EQ(ReadFileOrEmpty(pidfile), std::to_string(proxy.pid()) + "\n");
+
+  net::NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", port));
+  ASSERT_TRUE(client.Set("key", "value"));
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_TRUE(client.Get("key").found);
+  }
+
+  // SIGUSR1: spans and a metrics snapshot appear while the proxy serves.
+  ASSERT_EQ(::kill(proxy.pid(), SIGUSR1), 0);
+  std::string span_content;
+  std::string metrics_content;
+  for (int i = 0; i < 500; ++i) {
+    span_content = ReadFileOrEmpty(spans);
+    metrics_content = ReadFileOrEmpty(metrics);
+    if (!span_content.empty() && !metrics_content.empty()) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_NE(span_content.find("\"type\":\"request_span\""),
+            std::string::npos);
+  EXPECT_NE(metrics_content.find("proxy_requests"), std::string::npos);
+  EXPECT_TRUE(client.Get("key").found);
+
+  // SIGHUP re-reads the rewritten fleet file; service continues.
+  write_fleet(2);
+  ASSERT_EQ(::kill(proxy.pid(), SIGHUP), 0);
+  std::string generation;
+  for (int i = 0; i < 500 && generation != "2"; ++i) {
+    const auto stats = client.Stats();
+    ASSERT_TRUE(stats.has_value());
+    const auto it = stats->find("proxy_generation");
+    ASSERT_NE(it, stats->end());
+    generation = it->second;
+    if (generation != "2") {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  EXPECT_EQ(generation, "2");
+  EXPECT_TRUE(client.Get("key").found);
+  client.Close();
+
+  // Clean shutdown: exit 0, every artifact written, the pidfile removed.
+  EXPECT_EQ(proxy.Terminate(), 0);
+  EXPECT_FALSE(ReadFileOrEmpty(trace).empty());
+  EXPECT_NE(ReadFileOrEmpty(metrics).find("proxy_requests"),
+            std::string::npos);
+  EXPECT_NE(ReadFileOrEmpty(spans).find("request_span"), std::string::npos);
+  EXPECT_FALSE(FileExists(pidfile));
+  EXPECT_EQ(server.Terminate(), 0);
+
+  for (const std::string& f : {fleet, trace, metrics, spans}) {
+    ::unlink(f.c_str());
+  }
+  ::rmdir(dir);
+}
+
 }  // namespace
 }  // namespace spotcache
 
@@ -230,6 +329,9 @@ int main(int argc, char** argv) {
   ::testing::InitGoogleTest(&argc, argv);
   if (argc > 1) {
     spotcache::g_server_bin = argv[1];
+  }
+  if (argc > 2) {
+    spotcache::g_proxy_bin = argv[2];
   }
   return RUN_ALL_TESTS();
 }

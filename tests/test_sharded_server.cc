@@ -1,5 +1,6 @@
 // ShardedServer integration: N reactor threads serving one lock-striped
-// store, with coherent aggregation surfaces.
+// store, with coherent aggregation surfaces, and serving the handlers a
+// factory builds.
 //
 // The soaks use self-verifying values (value encodes its key and version) so
 // any cross-reactor bug — a reply stitched to the wrong request, a pin
@@ -24,12 +25,14 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/net/client.h"
 #include "src/net/protocol.h"
+#include "src/net/request_handler.h"
 #include "src/net/response.h"
 #include "src/net/server_core.h"
 #include "src/net/sharded_server.h"
@@ -452,6 +455,68 @@ TEST(ShardedServer, DispatchFallbackServesAllShards) {
   }
   std::sort(shard_seen.begin(), shard_seen.end());
   EXPECT_EQ(shard_seen, (std::vector<long>{0, 1, 2}));
+
+  for (auto& c : clients) {
+    c->Close();
+  }
+  server.Stop();
+  loop.join();
+}
+
+/// Answers every request with the index of the reactor it was built for.
+class ReactorIdHandler : public RequestHandler {
+ public:
+  explicit ReactorIdHandler(uint32_t reactor) : reactor_(reactor) {}
+  bool Handle(const TextRequest& req, int64_t /*now*/,
+              ResponseAssembler* out) override {
+    if (req.verb == Verb::kQuit) {
+      return false;
+    }
+    out->Appendf("VERSION reactor-%u\r\n", reactor_);
+    return true;
+  }
+  void HandleParseError(ParseErrorKind /*kind*/,
+                        ResponseAssembler* out) override {
+    out->Append("ERROR\r\n");
+  }
+
+ private:
+  uint32_t reactor_;
+};
+
+// A handler factory in place of the cache: Start() builds one handler per
+// reactor, in order, on that reactor's Obs, and each reactor serves its own.
+TEST(ShardedServer, FactoryBuildsEachReactorsHandler) {
+  ShardedServerConfig config = FourShardConfig();
+  config.threads = 3;
+  config.force_dispatch = true;  // round-robin: one connection per reactor
+  std::vector<std::pair<uint32_t, Obs*>> built;
+  ShardedServer server(config, [&built](uint32_t reactor, Obs* obs) {
+    built.emplace_back(reactor, obs);
+    return std::make_unique<ReactorIdHandler>(reactor);
+  });
+  ASSERT_TRUE(server.Start());
+  ASSERT_EQ(built.size(), 3u);
+  for (uint32_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(built[i].first, i);
+    EXPECT_EQ(built[i].second, &server.shard_obs(i));
+  }
+  std::thread loop([&server] { server.Run(); });
+
+  std::vector<std::unique_ptr<NetClient>> clients;
+  std::vector<std::string> seen;
+  for (int i = 0; i < 3; ++i) {
+    clients.push_back(std::make_unique<NetClient>());
+    ASSERT_TRUE(clients.back()->Connect("127.0.0.1", server.port()));
+    const auto version = clients.back()->Version();
+    ASSERT_TRUE(version.has_value());
+    seen.push_back(*version);
+  }
+  std::sort(seen.begin(), seen.end());
+  EXPECT_EQ(seen, (std::vector<std::string>{"reactor-0", "reactor-1",
+                                            "reactor-2"}));
+  // No cache was built, so there are no cache totals.
+  EXPECT_EQ(server.TotalSnapshot().capacity_bytes, 0u);
 
   for (auto& c : clients) {
     c->Close();
