@@ -6,14 +6,25 @@
 
 namespace spotcache::net {
 
-int64_t ResolveExptime(int64_t exptime, int64_t now) {
+namespace {
+
+/// `t` in the range of a block's stored_at. The clamp is monotone, so an item
+/// stored at or after a flush point stays at or after it once both clamp.
+int64_t StoreTime(int64_t t) { return std::clamp<int64_t>(t, 0, UINT32_MAX); }
+
+}  // namespace
+
+uint32_t ResolveExptime(int64_t exptime, int64_t now) {
   if (exptime == 0) {
-    return 0;
+    return ItemBlock::kNever;
   }
   if (exptime < 0) {
-    return -1;
+    return ItemBlock::kDead;
   }
-  return exptime <= kRelativeExpiryCutoff ? now + exptime : exptime;
+  const int64_t deadline =
+      exptime <= kRelativeExpiryCutoff ? now + exptime : exptime;
+  return static_cast<uint32_t>(
+      std::clamp<int64_t>(deadline, 1, ItemBlock::kLatestDeadline));
 }
 
 ItemRef ItemRef::Allocate(std::string_view key, std::string_view value) {
@@ -23,9 +34,9 @@ ItemRef ItemRef::Allocate(std::string_view key, std::string_view value) {
   }
   ItemRef ref;
   ref.block_ = new (mem) ItemBlock;
-  ref.block_->key_len = static_cast<uint32_t>(key.size());
-  ref.block_->value_len = static_cast<uint32_t>(value.size());
-  char* bytes = reinterpret_cast<char*>(ref.block_ + 1);
+  ref.block_->lengths = static_cast<uint32_t>(
+      key.size() | value.size() << ItemBlock::kKeyLenBits);
+  char* bytes = static_cast<char*>(mem) + sizeof(ItemBlock);
   std::memcpy(bytes, key.data(), key.size());
   std::memcpy(bytes + key.size(), value.data(), value.size());
   return ref;
@@ -36,17 +47,16 @@ ItemStore::ItemStore(size_t capacity_bytes) : lru_(capacity_bytes) {
 }
 
 bool ItemStore::IsLive(const ItemBlock& item, int64_t now) const {
-  if (item.expires_at < 0) {
-    return false;
-  }
-  if (item.expires_at > 0 && item.expires_at <= now) {
+  if (item.expires_at == ItemBlock::kDead ||
+      (item.expires_at != ItemBlock::kNever &&
+       int64_t{item.expires_at} <= now)) {
     return false;
   }
   int64_t flushed_before = flushed_before_;
   if (flush_pending_at_ >= 0 && now >= flush_pending_at_) {
     flushed_before = std::max(flushed_before, flush_pending_at_);
   }
-  return item.stored_at >= flushed_before;
+  return int64_t{item.stored_at} >= flushed_before;
 }
 
 bool ItemStore::Store(Mode mode, std::string_view key, uint32_t flags,
@@ -59,16 +69,17 @@ bool ItemStore::Store(Mode mode, std::string_view key, uint32_t flags,
     }
   }
   // Charge: key + payload + a fixed 64 bytes of bookkeeping, memcached's
-  // per-item overhead in spirit. The block header holds 32-bit lengths.
+  // per-item overhead in spirit.
   const size_t cost = key.size() + data.size() + 64;
-  if (cost > lru_.capacity_bytes() || cost > UINT32_MAX) {
+  if (cost > lru_.capacity_bytes() || key.size() > kMaxKeyBytes ||
+      data.size() > kMaxValueBytes) {
     return false;
   }
   Item item{ItemRef::Allocate(key, data)};
   ItemBlock& block = *item.data;
   block.flags = flags;
   block.expires_at = ResolveExptime(exptime, now);
-  block.stored_at = now;
+  block.stored_at = static_cast<uint32_t>(StoreTime(now));
   block.cas = NextCas();
   op_now_ = now;
   // An overwrite keeps the slot; its key now reads the new block.
@@ -112,14 +123,16 @@ void ItemStore::FlushAll(int64_t now, int64_t delay_s) {
   // A pending point that has passed stays in force: a later flush_all only
   // replaces a point that is still pending. Items stored at exactly a flush
   // point stay visible (memcached's "new sets after flush_all take effect").
+  // Points are clamped like stored_at, so a point past the horizon still
+  // hides only what was stored before it.
   if (flush_pending_at_ >= 0 && now >= flush_pending_at_) {
     flushed_before_ = std::max(flushed_before_, flush_pending_at_);
   }
   flush_pending_at_ = -1;
   if (delay_s > 0) {
-    flush_pending_at_ = now + delay_s;
+    flush_pending_at_ = StoreTime(now + delay_s);
   } else {
-    flushed_before_ = std::max(flushed_before_, now);
+    flushed_before_ = std::max(flushed_before_, StoreTime(now));
   }
 }
 

@@ -1,27 +1,34 @@
 // The server's authoritative byte store: string key -> (flags, expiry, cas,
 // payload), LRU-bounded by byte capacity, with memcached's expiry rules.
 //
-// Each item is one heap block: an ItemBlock header (refcount, flags, cas,
-// deadlines, lengths), then the key bytes, then the value bytes. The flat
-// LruCache arena indexes the blocks in its key-in-value mode: a slot holds a
-// counted ItemRef to the block, its 32-bit charge, its recency links and its
-// key's hash (24 bytes), and the key is read from the block. The response
-// assembler holds ItemRefs to the same block, so a value stays valid across a
-// batched writev even if a later request in the batch evicts, overwrites or
-// deletes the item. The count is atomic because the reactors of a server
-// share one store (striped_store.h): one reactor may drop the store's ref
-// while another still holds a pin it took under the stripe lock.
+// Each item is one heap block: a 28-byte ItemBlock header, then the key
+// bytes, then the value bytes. The header packs what an item needs and no
+// more: the refcount, the client flags, the 64-bit cas, two 32-bit unix-second
+// times (deadline and store time, as memcached's 32-bit rel_time_t) and one
+// 32-bit word holding both lengths (8 bits of key length, 24 of value
+// length). glibc rounds a block of header + key + value up to a chunk of that
+// plus 8 bytes in 16-byte steps, so an 8-byte key with a 100-byte value
+// (136 B) takes a 144-byte chunk. The flat LruCache arena indexes the blocks
+// in its key-in-value mode: a slot holds a counted ItemRef to the block, its
+// 32-bit charge, its recency links and its key's hash (24 bytes), and the key
+// is read from the block. The response assembler holds ItemRefs to the same
+// block, so a value stays valid across a batched writev even if a later
+// request in the batch evicts, overwrites or deletes the item. The count is
+// atomic because the reactors of a server share one store
+// (striped_store.h): one reactor may drop the store's ref while another still
+// holds a pin it took under the stripe lock.
 //
 // Every item is charged key + value + 64 bytes against the capacity, and
 // eviction is strict LRU.
 //
 // Expiry follows memcached 1.6: exptime 0 never expires, negative is
 // immediately expired, values up to 30 days are relative seconds, larger
-// values are absolute unix seconds. flush_all(delay) marks everything stored
-// before the flush point invisible once the point passes; a later delayed
-// flush_all does not revive what an earlier one already hid. All time comes
-// in through `now` parameters, so the store is a pure function of its inputs
-// and deterministic under test clocks.
+// values are absolute unix seconds. A deadline past the 32-bit horizon is
+// stored as the latest one the header holds (2106-02-07 06:28:14 UTC). flush_all(delay) marks everything stored before the flush
+// point invisible once the point passes; a later delayed flush_all does not
+// revive what an earlier one already hid. All time comes in through `now`
+// parameters, so the store is a pure function of its inputs and
+// deterministic under test clocks.
 
 #pragma once
 
@@ -33,34 +40,59 @@
 #include <utility>
 
 #include "src/cache/lru_cache.h"
+#include "src/net/protocol.h"
 
 namespace spotcache::net {
 
 /// Seconds threshold below which exptime is relative (memcached's constant).
 inline constexpr int64_t kRelativeExpiryCutoff = 60 * 60 * 24 * 30;
 
-/// Resolves a wire exptime into an absolute unix-seconds deadline.
-/// Returns 0 for "never", -1 for "already expired".
-int64_t ResolveExptime(int64_t exptime, int64_t now);
-
-/// Header of one item's heap block; the key and value bytes follow it.
-/// Everything but `refs` and `expires_at` (touch) is fixed once stored.
+/// Header of one item's heap block; the key and value bytes follow it, from
+/// byte 28. Everything but `refs` and `expires_at` (touch) is fixed once
+/// stored. Packed to 4-byte alignment so the 64-bit cas leaves no tail
+/// padding; malloc's 16-byte alignment keeps it 8-aligned in practice.
+#pragma pack(push, 4)
 struct ItemBlock {
+  /// expires_at sentinels; a real deadline lies strictly between them.
+  static constexpr uint32_t kNever = 0;
+  static constexpr uint32_t kDead = UINT32_MAX;
+  /// The latest deadline a block holds: later ones saturate to it.
+  static constexpr uint32_t kLatestDeadline = kDead - 1;
+  /// Bits of `lengths` that hold the key length; the value length gets the
+  /// rest.
+  static constexpr uint32_t kKeyLenBits = 8;
+
   std::atomic<uint32_t> refs{1};
   uint32_t flags = 0;
-  uint32_t key_len = 0;
-  uint32_t value_len = 0;
   uint64_t cas = 0;
-  int64_t expires_at = 0;  // 0 = never, -1 = dead, else unix seconds
-  int64_t stored_at = 0;   // for flush_all visibility
+  uint32_t expires_at = kNever;  // unix seconds, or a sentinel
+  uint32_t stored_at = 0;        // unix seconds, for flush_all visibility
+  uint32_t lengths = 0;          // key_len | value_len << kKeyLenBits
 
-  std::string_view key() const {
-    return {reinterpret_cast<const char*>(this + 1), key_len};
-  }
+  uint32_t key_len() const { return lengths & ((1u << kKeyLenBits) - 1); }
+  uint32_t value_len() const { return lengths >> kKeyLenBits; }
+  std::string_view key() const { return {bytes(), key_len()}; }
   std::string_view value() const {
-    return {reinterpret_cast<const char*>(this + 1) + key_len, value_len};
+    return {bytes() + key_len(), value_len()};
+  }
+
+ private:
+  const char* bytes() const {
+    return reinterpret_cast<const char*>(this) + sizeof(ItemBlock);
   }
 };
+#pragma pack(pop)
+
+static_assert(sizeof(ItemBlock) == 28,
+              "refs + flags + cas + two times + lengths, unpadded");
+static_assert(kMaxKeyBytes < (1u << ItemBlock::kKeyLenBits),
+              "the protocol's longest key fits the key-length bits");
+static_assert(kMaxValueBytes < (1u << (32 - ItemBlock::kKeyLenBits)),
+              "the protocol's largest value fits the value-length bits");
+
+/// Resolves a wire exptime into the deadline a block stores: kNever, kDead,
+/// or unix seconds clamped to [1, kLatestDeadline].
+uint32_t ResolveExptime(int64_t exptime, int64_t now);
 
 /// Counted reference to an ItemBlock; the last one frees the block.
 class ItemRef {
@@ -80,7 +112,8 @@ class ItemRef {
   }
   ~ItemRef() { reset(); }
 
-  /// A new block holding `key` and `value`, header fields zeroed.
+  /// A new block holding `key` and `value` (within kMaxKeyBytes and
+  /// kMaxValueBytes), other header fields zeroed.
   static ItemRef Allocate(std::string_view key, std::string_view value);
 
   void reset() {
@@ -155,7 +188,10 @@ class ItemStore {
   ItemStore(const ItemStore&) = delete;
   ItemStore& operator=(const ItemStore&) = delete;
 
-  /// Returns whether the item was stored (false: NOT_STORED).
+  /// Returns whether the item was stored (false: NOT_STORED). A key longer
+  /// than kMaxKeyBytes or a value larger than kMaxValueBytes is refused: the
+  /// block header has no room for its length (the parser rejects both
+  /// before a request gets here).
   bool Store(Mode mode, std::string_view key, uint32_t flags, int64_t exptime,
              std::string_view data, int64_t now);
   bool Set(std::string_view key, uint32_t flags, int64_t exptime,

@@ -120,6 +120,9 @@ class RequestParser {
 
   /// Bytes buffered but not yet consumed (0 once a stream parsed cleanly).
   size_t buffered() const { return end_ - pos_; }
+  /// Heap the input buffer holds (it grows to the largest read, never
+  /// shrinks).
+  size_t buffer_capacity() const { return buf_.capacity(); }
 
  private:
   enum class State : uint8_t {

@@ -69,6 +69,7 @@ NetServer::NetServer(const NetServerConfig& config, RequestHandler* handler,
     pending_hw_gauge_ =
         obs_->registry.GetGauge("net/pending_out_high_water_bytes");
     conns_hw_gauge_ = obs_->registry.GetGauge("net/conns_high_water");
+    conn_buffer_gauge_ = obs_->registry.GetGauge("net/conn_buffer_bytes");
   }
 }
 
@@ -459,6 +460,7 @@ void NetServer::RegisterConn(int fd, bool metrics) {
   if (deferred_ && !metrics) {
     conns_by_id_.emplace(conn->id, conn.get());
   }
+  CountBuffers(conn.get());
   conns_.emplace(fd, std::move(conn));
   if (conns_.size() > conns_high_water_) {
     conns_high_water_ = conns_.size();
@@ -526,6 +528,7 @@ void NetServer::ConnReadable(Connection* conn) {
     CloseConn(conn, "read_error");
     return;
   }
+  CountBuffers(conn);
   Drain(conn);
 }
 
@@ -847,6 +850,7 @@ void NetServer::Flush(Connection* conn) {
     conn->pending_out.append(base, len);
   }
   conn->assembler.Clear();
+  CountBuffers(conn);
 
   const size_t backlog = conn->pending_out.size() - conn->pending_sent;
   if (backlog > pending_out_high_water_) {
@@ -875,6 +879,24 @@ void NetServer::Flush(Connection* conn) {
   }
 }
 
+void NetServer::CountBuffers(Connection* conn) {
+  if (conn->is_metrics) {
+    return;
+  }
+  // A short std::string keeps its bytes inline: only a larger one is heap.
+  const size_t out = conn->pending_out.capacity();
+  const size_t bytes = conn->parser.buffer_capacity() +
+                       (out > std::string().capacity() ? out + 1 : 0);
+  if (bytes == conn->buffer_bytes) {
+    return;
+  }
+  conn_buffer_bytes_ = conn_buffer_bytes_ - conn->buffer_bytes + bytes;
+  conn->buffer_bytes = bytes;
+  if (conn_buffer_gauge_ != nullptr) {
+    conn_buffer_gauge_->Set(static_cast<double>(conn_buffer_bytes_));
+  }
+}
+
 void NetServer::ConnWritable(Connection* conn) { Flush(conn); }
 
 void NetServer::UpdateEpoll(Connection* conn) {
@@ -889,6 +911,10 @@ void NetServer::CloseConn(Connection* conn, const char* reason) {
   if (conn->is_metrics) {
     --metrics_conns_;
   } else {
+    conn_buffer_bytes_ -= conn->buffer_bytes;
+    if (conn_buffer_gauge_ != nullptr) {
+      conn_buffer_gauge_->Set(static_cast<double>(conn_buffer_bytes_));
+    }
     Trace("conn_close",
           {{"conn", EventTracer::JsonNumber(static_cast<int64_t>(conn->id))},
            {"reason", EventTracer::JsonString(reason)}});

@@ -11,7 +11,11 @@
 // also build one directly around a handler. Short writes spill into a
 // per-connection pending buffer drained on EPOLLOUT; a buffer that exceeds
 // `max_output_buffer` marks a slow consumer, and the connection is dropped
-// (counted + traced) rather than ballooning memory.
+// (counted + traced) rather than ballooning memory. The heap those two
+// buffers hold, summed over the reactor's cache connections, is the
+// `net/conn_buffer_bytes` gauge: each reactor updates its own where the
+// buffers grow and when a connection closes, so the scrape's cross-reactor
+// sum is exact without a timer.
 //
 // Observability: `net/*` transport counters and loop histograms beside
 // whatever the handler counts, JSONL connection events stamped with
@@ -201,6 +205,7 @@ class NetServer {
     bool peer_eof = false;    // client finished sending: answer, then close
     bool reading = true;      // EPOLLIN registered
     bool release_listed = false;  // queued in releasing_
+    size_t buffer_bytes = 0;  // its share of conn_buffer_bytes_
   };
 
   void AcceptReady(int listen_fd, bool metrics);
@@ -228,6 +233,9 @@ class NetServer {
   void RegisterConn(int fd, bool metrics);
   /// writev the assembler + pending buffer; buffers any remainder.
   void Flush(Connection* conn);
+  /// Re-counts a cache connection's parser buffer and pending output into
+  /// conn_buffer_bytes_ (scrape connections are not counted).
+  void CountBuffers(Connection* conn);
   void CloseConn(Connection* conn, const char* reason);
   void UpdateEpoll(Connection* conn);
   /// Opens one non-blocking listener on bind_host:port; returns the fd (or
@@ -283,6 +291,8 @@ class NetServer {
   // compares against a plain size_t, not a double).
   size_t pending_out_high_water_ = 0;
   size_t conns_high_water_ = 0;
+  /// Heap held by the cache connections' parser and pending-output buffers.
+  size_t conn_buffer_bytes_ = 0;
 
   Counter* conns_opened_ = nullptr;
   Counter* conns_closed_ = nullptr;
@@ -297,6 +307,7 @@ class NetServer {
   Histogram* loop_work_hist_ = nullptr;
   Gauge* pending_hw_gauge_ = nullptr;
   Gauge* conns_hw_gauge_ = nullptr;
+  Gauge* conn_buffer_gauge_ = nullptr;
 };
 
 }  // namespace spotcache::net

@@ -72,14 +72,14 @@ ServerCore::Outcome ServerCore::HandleRetrieve(const TextRequest& req,
     }
     get_hits_->Increment();
     const ItemBlock& item = *hit;
-    result.value_bytes += item.value_len;
+    result.value_bytes += item.value_len();
     if (with_cas) {
       out->Appendf("VALUE %.*s %u %u %" PRIu64 "\r\n",
                    static_cast<int>(key.size()), key.data(), item.flags,
-                   item.value_len, item.cas);
+                   item.value_len(), item.cas);
     } else {
       out->Appendf("VALUE %.*s %u %u\r\n", static_cast<int>(key.size()),
-                   key.data(), item.flags, item.value_len);
+                   key.data(), item.flags, item.value_len());
     }
     out->AppendPinned(std::move(hit));
     out->Append("\r\n");
@@ -128,10 +128,17 @@ void ServerCore::AppendSpotcacheStats(ResponseAssembler* out) {
                  telemetry_->ring_size());
   }
   // Memory that RSS holds beyond the items' charge: the store's arenas and
-  // hash tables, then the process-wide heap (read here, never per request).
+  // hash tables, every reactor's connection buffers, then the process-wide
+  // heap (read here, never per request).
   const HeapStats heap = ReadHeapStats();
   out->Appendf("STAT spotcache_store_index_bytes %zu\r\n",
                store_->index_bytes());
+  double conn_buffer_bytes = 0;
+  ForEachCore([&conn_buffer_bytes](const ServerCore& core) {
+    conn_buffer_bytes += core.registry_->GaugeValue("net/conn_buffer_bytes");
+  });
+  out->Appendf("STAT spotcache_conn_buffer_bytes %.0f\r\n",
+               conn_buffer_bytes);
   out->Appendf("STAT spotcache_heap_in_use_bytes %zu\r\n", heap.in_use);
   out->Appendf("STAT spotcache_heap_free_held_bytes %zu\r\n",
                heap.free_held);
@@ -322,13 +329,7 @@ CoreSnapshot ServerCore::Snapshot() const {
       s.start_time = start;
     }
   };
-  if (shard_.cores == nullptr) {
-    add(*this);
-  } else {
-    for (const ServerCore* core : *shard_.cores) {
-      add(*core);
-    }
-  }
+  ForEachCore(add);
   s.cmd_get = s.get_hits + s.get_misses;
   return s;
 }

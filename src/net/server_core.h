@@ -19,9 +19,11 @@
 // Stats surfaces: plain `stats` emits the memcached-compatible block;
 // `stats spotcache` emits the server-telemetry extension (event-loop
 // health, sampled span counts, per-(op, outcome) latency quantiles, and the
-// memory figures: the store index and the process heap). The scrape's
-// `net/store_*` gauges come from PublishGauges(), which reads the same
-// StripedStore::totals() that `stats spotcache` prints from.
+// memory figures: the store index, every reactor's connection buffers and
+// the process heap). The scrape's `net/store_*` gauges come from
+// PublishGauges(), which reads the same StripedStore::totals() that `stats
+// spotcache` prints from; `spotcache_conn_buffer_bytes` sums the
+// `net/conn_buffer_bytes` gauges the scrape sums.
 
 // Multi-reactor serving: ShardedServer's cache factory builds one ServerCore
 // per reactor, all serving from one StripedStore (see striped_store.h), so any
@@ -148,6 +150,17 @@ class ServerCore : public RequestHandler {
   void AppendDefaultStats(int64_t now, ResponseAssembler* out);
   /// The `stats spotcache` extension: telemetry + event-loop health.
   void AppendSpotcacheStats(ResponseAssembler* out);
+  /// Calls `fn` on every reactor's core (this one alone when unsharded).
+  template <typename Fn>
+  void ForEachCore(const Fn& fn) const {
+    if (shard_.cores == nullptr) {
+      fn(*this);
+      return;
+    }
+    for (const ServerCore* core : *shard_.cores) {
+      fn(*core);
+    }
+  }
 
   ServerCoreConfig config_;
   StripedStore own_store_;  // the single-reactor store

@@ -12,8 +12,6 @@
 #include <sched.h>
 #endif
 
-#include "src/util/logging.h"
-
 namespace spotcache::net {
 
 namespace {
@@ -86,7 +84,6 @@ bool ShardedServer::Start() {
     shard->ConfigureShard(
         {i, dispatch ? &exchange_ : nullptr, &registries_, &dump_mu_});
     if (!shard->Start()) {
-      SPOTCACHE_LOG(kError) << "shard " << i << " failed to start";
       shards_.clear();
       registries_.clear();
       handlers_.clear();

@@ -96,7 +96,7 @@ class ShardedServer {
   ShardedServer& operator=(const ShardedServer&) = delete;
 
   /// Builds and binds every shard. Returns false (shards torn down) on any
-  /// bind/listen failure.
+  /// bind/listen failure, and prints nothing: the caller reports it.
   bool Start();
   /// Spawns one thread per shard and blocks until all of them exit (Stop()
   /// or fatal loop errors). Returns false if any shard loop failed.

@@ -1,17 +1,22 @@
 // Serving-binary signal handling: SIGUSR1 dumps the flight recorder + a live
 // metrics snapshot without interrupting service; SIGTERM still shuts down
 // cleanly (exit 0, artifacts written, pidfile removed); the proxy's SIGHUP
-// re-reads its fleet file. Drives the real binaries — spotcache_server's
+// re-reads its fleet file; a port already taken exits 3 with one stderr
+// line. Drives the real binaries — spotcache_server's
 // path arrives as argv[1] and spotcache_proxy's as argv[2] (wired by CMake
 // via $<TARGET_FILE:...>); a case skips when its binary is absent.
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
 #include <fcntl.h>
+#include <netinet/in.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -19,6 +24,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/net/client.h"
@@ -131,6 +137,42 @@ class ServerProcess {
   int stdout_fd_ = -1;
   std::string stdout_;
 };
+
+/// Runs `bin args...` to its exit; returns the exit status (-1 on abnormal
+/// death) and everything it wrote to stderr.
+std::pair<int, std::string> RunToExit(const std::string& bin,
+                                      std::vector<std::string> args) {
+  int err_pipe[2];
+  if (::pipe(err_pipe) != 0) {
+    return {-1, ""};
+  }
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    const int devnull = ::open("/dev/null", O_WRONLY);
+    ::dup2(devnull, STDOUT_FILENO);
+    ::dup2(err_pipe[1], STDERR_FILENO);
+    ::close(err_pipe[0]);
+    ::close(err_pipe[1]);
+    args.insert(args.begin(), bin);
+    std::vector<char*> argv;
+    for (std::string& a : args) {
+      argv.push_back(a.data());
+    }
+    argv.push_back(nullptr);
+    ::execv(bin.c_str(), argv.data());
+    ::_exit(127);
+  }
+  ::close(err_pipe[1]);
+  std::string err;
+  char buf[512];
+  for (ssize_t n; (n = ::read(err_pipe[0], buf, sizeof(buf))) > 0;) {
+    err.append(buf, static_cast<size_t>(n));
+  }
+  ::close(err_pipe[0]);
+  int status = 0;
+  ::waitpid(pid, &status, 0);
+  return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, err};
+}
 
 class ServerSignalsTest : public ::testing::Test {
  protected:
@@ -320,6 +362,36 @@ TEST_F(ServerSignalsTest, ProxyPidfileDumpReloadAndCleanExit) {
     ::unlink(f.c_str());
   }
   ::rmdir(dir);
+}
+
+// A port another socket is listening on: both binaries exit 3 and say so in
+// exactly one stderr line.
+TEST_F(ServerSignalsTest, TakenPortExitsThreeWithOneStderrLine) {
+  const int holder = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(holder, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::bind(holder, reinterpret_cast<sockaddr*>(&addr), len), 0);
+  ASSERT_EQ(::listen(holder, 1), 0);
+  ASSERT_EQ(::getsockname(holder, reinterpret_cast<sockaddr*>(&addr), &len),
+            0);
+  const std::string port = "--port=" + std::to_string(ntohs(addr.sin_port));
+
+  std::vector<std::pair<std::string, std::vector<std::string>>> runs = {
+      {g_server_bin, {port}}};
+  if (!g_proxy_bin.empty()) {
+    runs.push_back({g_proxy_bin, {port, "--node=0:127.0.0.1:1"}});
+  }
+  for (const auto& [bin, args] : runs) {
+    const auto [code, err] = RunToExit(bin, args);
+    EXPECT_EQ(code, 3) << bin;
+    EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << bin << ":\n"
+                                                          << err;
+    EXPECT_NE(err.find("failed to bind 127.0.0.1:"), std::string::npos) << err;
+  }
+  ::close(holder);
 }
 
 }  // namespace

@@ -841,6 +841,60 @@ TEST(ShardedServer, StatsOnOneReactorSeeWritesOnAnother) {
   loop.join();
 }
 
+// Each reactor counts its own connections' parser and pending-output
+// buffers; `stats spotcache` (reactor 1) sums the same per-reactor gauges
+// the scrape (reactor 0) sums, so the two agree at quiescence, before and
+// after a connection with a grown buffer closes.
+TEST(ShardedServer, ConnBufferBytesAgreeInStatsAndScrape) {
+  ShardedServerConfig config = FourShardConfig();
+  config.threads = 2;
+  config.force_dispatch = true;  // connections land round-robin: 0, 1, 0
+  config.base.metrics_port = 0;
+  ShardedServer server(config);
+  ASSERT_TRUE(server.Start());
+  std::thread loop([&server] { server.Run(); });
+  const auto scraped = [&server] {
+    const std::string scrape = Scrape(server.metrics_port());
+    const std::string name = "\nnet_conn_buffer_bytes ";
+    const size_t at = scrape.find(name);
+    return at == std::string::npos
+               ? -1L
+               : std::atol(scrape.c_str() + at + name.size());
+  };
+
+  NetClient on0;
+  NetClient on1;
+  NetClient big;
+  ASSERT_TRUE(on0.Connect("127.0.0.1", server.port()));
+  ASSERT_EQ(SpotcacheStat(on0, "spotcache_shard"), 0);
+  ASSERT_TRUE(on1.Connect("127.0.0.1", server.port()));
+  ASSERT_EQ(SpotcacheStat(on1, "spotcache_shard"), 1);
+  ASSERT_TRUE(big.Connect("127.0.0.1", server.port()));
+  ASSERT_EQ(SpotcacheStat(big, "spotcache_shard"), 0);
+  // A 512 KiB value grows the parser buffer of `big` on reactor 0.
+  const std::string value(512 * 1024, 'b');
+  ASSERT_TRUE(big.Set("big", value));
+
+  const long with_big = SpotcacheStat(on1, "spotcache_conn_buffer_bytes");
+  EXPECT_GE(with_big, static_cast<long>(value.size()));
+  EXPECT_EQ(scraped(), with_big);
+
+  big.Close();
+  long without_big = with_big;
+  for (int i = 0; i < 500 && without_big == with_big; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    without_big = SpotcacheStat(on1, "spotcache_conn_buffer_bytes");
+  }
+  EXPECT_LE(without_big, with_big - static_cast<long>(value.size()));
+  EXPECT_GT(without_big, 0);  // on0 and on1 still hold their buffers
+  EXPECT_EQ(scraped(), without_big);
+
+  on0.Close();
+  on1.Close();
+  server.Stop();
+  loop.join();
+}
+
 // The stripes split the capacity to the byte: limit_maxbytes is exactly the
 // configured capacity, even when it does not divide by the stripe count.
 TEST(ShardedServer, LimitMaxbytesIsTheConfiguredCapacity) {
