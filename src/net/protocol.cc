@@ -1,5 +1,6 @@
 #include "src/net/protocol.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cstring>
 
@@ -90,37 +91,80 @@ std::string_view ToString(ParseErrorKind kind) {
   return "?";
 }
 
-RequestParser::RequestParser() { buf_.reserve(8192); }
-
-void RequestParser::Compact() {
-  if (pos_ == end_) {
-    pos_ = end_ = 0;
-    return;
+void RequestParser::Rehome(size_t capacity) {
+  const size_t live = end_ - pos_;
+  std::unique_ptr<char[]> next(capacity > 0 ? new char[capacity] : nullptr);
+  if (live > 0) {
+    std::memcpy(next.get(), base_ + pos_, live);
   }
-  // Slide the live region down once the dead prefix dominates; the threshold
-  // keeps the copy amortized O(1) per byte.
-  if (pos_ >= 8192 && pos_ >= end_ - pos_) {
-    std::memmove(buf_.data(), buf_.data() + pos_, end_ - pos_);
-    end_ -= pos_;
-    pos_ = 0;
-  }
+  own_ = std::move(next);
+  own_cap_ = capacity;
+  base_ = own_.get();
+  pos_ = 0;
+  end_ = live;
 }
 
-char* RequestParser::WritePtr(size_t want) {
-  Compact();
-  if (buf_.size() < end_ + want) {
-    buf_.resize(end_ + want);
+char* RequestParser::Reserve(size_t want) {
+  const size_t live = end_ - pos_;
+  if (borrowed() || own_cap_ - end_ < want) {
+    // Slide the live bytes down when that frees enough room and they fill
+    // at most half the buffer (so the copy stays amortized O(1) per byte);
+    // otherwise regrow geometrically.
+    if (!borrowed() && live + want <= own_cap_ && 2 * live <= own_cap_) {
+      std::memmove(own_.get(), own_.get() + pos_, live);
+      pos_ = 0;
+      end_ = live;
+    } else {
+      Rehome(std::max(live + want, 2 * own_cap_));
+    }
   }
-  return buf_.data() + end_;
+  return base_ + end_;
+}
+
+std::span<char> RequestParser::Borrow(char* scratch, size_t cap) {
+  const size_t live = end_ - pos_;
+  const size_t need = pending_bytes_ + 2;
+  if (state_ == State::kData && need > cap && need > live) {
+    // The rest of a payload larger than the scratch region goes straight
+    // into a buffer of its own size.
+    if (borrowed() || pos_ != 0 || own_cap_ != need) {
+      Rehome(need);
+    }
+    return {base_ + end_, need - end_};
+  }
+  if (borrowed() || live >= cap) {
+    // A tail that fills the scratch region (a paused connection's backlog,
+    // or a tiny `cap`) keeps growing in the own buffer.
+    return {Reserve(cap), cap};
+  }
+  if (live > 0) {
+    std::memcpy(scratch, base_ + pos_, live);
+  }
+  own_.reset();
+  own_cap_ = 0;
+  base_ = scratch;
+  pos_ = 0;
+  end_ = live;
+  return {scratch + live, cap - live};
 }
 
 void RequestParser::Commit(size_t produced) { end_ += produced; }
+
+void RequestParser::Release() {
+  const size_t live = end_ - pos_;
+  if (!borrowed() && pos_ == 0 &&
+      (own_cap_ == live ||
+       (state_ == State::kData && own_cap_ == pending_bytes_ + 2))) {
+    return;  // already exactly the tail, or a payload read in place
+  }
+  Rehome(live);
+}
 
 void RequestParser::Feed(std::string_view bytes) {
   if (bytes.empty()) {
     return;
   }
-  std::memcpy(WritePtr(bytes.size()), bytes.data(), bytes.size());
+  std::memcpy(Reserve(bytes.size()), bytes.data(), bytes.size());
   Commit(bytes.size());
 }
 
@@ -135,7 +179,10 @@ ParseStatus RequestParser::Next() {
   for (;;) {
     switch (state_) {
       case State::kCommand: {
-        const char* base = buf_.data();
+        if (pos_ == end_) {
+          return ParseStatus::kNeedMore;
+        }
+        const char* base = base_;
         const void* nl = std::memchr(base + pos_, '\n', end_ - pos_);
         if (nl == nullptr) {
           if (end_ - pos_ > kMaxCommandLineBytes) {
@@ -168,7 +215,7 @@ ParseStatus RequestParser::Next() {
         if (end_ - pos_ < need) {
           return ParseStatus::kNeedMore;
         }
-        const char* base = buf_.data() + pos_;
+        const char* base = base_ + pos_;
         const bool terminated =
             base[pending_bytes_] == '\r' && base[pending_bytes_ + 1] == '\n';
         std::string_view data(base, pending_bytes_);
@@ -203,7 +250,10 @@ ParseStatus RequestParser::Next() {
       }
 
       case State::kSwallowLine: {
-        const char* base = buf_.data();
+        if (pos_ == end_) {
+          return ParseStatus::kNeedMore;
+        }
+        const char* base = base_;
         const void* nl = std::memchr(base + pos_, '\n', end_ - pos_);
         if (nl == nullptr) {
           pos_ = end_;  // everything so far belongs to the doomed line

@@ -4,10 +4,16 @@
 // The parser is the serving path's innermost loop, so it is built around two
 // rules:
 //
-//   * Zero-copy, zero-allocation steady state. Bytes land directly in the
-//     parser's contiguous ring-style buffer (`WritePtr` / `Commit`, so recv()
-//     writes in place); every parsed token — keys, payload — is a
-//     string_view into that buffer, valid until the next Feed/Commit. The
+//   * Zero-copy, zero-allocation steady state. A server parses in place:
+//     `Borrow` lends the parser a caller-owned scratch region (the reactor's
+//     receive buffer), recv() writes into it, `Commit` publishes the bytes,
+//     and every parsed token — keys, payload — is a string_view into it.
+//     `Release` then copies only the unparsed tail into the parser's own
+//     buffer, sized to that tail, so a connection with nothing pending holds
+//     no parser heap. While a declared payload larger than the scratch
+//     region is incomplete the parser's own buffer is sized to `<bytes>+2`
+//     and `Borrow` hands out the rest of it, so a large value is read
+//     straight into place. `Feed` is the copying path (tests, tools). The
 //     key scratch vector is reused across requests, so after warm-up a
 //     request parse performs no heap allocation.
 //
@@ -26,6 +32,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -55,8 +62,8 @@ enum class Verb : uint8_t {
 
 std::string_view ToString(Verb v);
 
-/// One parsed request. All views point into the parser's buffer and are valid
-/// until the next Feed()/Commit() call.
+/// One parsed request. All views point into the parser's input and are valid
+/// until the next Next(), Feed(), Borrow() or Release() call.
 struct TextRequest {
   Verb verb = Verb::kGet;
   /// Retrieval: all requested keys. Storage/delete/touch: exactly one key.
@@ -98,15 +105,24 @@ enum class ParseStatus : uint8_t {
 
 class RequestParser {
  public:
-  RequestParser();
-
   // --- Input. ----------------------------------------------------------
-  /// Appends bytes (copies into the internal buffer).
+  /// Appends bytes (copies into the parser's own buffer).
   void Feed(std::string_view bytes);
-  /// Zero-copy input: returns a writable region of at least `want` bytes;
-  /// write into it, then Commit() the number actually produced.
-  char* WritePtr(size_t want);
+  /// In-place input: returns where the next bytes should land. While a
+  /// declared payload larger than `cap` is incomplete that is the rest of
+  /// it, in the parser's own buffer (sized to `<bytes>+2`). Otherwise it is
+  /// `scratch` (`cap` bytes, caller-owned) after the held tail, which moves
+  /// to its front and whose own copy is freed; a tail that leaves no room in
+  /// `scratch` grows the own buffer instead. Write into the region,
+  /// Commit() what was produced, parse, and Release() before `scratch` is
+  /// reused.
+  std::span<char> Borrow(char* scratch, size_t cap);
   void Commit(size_t produced);
+  /// Ends an in-place pass: the unparsed tail moves into the parser's own
+  /// buffer, sized to it, and no view into `scratch` remains (a payload
+  /// being read into its own buffer stays there). An empty tail frees the
+  /// buffer.
+  void Release();
 
   // --- Parsing. --------------------------------------------------------
   /// Advances past the previous request/error and parses the next one.
@@ -120,9 +136,11 @@ class RequestParser {
 
   /// Bytes buffered but not yet consumed (0 once a stream parsed cleanly).
   size_t buffered() const { return end_ - pos_; }
-  /// Heap the input buffer holds (it grows to the largest read, never
-  /// shrinks).
-  size_t buffer_capacity() const { return buf_.capacity(); }
+  /// Heap the parser's own input buffer holds. After Release() that is the
+  /// unparsed tail (`<bytes>+2` while a payload too large for the scratch
+  /// region is read into place), and 0 when nothing is pending. Feed()
+  /// grows it geometrically.
+  size_t buffer_capacity() const { return own_cap_; }
 
  private:
   enum class State : uint8_t {
@@ -135,13 +153,18 @@ class RequestParser {
   ParseStatus ParseCommandLine(std::string_view line);
   ParseStatus ParseStorage(Verb verb, std::span<const std::string_view> args);
   ParseStatus EmitError(ParseErrorKind kind, bool noreply = false);
-  /// Drops consumed bytes when the live region gets small relative to the
-  /// buffer, keeping the buffer bounded without per-request memmoves.
-  void Compact();
+  /// Makes room for `want` more bytes at the end of the own buffer (the
+  /// input moves there first if it is borrowed).
+  char* Reserve(size_t want);
+  /// Moves the unparsed bytes into a fresh own buffer of `capacity` bytes.
+  void Rehome(size_t capacity);
+  bool borrowed() const { return base_ != own_.get(); }
 
-  std::vector<char> buf_;
-  size_t pos_ = 0;  // first unconsumed byte
-  size_t end_ = 0;  // one past the last buffered byte
+  std::unique_ptr<char[]> own_;  // the parser's own input buffer
+  size_t own_cap_ = 0;
+  char* base_ = nullptr;  // current input: own_ or a borrowed scratch region
+  size_t pos_ = 0;        // first unconsumed byte of base_
+  size_t end_ = 0;        // one past the last buffered byte of base_
 
   State state_ = State::kCommand;
   TextRequest request_;
@@ -151,7 +174,7 @@ class RequestParser {
 
   // kData bookkeeping: the pending storage request (header already parsed).
   // The key is copied into fixed storage: the command line it pointed into
-  // may be compacted away while waiting for the payload to arrive.
+  // is gone once the tail is released while waiting for the payload.
   Verb pending_verb_ = Verb::kSet;
   char pending_key_[kMaxKeyBytes] = {};
   size_t pending_key_len_ = 0;

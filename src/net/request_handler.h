@@ -20,6 +20,10 @@
 //     the scrape (reactor 0) calls it, just before rendering, so gauges of
 //     state the reactors share are counted once; the default has none.
 //
+// A request's views (keys, data) point into the reactor's receive buffer,
+// which the next read overwrites: neither Handle() nor Start() may keep them
+// after returning, so anything needed later is copied first.
+//
 // Handlers run on the server's loop thread only — no locking required. A
 // handler whose answers come from elsewhere (the proxy's upstreams) must not
 // wait for them inside Handle(): it opts into *deferred replies* instead by
@@ -65,7 +69,8 @@ class RequestHandler {
   virtual ~RequestHandler() = default;
 
   /// Executes one request at unix-seconds `now`, appending the reply to
-  /// `out`. Returns false when the connection should close (quit).
+  /// `out` (`req`'s views die when Handle returns). Returns false when the
+  /// connection should close (quit).
   virtual bool Handle(const TextRequest& req, int64_t now,
                       ResponseAssembler* out) = 0;
 

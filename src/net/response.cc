@@ -8,13 +8,13 @@ namespace spotcache::net {
 
 char* ResponseAssembler::Reserve(size_t n) {
   if (blocks_.empty()) {
-    blocks_.push_back(std::make_unique<char[]>(kBlockBytes));
+    blocks_.emplace_back(new char[kBlockBytes]);
   }
   if (offset_ + n > kBlockBytes) {
     ++block_;
     offset_ = 0;
     if (block_ == blocks_.size()) {
-      blocks_.push_back(std::make_unique<char[]>(kBlockBytes));
+      blocks_.emplace_back(new char[kBlockBytes]);
     }
   }
   return blocks_[block_].get() + offset_;

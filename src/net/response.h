@@ -10,6 +10,9 @@
 //
 // The assembler is reused across batches: Clear() drops the pins and rewinds
 // the arena without freeing it, so steady-state assembly allocates nothing.
+// A server reactor owns one and renders every connection's replies into it,
+// flushing and clearing it before it turns to the next connection. Arena
+// blocks are allocated without zero-filling.
 
 #pragma once
 
@@ -40,6 +43,8 @@ class ResponseAssembler {
   const std::vector<iovec>& iovecs() const { return iov_; }
   size_t total_bytes() const { return total_; }
   bool empty() const { return total_ == 0; }
+  /// Heap the scratch arena holds (its blocks are kept across Clear()).
+  size_t arena_bytes() const { return blocks_.size() * kBlockBytes; }
 
   /// Flattens to one string (tests, and the copy-out path after a short
   /// write).

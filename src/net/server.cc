@@ -161,6 +161,9 @@ bool NetServer::Start() {
     }
   }
 
+  recv_buf_.reset(new char[config_.recv_chunk]);
+  PublishBufferBytes();
+
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
   if (epoll_fd_ < 0 || wake_fd_ < 0) {
@@ -497,39 +500,62 @@ void NetServer::ConnReadable(Connection* conn) {
     MetricsReadable(conn);
     return;
   }
-  for (;;) {
-    char* dst = conn->parser.WritePtr(config_.recv_chunk);
-    const ssize_t n = ::recv(conn->fd, dst, config_.recv_chunk, 0);
+  RequestTelemetry* t = telemetry_.get();
+  const int64_t now = NowUnix();
+  bool batch_open = false;
+  size_t read_total = 0;
+  while (WantsInput(conn) && !conn->close_after_flush) {
+    const std::span<char> room =
+        conn->parser.Borrow(recv_buf_.get(), config_.recv_chunk);
+    const ssize_t n = ::recv(conn->fd, room.data(), room.size(), 0);
+    const int err = n < 0 ? errno : 0;  // Release() may allocate
     if (n > 0) {
       conn->parser.Commit(static_cast<size_t>(n));
       if (bytes_in_ != nullptr) {
         bytes_in_->Increment(n);
       }
-      if (static_cast<size_t>(n) < config_.recv_chunk) {
-        break;  // drained the socket
+      if (!batch_open && t != nullptr) {
+        t->BeginBatch(conn->id);
       }
-      continue;
-    }
-    if (n == 0) {
-      if (deferred_ && !conn->slots.empty()) {
-        // Replies are still owed: stop reading, answer, then close.
-        conn->peer_eof = true;
+      batch_open = true;
+      Execute(conn, t, now);
+      // The receive buffer is reused by the next read (and the next
+      // connection): keep only the unparsed tail.
+      conn->parser.Release();
+      read_total += static_cast<size_t>(n);
+      if (static_cast<size_t>(n) < room.size() ||
+          read_total >= config_.recv_chunk) {
+        // Drained the socket, or read a buffer's worth. Requests run
+        // between reads, so a client sending faster than they run would
+        // keep the loop here, its replies piling up in the arena; the rest
+        // waits for the next (level-triggered) event, after this flush and
+        // the other connections' turns.
         break;
       }
-      CloseConn(conn, "eof");
-      return;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      break;
-    }
-    if (errno == EINTR) {
       continue;
     }
-    CloseConn(conn, "read_error");
+    conn->parser.Release();
+    if (err == EAGAIN || err == EWOULDBLOCK) {
+      break;
+    }
+    if (err == EINTR) {
+      continue;
+    }
+    if (n == 0 && deferred_ && !conn->slots.empty()) {
+      // Replies are still owed: stop reading, answer, then close.
+      conn->peer_eof = true;
+      break;
+    }
+    if (batch_open && t != nullptr) {
+      t->EndBatch(0);
+    }
+    CloseConn(conn, n == 0 ? "eof" : "read_error");
     return;
   }
-  CountBuffers(conn);
-  Drain(conn);
+  if (!batch_open && t != nullptr) {
+    t->BeginBatch(conn->id);
+  }
+  FlushTimed(conn, t);
 }
 
 void NetServer::MetricsReadable(Connection* conn) {
@@ -582,15 +608,10 @@ void NetServer::MetricsReadable(Connection* conn) {
   Flush(conn);
 }
 
-void NetServer::Drain(Connection* conn) {
+void NetServer::Execute(Connection* conn, RequestTelemetry* t, int64_t now) {
   if (deferred_) {
-    DrainDeferred(conn);
+    StartDeferred(conn, t, now);
     return;
-  }
-  const int64_t now = NowUnix();
-  RequestTelemetry* t = telemetry_.get();
-  if (t != nullptr) {
-    t->BeginBatch(conn->id);
   }
   for (;;) {
     if (t != nullptr) {
@@ -607,7 +628,7 @@ void NetServer::Drain(Connection* conn) {
       if (t != nullptr) {
         t->OnParsed(TelemetryOp::kOther, 0);
       }
-      handler_->HandleParseError(conn->parser.error(), &conn->assembler);
+      handler_->HandleParseError(conn->parser.error(), &assembler_);
       if (t != nullptr) {
         t->OnExecuted(RequestOutcome::kError, 0);
       }
@@ -618,26 +639,16 @@ void NetServer::Drain(Connection* conn) {
               EventTracer::JsonString(ToString(conn->parser.error()))}});
       continue;
     }
-    if (!handler_->Handle(conn->parser.request(), now, &conn->assembler)) {
+    if (!handler_->Handle(conn->parser.request(), now, &assembler_)) {
       conn->close_after_flush = true;
       break;
     }
   }
-  FlushTimed(conn, t);
 }
 
 bool NetServer::WantsInput(const Connection* conn) {
   return !conn->quit_seen && !conn->peer_eof &&
          conn->slots.size() < kMaxPendingReplies;
-}
-
-void NetServer::DrainDeferred(Connection* conn) {
-  RequestTelemetry* t = telemetry_.get();
-  if (t != nullptr) {
-    t->BeginBatch(conn->id);
-  }
-  StartDeferred(conn, t, NowUnix());
-  FlushTimed(conn, t);
 }
 
 void NetServer::StartDeferred(Connection* conn, RequestTelemetry* t,
@@ -664,7 +675,7 @@ void NetServer::StartDeferred(Connection* conn, RequestTelemetry* t,
              {"kind",
               EventTracer::JsonString(ToString(conn->parser.error()))}});
       if (conn->slots.empty()) {
-        handler_->HandleParseError(conn->parser.error(), &conn->assembler);
+        handler_->HandleParseError(conn->parser.error(), &assembler_);
         if (t != nullptr) {
           t->OnExecuted(RequestOutcome::kError, 0);
         }
@@ -680,7 +691,7 @@ void NetServer::StartDeferred(Connection* conn, RequestTelemetry* t,
       slot.ready = handler_->Start(req, now, name, &slot.handle);
       if (slot.ready && conn->slots.empty()) {
         // Nothing queued ahead: the reply goes straight out.
-        if (!handler_->Finish(slot.handle, &conn->assembler)) {
+        if (!handler_->Finish(slot.handle, &assembler_)) {
           conn->close_after_flush = true;
         }
         continue;
@@ -703,11 +714,11 @@ void NetServer::ReleaseReady(Connection* conn, RequestTelemetry* t) {
       t->Resume(slot.parked);
     }
     if (slot.parse_error) {
-      handler_->HandleParseError(slot.error, &conn->assembler);
+      handler_->HandleParseError(slot.error, &assembler_);
       if (t != nullptr) {
         t->OnExecuted(RequestOutcome::kError, 0);
       }
-    } else if (!handler_->Finish(slot.handle, &conn->assembler)) {
+    } else if (!handler_->Finish(slot.handle, &assembler_)) {
       conn->close_after_flush = true;  // quit: nothing was parsed after it
     }
   }
@@ -745,8 +756,10 @@ void NetServer::ServiceHandler(bool io_ready) {
     const bool was_full = conn->slots.size() >= kMaxPendingReplies;
     ReleaseReady(conn, t);
     if (was_full || conn->peer_eof) {
-      // Room again (or the last replies are out): start what was buffered.
+      // Room again (or the last replies are out): start what was buffered,
+      // then keep only what is still unparsed.
       StartDeferred(conn, t, NowUnix());
+      conn->parser.Release();
     }
     FlushTimed(conn, t);
   }
@@ -791,11 +804,11 @@ void NetServer::Flush(Connection* conn) {
     return;
   }
   if (conn->pending_sent == conn->pending_out.size()) {
-    conn->pending_out.clear();
+    std::string().swap(conn->pending_out);  // sent: give the heap back
     conn->pending_sent = 0;
   }
 
-  const auto& iov = conn->assembler.iovecs();
+  const auto& iov = assembler_.iovecs();
   size_t iov_index = 0;
   size_t iov_offset = 0;
   if (conn->pending_out.empty()) {
@@ -849,7 +862,7 @@ void NetServer::Flush(Connection* conn) {
     }
     conn->pending_out.append(base, len);
   }
-  conn->assembler.Clear();
+  assembler_.Clear();
   CountBuffers(conn);
 
   const size_t backlog = conn->pending_out.size() - conn->pending_sent;
@@ -880,20 +893,21 @@ void NetServer::Flush(Connection* conn) {
 }
 
 void NetServer::CountBuffers(Connection* conn) {
-  if (conn->is_metrics) {
-    return;
+  if (!conn->is_metrics) {
+    // A short std::string keeps its bytes inline: only a larger one is heap.
+    const size_t out = conn->pending_out.capacity();
+    const size_t bytes = conn->parser.buffer_capacity() +
+                         (out > std::string().capacity() ? out + 1 : 0);
+    conn_buffer_bytes_ = conn_buffer_bytes_ - conn->buffer_bytes + bytes;
+    conn->buffer_bytes = bytes;
   }
-  // A short std::string keeps its bytes inline: only a larger one is heap.
-  const size_t out = conn->pending_out.capacity();
-  const size_t bytes = conn->parser.buffer_capacity() +
-                       (out > std::string().capacity() ? out + 1 : 0);
-  if (bytes == conn->buffer_bytes) {
-    return;
-  }
-  conn_buffer_bytes_ = conn_buffer_bytes_ - conn->buffer_bytes + bytes;
-  conn->buffer_bytes = bytes;
+  PublishBufferBytes();
+}
+
+void NetServer::PublishBufferBytes() {
   if (conn_buffer_gauge_ != nullptr) {
-    conn_buffer_gauge_->Set(static_cast<double>(conn_buffer_bytes_));
+    conn_buffer_gauge_->Set(static_cast<double>(
+        config_.recv_chunk + assembler_.arena_bytes() + conn_buffer_bytes_));
   }
 }
 
@@ -908,13 +922,12 @@ void NetServer::UpdateEpoll(Connection* conn) {
 }
 
 void NetServer::CloseConn(Connection* conn, const char* reason) {
+  assembler_.Clear();
   if (conn->is_metrics) {
     --metrics_conns_;
   } else {
     conn_buffer_bytes_ -= conn->buffer_bytes;
-    if (conn_buffer_gauge_ != nullptr) {
-      conn_buffer_gauge_->Set(static_cast<double>(conn_buffer_bytes_));
-    }
+    PublishBufferBytes();
     Trace("conn_close",
           {{"conn", EventTracer::JsonNumber(static_cast<int64_t>(conn->id))},
            {"reason", EventTracer::JsonString(reason)}});

@@ -1,21 +1,30 @@
 // NetServer: one reactor of the non-blocking TCP serving surface.
 //
 // Single-threaded epoll loop (level-triggered), one state machine per
-// connection: bytes are recv()'d straight into the connection's
-// RequestParser (zero-copy WritePtr/Commit), every complete request is
-// executed by the RequestHandler the server was built with, and the batch's
-// responses go out in one writev over the assembler's iovecs. The server is
-// transport only: it holds no store and counts no request facts of its own.
-// Both serving binaries run NetServers through ShardedServer
-// (sharded_server.h), which builds each reactor's handler; tests and benches
-// also build one directly around a handler. Short writes spill into a
-// per-connection pending buffer drained on EPOLLOUT; a buffer that exceeds
+// connection. The reactor owns one receive buffer (`recv_chunk` bytes) and
+// one ResponseAssembler, and a connection holds only the bytes it still
+// owes: bytes are recv()'d into the reactor's buffer and parsed there in
+// place (RequestParser::Borrow/Commit), every complete request is executed
+// by the RequestHandler the server was built with, and the parser's
+// Release() then keeps just the unparsed tail, sized to it. A declared
+// payload larger than the receive buffer is read straight into a buffer of
+// its own size. Reads repeat until the socket is drained or a buffer's
+// worth was read (the rest waits for the next event, so a client that
+// sends faster than its requests run cannot pile up replies), and the
+// event's replies, rendered into the reactor's arena, go out in one writev
+// over its iovecs; the arena is cleared at the end of every flush, before
+// the loop turns to another connection. The server is transport only: it holds no
+// store and counts no request facts of its own. Both serving binaries run
+// NetServers through ShardedServer (sharded_server.h), which builds each
+// reactor's handler; tests and benches also build one directly around a
+// handler. Short writes spill into a per-connection pending buffer drained
+// on EPOLLOUT and freed once sent; a buffer that exceeds
 // `max_output_buffer` marks a slow consumer, and the connection is dropped
-// (counted + traced) rather than ballooning memory. The heap those two
-// buffers hold, summed over the reactor's cache connections, is the
-// `net/conn_buffer_bytes` gauge: each reactor updates its own where the
-// buffers grow and when a connection closes, so the scrape's cross-reactor
-// sum is exact without a timer.
+// (counted + traced) rather than ballooning memory. The heap of the
+// reactor's receive buffer and arena plus its cache connections' held
+// tails and pending output is the `net/conn_buffer_bytes` gauge: each
+// reactor updates its own where those buffers change and when a connection
+// closes, so the scrape's cross-reactor sum is exact without a timer.
 //
 // Observability: `net/*` transport counters and loop histograms beside
 // whatever the handler counts, JSONL connection events stamped with
@@ -73,7 +82,9 @@ struct NetServerConfig {
   uint16_t port = 0;  // 0 = ephemeral; see NetServer::port() after Start()
   int listen_backlog = 512;
   size_t max_connections = 1024;
-  /// recv() chunk per readiness callback.
+  /// Size of the reactor's one receive buffer, and the most one read event
+  /// takes from a connection before its replies are flushed. Allocated
+  /// once per reactor at Start(); connections do not hold one.
   size_t recv_chunk = 64 * 1024;
   /// Slow-consumer cap on buffered unsent bytes before the connection drops.
   size_t max_output_buffer = 8 * 1024 * 1024;
@@ -179,8 +190,7 @@ class NetServer {
   struct Connection {
     int fd = -1;
     uint64_t id = 0;
-    RequestParser parser;
-    ResponseAssembler assembler;
+    RequestParser parser;     // holds only an unparsed tail between reads
     std::string pending_out;  // unsent bytes after a short write
     size_t pending_sent = 0;  // consumed prefix of pending_out
     bool want_write = false;
@@ -209,13 +219,15 @@ class NetServer {
   };
 
   void AcceptReady(int listen_fd, bool metrics);
+  /// Reads until the socket is drained or `recv_chunk` bytes were read,
+  /// parsing each read in place in the reactor's receive buffer, then
+  /// flushes once.
   void ConnReadable(Connection* conn);
   void MetricsReadable(Connection* conn);
   void ConnWritable(Connection* conn);
-  /// Runs parse/execute over buffered bytes, then flushes.
-  void Drain(Connection* conn);
-  /// Deferred-reply drain: parse and Start() requests, then flush.
-  void DrainDeferred(Connection* conn);
+  /// Executes (or, with deferred replies, starts) the parsed requests,
+  /// rendering replies into the reactor's arena.
+  void Execute(Connection* conn, RequestTelemetry* t, int64_t now);
   /// Starts buffered requests until the parser runs dry, quit, or the slot
   /// queue is full; replies that are ready with nothing queued ahead of them
   /// are rendered straight into the assembler.
@@ -231,11 +243,18 @@ class NetServer {
   /// Registers an accepted/adopted fd as a live connection (nodelay, epoll,
   /// counters, traces), or closes it when over the connection cap.
   void RegisterConn(int fd, bool metrics);
-  /// writev the assembler + pending buffer; buffers any remainder.
+  /// writev the pending buffer + the arena; buffers any remainder, then
+  /// clears the arena.
   void Flush(Connection* conn);
-  /// Re-counts a cache connection's parser buffer and pending output into
-  /// conn_buffer_bytes_ (scrape connections are not counted).
+  /// Re-counts a cache connection's held tail and pending output into
+  /// conn_buffer_bytes_ (scrape connections are not counted), then
+  /// publishes the gauge.
   void CountBuffers(Connection* conn);
+  /// Sets `net/conn_buffer_bytes`: the receive buffer, the arena's blocks
+  /// and conn_buffer_bytes_.
+  void PublishBufferBytes();
+  /// Closes the connection and clears the arena (which at any close holds
+  /// only this connection's unsent replies).
   void CloseConn(Connection* conn, const char* reason);
   void UpdateEpoll(Connection* conn);
   /// Opens one non-blocking listener on bind_host:port; returns the fd (or
@@ -277,6 +296,10 @@ class NetServer {
   int64_t t0_us_ = 0;
   std::unordered_map<int, std::unique_ptr<Connection>> conns_;
   size_t metrics_conns_ = 0;
+  /// The reactor's receive buffer (`recv_chunk` bytes, not zero-filled) and
+  /// reply arena, lent to one connection at a time.
+  std::unique_ptr<char[]> recv_buf_;
+  ResponseAssembler assembler_;
 
   std::atomic<bool> dump_requested_{false};
   int64_t last_auto_dump_us_ = -1'000'000;
@@ -291,7 +314,7 @@ class NetServer {
   // compares against a plain size_t, not a double).
   size_t pending_out_high_water_ = 0;
   size_t conns_high_water_ = 0;
-  /// Heap held by the cache connections' parser and pending-output buffers.
+  /// Heap held by the cache connections' tails and pending output.
   size_t conn_buffer_bytes_ = 0;
 
   Counter* conns_opened_ = nullptr;

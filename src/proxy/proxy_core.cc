@@ -288,6 +288,9 @@ void ProxyCore::AppendStats(net::ResponseAssembler* out) {
 }
 
 uint64_t ProxyCore::Begin(const net::TextRequest& req, bool deferred) {
+  // `req` views the server's receive buffer, which the next read reuses:
+  // everything an op needs later (keys, the rebuilt wire with the payload)
+  // is copied into the pool before this returns.
   if (telemetry_ != nullptr) {
     telemetry_->OnParsed(OpFor(req.verb),
                          static_cast<uint32_t>(req.keys.size()));

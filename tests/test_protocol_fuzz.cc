@@ -19,9 +19,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -304,6 +306,106 @@ TEST(ProtocolFuzz, OverlongLineResyncsAtNewline) {
   const Outcome trickled = RunChunked(stream, every_byte);
   EXPECT_EQ(trickled.events, whole.events);
   EXPECT_EQ(trickled.response, whole.response);
+}
+
+// --- In-place parsing (the server's read path). ---------------------------
+//
+// A server lends the parser its receive buffer (Borrow/Commit), parses in
+// place and Release()s the unparsed tail before the buffer is reused. Each
+// piece of the stream is copied into the regions Borrow hands out (the
+// scratch buffer, or the parser's own buffer while a declared payload is
+// incomplete), drained and released; then the scratch buffer is overwritten
+// with garbage, so a view or tail that outlived Release() changes the
+// outcome. Events and response bytes must equal the copying Feed() path's
+// for every chunking and scratch size, including sizes smaller than a
+// command line.
+Outcome RunInPlace(std::string_view stream, const std::vector<size_t>& cuts,
+                   size_t cap) {
+  ServerCore core{ServerCoreConfig{}};
+  RequestParser parser;
+  ResponseAssembler out;
+  Outcome outcome;
+  std::vector<char> scratch(cap);
+  unsigned char garbage = 0;
+
+  size_t start = 0;
+  std::vector<size_t> bounds = cuts;
+  bounds.push_back(stream.size());
+  for (size_t bound : bounds) {
+    std::string_view piece = stream.substr(start, bound - start);
+    start = bound;
+    while (!piece.empty()) {
+      const std::span<char> room = parser.Borrow(scratch.data(), cap);
+      const size_t take = std::min(room.size(), piece.size());
+      std::memcpy(room.data(), piece.data(), take);
+      parser.Commit(take);
+      piece.remove_prefix(take);
+      for (;;) {
+        const ParseStatus st = parser.Next();
+        if (st == ParseStatus::kNeedMore) {
+          break;
+        }
+        if (st == ParseStatus::kError) {
+          outcome.events.push_back(std::string("err:") +
+                                   std::string(ToString(parser.error())));
+          core.HandleParseError(parser.error(), &out);
+          continue;
+        }
+        outcome.events.push_back(DescribeRequest(parser.request()));
+        core.Handle(parser.request(), kNow, &out);
+      }
+      parser.Release();
+      // Cycles through every byte value, '\n', '\r' and ' ' included.
+      std::memset(scratch.data(), garbage, cap);
+      garbage = static_cast<unsigned char>(garbage * 5 + 17);
+      // What stays held is the unparsed tail, or one declared payload.
+      EXPECT_LE(parser.buffered(), parser.buffer_capacity());
+      EXPECT_LE(parser.buffer_capacity(), stream.size() + 16);
+    }
+  }
+  outcome.response = out.Flatten();
+  return outcome;
+}
+
+TEST(ProtocolFuzz, InPlaceParsingMatchesFeed) {
+  for (const size_t cap : {size_t{5}, size_t{64}, size_t{4096}}) {
+    for (uint64_t seed = 1; seed <= 150; ++seed) {
+      Rng rng(seed);
+      const std::string stream = RandomStream(rng);
+      const Outcome whole = RunChunked(stream, {});
+      ASSERT_EQ(RunInPlace(stream, {}, cap), whole)
+          << "seed " << seed << " cap " << cap;
+      for (int split = 0; split < 4; ++split) {
+        const std::vector<size_t> cuts = RandomCuts(rng, stream.size());
+        const Outcome fed = RunChunked(stream, cuts);
+        const Outcome in_place = RunInPlace(stream, cuts, cap);
+        ASSERT_EQ(in_place.events, fed.events)
+            << "seed " << seed << " split " << split << " cap " << cap;
+        ASSERT_EQ(in_place.response, fed.response)
+            << "seed " << seed << " split " << split << " cap " << cap;
+      }
+    }
+
+    const std::string stream =
+        "set alpha 7 0 5\r\nhello\r\n"
+        "get alpha beta\r\n"
+        "gets alpha\r\n"
+        "bogus junk\r\n"
+        "set beta 0 0 3 noreply\r\nxyz\r\n"
+        "set bad 0 0 9\r\nshort\r\n"
+        "delete alpha\r\n"
+        "touch beta 100\r\n"
+        "flush_all 1\r\n"
+        "version\r\n";
+    const Outcome whole = RunChunked(stream, {});
+    for (size_t at = 1; at < stream.size(); ++at) {
+      const Outcome split = RunInPlace(stream, {at}, cap);
+      ASSERT_EQ(split.events, whole.events)
+          << "split at byte " << at << " cap " << cap;
+      ASSERT_EQ(split.response, whole.response)
+          << "split at byte " << at << " cap " << cap;
+    }
+  }
 }
 
 // --- Sharded serving must be invisible at the byte level (ISSUE 8). -------

@@ -841,14 +841,17 @@ TEST(ShardedServer, StatsOnOneReactorSeeWritesOnAnother) {
   loop.join();
 }
 
-// Each reactor counts its own connections' parser and pending-output
-// buffers; `stats spotcache` (reactor 1) sums the same per-reactor gauges
-// the scrape (reactor 0) sums, so the two agree at quiescence, before and
-// after a connection with a grown buffer closes.
+// Each reactor counts its receive buffer and reply arena plus its cache
+// connections' held tails and pending output; `stats spotcache` (reactor 1)
+// sums the same per-reactor gauges the scrape (reactor 0) sums, so the two
+// agree at every quiescent step. A connection holds only what it still
+// owes: idle connections add nothing, one parked halfway through a 512 KiB
+// set holds at least that half, and the gauge drops back once the rest
+// arrives.
 TEST(ShardedServer, ConnBufferBytesAgreeInStatsAndScrape) {
   ShardedServerConfig config = FourShardConfig();
   config.threads = 2;
-  config.force_dispatch = true;  // connections land round-robin: 0, 1, 0
+  config.force_dispatch = true;  // connections land round-robin: 0, 1, 0, ...
   config.base.metrics_port = 0;
   ShardedServer server(config);
   ASSERT_TRUE(server.Start());
@@ -864,31 +867,54 @@ TEST(ShardedServer, ConnBufferBytesAgreeInStatsAndScrape) {
 
   NetClient on0;
   NetClient on1;
-  NetClient big;
   ASSERT_TRUE(on0.Connect("127.0.0.1", server.port()));
   ASSERT_EQ(SpotcacheStat(on0, "spotcache_shard"), 0);
   ASSERT_TRUE(on1.Connect("127.0.0.1", server.port()));
   ASSERT_EQ(SpotcacheStat(on1, "spotcache_shard"), 1);
-  ASSERT_TRUE(big.Connect("127.0.0.1", server.port()));
-  ASSERT_EQ(SpotcacheStat(big, "spotcache_shard"), 0);
-  // A 512 KiB value grows the parser buffer of `big` on reactor 0.
-  const std::string value(512 * 1024, 'b');
-  ASSERT_TRUE(big.Set("big", value));
+  const long base = SpotcacheStat(on1, "spotcache_conn_buffer_bytes");
+  EXPECT_GE(base, 2 * static_cast<long>(config.base.recv_chunk));
+  EXPECT_EQ(scraped(), base);
 
-  const long with_big = SpotcacheStat(on1, "spotcache_conn_buffer_bytes");
-  EXPECT_GE(with_big, static_cast<long>(value.size()));
-  EXPECT_EQ(scraped(), with_big);
+  // Idle connections hold nothing. The probe's own request proves every
+  // earlier connection has been accepted and handed to its reactor.
+  std::vector<NetClient> idle(4);
+  for (NetClient& c : idle) {
+    ASSERT_TRUE(c.Connect("127.0.0.1", server.port()));
+  }
+  NetClient probe;
+  ASSERT_TRUE(probe.Connect("127.0.0.1", server.port()));
+  ASSERT_GE(SpotcacheStat(probe, "spotcache_shard"), 0);
+  EXPECT_EQ(SpotcacheStat(on1, "spotcache_conn_buffer_bytes"), base);
+  EXPECT_EQ(scraped(), base);
+
+  // Half of a 512 KiB set: the connection holds at least that half (its
+  // payload buffer, sized to the declared bytes) until the rest arrives.
+  NetClient big;
+  ASSERT_TRUE(big.Connect("127.0.0.1", server.port()));
+  const size_t value_bytes = 512 * 1024;
+  const std::string line = "set big 0 0 " + std::to_string(value_bytes) + "\r\n";
+  ASSERT_TRUE(big.SendRaw(line + std::string(value_bytes / 2, 'b')));
+  long during = base;
+  for (int i = 0; i < 500 &&
+                  during < base + static_cast<long>(value_bytes / 2);
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    during = SpotcacheStat(on1, "spotcache_conn_buffer_bytes");
+  }
+  EXPECT_GE(during, base + static_cast<long>(value_bytes / 2));
+  EXPECT_LE(during, base + static_cast<long>(value_bytes + line.size() + 64));
+  EXPECT_EQ(scraped(), during);
+
+  ASSERT_TRUE(big.SendRaw(std::string(value_bytes / 2, 'b') + "\r\n"));
+  EXPECT_EQ(big.ReadLine().value_or(""), "STORED");
+  EXPECT_EQ(SpotcacheStat(on1, "spotcache_conn_buffer_bytes"), base);
+  EXPECT_EQ(scraped(), base);
 
   big.Close();
-  long without_big = with_big;
-  for (int i = 0; i < 500 && without_big == with_big; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    without_big = SpotcacheStat(on1, "spotcache_conn_buffer_bytes");
+  probe.Close();
+  for (NetClient& c : idle) {
+    c.Close();
   }
-  EXPECT_LE(without_big, with_big - static_cast<long>(value.size()));
-  EXPECT_GT(without_big, 0);  // on0 and on1 still hold their buffers
-  EXPECT_EQ(scraped(), without_big);
-
   on0.Close();
   on1.Close();
   server.Stop();
