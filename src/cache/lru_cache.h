@@ -1,6 +1,6 @@
 // Byte-capacity LRU cache — the eviction core of a memcached-like node.
 //
-// Flat layout for the data-path hot loop: entries live in one contiguous slot
+// Flat layout for the data-path hot loop: entries live in a segmented slot
 // arena, recency order is an intrusive doubly-linked list of 32-bit slot
 // indices threaded through the arena, and lookup is an open-addressing
 // (linear-probe, backward-shift-delete) hash table of slot indices. Compared
@@ -20,20 +20,31 @@
 //     as Entry::key(). Put still takes the key (it must equal the one the
 //     value yields) to hash and probe with. The server's store uses this
 //     mode: its value already names the block that holds the key bytes.
-// A slot is flat: {charge, prev, next, hash} as four uint32_t, then the key
-// (stored mode only) and the value. With an 8-byte value and a derived key
-// that is 24 bytes; a nested {value, size_t charge} entry would pad it to 32
-// or 40. The charge is 32 bits, so Put rejects one above UINT32_MAX in both
-// modes; bytes_used() sums charges in size_t.
+// In key-in-value mode the value may yield its charge too (a static
+// KeyOf::Charge(value)); then the slot keeps no charge either, Entry::bytes()
+// derives it, and Put's `bytes` must equal it. The server's store does this:
+// its block holds both lengths.
+// A slot is flat: {prev, next, hash} as three uint32_t, a uint32_t charge
+// unless the value yields it, then the key (stored mode only) and the value.
+// With an 8-byte, 4-aligned value that yields its key and charge that is 20
+// bytes; a nested {value, size_t charge} entry would pad it to 32 or 40. The
+// charge is 32 bits, so Put rejects one above UINT32_MAX in every mode;
+// bytes_used() sums charges in size_t.
 //
 // The arena is dense: slots [0, size()) are exactly the live entries, with no
 // free list. Erase and eviction move the last slot into the hole (re-pointing
-// its bucket and list neighbours) and pop it. When removals leave fewer than
-// a quarter of the arena's capacity live, the arena is reallocated at twice
-// the live count and the buckets are rehashed down to match, never below the
-// largest Reserve(). So a store that fills with many small items and then
-// churns a few large ones gives the index memory back instead of keeping its
-// high-water mark.
+// its bucket and list neighbours) and pop it. The arena is a table of
+// fixed-size segments of kSegmentSlots slots that are never copied: growth
+// allocates one more segment without constructing or zero-filling its slots,
+// and once removals leave two tail segments empty the last one is freed (one
+// empty segment of hysteresis, so a count oscillating around a boundary does
+// not allocate and free by turns). A slot therefore never moves but to fill a
+// hole, and the arena's memory follows the live count, never below the
+// largest Reserve(). The buckets follow it too: once fewer than a quarter of
+// the items the table is sized for are live, it is rehashed down to twice
+// the live count (again never below the largest Reserve()). So a store that
+// fills with many small items and then churns a few large ones gives the
+// index memory back instead of keeping its high-water mark.
 //
 // Behavior is bit-identical to the reference implementation for charges up
 // to UINT32_MAX: same hit / miss / eviction sequences, same byte accounting,
@@ -53,10 +64,11 @@
 
 #include <algorithm>
 #include <cassert>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <iterator>
+#include <memory>
 #include <optional>
 #include <type_traits>
 #include <utility>
@@ -72,13 +84,15 @@ namespace lru_detail {
 
 inline constexpr uint32_t kNil = 0xffffffffu;
 
-/// The fields every arena slot starts with. Only the charge is public; the
-/// recency links and the key's hash belong to the cache.
-class SlotHeader {
- public:
-  uint32_t bytes = 0;  // the charge
+/// Whether the value yields its own charge: KeyOf::Charge(value).
+template <typename KeyOf, typename V>
+concept YieldsCharge = requires(const V& v) {
+  { KeyOf::Charge(v) } -> std::convertible_to<size_t>;
+};
 
- private:
+/// The recency links and the key's hash every arena slot starts with; they
+/// belong to the cache.
+class SlotLinks {
   template <typename, typename, typename, typename, typename>
   friend class spotcache::LruCache;
 
@@ -87,17 +101,32 @@ class SlotHeader {
   uint32_t hash = 0;     // HashOf(key)
 };
 
-/// A key-in-value slot: the key is KeyOf{}(value).
-template <typename K, typename V, typename KeyOf>
-struct Entry : SlotHeader {
+/// The links plus a stored charge, for values that do not yield theirs.
+struct ChargedSlot : SlotLinks {
+  uint32_t bytes = 0;  // the charge
+};
+
+/// A key-in-value slot that stores its charge: the key is KeyOf{}(value).
+template <typename K, typename V, typename KeyOf,
+          bool kValueCharge = YieldsCharge<KeyOf, V>>
+struct Entry : ChargedSlot {
   V value;
 
   K key() const { return KeyOf{}(value); }
 };
 
+/// A key-in-value slot whose value yields its charge too.
+template <typename K, typename V, typename KeyOf>
+struct Entry<K, V, KeyOf, true> : SlotLinks {
+  V value;
+
+  K key() const { return KeyOf{}(value); }
+  size_t bytes() const { return KeyOf::Charge(value); }
+};
+
 /// A stored-key slot.
 template <typename K, typename V>
-struct Entry<K, V, void> : SlotHeader {
+struct Entry<K, V, void, false> : ChargedSlot {
   K key;
   V value;
 };
@@ -109,7 +138,8 @@ template <typename K, typename V, typename Hash, typename EvictHook,
 class LruCache {
  public:
   /// One arena slot, as eviction hooks and ForEachMruToLru see it: `value`,
-  /// `bytes`, and `key` (stored mode) or `key()` (key-in-value mode).
+  /// `bytes` (or `bytes()` when the value yields its charge), and `key`
+  /// (stored mode) or `key()` (key-in-value mode).
   using Entry = lru_detail::Entry<K, V, KeyOf>;
 
   using EvictionCallback = std::function<void(const Entry&)>;
@@ -122,21 +152,37 @@ class LruCache {
       std::conditional_t<kFunctionHook, EvictionCallback, EvictHook>;
 
   static constexpr bool kStoredKey = std::is_void_v<KeyOf>;
+  static constexpr bool kValueCharge = lru_detail::YieldsCharge<KeyOf, V>;
   static constexpr uint32_t kNil = lru_detail::kNil;
   using Slot = Entry;
+  static constexpr size_t kSegmentShift = 8;
 
  public:
   /// Arena bytes per slot, for sizing index_bytes().
   static constexpr size_t kSlotBytes = sizeof(Slot);
+  /// Slots per arena segment: the step in which the arena grows and shrinks.
+  static constexpr size_t kSegmentSlots = size_t{1} << kSegmentShift;
 
   explicit LruCache(size_t capacity_bytes) : capacity_bytes_(capacity_bytes) {}
+  // The arena's segments are owned raw storage.
+  LruCache(const LruCache&) = delete;
+  LruCache& operator=(const LruCache&) = delete;
+  ~LruCache() {
+    DestroySlots();
+    while (!segments_.empty()) {
+      FreeLastSegment();
+    }
+  }
 
   /// Pre-sizes the arena and hash table for `expected_items` so a run over a
-  /// known working set never rehashes or reallocates mid-stream. The arena
-  /// never shrinks below the largest reservation.
+  /// known working set never rehashes or allocates mid-stream. Neither ever
+  /// shrinks below the largest reservation.
   void Reserve(size_t expected_items) {
     reserved_ = std::max(reserved_, expected_items);
-    slots_.reserve(expected_items);
+    segments_.reserve(SegmentsFor(expected_items));
+    while (segments_.size() < SegmentsFor(expected_items)) {
+      AddSegment();
+    }
     const size_t want = BucketsFor(expected_items);
     if (want > buckets_.size()) {
       Rehash(want);
@@ -145,7 +191,8 @@ class LruCache {
 
   /// Inserts or overwrites; evicts LRU entries until the item fits. Returns
   /// false (and stores nothing) if `bytes` alone exceeds the capacity or
-  /// UINT32_MAX. In key-in-value mode `key` must equal the key `value` yields.
+  /// UINT32_MAX. In key-in-value mode `key` must equal the key `value` yields
+  /// (and `bytes` the charge, when it yields one).
   bool Put(const K& key, V value, size_t bytes) {
     if (bytes > capacity_bytes_ || bytes > UINT32_MAX) {
       return false;
@@ -158,8 +205,8 @@ class LruCache {
         // evict as needed. Same victims as the reference's erase+reinsert —
         // this entry is at the front, so it is never its own victim.
         const uint32_t s = buckets_[b];
-        Slot& slot = slots_[s];
-        bytes_used_ -= slot.bytes;
+        Slot& slot = At(s);
+        bytes_used_ -= ChargeOf(slot);
         // A stored key is re-pointed too: a view key may live in the very
         // value this overwrite releases. A derived key follows the value.
         Fill(slot, key, std::move(value), bytes);
@@ -170,9 +217,13 @@ class LruCache {
       }
     }
     EvictUntilFits(bytes);
-    assert(slots_.size() < kNil);
-    const auto s = static_cast<uint32_t>(slots_.size());
-    Slot& slot = slots_.emplace_back();
+    assert(size_ < kNil);
+    const auto s = static_cast<uint32_t>(size_);
+    if (size_ == segments_.size() * kSegmentSlots) {
+      AddSegment();
+    }
+    Slot& slot = *std::construct_at(&At(s));
+    ++size_;
     Fill(slot, key, std::move(value), bytes);
     slot.hash = hash;
     LinkFront(s);
@@ -188,8 +239,7 @@ class LruCache {
   }
 
   /// Get without the copy. The pointer is valid until the next mutating
-  /// call: growth and shrinking move the arena, and any erase or eviction
-  /// moves the last slot into the hole.
+  /// call: any erase or eviction may move the last slot into the hole.
   V* Lookup(const K& key) {
     const uint32_t s = FindSlot(key);
     if (s == kNil) {
@@ -198,14 +248,14 @@ class LruCache {
     }
     ++hits_;
     MoveToFront(s);
-    return &slots_[s].value;
+    return &At(s).value;
   }
 
   /// Lookup without promotion or stats. The pointer is valid until the next
   /// mutating call, as for Lookup.
   const V* Peek(const K& key) const {
     const uint32_t s = FindSlot(key);
-    return s == kNil ? nullptr : &slots_[s].value;
+    return s == kNil ? nullptr : &At(s).value;
   }
 
   bool Contains(const K& key) const { return FindSlot(key) != kNil; }
@@ -224,10 +274,11 @@ class LruCache {
   }
 
   void Clear() {
-    slots_.clear();
+    DestroySlots();
     buckets_.clear();
     head_ = tail_ = kNil;
     bytes_used_ = 0;
+    MaybeShrink();
   }
 
   /// Shrinks the capacity (evicting as needed) or grows it.
@@ -250,30 +301,30 @@ class LruCache {
     hook_ = std::move(hook);
   }
 
-  size_t size() const { return slots_.size(); }
+  size_t size() const { return size_; }
   size_t bytes_used() const { return bytes_used_; }
   size_t capacity_bytes() const { return capacity_bytes_; }
   uint64_t hits() const { return hits_; }
   uint64_t misses() const { return misses_; }
   uint64_t evictions() const { return evictions_; }
-  /// Heap held by the arena and the hash table (allocated, not just live).
+  /// Heap held by the arena (its segments and their table) and the hash
+  /// table: allocated, not just live.
   size_t index_bytes() const {
-    return slots_.capacity() * sizeof(Slot) +
+    return segments_.size() * kSegmentSlots * sizeof(Slot) +
+           segments_.capacity() * sizeof(Slot*) +
            buckets_.capacity() * sizeof(uint32_t);
   }
 
   /// Visits entries from most- to least-recently used.
   template <typename Fn>
   void ForEachMruToLru(Fn&& fn) const {
-    for (uint32_t s = head_; s != kNil; s = slots_[s].next) {
-      fn(slots_[s]);
+    for (uint32_t s = head_; s != kNil; s = At(s).next) {
+      fn(At(s));
     }
   }
 
  private:
   static constexpr size_t kMinBuckets = 16;
-  /// The arena is never shrunk below this many slots.
-  static constexpr size_t kMinSlots = 16;
 
   /// Power-of-two bucket count that keeps `items` under a 3/4 load factor.
   static size_t BucketsFor(size_t items) {
@@ -282,6 +333,10 @@ class LruCache {
       want <<= 1;
     }
     return want;
+  }
+
+  static size_t SegmentsFor(size_t slots) {
+    return (slots + kSegmentSlots - 1) >> kSegmentShift;
   }
 
   /// The slot's key: its own copy, or the one its value yields.
@@ -293,22 +348,34 @@ class LruCache {
     }
   }
 
+  /// The slot's charge: stored, or the one its value yields.
+  static size_t ChargeOf(const Slot& slot) {
+    if constexpr (kValueCharge) {
+      return slot.bytes();
+    } else {
+      return slot.bytes;
+    }
+  }
+
   static void Fill(Slot& slot, const K& key, V&& value, size_t bytes) {
     if constexpr (kStoredKey) {
       slot.key = key;
     }
     slot.value = std::move(value);
-    slot.bytes = static_cast<uint32_t>(bytes);
+    if constexpr (!kValueCharge) {
+      slot.bytes = static_cast<uint32_t>(bytes);
+    }
     assert(KeyAt(slot) == key);
+    assert(ChargeOf(slot) == bytes);
   }
 
   // ---- Intrusive recency list ------------------------------------------
 
   void LinkFront(uint32_t s) {
-    slots_[s].prev = kNil;
-    slots_[s].next = head_;
+    At(s).prev = kNil;
+    At(s).next = head_;
     if (head_ != kNil) {
-      slots_[head_].prev = s;
+      At(head_).prev = s;
     }
     head_ = s;
     if (tail_ == kNil) {
@@ -317,14 +384,14 @@ class LruCache {
   }
 
   void Unlink(uint32_t s) {
-    Slot& slot = slots_[s];
+    Slot& slot = At(s);
     if (slot.prev != kNil) {
-      slots_[slot.prev].next = slot.next;
+      At(slot.prev).next = slot.next;
     } else {
       head_ = slot.next;
     }
     if (slot.next != kNil) {
-      slots_[slot.next].prev = slot.prev;
+      At(slot.next).prev = slot.prev;
     } else {
       tail_ = slot.prev;
     }
@@ -340,48 +407,73 @@ class LruCache {
 
   // ---- Slot arena -------------------------------------------------------
 
+  Slot& At(uint32_t s) {
+    return segments_[s >> kSegmentShift][s & (kSegmentSlots - 1)];
+  }
+  const Slot& At(uint32_t s) const {
+    return segments_[s >> kSegmentShift][s & (kSegmentSlots - 1)];
+  }
+
+  /// Appends a segment of unconstructed slots.
+  void AddSegment() {
+    segments_.reserve(segments_.size() + 1);
+    segments_.push_back(std::allocator<Slot>().allocate(kSegmentSlots));
+  }
+
+  void FreeLastSegment() {
+    std::allocator<Slot>().deallocate(segments_.back(), kSegmentSlots);
+    segments_.pop_back();
+  }
+
+  void DestroySlots() {
+    for (uint32_t s = 0; s < size_; ++s) {
+      std::destroy_at(&At(s));
+    }
+    size_ = 0;
+  }
+
   /// Drops slot `s`, whose index entry sits in bucket `b`, and keeps the
   /// arena dense: the last slot moves into the hole and the bucket and list
   /// links that named it are re-pointed.
   void RemoveSlot(uint32_t s, size_t b) {
-    bytes_used_ -= slots_[s].bytes;
+    bytes_used_ -= ChargeOf(At(s));
     EraseBucket(b);
     Unlink(s);
-    const auto last = static_cast<uint32_t>(slots_.size() - 1);
+    const auto last = static_cast<uint32_t>(size_ - 1);
     if (s != last) {
       buckets_[BucketHolding(last)] = s;
-      Slot& slot = slots_[s];
-      slot = std::move(slots_[last]);  // releases the removed value
+      Slot& slot = At(s);
+      slot = std::move(At(last));  // releases the removed value
       if (slot.prev != kNil) {
-        slots_[slot.prev].next = s;
+        At(slot.prev).next = s;
       } else {
         head_ = s;
       }
       if (slot.next != kNil) {
-        slots_[slot.next].prev = s;
+        At(slot.next).prev = s;
       } else {
         tail_ = s;
       }
     }
-    slots_.pop_back();
+    std::destroy_at(&At(last));
+    --size_;
   }
 
-  /// Gives memory back once fewer than a quarter of the arena's slots are
-  /// live: reallocates it at twice the live count and rehashes the buckets
-  /// down to match, never below the largest Reserve().
+  /// Gives memory back after removals: frees tail segments while two are
+  /// empty, and rehashes the buckets down to twice the live count once
+  /// fewer than a quarter of the items they are sized for are live; neither
+  /// goes below the largest Reserve().
   void MaybeShrink() {
-    const size_t floor = std::max(reserved_, kMinSlots);
-    if (slots_.capacity() <= floor || slots_.size() * 4 >= slots_.capacity()) {
-      return;
+    const size_t keep =
+        std::max(SegmentsFor(size_) + 1, SegmentsFor(reserved_));
+    while (segments_.size() > keep) {
+      FreeLastSegment();
     }
-    const size_t keep = std::max(slots_.size() * 2, floor);
-    std::vector<Slot> arena;
-    arena.reserve(keep);
-    std::move(slots_.begin(), slots_.end(), std::back_inserter(arena));
-    slots_ = std::move(arena);
-    const size_t want = BucketsFor(keep);
-    if (want < buckets_.size()) {
-      Rehash(want);
+    if (size_ * 16 < buckets_.size() * 3) {
+      const size_t want = BucketsFor(std::max(size_ * 2, reserved_));
+      if (want < buckets_.size()) {
+        Rehash(want);
+      }
     }
   }
 
@@ -397,7 +489,7 @@ class LruCache {
   /// The bucket that indexes slot `s`.
   size_t BucketHolding(uint32_t s) const {
     const size_t mask = buckets_.size() - 1;
-    size_t b = slots_[s].hash & mask;
+    size_t b = At(s).hash & mask;
     while (buckets_[b] != s) {
       b = (b + 1) & mask;
     }
@@ -410,7 +502,7 @@ class LruCache {
     const size_t mask = buckets_.size() - 1;
     size_t b = hash & mask;
     while (buckets_[b] != kNil) {
-      const Slot& slot = slots_[buckets_[b]];
+      const Slot& slot = At(buckets_[b]);
       if (slot.hash == hash && KeyAt(slot) == key) {
         break;
       }
@@ -428,8 +520,8 @@ class LruCache {
 
   /// Indexes slot `s`, whose key is not in the table yet.
   void InsertIndex(uint32_t s) {
-    // The slot is already in the arena, so slots_.size() counts it.
-    if (buckets_.empty() || slots_.size() * 4 > buckets_.size() * 3) {
+    // The slot is already in the arena, so size_ counts it.
+    if (buckets_.empty() || size_ * 4 > buckets_.size() * 3) {
       Rehash(buckets_.empty() ? kMinBuckets : buckets_.size() * 2);
       return;  // Rehash indexed every linked slot, `s` included
     }
@@ -438,7 +530,7 @@ class LruCache {
 
   void PlaceInEmptyBucket(uint32_t s) {
     const size_t mask = buckets_.size() - 1;
-    size_t b = slots_[s].hash & mask;
+    size_t b = At(s).hash & mask;
     while (buckets_[b] != kNil) {
       b = (b + 1) & mask;
     }
@@ -457,7 +549,7 @@ class LruCache {
         buckets_[i] = kNil;
         return;
       }
-      const size_t home = slots_[buckets_[j]].hash & mask;
+      const size_t home = At(buckets_[j]).hash & mask;
       // Move j's entry into the hole only if its probe path crosses i.
       if (((j - home) & mask) >= ((j - i) & mask)) {
         buckets_[i] = buckets_[j];
@@ -469,7 +561,7 @@ class LruCache {
   void Rehash(size_t new_buckets) {
     // A fresh vector, not assign(): a smaller table must free the old one.
     buckets_ = std::vector<uint32_t>(new_buckets, kNil);
-    for (uint32_t s = head_; s != kNil; s = slots_[s].next) {
+    for (uint32_t s = head_; s != kNil; s = At(s).next) {
       PlaceInEmptyBucket(s);
     }
   }
@@ -489,7 +581,7 @@ class LruCache {
   void EvictUntilFits(size_t incoming_bytes) {
     while (tail_ != kNil && bytes_used_ + incoming_bytes > capacity_bytes_) {
       const uint32_t s = tail_;
-      NotifyEvict(slots_[s]);
+      NotifyEvict(At(s));
       RemoveSlot(s, BucketHolding(s));
       ++evictions_;
     }
@@ -498,11 +590,12 @@ class LruCache {
 
   size_t capacity_bytes_;
   size_t bytes_used_ = 0;
-  size_t reserved_ = 0;  // largest Reserve(): the arena's shrink floor
+  size_t reserved_ = 0;  // largest Reserve(): the arena's and table's floor
+  size_t size_ = 0;      // live slots: [0, size_) are constructed
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   uint64_t evictions_ = 0;
-  std::vector<Slot> slots_;
+  std::vector<Slot*> segments_;    // kSegmentSlots slots each
   std::vector<uint32_t> buckets_;  // slot index per bucket; kNil = empty
   uint32_t head_ = kNil;           // MRU
   uint32_t tail_ = kNil;           // LRU

@@ -32,10 +32,11 @@ ItemRef ItemRef::Allocate(std::string_view key, std::string_view value) {
   if (mem == nullptr) {
     throw std::bad_alloc();
   }
-  ItemRef ref;
-  ref.block_ = new (mem) ItemBlock;
-  ref.block_->lengths = static_cast<uint32_t>(
+  ItemBlock* block = new (mem) ItemBlock;
+  block->lengths = static_cast<uint32_t>(
       key.size() | value.size() << ItemBlock::kKeyLenBits);
+  ItemRef ref;
+  ref.set_block(block);
   char* bytes = static_cast<char*>(mem) + sizeof(ItemBlock);
   std::memcpy(bytes, key.data(), key.size());
   std::memcpy(bytes + key.size(), value.data(), value.size());
@@ -68,9 +69,7 @@ bool ItemStore::Store(Mode mode, std::string_view key, uint32_t flags,
       return false;  // add over a live item, or replace with none
     }
   }
-  // Charge: key + payload + a fixed 64 bytes of bookkeeping, memcached's
-  // per-item overhead in spirit.
-  const size_t cost = key.size() + data.size() + 64;
+  const size_t cost = ItemCharge(key.size(), data.size());
   if (cost > lru_.capacity_bytes() || key.size() > kMaxKeyBytes ||
       data.size() > kMaxValueBytes) {
     return false;

@@ -9,9 +9,9 @@
 // length). glibc rounds a block of header + key + value up to a chunk of that
 // plus 8 bytes in 16-byte steps, so an 8-byte key with a 100-byte value
 // (136 B) takes a 144-byte chunk. The flat LruCache arena indexes the blocks
-// in its key-in-value mode: a slot holds a counted ItemRef to the block, its
-// 32-bit charge, its recency links and its key's hash (24 bytes), and the key
-// is read from the block. The response assembler holds ItemRefs to the same
+// in its key-in-value mode: a slot holds its recency links, its key's hash
+// and a counted ItemRef to the block (20 bytes), and the key and the charge
+// are read from the block. The response assembler holds ItemRefs to the same
 // block, so a value stays valid across a batched writev even if a later
 // request in the batch evicts, overwrites or deletes the item. The count is
 // atomic because the reactors of a server share one store
@@ -35,6 +35,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <string_view>
 #include <utility>
@@ -94,20 +95,24 @@ static_assert(kMaxValueBytes < (1u << (32 - ItemBlock::kKeyLenBits)),
 /// or unix seconds clamped to [1, kLatestDeadline].
 uint32_t ResolveExptime(int64_t exptime, int64_t now);
 
-/// Counted reference to an ItemBlock; the last one frees the block.
+/// Counted reference to an ItemBlock; the last one frees the block. The
+/// pointer is kept in two 32-bit words, so an ItemRef is 8 bytes at 4-byte
+/// alignment and an arena slot of {prev, next, hash, Item} packs into 20.
 class ItemRef {
  public:
   ItemRef() = default;
   ItemRef(std::nullptr_t) {}  // so `hit ? item->data : nullptr` converts
-  ItemRef(const ItemRef& other) : block_(other.block_) {
-    if (block_ != nullptr) {
-      block_->refs.fetch_add(1);
+  ItemRef(const ItemRef& other) : words_{other.words_[0], other.words_[1]} {
+    if (ItemBlock* b = block(); b != nullptr) {
+      b->refs.fetch_add(1);
     }
   }
   ItemRef(ItemRef&& other) noexcept
-      : block_(std::exchange(other.block_, nullptr)) {}
+      : words_{other.words_[0], other.words_[1]} {
+    other.set_block(nullptr);
+  }
   ItemRef& operator=(ItemRef other) noexcept {
-    std::swap(block_, other.block_);
+    std::swap(words_, other.words_);
     return *this;
   }
   ~ItemRef() { reset(); }
@@ -117,24 +122,44 @@ class ItemRef {
   static ItemRef Allocate(std::string_view key, std::string_view value);
 
   void reset() {
-    if (block_ != nullptr && block_->refs.fetch_sub(1) == 1) {
-      std::free(block_);
+    if (ItemBlock* b = block(); b != nullptr && b->refs.fetch_sub(1) == 1) {
+      std::free(b);
     }
-    block_ = nullptr;
+    set_block(nullptr);
   }
 
-  ItemBlock& operator*() const { return *block_; }
-  ItemBlock* operator->() const { return block_; }
-  explicit operator bool() const { return block_ != nullptr; }
+  ItemBlock& operator*() const { return *block(); }
+  ItemBlock* operator->() const { return block(); }
+  explicit operator bool() const { return block() != nullptr; }
 
  private:
-  ItemBlock* block_ = nullptr;
+  ItemBlock* block() const {
+    ItemBlock* b = nullptr;
+    std::memcpy(&b, words_, sizeof(b));
+    return b;
+  }
+  void set_block(ItemBlock* b) { std::memcpy(words_, &b, sizeof(b)); }
+
+  uint32_t words_[2] = {0, 0};  // the block pointer's bytes
 };
+
+static_assert(sizeof(ItemBlock*) == sizeof(uint32_t[2]),
+              "ItemRef keeps a 64-bit pointer in two words");
 
 /// What a store slot holds besides its key: the item's block.
 struct Item {
   ItemRef data;
 };
+
+static_assert(sizeof(Item) == 8 && alignof(Item) == 4,
+              "an Item packs after the slot's three 32-bit words");
+
+/// The bytes an item of these lengths is charged against the capacity: key
+/// + value + a fixed 64 bytes of bookkeeping, memcached's per-item overhead
+/// in spirit.
+constexpr size_t ItemCharge(size_t key_len, size_t value_len) {
+  return key_len + value_len + 64;
+}
 
 /// The arena's key type, in 8 bytes. The arena stores none: a slot's key
 /// is derived from its item (ItemKeyOf) and points at the item's block,
@@ -172,9 +197,12 @@ struct SlotKeyHash {
   }
 };
 
-/// A slot's key: the one its item's block holds.
+/// A slot's key and charge: the ones its item's block holds.
 struct ItemKeyOf {
   SlotKey operator()(const Item& item) const { return SlotKey(&*item.data); }
+  static size_t Charge(const Item& item) {
+    return ItemCharge(item.data->key_len(), item.data->value_len());
+  }
 };
 
 class ItemStore {
@@ -252,8 +280,8 @@ class ItemStore {
   uint64_t evictions_ = 0;
   uint64_t expired_reaped_ = 0;
   LruCache<SlotKey, Item, SlotKeyHash, VictimCounter, ItemKeyOf> lru_;
-  static_assert(decltype(lru_)::kSlotBytes == 24,
-                "slot = ItemRef + charge + prev + next + hash, unpadded");
+  static_assert(decltype(lru_)::kSlotBytes == 20,
+                "slot = prev + next + hash + ItemRef, unpadded");
 };
 
 }  // namespace spotcache::net

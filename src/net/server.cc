@@ -938,7 +938,8 @@ void NetServer::CloseConn(Connection* conn, const char* reason) {
   if (deferred_ && !conn->is_metrics) {
     // Late completions must never reach this connection: release every
     // request it still owed a reply, and forget its id.
-    for (const Connection::Slot& slot : conn->slots) {
+    for (size_t i = 0; i < conn->slots.size(); ++i) {
+      const Connection::Slot& slot = conn->slots[i];
       if (!slot.parse_error) {
         handler_->Drop(slot.handle);
       }

@@ -58,9 +58,9 @@
 
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -209,7 +209,43 @@ class NetServer {
       bool parse_error = false;  // answered locally, in order
       ParseErrorKind error = ParseErrorKind::kUnknownCommand;
     };
-    std::deque<Slot> slots;   // requests owed a reply, in request order
+    /// A FIFO of slots: a ring over a vector that allocates nothing until
+    /// the first slot is queued (the synchronous path never queues one).
+    class SlotQueue {
+     public:
+      bool empty() const { return count_ == 0; }
+      size_t size() const { return count_; }
+      /// The i-th oldest slot.
+      Slot& operator[](size_t i) {
+        return ring_[(head_ + i) & (ring_.size() - 1)];
+      }
+      Slot& front() { return (*this)[0]; }
+      void pop_front() {
+        head_ = (head_ + 1) & (ring_.size() - 1);
+        --count_;
+      }
+      void push_back(const Slot& slot) {
+        if (count_ == ring_.size()) {
+          Grow();
+        }
+        (*this)[count_++] = slot;
+      }
+
+     private:
+      void Grow() {
+        std::vector<Slot> bigger(std::max<size_t>(4, ring_.size() * 2));
+        for (size_t i = 0; i < count_; ++i) {
+          bigger[i] = (*this)[i];
+        }
+        ring_ = std::move(bigger);
+        head_ = 0;
+      }
+
+      std::vector<Slot> ring_;  // a power of two in size
+      size_t head_ = 0;         // index of the oldest slot
+      size_t count_ = 0;
+    };
+    SlotQueue slots;          // requests owed a reply, in request order
     uint64_t slots_base = 0;  // seq of slots.front()
     bool quit_seen = false;   // quit parsed: stop parsing, close once drained
     bool peer_eof = false;    // client finished sending: answer, then close

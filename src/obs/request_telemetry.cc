@@ -111,7 +111,7 @@ void RequestTelemetry::BeginSampledRequest(uint64_t hash) {
   t_batch0_us_ = batch_t0_us_;
   t_begin_us_ = NowMicros();
   current_.t_start_us = batch_t0_us_ - origin_us_;
-  current_.queue_us = t_begin_us_ - batch_t0_us_;
+  current_.queue_us = SaturateUs(t_begin_us_ - batch_t0_us_);
 }
 
 void RequestTelemetry::OnParsedSampled(TelemetryOp op, uint32_t key_count) {
@@ -119,7 +119,7 @@ void RequestTelemetry::OnParsedSampled(TelemetryOp op, uint32_t key_count) {
   current_.keys = key_count;
   if (mode_ == Mode::kSpan) {
     t_parsed_us_ = NowMicros();
-    current_.parse_us = t_parsed_us_ - t_begin_us_;
+    current_.parse_us = SaturateUs(t_parsed_us_ - t_begin_us_);
   }
 }
 
@@ -128,19 +128,20 @@ void RequestTelemetry::OnExecutedSampled(RequestOutcome outcome,
   const int64_t t_end = NowMicros();
   current_.outcome = outcome;
   current_.value_bytes = value_bytes;
-  current_.total_us = t_end - t_batch0_us_;
+  const int64_t total_us = t_end - t_batch0_us_;
+  current_.total_us = SaturateUs(total_us);
   if (mode_ == Mode::kSpan) {
     current_.full_span = true;
-    current_.store_us = t_end - t_parsed_us_;
+    current_.store_us = SaturateUs(t_end - t_parsed_us_);
   }
 
   if (Histogram* h = HistogramFor(current_.op, outcome); h != nullptr) {
-    h->Record(static_cast<double>(current_.total_us) * 1e-6);
+    h->Record(static_cast<double>(total_us) * 1e-6);
     ++latencies_recorded_;
   }
 
-  const bool slow = config_.slow_request_us > 0 &&
-                    current_.total_us > config_.slow_request_us;
+  const bool slow =
+      config_.slow_request_us > 0 && total_us > config_.slow_request_us;
   if (slow) {
     ++slow_requests_;
     current_.slow = true;
@@ -195,8 +196,8 @@ void RequestTelemetry::Discard(uint32_t ticket) {
 void RequestTelemetry::EndBatch(int64_t write_us) {
   for (SpanRecord& span : batch_spans_) {
     if (span.full_span) {
-      span.write_us = write_us;
-      span.total_us += write_us;
+      span.write_us = SaturateUs(write_us);
+      span.total_us = SaturateUs(int64_t{span.total_us} + span.write_us);
     }
     CommitRecord(span);
   }
@@ -223,11 +224,11 @@ void RequestTelemetry::CommitRecord(SpanRecord record) {
          {"outcome", EventTracer::JsonString(ToString(record.outcome))},
          {"full_span", record.full_span ? "true" : "false"},
          {"slow", record.slow ? "true" : "false"},
-         {"queue_us", EventTracer::JsonNumber(record.queue_us)},
-         {"parse_us", EventTracer::JsonNumber(record.parse_us)},
-         {"store_us", EventTracer::JsonNumber(record.store_us)},
-         {"write_us", EventTracer::JsonNumber(record.write_us)},
-         {"total_us", EventTracer::JsonNumber(record.total_us)},
+         {"queue_us", EventTracer::JsonNumber(int64_t{record.queue_us})},
+         {"parse_us", EventTracer::JsonNumber(int64_t{record.parse_us})},
+         {"store_us", EventTracer::JsonNumber(int64_t{record.store_us})},
+         {"write_us", EventTracer::JsonNumber(int64_t{record.write_us})},
+         {"total_us", EventTracer::JsonNumber(int64_t{record.total_us})},
          {"keys", EventTracer::JsonNumber(static_cast<int64_t>(record.keys))},
          {"bytes", EventTracer::JsonNumber(
                        static_cast<int64_t>(record.value_bytes))}});
@@ -259,15 +260,15 @@ std::string RequestTelemetry::RenderSpanJson(const SpanRecord& span) {
   out += ",\"slow\":";
   out += span.slow ? "true" : "false";
   out += ",\"queue_us\":";
-  out += EventTracer::JsonNumber(span.queue_us);
+  out += EventTracer::JsonNumber(int64_t{span.queue_us});
   out += ",\"parse_us\":";
-  out += EventTracer::JsonNumber(span.parse_us);
+  out += EventTracer::JsonNumber(int64_t{span.parse_us});
   out += ",\"store_us\":";
-  out += EventTracer::JsonNumber(span.store_us);
+  out += EventTracer::JsonNumber(int64_t{span.store_us});
   out += ",\"write_us\":";
-  out += EventTracer::JsonNumber(span.write_us);
+  out += EventTracer::JsonNumber(int64_t{span.write_us});
   out += ",\"total_us\":";
-  out += EventTracer::JsonNumber(span.total_us);
+  out += EventTracer::JsonNumber(int64_t{span.total_us});
   out += ",\"keys\":";
   out += EventTracer::JsonNumber(static_cast<int64_t>(span.keys));
   out += ",\"bytes\":";

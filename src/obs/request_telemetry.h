@@ -83,7 +83,9 @@ std::string_view ToString(TelemetryOp op);
 std::string_view ToString(RequestOutcome o);
 
 /// One recorded request span. Times are microseconds; t_start_us is on the
-/// server's loop clock (microseconds since Run() began).
+/// server's loop clock (microseconds since Run() began). The durations are
+/// 32-bit and saturate at UINT32_MAX (about 71 minutes; SaturateUs), which
+/// keeps a record at 48 bytes: the flight-recorder ring holds thousands.
 struct SpanRecord {
   int64_t t_start_us = 0;
   uint64_t conn_id = 0;
@@ -91,14 +93,24 @@ struct SpanRecord {
   RequestOutcome outcome = RequestOutcome::kOther;
   bool full_span = false;  // phase stamps valid (span-sampled)
   bool slow = false;       // force-captured by the slow-request detector
-  int64_t queue_us = 0;    // batch recv -> parse begin
-  int64_t parse_us = 0;    // parse begin -> request materialized
-  int64_t store_us = 0;    // ItemStore ops + response assembly
-  int64_t write_us = 0;    // this batch's flush (shared across its spans)
-  int64_t total_us = 0;    // batch recv -> completion (+ write when full)
+  uint32_t queue_us = 0;   // batch recv -> parse begin
+  uint32_t parse_us = 0;   // parse begin -> request materialized
+  uint32_t store_us = 0;   // ItemStore ops + response assembly
+  uint32_t write_us = 0;   // this batch's flush (shared across its spans)
+  uint32_t total_us = 0;   // batch recv -> completion (+ write when full)
   uint32_t keys = 0;
   uint32_t value_bytes = 0;
 };
+
+static_assert(sizeof(SpanRecord) == 48,
+              "two 64-bit fields, four 1-byte fields, seven 32-bit fields");
+
+/// A span duration in a SpanRecord field: `us` clamped to [0, UINT32_MAX].
+constexpr uint32_t SaturateUs(int64_t us) {
+  return us <= 0 ? 0
+         : us >= int64_t{UINT32_MAX} ? UINT32_MAX
+                                     : static_cast<uint32_t>(us);
+}
 
 class RequestTelemetry {
  public:

@@ -23,6 +23,7 @@ void ConsistentHashRing::SetNode(uint64_t node_id, double weight) {
     });
   }
   if (weight <= 0.0) {
+    RebuildSlices();
     return;
   }
   const int count = std::max(1, static_cast<int>(std::lround(
@@ -45,18 +46,42 @@ void ConsistentHashRing::SetNode(uint64_t node_id, double weight) {
   ring_.erase(std::unique(ring_.begin() + old_size, ring_.end()), ring_.end());
   std::inplace_merge(ring_.begin(), ring_.begin() + old_size, ring_.end());
   weights_.emplace(node_id, weight);
+  RebuildSlices();
+}
+
+void ConsistentHashRing::RebuildSlices() {
+  // The smallest power-of-two slice count, at least 2, not below the vnode
+  // count.
+  int bits = 1;
+  while (bits < 32 && (size_t{1} << bits) < ring_.size()) {
+    ++bits;
+  }
+  slice_shift_ = 64 - bits;
+  slices_.assign(size_t{1} << bits, 0);
+  size_t i = 0;
+  for (size_t slice = 0; slice < slices_.size(); ++slice) {
+    const uint64_t start = uint64_t{slice} << slice_shift_;
+    while (i < ring_.size() && ring_[i].first < start) {
+      ++i;
+    }
+    slices_[slice] = static_cast<uint32_t>(i);
+  }
 }
 
 std::optional<uint64_t> ConsistentHashRing::NodeFor(uint64_t key_hash) const {
   if (ring_.empty()) {
     return std::nullopt;
   }
-  auto it = std::lower_bound(ring_.begin(), ring_.end(), key_hash,
-                             PositionBefore);
-  if (it == ring_.end()) {
-    it = ring_.begin();  // wrap around
+  // Every vnode between the slice's start and key_hash lies below key_hash,
+  // so the scan stops at std::lower_bound's answer.
+  size_t i = slices_[key_hash >> slice_shift_];
+  while (i < ring_.size() && ring_[i].first < key_hash) {
+    ++i;
   }
-  return it->second;
+  if (i == ring_.size()) {
+    i = 0;  // wrap around
+  }
+  return ring_[i].second;
 }
 
 std::unordered_map<uint64_t, double> ConsistentHashRing::OwnershipFractions() const {

@@ -7,9 +7,12 @@
 // property that lets the paper's controller rebalance hot/cold weights every
 // slot without reshuffling the cluster.
 //
-// The ring is one sorted vector of (position, node) pairs searched with
-// std::lower_bound: lookups sit on the proxy's per-key path, membership
-// edits are rare.
+// The ring is one sorted vector of (position, node) pairs. Lookups sit on
+// the proxy's per-key path and membership edits are rare, so every edit also
+// rebuilds a table over the top bits of the hash, about one entry per vnode:
+// entry i holds the first vnode at or past the start of the i-th slice of
+// hash space. A lookup reads its slice's entry and scans forward from it
+// (about one step), finding exactly the vnode std::lower_bound would.
 
 #pragma once
 
@@ -40,14 +43,25 @@ class ConsistentHashRing {
   /// The node owning `key_hash`; nullopt on an empty ring.
   std::optional<uint64_t> NodeFor(uint64_t key_hash) const;
 
+  /// The vnodes as (position, node) pairs, sorted by position (tests).
+  const std::vector<std::pair<uint64_t, uint64_t>>& vnodes() const {
+    return ring_;
+  }
+
   /// Fraction of hash space owned by each node (diagnostics / tests).
   std::unordered_map<uint64_t, double> OwnershipFractions() const;
 
   double WeightOf(uint64_t node_id) const;
 
  private:
+  void RebuildSlices();
+
   // (vnode position, node id), sorted by position; positions are unique.
   std::vector<std::pair<uint64_t, uint64_t>> ring_;
+  // slices_[i]: index in ring_ of the first vnode whose position is at or
+  // past i << slice_shift_ (ring_.size() when none is).
+  std::vector<uint32_t> slices_;
+  int slice_shift_ = 63;
   std::unordered_map<uint64_t, double> weights_;
 };
 

@@ -7,9 +7,9 @@
 // (ServerCore) and the proxy's (ProxyCore, deferred replies):
 //
 //   * 64 connections that each sent one `version` and read its reply add at
-//     most 4 KiB of heap each (a per-connection 64 KiB receive buffer and
-//     16 KiB arena block used to cost 80 KiB), and leave the gauge as it
-//     was;
+//     most 1 KiB of heap each (a per-connection 64 KiB receive buffer and
+//     16 KiB arena block used to cost 80 KiB, and an empty deque of reply
+//     slots 576 B), and leave the gauge as it was;
 //   * a connection parked in the middle of a 200 KB payload holds at most
 //     the payload + its command line + 64 B, and its share of the gauge
 //     returns to 0 once the payload completes.
@@ -179,7 +179,7 @@ void IdleConnectionsAddLittleHeap(bool proxy) {
         (static_cast<double>(heap_after) - static_cast<double>(heap_before)) /
         kConns;
     std::printf("heap per connection: %.0f B\n", per_conn);
-    EXPECT_LE(per_conn, 4096.0);
+    EXPECT_LE(per_conn, 1024.0);
   }
   for (const int fd : fds) {
     ::close(fd);

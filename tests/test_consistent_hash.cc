@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <utility>
+
 #include "src/routing/hash.h"
 #include "src/util/rng.h"
 
@@ -136,6 +140,54 @@ TEST(ConsistentHash, NodeCount) {
   EXPECT_EQ(ring.node_count(), 2u);
   ring.RemoveNode(1);
   EXPECT_EQ(ring.node_count(), 1u);
+}
+
+/// The owner std::lower_bound finds over the ring's vnodes, wrapping past
+/// the last one: the lookup NodeFor's slice table must reproduce.
+uint64_t LowerBoundOwner(const ConsistentHashRing& ring, uint64_t h) {
+  const auto& v = ring.vnodes();
+  auto it = std::lower_bound(
+      v.begin(), v.end(), h,
+      [](const std::pair<uint64_t, uint64_t>& vnode, uint64_t pos) {
+        return vnode.first < pos;
+      });
+  return (it == v.end() ? v.begin() : it)->second;
+}
+
+TEST(ConsistentHash, SliceLookupMatchesLowerBound) {
+  // 1e5 random hashes, plus each vnode's position and its neighbours and
+  // both ends of hash space, across a run of add, remove and reweight edits.
+  ConsistentHashRing ring;
+  Rng rng(0x51ce);
+  size_t checked = 0;
+  const auto check = [&](uint64_t h) {
+    ASSERT_EQ(*ring.NodeFor(h), LowerBoundOwner(ring, h)) << h;
+    ++checked;
+  };
+  for (int edit = 0; edit < 50; ++edit) {
+    const uint64_t node = rng.NextBelow(12);
+    const double roll = rng.NextDouble();
+    if (roll < 0.2 && ring.node_count() > 1) {
+      ring.RemoveNode(node);
+    } else {
+      // Weights from 1/64 (one vnode) to 4 (256 vnodes).
+      ring.SetNode(node, roll < 0.3 ? 1.0 / 64 : 4.0 * rng.NextDouble());
+    }
+    if (ring.empty()) {
+      ring.SetNode(node, 1.0);
+    }
+    for (int i = 0; i < 2000; ++i) {
+      check(rng());
+    }
+    for (const auto& [pos, owner] : ring.vnodes()) {
+      check(pos);
+      check(pos - 1);
+      check(pos + 1);
+    }
+    check(0);
+    check(UINT64_MAX);
+  }
+  EXPECT_GE(checked, 100'000u);
 }
 
 TEST(HashFunctions, Deterministic) {

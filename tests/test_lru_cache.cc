@@ -230,6 +230,50 @@ TEST(LruCache, ReserveIsTheShrinkFloor) {
   EXPECT_GE(c.index_bytes(), IndexBytes(1000));
 }
 
+TEST(LruCache, IndexBytesFallOneSegmentAtATime) {
+  // Erasing the newest entry each time empties the arena from its tail: every
+  // time the live count reaches a segment boundary with two empty segments
+  // behind it, exactly one segment is freed. No live slot ever moves, and
+  // nothing goes below the reservation.
+  constexpr size_t kSeg = Cache::kSegmentSlots;
+  constexpr size_t kSegBytes = kSeg * Cache::kSlotBytes;
+  constexpr uint64_t kItems = 8 * kSeg;
+  Cache c(1 << 30);
+  c.Reserve(2 * kSeg);
+  const size_t reserved = c.index_bytes();
+  for (uint64_t k = 0; k < kItems; ++k) {
+    c.Put(k, "v", 10);
+  }
+  // Slots 0 and kSeg (the first of the second segment) hold keys 0 and kSeg.
+  const std::string* first = c.Peek(0);
+  const std::string* second_segment = c.Peek(kSeg);
+  size_t before = c.index_bytes();
+  size_t segment_drops = 0;
+  for (uint64_t k = kItems - 1; k > 0; --k) {
+    ASSERT_TRUE(c.Erase(k));
+    const size_t now = c.index_bytes();
+    ASSERT_LE(now, before) << "erase " << k;
+    ASSERT_GE(now, reserved) << "erase " << k;
+    if (c.size() % kSeg == 0 && c.size() <= kItems - 2 * kSeg &&
+        c.size() >= kSeg) {
+      EXPECT_EQ(before - now, kSegBytes) << "at " << c.size() << " live";
+      ++segment_drops;
+    } else if (now != before) {
+      // Otherwise only the buckets may rehash down.
+      EXPECT_NE(before - now, kSegBytes) << "at " << c.size() << " live";
+    }
+    ASSERT_EQ(c.Peek(0), first);
+    if (k > kSeg) {
+      ASSERT_EQ(c.Peek(kSeg), second_segment);
+    }
+    before = now;
+  }
+  EXPECT_EQ(segment_drops, 6u);
+  ASSERT_TRUE(c.Erase(0));
+  EXPECT_EQ(c.size(), 0u);
+  EXPECT_GE(c.index_bytes(), reserved);
+}
+
 std::vector<uint64_t> MruToLru(const Cache& c) {
   std::vector<uint64_t> order;
   c.ForEachMruToLru([&](const Cache::Entry& e) { order.push_back(e.key); });

@@ -11,6 +11,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -171,6 +172,57 @@ TEST(RequestTelemetry, SpanJsonHasAllPhases) {
         "\"write_us\":5", "\"total_us\":15", "\"keys\":2"}) {
     EXPECT_NE(json.find(needle), std::string::npos) << needle << "\n" << json;
   }
+}
+
+TEST(RequestTelemetry, SpanJsonBytesArePinned) {
+  // The 32-bit duration fields render exactly as the 64-bit ones did, up to
+  // the widest value they hold.
+  SpanRecord span;
+  span.t_start_us = 9'000'000'000;
+  span.conn_id = 42;
+  span.op = TelemetryOp::kSet;
+  span.outcome = RequestOutcome::kStored;
+  span.full_span = true;
+  span.queue_us = 1;
+  span.parse_us = 2;
+  span.store_us = 4;
+  span.write_us = 5;
+  span.total_us = UINT32_MAX;
+  span.keys = 1;
+  span.value_bytes = 1 << 20;
+  EXPECT_EQ(RequestTelemetry::RenderSpanJson(span),
+            "{\"t_us\":9000000000,\"type\":\"request_span\",\"conn\":42,"
+            "\"op\":\"set\",\"outcome\":\"stored\",\"full_span\":true,"
+            "\"slow\":false,\"queue_us\":1,\"parse_us\":2,\"store_us\":4,"
+            "\"write_us\":5,\"total_us\":4294967295,\"keys\":1,"
+            "\"bytes\":1048576}");
+}
+
+TEST(RequestTelemetry, DurationsSaturateAtUint32Max) {
+  EXPECT_EQ(SaturateUs(-1), 0u);
+  EXPECT_EQ(SaturateUs(0), 0u);
+  EXPECT_EQ(SaturateUs(int64_t{UINT32_MAX}), UINT32_MAX);
+  EXPECT_EQ(SaturateUs(int64_t{UINT32_MAX} + 1), UINT32_MAX);
+  EXPECT_EQ(SaturateUs(INT64_MAX), UINT32_MAX);
+
+  // A flush stamp past UINT32_MAX us (about 71 minutes) pins the write and
+  // total durations at UINT32_MAX instead of wrapping.
+  Obs obs;
+  RequestTelemetry telemetry(AlwaysSample(), &obs);
+  telemetry.BeginBatch(3);
+  telemetry.BeginRequest();
+  telemetry.OnParsed(TelemetryOp::kGet, 1);
+  telemetry.OnExecuted(RequestOutcome::kHit, 100);
+  telemetry.EndBatch(int64_t{UINT32_MAX} + 1000);
+  ASSERT_EQ(telemetry.ring_size(), 1u);
+  const SpanRecord span = telemetry.RingSnapshot()[0];
+  EXPECT_TRUE(span.full_span);
+  EXPECT_EQ(span.write_us, UINT32_MAX);
+  EXPECT_EQ(span.total_us, UINT32_MAX);
+  const std::string json = RequestTelemetry::RenderSpanJson(span);
+  EXPECT_NE(json.find("\"write_us\":4294967295,\"total_us\":4294967295,"),
+            std::string::npos)
+      << json;
 }
 
 TEST(RequestTelemetry, AbandonedRequestsLeaveNoRecord) {
