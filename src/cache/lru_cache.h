@@ -559,8 +559,12 @@ class LruCache {
   }
 
   void Rehash(size_t new_buckets) {
-    // A fresh vector, not assign(): a smaller table must free the old one.
-    buckets_ = std::vector<uint32_t>(new_buckets, kNil);
+    // The table is rebuilt from the LRU list, never from the old one, so the
+    // old one is freed first and the two are never held at once. The price:
+    // if this allocation throws, the live slots are left unindexed and the
+    // cache must not be used again (no strong exception guarantee).
+    std::vector<uint32_t>().swap(buckets_);
+    buckets_.assign(new_buckets, kNil);
     for (uint32_t s = head_; s != kNil; s = At(s).next) {
       PlaceInEmptyBucket(s);
     }

@@ -68,7 +68,7 @@ std::optional<int> ServingMain::ParseFlags(
       ok = ParseInt(arg.substr(11), INT64_MIN, INT64_MAX,
                     &net.stall_threshold_us);
     } else if (arg.rfind("--span-ring=", 0) == 0) {
-      ok = ParseInt(arg.substr(12), 1, kMaxInt, &n);
+      ok = ParseInt(arg.substr(12), 1, kMaxFlightRingCapacity, &n);
       net.telemetry.flight_ring_capacity = static_cast<uint32_t>(n);
     } else if (arg.rfind("--pidfile=", 0) == 0) {
       pidfile_path_ = arg.substr(10);

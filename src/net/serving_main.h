@@ -11,7 +11,8 @@
 //       --metrics-port=N       live Prometheus scrape (0 = ephemeral)
 //       --spans=FILE           span rings, appended per dump, whole at exit
 //       --span-sample=N --latency-sample=N --slow-us=N --span-ring=N
-//                              request telemetry (request_telemetry.h)
+//                              request telemetry (request_telemetry.h);
+//                              --span-ring is 1..1048576 records
 //       --stall-us=N           event-loop stall threshold
 //       --pidfile=FILE         written at readiness, removed on clean exit
 //   * readiness: the first stdout line is exactly `listening <port>`,

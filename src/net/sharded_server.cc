@@ -46,15 +46,18 @@ ShardedServer::ShardedServer(const ShardedServerConfig& config,
     : config_(config),
       obs_(obs),
       shard_count_(std::clamp<uint32_t>(config.threads, 1, kMaxShards)),
-      factory_(std::move(factory)),
-      exchange_(shard_count_) {}
+      factory_(std::move(factory)) {}
 
 bool ShardedServer::Start() {
   using_reuseport_ = shard_count_ > 1 && !config_.force_dispatch &&
                      ReusePortSupported();
   // The exchange carries the accept fallback's handoffs and nothing else, so
-  // SO_REUSEPORT reactors (and a lone reactor) never touch it.
+  // it is built only for that mode: SO_REUSEPORT reactors (and a lone
+  // reactor) hold none of its rings.
   const bool dispatch = shard_count_ > 1 && !using_reuseport_;
+  if (dispatch) {
+    exchange_.emplace(shard_count_);
+  }
   for (uint32_t i = 0; i < shard_count_; ++i) {
     NetServerConfig c = config_.base;
     if (i > 0) {
@@ -82,7 +85,7 @@ bool ShardedServer::Start() {
       shard->SetClock(clock_);
     }
     shard->ConfigureShard(
-        {i, dispatch ? &exchange_ : nullptr, &registries_, &dump_mu_});
+        {i, dispatch ? &*exchange_ : nullptr, &registries_, &dump_mu_});
     if (!shard->Start()) {
       shards_.clear();
       registries_.clear();
@@ -94,8 +97,8 @@ bool ShardedServer::Start() {
   }
   if (dispatch) {
     for (uint32_t i = 0; i < shard_count_; ++i) {
-      exchange_.SetWakeFd(i, shards_[i]->wake_fd());
-      exchange_.SetExecutor(i, [s = shards_[i].get()](CrossShardOp* op) {
+      exchange_->SetWakeFd(i, shards_[i]->wake_fd());
+      exchange_->SetExecutor(i, [s = shards_[i].get()](CrossShardOp* op) {
         s->ExecuteShardOp(op);
       });
     }

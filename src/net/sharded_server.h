@@ -36,6 +36,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "src/net/request_handler.h"
@@ -139,7 +140,7 @@ class ShardedServer {
   // Declared in dependency order, so each is destroyed before what it uses.
   HandlerFactory factory_;  // owns the cache factory's state, if any
   const CacheFactory* cache_ = nullptr;  // that state
-  ShardExchange exchange_;
+  std::optional<ShardExchange> exchange_;  // built for the accept fallback
   std::mutex dump_mu_;
   std::vector<std::unique_ptr<Obs>> shard_obs_;
   std::vector<std::unique_ptr<RequestHandler>> handlers_;

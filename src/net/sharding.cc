@@ -22,9 +22,14 @@ ShardExchange::ShardExchange(uint32_t shard_count, size_t ring_capacity)
     : shard_count_(shard_count),
       executors_(shard_count),
       wake_fds_(shard_count, -1) {
+  // No ring from a reactor to itself: a reactor never sends itself an op.
   rings_.reserve(static_cast<size_t>(shard_count) * shard_count);
-  for (uint32_t i = 0; i < shard_count * shard_count; ++i) {
-    rings_.push_back(std::make_unique<SpscOpRing>(ring_capacity));
+  for (uint32_t from = 0; from < shard_count; ++from) {
+    for (uint32_t to = 0; to < shard_count; ++to) {
+      rings_.push_back(from == to
+                           ? nullptr
+                           : std::make_unique<SpscOpRing>(ring_capacity));
+    }
   }
 }
 

@@ -148,7 +148,8 @@ class ShardExchange {
   }
 
   uint32_t shard_count_;
-  std::vector<std::unique_ptr<SpscOpRing>> rings_;  // [from * N + to]
+  // [from * N + to]; null where from == to.
+  std::vector<std::unique_ptr<SpscOpRing>> rings_;
   std::vector<std::function<void(CrossShardOp*)>> executors_;
   std::vector<int> wake_fds_;
   std::atomic<uint32_t> stopped_{0};

@@ -64,7 +64,8 @@ RequestTelemetry::RequestTelemetry(const RequestTelemetryConfig& config,
   if (config_.flight_ring_capacity == 0) {
     config_.flight_ring_capacity = 1;
   }
-  ring_.resize(config_.flight_ring_capacity);
+  // Storage only: a record's page is touched when the record is written.
+  ring_.reserve(config_.flight_ring_capacity);
   if (obs_ != nullptr) {
     spans_counter_ = obs_->registry.GetCounter("net/telemetry/spans");
     slow_counter_ = obs_->registry.GetCounter("net/telemetry/slow_requests");
@@ -210,11 +211,12 @@ void RequestTelemetry::CommitRecord(SpanRecord record) {
   if (spans_counter_ != nullptr) {
     spans_counter_->Increment();
   }
-  ring_[ring_next_] = record;
-  ring_next_ = (ring_next_ + 1) % ring_.size();
-  if (ring_count_ < ring_.size()) {
-    ++ring_count_;
+  if (ring_.size() < config_.flight_ring_capacity) {
+    ring_.push_back(record);  // within the reserved storage: no reallocation
+  } else {
+    ring_[ring_next_] = record;
   }
+  ring_next_ = (ring_next_ + 1) % config_.flight_ring_capacity;
   if (obs_ != nullptr && obs_->tracer.enabled()) {
     obs_->tracer.Custom(
         SimTime::FromMicros(record.t_start_us), "request_span",
@@ -237,11 +239,11 @@ void RequestTelemetry::CommitRecord(SpanRecord record) {
 
 std::vector<SpanRecord> RequestTelemetry::RingSnapshot() const {
   std::vector<SpanRecord> out;
-  out.reserve(ring_count_);
-  const size_t start =
-      ring_count_ < ring_.size() ? 0 : ring_next_;
-  for (size_t i = 0; i < ring_count_; ++i) {
-    out.push_back(ring_[(start + i) % ring_.size()]);
+  out.reserve(ring_.size());
+  // Once the ring is full, ring_next_ is its oldest record; until then it
+  // equals ring_.size(), so the walk starts at 0.
+  for (size_t i = 0; i < ring_.size(); ++i) {
+    out.push_back(ring_[(ring_next_ + i) % ring_.size()]);
   }
   return out;
 }

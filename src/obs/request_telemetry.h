@@ -21,7 +21,12 @@
 //     Finished spans go to the flight-recorder ring always, and to the
 //     EventTracer as `request_span` JSONL events when tracing is enabled.
 //
-// The flight recorder is a fixed-size ring of recent span records. A request
+// The flight recorder is a fixed-capacity ring of recent span records. Its
+// storage is reserved at construction but neither constructed nor zeroed,
+// so a page of it becomes resident only when a record is first written
+// there: an idle reactor holds almost none of its 4096 × 48 B = 192 KiB, and
+// one that has recorded n spans about min(n, capacity) × 48 B, rounded up to
+// pages. Once full, the ring overwrites its oldest record in place. A request
 // whose measured latency exceeds `slow_request_us` is force-recorded into
 // the ring (whatever stamps it has) and raises `dump_pending`, which the
 // server loop turns into a JSONL dump — the same dump SIGUSR1 triggers.
@@ -41,13 +46,18 @@
 
 namespace spotcache {
 
+/// The largest flight-recorder capacity --span-ring accepts: 1,048,576
+/// records, 48 MiB per reactor once full.
+inline constexpr uint32_t kMaxFlightRingCapacity = uint32_t{1} << 20;
+
 struct RequestTelemetryConfig {
   /// Span sampling period (rounded up to a power of two; 0 disables spans).
   uint32_t span_sample_every = 256;
   /// Latency-histogram sampling period (power of two; 0 disables, 1 = every
   /// request).
   uint32_t latency_sample_every = 16;
-  /// Flight-recorder capacity in span records.
+  /// Flight-recorder capacity in span records (at most
+  /// kMaxFlightRingCapacity from the serving binaries' --span-ring).
   uint32_t flight_ring_capacity = 4096;
   /// Auto-capture threshold: a request slower than this (microseconds,
   /// measured from batch arrival to completion) is force-recorded and flags
@@ -196,7 +206,7 @@ class RequestTelemetry {
   bool dump_pending() const { return dump_pending_; }
   void clear_dump_pending() { dump_pending_ = false; }
 
-  size_t ring_size() const { return ring_count_; }
+  size_t ring_size() const { return ring_.size(); }
   /// Oldest-to-newest snapshot of the ring.
   std::vector<SpanRecord> RingSnapshot() const;
   /// The ring as `request_span` JSONL lines (oldest first), one per record —
@@ -269,10 +279,10 @@ class RequestTelemetry {
   std::vector<Parked> parked_;  // ticket t lives at parked_[t - 1]
   std::vector<uint32_t> free_parked_;
 
-  // Flight recorder ring.
+  // Flight recorder ring: capacity reserved up front, grown by push_back
+  // until full, then overwritten in place at ring_next_.
   std::vector<SpanRecord> ring_;
   size_t ring_next_ = 0;
-  size_t ring_count_ = 0;
   bool dump_pending_ = false;
 
   uint64_t requests_seen_ = 0;

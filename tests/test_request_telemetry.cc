@@ -9,10 +9,16 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <malloc.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -120,6 +126,93 @@ TEST(RequestTelemetry, RingWrapsOldestFirst) {
   for (size_t i = 0; i < snap.size(); ++i) {
     EXPECT_EQ(snap[i].conn_id, i + 2) << i;
   }
+}
+
+// The tracer keeps every committed record, so its last `capacity`
+// request_span lines are a reference ring fed the same records. The flight
+// recorder renders the same bytes in the same order at every fill level:
+// while it grows, as it fills, and after each wrap.
+TEST(RequestTelemetry, RingMatchesTracerReferenceAcrossTheWrap) {
+  for (const uint32_t capacity : {1u, 2u, 3u, 8u}) {
+    Obs obs;
+    obs.tracer.set_enabled(true);
+    RequestTelemetryConfig config = AlwaysSample();
+    config.flight_ring_capacity = capacity;
+    RequestTelemetry telemetry(config, &obs);
+    for (uint32_t i = 0; i < 3 * capacity + 1; ++i) {
+      telemetry.BeginBatch(100 + i);
+      telemetry.BeginRequest();
+      telemetry.OnParsed(TelemetryOp::kSet, 1);
+      telemetry.OnExecuted(RequestOutcome::kStored, i);
+      telemetry.EndBatch(i);
+
+      std::vector<std::string> lines;
+      std::istringstream traced(ToJsonl(obs.tracer));
+      for (std::string line; std::getline(traced, line);) {
+        lines.push_back(line);
+      }
+      ASSERT_EQ(lines.size(), i + 1);
+      const size_t kept = std::min<size_t>(lines.size(), capacity);
+      std::string want;
+      for (size_t j = lines.size() - kept; j < lines.size(); ++j) {
+        want += lines[j] + "\n";
+      }
+      EXPECT_EQ(telemetry.ring_size(), kept);
+      EXPECT_EQ(telemetry.RenderFlightRecorderJsonl(), want)
+          << "capacity " << capacity << " after " << i + 1 << " records";
+      const std::vector<SpanRecord> snap = telemetry.RingSnapshot();
+      ASSERT_EQ(snap.size(), kept);
+      for (size_t j = 0; j < kept; ++j) {
+        EXPECT_EQ(snap[j].conn_id, 100 + i + 1 - kept + j) << j;
+      }
+    }
+  }
+}
+
+/// This process's resident anonymous memory in KiB (/proc/self/status).
+int64_t RssAnonKb() {
+  std::ifstream in("/proc/self/status");
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("RssAnon:", 0) == 0) {
+      return std::atoll(line.c_str() + 8);
+    }
+  }
+  return -1;
+}
+
+// The ring's storage is reserved, not constructed: building rings touches
+// almost none of it, and a page becomes resident as records are written.
+TEST(RequestTelemetry, RingPagesBecomeResidentOnlyWhenWritten) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer build: its allocator sets the RSS";
+#endif
+  // Map every large block freshly, as spotcache_server does at start, so a
+  // ring never lands on heap pages an earlier test already touched.
+  ASSERT_EQ(::mallopt(M_MMAP_THRESHOLD, 128 * 1024), 1);
+  RequestTelemetryConfig config = AlwaysSample();
+  ASSERT_EQ(config.flight_ring_capacity, 4096u);  // 192 KiB of records
+
+  const int64_t before = RssAnonKb();
+  ASSERT_GT(before, 0);
+  std::vector<std::unique_ptr<RequestTelemetry>> rings;
+  for (int i = 0; i < 8; ++i) {
+    rings.push_back(std::make_unique<RequestTelemetry>(config, nullptr));
+  }
+  const int64_t built = RssAnonKb();
+  EXPECT_LT(built - before, 128) << "8 rings of 192 KiB each";
+
+  RequestTelemetry& first = *rings.front();
+  for (uint32_t i = 0; i < config.flight_ring_capacity; ++i) {
+    first.BeginBatch(i);
+    first.BeginRequest();
+    first.OnParsed(TelemetryOp::kGet, 1);
+    first.OnExecuted(RequestOutcome::kHit, 100);
+    first.EndBatch(0);
+  }
+  ASSERT_EQ(first.ring_size(), config.flight_ring_capacity);
+  const int64_t filled = RssAnonKb();
+  EXPECT_GE(filled - built, 176) << "4096 records of 48 B";
+  EXPECT_LE(filled - built, 224) << "4096 records of 48 B";
 }
 
 TEST(RequestTelemetry, SlowRequestForcesCaptureAndDumpFlag) {

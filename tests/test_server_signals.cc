@@ -18,7 +18,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -236,6 +238,60 @@ TEST_F(ServerSignalsTest, Usr1DumpsWithoutStoppingThenTermExitsClean) {
   ::unlink(spans.c_str());
   ::unlink(metrics.c_str());
   ::rmdir(dir);
+}
+
+/// A field of /proc/<pid>/status in kB ("RssAnon", "Threads", ...); -1 when
+/// the file or the field is missing.
+int64_t StatusField(pid_t pid, const std::string& field) {
+  std::istringstream in(
+      ReadFileOrEmpty("/proc/" + std::to_string(pid) + "/status"));
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind(field + ":", 0) == 0) {
+      return std::atoll(line.c_str() + field.size() + 1);
+    }
+  }
+  return -1;
+}
+
+/// The idle RssAnon (kB) of a server at `threads` reactors, read once every
+/// reactor thread runs and two reads 50 ms apart agree.
+int64_t IdleRssAnonKb(int threads) {
+  ServerProcess server({"--threads=" + std::to_string(threads)});
+  if (server.pid() <= 0) {
+    return -1;
+  }
+  server.ReadUntil("listening ");
+  // One reactor runs on the main thread; more each get their own.
+  const int64_t want_threads = threads == 1 ? 1 : threads + 1;
+  int64_t last = -1;
+  for (int i = 0; i < 100; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    if (StatusField(server.pid(), "Threads") < want_threads) {
+      continue;
+    }
+    const int64_t rss = StatusField(server.pid(), "RssAnon");
+    if (rss == last) {
+      return rss;
+    }
+    last = rss;
+  }
+  return -1;
+}
+
+// A reactor reserves its span ring and receive buffer without touching them,
+// and an SO_REUSEPORT server builds no cross-reactor mailbox, so an idle
+// reactor adds its thread's stack and a few small tables, not the 192 KiB
+// ring it used to zero-fill at start.
+TEST_F(ServerSignalsTest, IdleReactorAddsAtMost96KiBOfRss) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer build: its allocator and shadow set the RSS";
+#endif
+  const int64_t one = IdleRssAnonKb(1);
+  const int64_t four = IdleRssAnonKb(4);
+  ASSERT_GT(one, 0);
+  ASSERT_GT(four, 0);
+  EXPECT_LE((four - one) / 3, 96) << "RssAnon " << one << " kB at 1 reactor, "
+                                  << four << " kB at 4";
 }
 
 TEST_F(ServerSignalsTest, MetricsPortServesLiveScrape) {
