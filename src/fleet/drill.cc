@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <thread>
 
@@ -22,7 +23,11 @@ int64_t WallUs() {
       .count();
 }
 
-std::string KeyName(uint64_t id) { return "fk:" + std::to_string(id); }
+constexpr std::string_view kKeyPrefix = "fk:";
+
+std::string KeyName(uint64_t id) {
+  return std::string(kKeyPrefix) + std::to_string(id);
+}
 
 /// Aggregated hit rate over a window range (inclusive indices).
 double AggregateHitRate(const std::vector<DrillWindow>& windows, size_t begin,
@@ -83,70 +88,6 @@ void FinalizeSummary(const FleetDrillConfig& config, int64_t window_us,
   } else {
     report->recovered = true;  // nothing was killed; trivially recovered
   }
-}
-
-/// Pipelined closed-loop prefill of keys [0, n) into host:port, with the
-/// same key names ("fk:<id>") and value bytes the loadgen stream writes.
-bool PrefillEndpoint(const std::string& host, uint16_t port, uint64_t n,
-                     size_t value_bytes, int timeout_ms) {
-  net::NetClient client;
-  if (!client.Connect(host, port, timeout_ms)) {
-    return false;
-  }
-  const std::string value(value_bytes, 'v');
-  constexpr uint64_t kBatch = 128;
-  for (uint64_t base = 0; base < n; base += kBatch) {
-    const uint64_t end = std::min(base + kBatch, n);
-    std::string batch;
-    for (uint64_t id = base; id < end; ++id) {
-      batch += "set " + KeyName(id) + " 0 0 " +
-               std::to_string(value.size()) + "\r\n" + value + "\r\n";
-    }
-    if (!client.SendRaw(batch)) {
-      return false;
-    }
-    for (uint64_t id = base; id < end; ++id) {
-      if (client.ReadLine() != "STORED") {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-/// Scrapes the proxy's deterministic `stats` block into name -> value.
-std::map<std::string, uint64_t> ScrapeProxyStats(uint16_t port) {
-  std::map<std::string, uint64_t> stats;
-  net::NetClient client;
-  if (!client.Connect("127.0.0.1", port, 2000)) {
-    return stats;
-  }
-  if (!client.SendRaw("stats\r\n")) {
-    return stats;
-  }
-  for (int i = 0; i < 256; ++i) {
-    const auto line = client.ReadLine();
-    if (!line.has_value() || *line == "END") {
-      break;
-    }
-    // "STAT <name> <value>" (the version line fails the number parse and is
-    // skipped).
-    const std::string& s = *line;
-    if (s.rfind("STAT ", 0) != 0) {
-      continue;
-    }
-    const size_t space = s.rfind(' ');
-    if (space == std::string::npos || space < 5) {
-      continue;
-    }
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(s.c_str() + space + 1, &end, 10);
-    if (end == nullptr || *end != '\0') {
-      continue;
-    }
-    stats[s.substr(5, space - 5)] = static_cast<uint64_t>(v);
-  }
-  return stats;
 }
 
 /// Removes the membership file on every exit from the drill (the publisher
@@ -226,17 +167,19 @@ FleetDrillReport RunFleetDrill(const FleetDrillConfig& config) {
   proxy_pid.store(proxy.process.pid, std::memory_order_relaxed);
 
   // --- Prefill through the proxy (keys land on their ring owners), plus
-  // the hot set into the backup directly. ---
-  if (!PrefillEndpoint("127.0.0.1", proxy.process.port, config.num_keys,
-                       config.value_bytes, 2000)) {
+  // the hot set into the backup directly, with the key names and value
+  // bytes the loadgen stream uses. ---
+  const std::string value(config.value_bytes, 'v');
+  if (!loadgen::Prefill("127.0.0.1", proxy.process.port, kKeyPrefix,
+                        config.num_keys, value, 2000)) {
     report.error = "prefill through proxy failed";
     proxy_sup.Terminate(proxy.process);
     controller.StopFleet();
     return report;
   }
-  if (!PrefillEndpoint("127.0.0.1", controller.backup_port(),
-                       std::min(config.hot_keys, config.num_keys),
-                       config.value_bytes, 2000)) {
+  if (!loadgen::Prefill("127.0.0.1", controller.backup_port(), kKeyPrefix,
+                        std::min(config.hot_keys, config.num_keys), value,
+                        2000)) {
     report.error = "prefill backup failed";
     proxy_sup.Terminate(proxy.process);
     controller.StopFleet();
@@ -267,7 +210,7 @@ FleetDrillReport RunFleetDrill(const FleetDrillConfig& config) {
   lg.connections = std::max(config.proxy_connections, 1);
   lg.prefill = false;     // done above, through the proxy
   lg.probe_shards = false;
-  lg.key_prefix = "fk:";  // KeyName() format
+  lg.key_prefix = std::string(kKeyPrefix);
   lg.window_us = window_us;
   lg.read_through = config.read_through;
   lg.stream.seed = config.seed ^ 0xf1ee7d41ULL;
@@ -289,7 +232,19 @@ FleetDrillReport RunFleetDrill(const FleetDrillConfig& config) {
       controller.ExecuteSchedule(report.schedule, hot_keys_for_slot, epoch_us);
   traffic.join();
 
-  report.proxy_stats = ScrapeProxyStats(proxy.process.port);
+  // The proxy's deterministic `stats` block, numeric lines only.
+  net::NetClient scraper;
+  if (scraper.Connect("127.0.0.1", proxy.process.port, 2000)) {
+    for (const auto& [name, text] : scraper.Stats().value_or(
+             std::map<std::string, std::string>{})) {
+      uint64_t v = 0;
+      const auto [end, ec] =
+          std::from_chars(text.data(), text.data() + text.size(), v);
+      if (ec == std::errc() && end == text.data() + text.size()) {
+        report.proxy_stats[name] = v;
+      }
+    }
+  }
   report.membership_generation = publisher.generation();
   proxy_sup.Terminate(proxy.process);
   controller.StopFleet();

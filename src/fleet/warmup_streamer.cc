@@ -26,13 +26,15 @@ int64_t NowUs() {
       .count();
 }
 
-/// True for transport failures a reconnect can heal.
+/// True for failures a reconnect can heal (a corrupt reply closed the
+/// socket, so a fresh one starts back in sync).
 bool Reconnectable(net::NetClientError e) {
   switch (e) {
     case net::NetClientError::kReset:
     case net::NetClientError::kPipe:
     case net::NetClientError::kClosed:
     case net::NetClientError::kRefused:
+    case net::NetClientError::kProtocol:
       return true;
     default:
       return false;

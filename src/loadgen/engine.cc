@@ -1,11 +1,8 @@
 #include "src/loadgen/engine.h"
 
-#include <arpa/inet.h>
 #include <errno.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
+#include <fcntl.h>
 #include <poll.h>
-#include <string.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -32,40 +29,17 @@ void AppendUint(std::string& out, uint64_t v) {
   out.append(buf, ptr);
 }
 
-/// Non-blocking connect with a bounded handshake wait.
-int OpenConn(const std::string& host, uint16_t port, int timeout_ms) {
-  const int fd =
-      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (fd < 0) {
-    return -1;
-  }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    return -1;
-  }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    if (errno != EINPROGRESS) {
-      ::close(fd);
-      return -1;
-    }
-    pollfd p{fd, POLLOUT, 0};
-    if (::poll(&p, 1, timeout_ms) != 1) {
-      ::close(fd);
-      return -1;
-    }
-    int err = 0;
-    socklen_t len = sizeof(err);
-    if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0 || err != 0) {
-      ::close(fd);
-      return -1;
-    }
-  }
-  return fd;
+/// Appends "set <prefix><key> 0 0 <len>\r\n<value>\r\n".
+void AppendSet(std::string& out, std::string_view prefix, uint64_t key,
+               std::string_view value) {
+  out += "set ";
+  out += prefix;
+  AppendUint(out, key);
+  out += " 0 0 ";
+  AppendUint(out, value.size());
+  out += "\r\n";
+  out += value;
+  out += "\r\n";
 }
 
 struct Inflight {
@@ -148,106 +122,29 @@ std::vector<double> SegmentDurations(const ScheduleConfig& sc) {
   return durations;
 }
 
-/// One `stats spotcache` round-trip on an already-connected nonblocking fd:
-/// returns the shard id the server reports for this connection (0 when the
-/// server emits no shard line, -1 on timeout/error) and updates
-/// `server_shards` when the reply carries a shard count.
-int ProbeShard(int fd, int timeout_ms, uint32_t* server_shards) {
-  const std::string_view req = "stats spotcache\r\n";
-  size_t sent = 0;
-  while (sent < req.size()) {
-    const ssize_t n =
-        ::send(fd, req.data() + sent, req.size() - sent, MSG_NOSIGNAL);
-    if (n > 0) {
-      sent += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) {
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      pollfd p{fd, POLLOUT, 0};
-      if (::poll(&p, 1, timeout_ms) != 1) {
-        return -1;
-      }
-      continue;
-    }
-    return -1;
-  }
-  std::string in;
-  char buf[8192];
-  while (in.find("END\r\n") == std::string::npos) {
-    pollfd p{fd, POLLIN, 0};
-    if (::poll(&p, 1, timeout_ms) != 1) {
-      return -1;
-    }
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) {
-      if (n < 0 && (errno == EINTR || errno == EAGAIN ||
-                    errno == EWOULDBLOCK)) {
-        continue;
-      }
-      return -1;
-    }
-    in.append(buf, static_cast<size_t>(n));
-    if (in.size() > 256 * 1024) {
-      return -1;
-    }
-  }
-  const auto stat_value = [&in](std::string_view name) -> long {
-    std::string needle = "STAT ";
-    needle += name;
-    needle += ' ';
-    const size_t pos = in.find(needle);
-    if (pos == std::string::npos) {
-      return -1;
-    }
-    return std::atol(in.c_str() + pos + needle.size());
-  };
-  const long count = stat_value("spotcache_shard_count");
-  if (count > 0) {
-    *server_shards = std::max<uint32_t>(*server_shards,
-                                        static_cast<uint32_t>(count));
-  }
-  const long shard = stat_value("spotcache_shard");
-  return shard >= 0 ? static_cast<int>(shard) : 0;
-}
+}  // namespace
 
-/// Closed-loop pipelined prefill (unmeasured) so the open-loop gets hit.
-bool Prefill(const EngineConfig& config, const std::string& value_buf) {
+bool Prefill(const std::string& host, uint16_t port,
+             std::string_view key_prefix, uint64_t n, std::string_view value,
+             int timeout_ms) {
   net::NetClient client;
-  if (!client.Connect(config.host, config.port, config.connect_timeout_ms)) {
+  if (!client.Connect(host, port, timeout_ms)) {
     return false;
   }
-  const uint64_t n = config.stream.keys.num_keys;
-  const std::string_view value(value_buf.data(), config.stream.mix.value_bytes);
   constexpr uint64_t kBatch = 256;
+  std::string batch;
   for (uint64_t base = 0; base < n; base += kBatch) {
     const uint64_t end = std::min(base + kBatch, n);
-    std::string batch;
+    batch.clear();
     for (uint64_t k = base; k < end; ++k) {
-      batch += "set ";
-      batch += config.key_prefix;
-      AppendUint(batch, k);
-      batch += " 0 0 ";
-      AppendUint(batch, value.size());
-      batch += "\r\n";
-      batch += value;
-      batch += "\r\n";
+      AppendSet(batch, key_prefix, k, value);
     }
-    if (!client.SendRaw(batch)) {
+    if (!client.Pipeline(batch, net::ReplyReader::Expect::kLine, end - base)) {
       return false;
-    }
-    for (uint64_t k = base; k < end; ++k) {
-      if (client.ReadLine() != "STORED") {
-        return false;
-      }
     }
   }
   return true;
 }
-
-}  // namespace
 
 LoadGenResult RunOpenLoop(const EngineConfig& config) {
   LoadGenResult result;
@@ -259,16 +156,49 @@ LoadGenResult RunOpenLoop(const EngineConfig& config) {
                                       config.stream.mix.value_bytes_max);
   const std::string value_buf(std::max<uint32_t>(max_value, 1), 'v');
 
-  if (config.prefill && !Prefill(config, value_buf)) {
+  const std::string_view value(value_buf.data(), config.stream.mix.value_bytes);
+  if (config.prefill &&
+      !Prefill(config.host, config.port, config.key_prefix,
+               config.stream.keys.num_keys, value, config.connect_timeout_ms)) {
     result.error = "prefill failed (connect or store error)";
     return result;
   }
 
-  // --- Connect the fleet. ----------------------------------------------
+  // --- Connect the fleet, probing shard placement (unmeasured). ---------
+  // One `stats spotcache` round trip per connection tells us which reactor
+  // shard the kernel's SO_REUSEPORT hash (or the dispatcher) assigned it to,
+  // so the report can show whether offered load actually spread across
+  // shards. Runs before t0 so it never pollutes the latency window.
   std::vector<Conn> conns(static_cast<size_t>(std::max(config.connections, 1)));
   for (Conn& c : conns) {
-    c.fd = OpenConn(config.host, config.port, config.connect_timeout_ms);
-    if (c.fd < 0) {
+    net::NetClient client;
+    if (client.Connect(config.host, config.port, config.connect_timeout_ms) &&
+        config.probe_shards) {
+      const auto stats = client.Stats("spotcache");
+      long shard = -1;
+      if (stats.has_value()) {
+        const auto stat = [&stats](const char* name) -> long {
+          const auto it = stats->find(name);
+          return it == stats->end() ? -1 : std::atol(it->second.c_str());
+        };
+        shard = std::max(stat("spotcache_shard"), 0L);
+        const long count = stat("spotcache_shard_count");
+        if (count > 0) {
+          result.server_shards = std::max<uint32_t>(
+              result.server_shards, static_cast<uint32_t>(count));
+        }
+      } else {
+        // A failed probe costs its socket (a late or corrupt reply would
+        // desync the run), never the run: dial once more, unprobed.
+        net::ReconnectPolicy once;
+        once.max_attempts = 1;
+        client.Reconnect(once);
+      }
+      result.conn_shards.push_back(static_cast<int>(shard));
+    }
+    c.fd = client.ReleaseFd();
+    if (c.fd < 0 ||
+        ::fcntl(c.fd, F_SETFL, ::fcntl(c.fd, F_GETFL) | O_NONBLOCK) != 0) {
       for (Conn& cc : conns) {
         if (cc.fd >= 0) {
           ::close(cc.fd);
@@ -279,18 +209,7 @@ LoadGenResult RunOpenLoop(const EngineConfig& config) {
     }
     c.hists.assign(num_segments, MakeLatencyHistogram());
   }
-
-  // --- Probe shard placement (unmeasured). ------------------------------
-  // One `stats spotcache` round-trip per connection tells us which reactor
-  // shard the kernel's SO_REUSEPORT hash (or the dispatcher) assigned it to,
-  // so the report can show whether offered load actually spread across
-  // shards. Runs before t0 so it never pollutes the latency window.
   if (config.probe_shards) {
-    result.conn_shards.reserve(conns.size());
-    for (Conn& c : conns) {
-      result.conn_shards.push_back(
-          ProbeShard(c.fd, config.connect_timeout_ms, &result.server_shards));
-    }
     result.shard_conn_counts.assign(result.server_shards, 0);
     for (const int shard : result.conn_shards) {
       if (shard >= 0 &&
@@ -373,15 +292,7 @@ LoadGenResult RunOpenLoop(const EngineConfig& config) {
         // Cache-aside repair: refill the missed key right here, pipelined on
         // the same connection. The set's latency clock starts now — it is a
         // new op, not part of the missed get.
-        const uint32_t vlen = config.stream.mix.value_bytes;
-        c.out += "set ";
-        c.out += config.key_prefix;
-        AppendUint(c.out, fl.key);
-        c.out += " 0 0 ";
-        AppendUint(c.out, vlen);
-        c.out += "\r\n";
-        c.out.append(value_buf.data(), vlen);
-        c.out += "\r\n";
+        AppendSet(c.out, config.key_prefix, fl.key, value);
         c.reader.Push(net::ReplyReader::Expect::kLine);
         c.inflight.push_back({sink_now_us, fl.segment, false, fl.key});
         ++seg.scheduled;
@@ -439,14 +350,8 @@ LoadGenResult RunOpenLoop(const EngineConfig& config) {
         c->out += "\r\n";
         c->reader.Push(net::ReplyReader::Expect::kRetrieval);
       } else {
-        c->out += "set ";
-        c->out += config.key_prefix;
-        AppendUint(c->out, op.key);
-        c->out += " 0 0 ";
-        AppendUint(c->out, op.value_len);
-        c->out += "\r\n";
-        c->out.append(value_buf.data(), op.value_len);
-        c->out += "\r\n";
+        AppendSet(c->out, config.key_prefix, op.key,
+                  std::string_view(value_buf.data(), op.value_len));
         c->reader.Push(net::ReplyReader::Expect::kLine);
       }
       c->inflight.push_back(

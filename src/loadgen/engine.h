@@ -10,12 +10,16 @@
 // answers "what does p99 look like at an offered rate of X", which is the
 // SLO question the paper's cost-efficacy claims hinge on.
 //
-// Per-connection ReplyReaders classify pipelined responses (hit/miss/error)
-// in request order; latencies land in per-connection, per-segment
-// LogHistograms and are merged deterministically (connection order) at the
-// end of the run. Error replies (e.g. the resilience ladder's SERVER_ERROR
-// sheds) complete their request but are excluded from the latency
-// distribution and counted separately.
+// Per-connection net::ReplyReaders (the tree's one strict reply grammar) turn
+// pipelined responses into hit/miss/error dispositions in request order; a
+// reply outside the grammar fails its connection. Latencies land in
+// per-connection, per-segment LogHistograms and are merged deterministically
+// (connection order) at the end of the run. Error replies (e.g. the
+// resilience ladder's SERVER_ERROR sheds) complete their request but are
+// excluded from the latency distribution and counted separately.
+//
+// Connections are dialled, and their shards probed, through net::NetClient,
+// which then hands each socket to the engine.
 //
 // The op stream itself is a pure function of (config, seed); only the
 // measured latencies depend on wall-clock behavior.
@@ -24,6 +28,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/loadgen/latency_recorder.h"
@@ -122,5 +127,12 @@ struct LoadGenResult {
 };
 
 LoadGenResult RunOpenLoop(const EngineConfig& config);
+
+/// Closed-loop, unmeasured prefill: stores keys `<key_prefix>0` ..
+/// `<key_prefix><n-1>`, each holding `value`, over one connection in
+/// pipelined batches of 256 sets. True when every set was stored.
+bool Prefill(const std::string& host, uint16_t port,
+             std::string_view key_prefix, uint64_t n, std::string_view value,
+             int timeout_ms);
 
 }  // namespace spotcache::loadgen

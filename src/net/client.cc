@@ -4,45 +4,18 @@
 #include <errno.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <string.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <charconv>
-#include <vector>
 
 namespace spotcache::net {
 
 namespace {
 
-/// Splits `line` on single spaces (no empty tokens).
-std::vector<std::string_view> Tokens(std::string_view line) {
-  std::vector<std::string_view> out;
-  size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() && line[i] == ' ') {
-      ++i;
-    }
-    const size_t start = i;
-    while (i < line.size() && line[i] != ' ') {
-      ++i;
-    }
-    if (i > start) {
-      out.push_back(line.substr(start, i - start));
-    }
-  }
-  return out;
-}
-
-template <typename Int>
-bool ToInt(std::string_view tok, Int* out) {
-  const auto [ptr, ec] =
-      std::from_chars(tok.data(), tok.data() + tok.size(), *out);
-  return ec == std::errc() && ptr == tok.data() + tok.size();
-}
+using Expect = ReplyReader::Expect;
 
 NetClientError ClassifyErrno(int err) {
   switch (err) {
@@ -89,6 +62,8 @@ std::string_view ToString(NetClientError e) {
       return "closed";
     case NetClientError::kNotConnected:
       return "not_connected";
+    case NetClientError::kProtocol:
+      return "protocol";
     case NetClientError::kOther:
       return "other";
   }
@@ -171,6 +146,14 @@ void NetClient::Close() {
   }
   rbuf_.clear();
   rpos_ = 0;
+  reader_.Reset();
+}
+
+int NetClient::ReleaseFd() {
+  const int fd = fd_;
+  fd_ = -1;
+  Close();
+  return fd;
 }
 
 bool NetClient::SendRaw(std::string_view bytes) {
@@ -277,134 +260,120 @@ std::optional<std::string> NetClient::RoundTripRaw(
   }
 }
 
-std::optional<std::string> NetClient::SimpleCommand(std::string cmd) {
-  cmd += "\r\n";
-  if (!SendRaw(cmd)) {
-    return std::nullopt;
-  }
-  return ReadLine();
-}
-
-bool NetClient::Set(std::string_view key, std::string_view value,
-                    uint32_t flags, int64_t exptime) {
-  std::string cmd = "set " + std::string(key) + " " + std::to_string(flags) +
-                    " " + std::to_string(exptime) + " " +
-                    std::to_string(value.size()) + "\r\n";
-  cmd += value;
-  cmd += "\r\n";
-  if (!SendRaw(cmd)) {
+bool NetClient::Pipeline(std::string_view requests, Expect expect,
+                         size_t replies) {
+  if (!SendRaw(requests)) {
     return false;
   }
-  return ReadLine() == "STORED";
+  for (size_t i = 0; i < replies; ++i) {
+    reader_.Push(expect);
+  }
+  awaiting_ = replies;
+  positives_ = 0;
+  while (awaiting_ > 0) {
+    if (rpos_ == rbuf_.size() && !FillMore()) {
+      Close();  // a late reply would answer the next call
+      return false;
+    }
+    const std::string_view bytes(rbuf_.data() + rpos_, rbuf_.size() - rpos_);
+    rpos_ = rbuf_.size();
+    if (!reader_.Feed(bytes, this)) {
+      Close();  // the stream is out of sync
+      RecordError(NetClientError::kProtocol, 0);
+      return false;
+    }
+  }
+  return positives_ == replies;
 }
 
-bool NetClient::Add(std::string_view key, std::string_view value,
-                    uint32_t flags, int64_t exptime) {
-  std::string cmd = "add " + std::string(key) + " " + std::to_string(flags) +
-                    " " + std::to_string(exptime) + " " +
-                    std::to_string(value.size()) + "\r\n";
-  cmd += value;
-  cmd += "\r\n";
-  if (!SendRaw(cmd)) {
-    return false;
+void NetClient::OnValue(const ReplyReader::Value& value) {
+  if (value_out_ != nullptr) {
+    value_out_->value.assign(value.data);
+    value_out_->flags = value.flags;
+    value_out_->cas = value.cas;
   }
-  return ReadLine() == "STORED";
 }
 
-bool NetClient::Replace(std::string_view key, std::string_view value,
-                        uint32_t flags, int64_t exptime) {
-  std::string cmd = "replace " + std::string(key) + " " +
-                    std::to_string(flags) + " " + std::to_string(exptime) +
-                    " " + std::to_string(value.size()) + "\r\n";
+void NetClient::OnStat(std::string_view name, std::string_view value) {
+  if (stats_out_ != nullptr) {
+    stats_out_->emplace(name, value);
+  }
+}
+
+bool NetClient::OnReply(ReplyReader::Status status, std::string_view) {
+  --awaiting_;
+  positives_ += status == ReplyReader::Status::kHit ? 1 : 0;
+  return true;
+}
+
+bool NetClient::Store(std::string_view verb, std::string_view key,
+                      std::string_view value, uint32_t flags,
+                      int64_t exptime) {
+  std::string cmd(verb);
+  cmd += ' ';
+  cmd += key;
+  cmd += ' ' + std::to_string(flags) + ' ' + std::to_string(exptime) + ' ' +
+         std::to_string(value.size()) + "\r\n";
   cmd += value;
   cmd += "\r\n";
-  if (!SendRaw(cmd)) {
-    return false;
-  }
-  return ReadLine() == "STORED";
+  return Pipeline(cmd, Expect::kLine);
 }
 
 NetClient::GetResult NetClient::Retrieve(std::string_view verb,
                                          std::string_view key) {
   GetResult result;
-  std::string cmd = std::string(verb) + " " + std::string(key) + "\r\n";
-  if (!SendRaw(cmd)) {
-    return result;
+  value_out_ = &result;
+  result.found = Pipeline(std::string(verb) + ' ' + std::string(key) + "\r\n",
+                          Expect::kRetrieval);
+  value_out_ = nullptr;
+  if (!result.found) {
+    result = GetResult{};  // an error line after a VALUE block
   }
-  for (;;) {
-    auto line = ReadLine();
-    if (!line.has_value() || *line == "END") {
-      return result;
-    }
-    const auto toks = Tokens(*line);
-    if (toks.size() < 4 || toks[0] != "VALUE") {
-      return result;  // protocol error; caller sees found = false
-    }
-    uint64_t bytes = 0;
-    if (!ToInt(toks[2], &result.flags) || !ToInt(toks[3], &bytes)) {
-      return result;
-    }
-    if (toks.size() >= 5) {
-      ToInt(toks[4], &result.cas);
-    }
-    auto data = ReadBytes(bytes + 2);  // payload + CRLF
-    if (!data.has_value()) {
-      return result;
-    }
-    data->resize(bytes);
-    result.value = std::move(*data);
-    result.found = true;
-  }
-}
-
-NetClient::GetResult NetClient::Get(std::string_view key) {
-  return Retrieve("get", key);
-}
-
-NetClient::GetResult NetClient::Gets(std::string_view key) {
-  return Retrieve("gets", key);
+  return result;
 }
 
 bool NetClient::Delete(std::string_view key) {
-  return SimpleCommand("delete " + std::string(key)) == "DELETED";
+  return Pipeline("delete " + std::string(key) + "\r\n", Expect::kLine);
 }
 
 bool NetClient::Touch(std::string_view key, int64_t exptime) {
-  return SimpleCommand("touch " + std::string(key) + " " +
-                       std::to_string(exptime)) == "TOUCHED";
+  return Pipeline(
+      "touch " + std::string(key) + ' ' + std::to_string(exptime) + "\r\n",
+      Expect::kLine);
 }
 
 bool NetClient::FlushAll(int64_t delay_s) {
-  return SimpleCommand(delay_s > 0 ? "flush_all " + std::to_string(delay_s)
-                                   : "flush_all") == "OK";
+  return Pipeline(delay_s > 0 ? "flush_all " + std::to_string(delay_s) + "\r\n"
+                              : "flush_all\r\n",
+                  Expect::kLine);
 }
 
 std::optional<std::string> NetClient::Version() {
-  auto line = SimpleCommand("version");
+  if (!SendRaw("version\r\n")) {
+    return std::nullopt;
+  }
+  auto line = ReadLine();
   if (!line.has_value() || line->rfind("VERSION ", 0) != 0) {
     return std::nullopt;
   }
   return line->substr(8);
 }
 
-std::optional<std::map<std::string, std::string>> NetClient::Stats() {
-  if (!SendRaw("stats\r\n")) {
+std::optional<std::map<std::string, std::string>> NetClient::Stats(
+    std::string_view arg) {
+  std::map<std::string, std::string> stats;
+  stats_out_ = &stats;
+  std::string cmd = "stats";
+  if (!arg.empty()) {
+    cmd += ' ';
+    cmd += arg;
+  }
+  const bool ok = Pipeline(cmd + "\r\n", Expect::kStats);
+  stats_out_ = nullptr;
+  if (!ok) {
     return std::nullopt;
   }
-  std::map<std::string, std::string> stats;
-  for (;;) {
-    auto line = ReadLine();
-    if (!line.has_value()) {
-      return std::nullopt;
-    }
-    if (*line == "END") {
-      return stats;
-    }
-    const auto toks = Tokens(*line);
-    if (toks.size() >= 3 && toks[0] == "STAT") {
-      stats.emplace(std::string(toks[1]), std::string(toks[2]));
-    }
-  }
+  return stats;
 }
 
 }  // namespace spotcache::net

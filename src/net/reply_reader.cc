@@ -9,50 +9,54 @@ namespace spotcache::net {
 
 namespace {
 
+/// Longer than any well-formed reply line (a VALUE header holds a key of at
+/// most 250 bytes).
+constexpr size_t kMaxLineBytes = 4096;
+
+bool StartsWith(std::string_view line, std::string_view prefix) {
+  return line.substr(0, prefix.size()) == prefix;
+}
+
 bool IsErrorLine(std::string_view line) {
-  return line == "ERROR" || line.rfind("CLIENT_ERROR", 0) == 0 ||
-         line.rfind("SERVER_ERROR", 0) == 0;
+  return line == "ERROR" || line == "CLIENT_ERROR" ||
+         line == "SERVER_ERROR" || StartsWith(line, "CLIENT_ERROR ") ||
+         StartsWith(line, "SERVER_ERROR ");
 }
 
-/// The complete reply vocabulary for status-line commands (storage /
-/// delete / touch / flush_all). Error lines carry a free-form tail.
-bool ValidStatusLine(std::string_view line) {
-  return line == "STORED" || line == "NOT_STORED" || line == "EXISTS" ||
-         line == "NOT_FOUND" || line == "DELETED" || line == "TOUCHED" ||
-         line == "OK" || IsErrorLine(line);
-}
-
-bool ParseU64(std::string_view token, uint64_t* out) {
+template <typename Int>
+bool ParseUint(std::string_view token, Int* out) {
   const auto [ptr, ec] =
       std::from_chars(token.data(), token.data() + token.size(), *out);
   return !token.empty() && ec == std::errc() &&
          ptr == token.data() + token.size();
 }
 
-/// Parses the <bytes> field of "VALUE <key> <flags> <bytes> [<cas>]".
-bool ValueBytes(std::string_view line, uint64_t* out) {
-  // Fields are single-space separated; bytes is the 4th token.
-  size_t pos = 0;
-  for (int field = 0; field < 3; ++field) {
-    pos = line.find(' ', pos);
-    if (pos == std::string_view::npos) {
-      return false;
+/// Splits `line` on spaces into at most `max` tokens. Returns the count, or
+/// max + 1 when the line holds more.
+size_t Split(std::string_view line, std::string_view* tokens, size_t max) {
+  size_t count = 0;
+  size_t at = 0;
+  while (at < line.size()) {
+    const size_t space = line.find(' ', at);
+    const size_t end = space == std::string_view::npos ? line.size() : space;
+    if (end > at) {
+      if (count == max) {
+        return max + 1;
+      }
+      tokens[count++] = line.substr(at, end - at);
     }
-    ++pos;
+    at = end + 1;
   }
-  size_t end = line.find(' ', pos);
-  if (end == std::string_view::npos) {
-    end = line.size();
-  }
-  return ParseU64(line.substr(pos, end - pos), out);
+  return count;
 }
 
 /// Adapts a disposition-only Sink to the Handler interface.
 class SinkHandler final : public ReplyReader::Handler {
  public:
   explicit SinkHandler(const ReplyReader::Sink& sink) : sink_(sink) {}
-  void OnReply(ReplyReader::Status status, std::string_view) override {
+  bool OnReply(ReplyReader::Status status, std::string_view) override {
     sink_(status);
+    return true;
   }
 
  private:
@@ -62,62 +66,37 @@ class SinkHandler final : public ReplyReader::Handler {
 }  // namespace
 
 bool ReplyReader::ConsumeValueHeader(std::string_view line) {
+  // "VALUE <key> <flags> <bytes> [<cas>]", nothing more.
+  std::string_view tokens[5];
+  const size_t count = Split(line, tokens, 5);
   uint64_t bytes = 0;
-  if (mode_ == Mode::kClassify) {
-    if (!ValueBytes(line, &bytes)) {
-      return false;
-    }
-    skip_bytes_ = bytes + 2;  // payload + CRLF
-    return true;
-  }
-  // Strict: "VALUE <key> <flags> <bytes> [<cas>]", nothing more.
-  std::string_view tokens[6];
-  size_t count = 0;
-  size_t at = 0;
-  while (at < line.size()) {
-    const size_t space = line.find(' ', at);
-    const size_t end = space == std::string_view::npos ? line.size() : space;
-    if (end > at) {
-      if (count == 6) {
-        return false;
-      }
-      tokens[count++] = line.substr(at, end - at);
-    }
-    at = end + 1;
-  }
-  uint64_t flags = 0;
   uint64_t cas = 0;
-  if (count < 4 || count > 5 || !ParseU64(tokens[2], &flags) ||
-      !ParseU64(tokens[3], &bytes) || bytes > kMaxValueBytes ||
-      (count == 5 && !ParseU64(tokens[4], &cas))) {
+  if (count < 4 || count > 5 || !ParseUint(tokens[2], &value_flags_) ||
+      !ParseUint(tokens[3], &bytes) || bytes > kMaxValueBytes ||
+      (count == 5 && !ParseUint(tokens[4], &cas))) {
     return false;
   }
   value_key_.assign(tokens[1]);
-  value_flags_ = static_cast<uint32_t>(flags);
   value_cas_ = cas;
   value_data_.clear();
-  skip_bytes_ = bytes + 2;
+  payload_due_ = bytes + 2;  // payload + CRLF
   return true;
 }
 
 size_t ReplyReader::ConsumePayload(std::string_view bytes, Handler* handler) {
-  const size_t n = std::min(skip_bytes_, bytes.size());
-  if (mode_ == Mode::kClassify) {
-    skip_bytes_ -= n;
-    return n;
-  }
+  const size_t n = std::min(payload_due_, bytes.size());
   std::string_view block;
-  if (value_data_.empty() && n == skip_bytes_) {
+  if (value_data_.empty() && n == payload_due_) {
     block = bytes.substr(0, n);  // the whole block is in this chunk
   } else {
     value_data_.append(bytes.data(), n);
-    if (n < skip_bytes_) {
-      skip_bytes_ -= n;
+    if (n < payload_due_) {
+      payload_due_ -= n;
       return n;
     }
     block = value_data_;
   }
-  skip_bytes_ = 0;
+  payload_due_ = 0;
   if (block.substr(block.size() - 2) != "\r\n") {
     return std::string_view::npos;  // torn VALUE block
   }
@@ -127,6 +106,13 @@ size_t ReplyReader::ConsumePayload(std::string_view bytes, Handler* handler) {
   return n;
 }
 
+bool ReplyReader::Complete(Status status, std::string_view line,
+                           Handler* handler) {
+  pending_.pop_front();
+  saw_value_ = false;
+  return handler->OnReply(status, line);
+}
+
 bool ReplyReader::ConsumeLine(std::string_view line, Handler* handler) {
   if (pending_.empty()) {
     return false;  // response bytes with nothing outstanding
@@ -134,47 +120,44 @@ bool ReplyReader::ConsumeLine(std::string_view line, Handler* handler) {
   if (!line.empty() && line.back() == '\r') {
     line.remove_suffix(1);
   }
-  const bool strict = mode_ == Mode::kStrict;
-  if (pending_.front() == Expect::kRetrieval) {
-    if (line.rfind("VALUE ", 0) == 0) {
-      if (!ConsumeValueHeader(line)) {
-        return false;
-      }
-      saw_value_ = true;
-      return true;
-    }
-    Status status;
-    if (line == "END") {
-      status = saw_value_ ? Status::kHit : Status::kMiss;
-    } else if (!strict && IsErrorLine(line)) {
-      status = Status::kError;
-    } else {
-      return false;
-    }
-    pending_.pop_front();
-    saw_value_ = false;
-    handler->OnReply(status, line);
-    return true;
-  }
-  // kLine: one status line completes the request.
-  if (line.empty() || (strict && !ValidStatusLine(line))) {
-    return false;
-  }
-  pending_.pop_front();
-  Status status = Status::kHit;  // STORED / DELETED / TOUCHED / OK / ...
   if (IsErrorLine(line)) {
-    status = Status::kError;
-  } else if (line == "NOT_STORED" || line == "NOT_FOUND" ||
-             line == "EXISTS") {
-    status = Status::kMiss;
+    return Complete(Status::kError, line, handler);
   }
-  handler->OnReply(status, line);
-  return true;
+  switch (pending_.front()) {
+    case Expect::kRetrieval:
+      if (StartsWith(line, "VALUE ")) {
+        saw_value_ = true;
+        return ConsumeValueHeader(line);
+      }
+      return line == "END" &&
+             Complete(saw_value_ ? Status::kHit : Status::kMiss, line,
+                      handler);
+    case Expect::kStats:
+      if (StartsWith(line, "STAT ")) {
+        std::string_view tokens[3];
+        if (Split(line, tokens, 3) != 3) {
+          return false;
+        }
+        handler->OnStat(tokens[1], tokens[2]);
+        return true;
+      }
+      return line == "END" && Complete(Status::kHit, line, handler);
+    case Expect::kLine:
+      if (line == "STORED" || line == "DELETED" || line == "TOUCHED" ||
+          line == "OK") {
+        return Complete(Status::kHit, line, handler);
+      }
+      if (line == "NOT_STORED" || line == "NOT_FOUND" || line == "EXISTS") {
+        return Complete(Status::kMiss, line, handler);
+      }
+      return false;
+  }
+  return false;
 }
 
 bool ReplyReader::Feed(std::string_view bytes, Handler* handler) {
   while (!bytes.empty()) {
-    if (skip_bytes_ > 0) {
+    if (payload_due_ > 0) {
       const size_t n = ConsumePayload(bytes, handler);
       if (n == std::string_view::npos) {
         return false;
@@ -184,6 +167,9 @@ bool ReplyReader::Feed(std::string_view bytes, Handler* handler) {
     }
     const size_t nl = bytes.find('\n');
     if (nl == std::string_view::npos) {
+      if (partial_.size() + bytes.size() > kMaxLineBytes) {
+        return false;  // longer than any reply line: never buffer it
+      }
       partial_.append(bytes);
       return true;
     }
@@ -211,7 +197,7 @@ bool ReplyReader::Feed(std::string_view bytes, const Sink& sink) {
 void ReplyReader::Reset() {
   pending_.clear();
   partial_.clear();
-  skip_bytes_ = 0;
+  payload_due_ = 0;
   saw_value_ = false;
   value_data_.clear();
 }

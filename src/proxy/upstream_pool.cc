@@ -587,13 +587,16 @@ void UpstreamPool::OnValue(const net::ReplyReader::Value& value) {
   fetch.data.assign(value.data);  // into the retained staging buffer
 }
 
-void UpstreamPool::OnReply(net::ReplyReader::Status /*status*/,
+bool UpstreamPool::OnReply(net::ReplyReader::Status status,
                            std::string_view line) {
   Upstream& up = *reading_;
   const Leg leg = up.inflight.front().leg;
+  Op& op = ops_[leg.op];
+  if (status == net::ReplyReader::Status::kError && op.kind == OpKind::kGet) {
+    return false;  // the leg stays in flight and fails over with the socket
+  }
   up.inflight.pop_front();
   ++resolved_in_read_;
-  Op& op = ops_[leg.op];
   const ServedRung rung =
       is_backup(up) ? ServedRung::kBackup : ServedRung::kPrimary;
   switch (op.kind) {
@@ -617,6 +620,7 @@ void UpstreamPool::OnReply(net::ReplyReader::Status /*status*/,
       break;
   }
   ResolveLeg(leg.op);
+  return true;
 }
 
 void UpstreamPool::Disconnect(Upstream& up, bool failure) {

@@ -21,8 +21,11 @@
 //     send per upstream, so a pipelined client batch costs one upstream
 //     round trip however many commands it holds. Only a leg whose upstream
 //     is still connecting waits longer, until the connect finishes;
-//   * replies are parsed incrementally by the strict net::ReplyReader, so a
-//     torn or out-of-vocabulary reply is a transport failure, never data;
+//   * replies are parsed incrementally by net::ReplyReader, the tree's one
+//     strict reply grammar, so a torn or out-of-vocabulary reply is a
+//     transport failure, never data. So is an ERROR / CLIENT_ERROR /
+//     SERVER_ERROR answer to a get: its legs fail over like a dead socket's.
+//     An error line in answer to a status-line command is relayed;
 //   * every leg on the wire (and every connect in progress) carries a
 //     deadline of `op_timeout_ms` from the round it was sent in — its
 //     submission round, or the connect's completion for a leg that waited
@@ -288,7 +291,7 @@ class UpstreamPool : private net::ReplyReader::Handler {
     std::deque<InFlight> inflight;
     std::string out;  // bytes written to the socket only partially
     size_t out_sent = 0;
-    net::ReplyReader reader{net::ReplyReader::Mode::kStrict};
+    net::ReplyReader reader;
     KeyFetch value;  // VALUE block of the get reply being read (staging)
   };
 
@@ -347,7 +350,7 @@ class UpstreamPool : private net::ReplyReader::Handler {
 
   // net::ReplyReader::Handler (the upstream being read is reading_).
   void OnValue(const net::ReplyReader::Value& value) override;
-  void OnReply(net::ReplyReader::Status status, std::string_view line) override;
+  bool OnReply(net::ReplyReader::Status status, std::string_view line) override;
 
   UpstreamPoolConfig config_;
   EventTracer* tracer_;

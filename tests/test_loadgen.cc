@@ -26,6 +26,7 @@
 #include "src/loadgen/schedule.h"
 #include "src/net/server.h"
 #include "src/net/server_core.h"
+#include "src/net/sharded_server.h"
 #include "src/util/rng.h"
 #include "src/workload/zipf.h"
 
@@ -412,6 +413,37 @@ TEST(EngineTest, LoopbackSoakCompletesEverythingCleanly) {
 
   // Loopback at this trivial rate must achieve what it offers.
   EXPECT_GT(result.achieved_rps, 0.95 * result.offered_rps);
+}
+
+TEST(EngineTest, ShardProbeReportsEachConnectionsReactor) {
+  net::ShardedServerConfig server_config;
+  server_config.base.port = 0;
+  server_config.base.metrics_port = -1;
+  server_config.threads = 2;
+  net::ShardedServer server(server_config);
+  ASSERT_TRUE(server.Start());
+  std::thread loop([&server] { server.Run(); });
+
+  EngineConfig config;
+  config.port = server.port();
+  config.connections = 4;
+  config.stream.seed = 3;
+  config.stream.keys.num_keys = 500;
+  config.stream.schedule.base_rate_rps = 500.0;
+  config.stream.schedule.duration_s = 0.2;
+  const LoadGenResult result = RunOpenLoop(config);
+  server.Stop();
+  loop.join();
+
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(result.get_misses, 0u);  // the prefill stored every key
+  EXPECT_EQ(result.server_shards, 2u);
+  ASSERT_EQ(result.conn_shards.size(), 4u);
+  for (const int shard : result.conn_shards) {
+    EXPECT_TRUE(shard == 0 || shard == 1) << shard;
+  }
+  ASSERT_EQ(result.shard_conn_counts.size(), 2u);
+  EXPECT_EQ(result.shard_conn_counts[0] + result.shard_conn_counts[1], 4u);
 }
 
 TEST(EngineTest, ConnectFailureReportsCleanly) {

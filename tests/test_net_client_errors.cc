@@ -14,11 +14,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <functional>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -295,6 +297,54 @@ TEST(NetClientTypedErrors, OperationWithoutSocketIsNotConnected) {
   EXPECT_EQ(client.last_error(), NetClientError::kNotConnected);
 }
 
+/// A reply outside the grammar: the Get misses with kProtocol, the socket is
+/// closed, and the next call sees kNotConnected.
+void ExpectProtocolError(const std::string& reply) {
+  ScriptedServer server([reply](int fd) {
+    ReadUntil(fd, "\r\n");
+    WriteAll(fd, reply);
+    ReadUntil(fd, "\r\n");  // returns when the client hangs up
+  });
+  NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), 2000));
+  EXPECT_FALSE(client.Get("k").found);
+  EXPECT_EQ(client.last_error(), NetClientError::kProtocol);
+  EXPECT_EQ(ToString(NetClientError::kProtocol), "protocol");
+  EXPECT_FALSE(client.connected());
+  EXPECT_FALSE(client.Get("k").found);
+  EXPECT_EQ(client.last_error(), NetClientError::kNotConnected);
+}
+
+TEST(NetClientTypedErrors, GarbageLineIsAProtocolError) {
+  ExpectProtocolError("BANANA\r\n");
+}
+
+TEST(NetClientTypedErrors, TornValueTerminatorIsAProtocolError) {
+  ExpectProtocolError("VALUE k 0 5\r\nabcdeXY");
+}
+
+TEST(NetClientTypedErrors, OverflowingValueLengthIsAProtocolError) {
+  ExpectProtocolError("VALUE k 0 18446744073709551615\r\n");
+}
+
+TEST(NetClientTypedErrors, LateReplyDoesNotAnswerTheNextCall) {
+  // The reply to `get a` arrives after the receive timeout; the client must
+  // not hand it out as the answer to `get b`.
+  ScriptedServer server([](int fd) {
+    ReadUntil(fd, "\r\n");
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    WriteAll(fd, "VALUE a 0 5\r\nalpha\r\nEND\r\n");
+    ReadUntil(fd, "\r\n");  // returns when the client hangs up
+  });
+  NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), 100));
+  EXPECT_FALSE(client.Get("a").found);
+  EXPECT_EQ(client.last_error(), NetClientError::kTimeout);
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  EXPECT_FALSE(client.Get("b").found);
+  EXPECT_EQ(client.last_error(), NetClientError::kNotConnected);
+}
+
 TEST(NetClientTypedErrors, ReconnectRedialsAfterPeerDeath) {
   // A persistent listener whose first accepted connection dies instantly
   // (the SIGKILLed process) and whose second serves normally (the
@@ -365,7 +415,7 @@ TEST(NetClientTypedErrors, ReconnectExhaustionKeepsFinalError) {
 }
 
 // ---------------------------------------------------------------------------
-// ReplyReader: pipelined reply classification (the loadgen's receive path).
+// ReplyReader: pipelined reply dispositions (the loadgen's receive path).
 
 using Status = ReplyReader::Status;
 using Expect = ReplyReader::Expect;
@@ -449,24 +499,46 @@ TEST(ReplyReader, UnparseableValueHeaderIsCorruption) {
   EXPECT_FALSE(ok);
 }
 
-// Strict mode (the proxy's upstream legs): payloads delivered whole at any
-// chunking, and anything outside the upstream vocabulary is corruption.
+// The one grammar: payloads delivered whole at any chunking, and anything
+// outside the reply vocabulary is corruption.
 
 struct Collected final : ReplyReader::Handler {
   void OnValue(const ReplyReader::Value& v) override {
     values.push_back(std::string(v.key) + "/" + std::to_string(v.flags) +
                      "/" + std::to_string(v.cas) + "/" + std::string(v.data));
   }
-  void OnReply(Status, std::string_view line) override {
+  void OnStat(std::string_view name, std::string_view value) override {
+    stats.push_back(std::string(name) + "=" + std::string(value));
+  }
+  bool OnReply(Status status, std::string_view line) override {
+    statuses.push_back(status);
     lines.emplace_back(line);
+    return true;
+  }
+  /// Every callback, one per line, in a comparable form.
+  std::string Render() const {
+    std::string out;
+    for (const std::string& v : values) {
+      out += "value " + v + "\n";
+    }
+    for (const std::string& s : stats) {
+      out += "stat " + s + "\n";
+    }
+    for (size_t i = 0; i < statuses.size(); ++i) {
+      out += "reply " + std::to_string(static_cast<int>(statuses[i])) + " " +
+             lines[i] + "\n";
+    }
+    return out;
   }
   std::vector<std::string> values;
+  std::vector<std::string> stats;
+  std::vector<Status> statuses;
   std::vector<std::string> lines;
 };
 
 bool FeedStrict(std::string_view bytes, size_t chunk, Collected* got,
                 std::initializer_list<Expect> expects) {
-  ReplyReader reader(ReplyReader::Mode::kStrict);
+  ReplyReader reader;
   for (const Expect e : expects) {
     reader.Push(e);
   }
@@ -509,7 +581,6 @@ TEST(ReplyReader, StrictModeRejectsWhatAnUpstreamMustNotSend) {
       {"VALUE a 0 2 1 9\r\nab\r\nEND\r\n", Expect::kRetrieval},  // extra
       {"VALUE a 0\r\n", Expect::kRetrieval},            // no byte count
       {"VALUE a 0 2000000\r\n", Expect::kRetrieval},    // over 1 MB
-      {"SERVER_ERROR busy\r\n", Expect::kRetrieval},    // error mid-get
       {"VALUE x 0 5\r\n", Expect::kLine},                // torn reply
       {"HELLO\r\n", Expect::kLine},                      // not a status
   };
@@ -517,13 +588,177 @@ TEST(ReplyReader, StrictModeRejectsWhatAnUpstreamMustNotSend) {
     Collected got;
     EXPECT_FALSE(FeedStrict(c.bytes, 64, &got, {c.expect})) << c.bytes;
   }
-  // The lenient classifier takes the same error line as a kError reply.
-  ReplyReader lenient;
-  lenient.Push(Expect::kRetrieval);
+  // An error line mid-get is a well-formed kError reply, not corruption
+  // (the proxy's pool is what fails an upstream over on it).
+  ReplyReader reader;
+  reader.Push(Expect::kRetrieval);
   bool ok = false;
-  EXPECT_EQ(FeedAll(lenient, "SERVER_ERROR busy\r\n", 64, &ok),
+  EXPECT_EQ(FeedAll(reader, "SERVER_ERROR busy\r\n", 64, &ok),
             std::vector<Status>{Status::kError});
   EXPECT_TRUE(ok);
+}
+
+// ---------------------------------------------------------------------------
+// The one grammar holds for the default reader too (the loadgen's).
+
+TEST(ReplyReader, DefaultReaderRejectsOutOfGrammarReplies) {
+  const struct {
+    std::string bytes;
+    Expect expect;
+  } bad[] = {
+      // bytes + 2 overflows to 1: a reader that trusts the length skips one
+      // byte and takes the END as a hit.
+      {"VALUE k 0 18446744073709551615\r\nxEND\r\n", Expect::kRetrieval},
+      {"BANANA\r\n", Expect::kLine},  // not a status line
+      // A line that never ends must not be buffered without bound.
+      {std::string(1 << 20, 'x'), Expect::kRetrieval},
+  };
+  for (const auto& c : bad) {
+    ReplyReader reader;
+    reader.Push(c.expect);
+    bool ok = true;
+    EXPECT_TRUE(FeedAll(reader, c.bytes, 64, &ok).empty())
+        << c.bytes.substr(0, 40);
+    EXPECT_FALSE(ok) << c.bytes.substr(0, 40);
+  }
+}
+
+/// Feeds `bytes` cut at `cuts` (ascending offsets) into a fresh reader.
+bool FeedCut(std::string_view bytes, const std::vector<size_t>& cuts,
+             const std::vector<Expect>& expects, Collected* got) {
+  ReplyReader reader;
+  for (const Expect e : expects) {
+    reader.Push(e);
+  }
+  size_t at = 0;
+  for (const size_t cut : cuts) {
+    if (!reader.Feed(bytes.substr(at, cut - at), got)) {
+      return false;
+    }
+    at = cut;
+  }
+  return reader.Feed(bytes.substr(at), got) && reader.pending() == 0;
+}
+
+TEST(ReplyReader, StatsRepliesAtAnyChunking) {
+  const std::string stream =
+      "STAT pid 42\r\nSTAT version spotcache-1.6.0\r\nEND\r\n"
+      "END\r\n"
+      "ERROR\r\n";
+  const std::vector<Expect> expects = {Expect::kStats, Expect::kStats,
+                                       Expect::kStats};
+  Collected want;
+  want.stats = {"pid=42", "version=spotcache-1.6.0"};
+  want.statuses = {Status::kHit, Status::kHit, Status::kError};
+  want.lines = {"END", "END", "ERROR"};
+  for (size_t chunk = 1; chunk <= stream.size(); ++chunk) {
+    std::vector<size_t> cuts;
+    for (size_t at = chunk; at < stream.size(); at += chunk) {
+      cuts.push_back(at);
+    }
+    Collected got;
+    ASSERT_TRUE(FeedCut(stream, cuts, expects, &got)) << "chunk " << chunk;
+    ASSERT_EQ(got.Render(), want.Render()) << "chunk " << chunk;
+  }
+  // A STAT line is exactly three tokens.
+  for (const char* bad : {"STAT pid\r\nEND\r\n", "STAT a b c\r\nEND\r\n",
+                          "VALUE a 0 1\r\nx\r\nEND\r\n", "STORED\r\n"}) {
+    Collected got;
+    EXPECT_FALSE(FeedCut(bad, {}, {Expect::kStats}, &got)) << bad;
+  }
+}
+
+TEST(ReplyReader, SeededChunkingFuzzMatchesOneWholeFeed) {
+  std::mt19937_64 rng(0x5eedc0deULL);
+  const auto pick = [&rng](size_t n) {
+    return static_cast<size_t>(rng() % n);
+  };
+  const std::vector<std::string> positives = {"STORED", "DELETED", "TOUCHED",
+                                              "OK"};
+  const std::vector<std::string> negatives = {"NOT_STORED", "NOT_FOUND",
+                                              "EXISTS"};
+  const std::vector<std::string> errors = {
+      "ERROR", "CLIENT_ERROR bad data chunk", "SERVER_ERROR busy"};
+  for (int round = 0; round < 300; ++round) {
+    std::string stream;
+    std::vector<Expect> expects;
+    Collected want;
+    const size_t replies = 1 + pick(6);
+    for (size_t r = 0; r < replies; ++r) {
+      const Expect expect = static_cast<Expect>(pick(3));
+      expects.push_back(expect);
+      if (pick(5) == 0) {  // an error line answers any expectation
+        const std::string& e = errors[pick(errors.size())];
+        stream += e + "\r\n";
+        want.statuses.push_back(Status::kError);
+        want.lines.push_back(e);
+        continue;
+      }
+      switch (expect) {
+        case Expect::kRetrieval: {
+          const size_t blocks = pick(4);
+          for (size_t b = 0; b < blocks; ++b) {
+            const std::string key = "k" + std::to_string(pick(1000));
+            const uint32_t flags = static_cast<uint32_t>(rng());
+            const bool with_cas = pick(2) == 0;
+            const uint64_t cas = with_cas ? rng() : 0;
+            constexpr std::string_view kBytes = "\r\nEND VALUE x";
+            std::string data;  // protocol-looking payload bytes
+            for (size_t i = pick(24); i > 0; --i) {
+              data += kBytes[pick(kBytes.size())];
+            }
+            stream += "VALUE " + key + " " + std::to_string(flags) + " " +
+                      std::to_string(data.size());
+            if (with_cas) {
+              stream += " " + std::to_string(cas);
+            }
+            stream += "\r\n" + data + "\r\n";
+            want.values.push_back(key + "/" + std::to_string(flags) + "/" +
+                                  std::to_string(cas) + "/" + data);
+          }
+          stream += "END\r\n";
+          want.statuses.push_back(blocks > 0 ? Status::kHit : Status::kMiss);
+          want.lines.push_back("END");
+          break;
+        }
+        case Expect::kLine: {
+          const bool positive = pick(2) == 0;
+          const std::string& line = positive
+                                        ? positives[pick(positives.size())]
+                                        : negatives[pick(negatives.size())];
+          stream += line + "\r\n";
+          want.statuses.push_back(positive ? Status::kHit : Status::kMiss);
+          want.lines.push_back(line);
+          break;
+        }
+        case Expect::kStats: {
+          for (size_t i = pick(4); i > 0; --i) {
+            const std::string name = "s" + std::to_string(pick(100));
+            const std::string value = std::to_string(rng());
+            stream += "STAT " + name + " " + value + "\r\n";
+            want.stats.push_back(name + "=" + value);
+          }
+          stream += "END\r\n";
+          want.statuses.push_back(Status::kHit);
+          want.lines.push_back("END");
+          break;
+        }
+      }
+    }
+    Collected whole;
+    ASSERT_TRUE(FeedCut(stream, {}, expects, &whole)) << stream;
+    ASSERT_EQ(whole.Render(), want.Render()) << stream;
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<size_t> cuts;
+      for (size_t i = pick(8); i > 0; --i) {
+        cuts.push_back(1 + pick(stream.size()));
+      }
+      std::sort(cuts.begin(), cuts.end());
+      Collected got;
+      ASSERT_TRUE(FeedCut(stream, cuts, expects, &got)) << stream;
+      ASSERT_EQ(got.Render(), whole.Render()) << stream;
+    }
+  }
 }
 
 }  // namespace

@@ -55,6 +55,7 @@ enum class PeerScript {
   kServeThenClose,   // answer `serve_replies` gets correctly, then close
   kAnswerAfter,      // answer no set until `serve_replies` sets have been
                      // read, then all of them and every later one: STORED
+  kServerErrorOnGet, // answer the first get with SERVER_ERROR busy
 };
 
 /// A one-connection-at-a-time scripted upstream. Runs until Stop().
@@ -135,6 +136,17 @@ class ScriptedPeer {
           }
         }
         return;
+      }
+      case PeerScript::kServerErrorOnGet: {
+        if (ReadOneLine(fd).empty()) {
+          return;
+        }
+        const std::string busy = "SERVER_ERROR busy\r\n";
+        (void)::send(fd, busy.data(), busy.size(), MSG_NOSIGNAL);
+        char buf[256];
+        while (::recv(fd, buf, sizeof(buf), 0) > 0) {
+        }
+        return;  // the pool hung up
       }
       case PeerScript::kServeThenClose: {
         int served = 0;
@@ -443,6 +455,28 @@ TEST(ProxyFailover, CloseMidResponseIsATransportFailure) {
   EXPECT_EQ(out[0].data, "b_x");
   EXPECT_GT(pool.stats().absorbed_failures, 0u);
   EXPECT_GE(peer.connections_seen(), 1);
+}
+
+TEST(ProxyFailover, ServerErrorOnGetFailsOverToBackup) {
+  // An upstream error in answer to a get counts like a dead socket: the key
+  // is served from the backup and one breaker failure is absorbed.
+  BackupServer backup;
+  backup.Prefill({"e"});
+  ScriptedPeer peer(PeerScript::kServerErrorOnGet);
+
+  UpstreamPool pool(FastPoolConfig(), nullptr);
+  pool.SetNode(0, "127.0.0.1", peer.port());
+  pool.SetBackup("127.0.0.1", backup.server.port());
+  const uint64_t absorbed_before = pool.stats().absorbed_failures;
+
+  std::vector<std::string_view> keys = {"e"};
+  std::vector<KeyFetch> out;
+  pool.MultiGet(keys, false, &out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_TRUE(out[0].found);
+  EXPECT_EQ(out[0].rung, ServedRung::kBackup);
+  EXPECT_EQ(out[0].data, "b_e");
+  EXPECT_EQ(pool.stats().absorbed_failures, absorbed_before + 1);
 }
 
 TEST(ProxyFailover, StallPastDeadlineDegradesWithinBoundedTime) {
